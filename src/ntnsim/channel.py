@@ -24,6 +24,13 @@ class ChannelConfig:
     ue_noise_figure_db: float = 7.0
     noise_density_dbm_hz: float = -174.0
 
+    def validate(self) -> None:
+        # a < 0 takes the LoS probability out of [0, 1]; b < 0 makes it fall with elevation
+        if self.los_a < 0 or self.los_b < 0:
+            raise ValueError("LoS sigmoid parameters los_a and los_b must be non-negative")
+        if self.backhaul_carrier_hz <= 0 or self.backhaul_bandwidth_hz <= 0:
+            raise ValueError("backhaul carrier and bandwidth must be positive")
+
 
 @dataclass
 class LinkBudget:

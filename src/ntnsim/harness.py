@@ -3,24 +3,26 @@ methods (rr / maddpg / tts-maddpg), CSV metrics, and result comparison.
 
 Config format: `key = value` lines under `[section]` headers, or dotted
 `section.key = value` lines. `#` and `;` start full-line comments. Every key
-has a default; unknown keys are rejected with their line number.
+has a default; unknown keys are rejected with their line number. The keys are
+the field names of the config dataclasses, found by reflection, except the
+fleet keys of [scenario] and `lambda` in [traffic].
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .channel import ChannelConfig
-from .madrl import EnvSpec, TrainConfig, Trainer
-from .scenario import ScenarioConfig
+from .madrl import K_OBS, METHODS, EnvSpec, TrainConfig, Trainer
+from .scenario import TETHERED_DONOR, UNTETHERED_NODE, PlatformSpec, ScenarioConfig
 from .traffic import TrafficConfig
-
-METHODS = ("rr", "maddpg", "tts-maddpg")
 
 
 class ConfigError(ValueError):
@@ -32,7 +34,7 @@ class ExperimentConfig:
     method: str = "tts-maddpg"
     seeds: list[int] = field(default_factory=lambda: [0])
     out_dir: str = "results"
-    k_obs: int = 8
+    k_obs: int = K_OBS
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
@@ -42,10 +44,7 @@ class ExperimentConfig:
         return EnvSpec(self.scenario, self.traffic, self.channel, self.k_obs)
 
     def train_config(self, seed: int) -> TrainConfig:
-        tc = TrainConfig(**vars(self.train))
-        tc.method = self.method
-        tc.seed = seed
-        return tc
+        return replace(self.train, method=self.method, seed=seed)
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -55,28 +54,10 @@ class ExperimentConfig:
         if self.k_obs < 1:
             raise ConfigError("train.k_obs must be positive")
         try:
-            self.scenario.validate()
-            self.train.validate()
+            for sub in (self.scenario, self.traffic, self.channel, self.train):
+                sub.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        if self.traffic.lambda_pkts < 0 or self.traffic.packet_bits <= 0:
-            raise ConfigError("traffic rates and packet size must be positive")
-        if self.traffic.deadline_slots < 1:
-            raise ConfigError("traffic.deadline_slots must be at least 1")
-
-
-def _set_nodes(cfg: ExperimentConfig, attr: str, value) -> None:
-    for p in cfg.scenario.nodes:
-        setattr(p, attr, value)
-
-
-def _set_all_platforms(cfg: ExperimentConfig, attr: str, value) -> None:
-    for p in cfg.scenario.platforms:
-        setattr(p, attr, value)
-
-
-def _seeds_str(cfg: ExperimentConfig) -> str:
-    return ", ".join(str(s) for s in cfg.seeds)
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -86,141 +67,81 @@ def _parse_seeds(raw: str) -> list[int]:
     return [int(t) for t in toks]
 
 
-# (section, key, kind, getter, setter); kind drives parsing and formatting.
-_SCHEMA = [
-    ("run", "method", "str", lambda c: c.method, lambda c, v: setattr(c, "method", v)),
-    ("run", "seeds", "seeds", _seeds_str, lambda c, v: setattr(c, "seeds", v)),
-    ("run", "out_dir", "str", lambda c: c.out_dir, lambda c, v: setattr(c, "out_dir", v)),
-    ("scenario", "area_w_m", "float", lambda c: c.scenario.area_w_m,
-     lambda c, v: setattr(c.scenario, "area_w_m", v)),
-    ("scenario", "area_h_m", "float", lambda c: c.scenario.area_h_m,
-     lambda c, v: setattr(c.scenario, "area_h_m", v)),
-    ("scenario", "n_ues", "int", lambda c: c.scenario.n_ues,
-     lambda c, v: setattr(c.scenario, "n_ues", v)),
-    ("scenario", "ue_speed_min_mps", "float", lambda c: c.scenario.ue_speed_min_mps,
-     lambda c, v: setattr(c.scenario, "ue_speed_min_mps", v)),
-    ("scenario", "ue_speed_max_mps", "float", lambda c: c.scenario.ue_speed_max_mps,
-     lambda c, v: setattr(c.scenario, "ue_speed_max_mps", v)),
-    ("scenario", "slot_seconds", "float", lambda c: c.scenario.slot_seconds,
-     lambda c, v: setattr(c.scenario, "slot_seconds", v)),
-    ("scenario", "donor_altitude_m", "float", lambda c: c.scenario.donor.altitude_m,
-     lambda c, v: setattr(c.scenario.donor, "altitude_m", v)),
-    ("scenario", "node_altitude_m", "float", lambda c: c.scenario.nodes[0].altitude_m,
-     lambda c, v: _set_nodes(c, "altitude_m", v)),
-    ("scenario", "donor_carrier_hz", "float", lambda c: c.scenario.donor.carrier_hz,
-     lambda c, v: setattr(c.scenario.donor, "carrier_hz", v)),
-    ("scenario", "donor_bandwidth_hz", "float", lambda c: c.scenario.donor.bandwidth_hz,
-     lambda c, v: setattr(c.scenario.donor, "bandwidth_hz", v)),
-    ("scenario", "node_carrier_hz", "float", lambda c: c.scenario.nodes[0].carrier_hz,
-     lambda c, v: _set_nodes(c, "carrier_hz", v)),
-    ("scenario", "node_bandwidth_hz", "float", lambda c: c.scenario.nodes[0].bandwidth_hz,
-     lambda c, v: _set_nodes(c, "bandwidth_hz", v)),
-    ("scenario", "donor_tx_power_dbm", "float", lambda c: c.scenario.donor.tx_power_dbm,
-     lambda c, v: setattr(c.scenario.donor, "tx_power_dbm", v)),
-    ("scenario", "node_tx_power_dbm", "float", lambda c: c.scenario.nodes[0].tx_power_dbm,
-     lambda c, v: _set_nodes(c, "tx_power_dbm", v)),
-    ("scenario", "antenna_gain_dbi", "float", lambda c: c.scenario.donor.antenna_gain_dbi,
-     lambda c, v: _set_all_platforms(c, "antenna_gain_dbi", v)),
-    ("scenario", "noise_figure_db", "float", lambda c: c.scenario.donor.noise_figure_db,
-     lambda c, v: _set_all_platforms(c, "noise_figure_db", v)),
-    ("scenario", "node_max_speed_mps", "float", lambda c: c.scenario.nodes[0].max_speed_mps,
-     lambda c, v: _set_nodes(c, "max_speed_mps", v)),
-    ("traffic", "lambda", "float", lambda c: c.traffic.lambda_pkts,
-     lambda c, v: setattr(c.traffic, "lambda_pkts", v)),
-    ("traffic", "packet_bits", "int", lambda c: c.traffic.packet_bits,
-     lambda c, v: setattr(c.traffic, "packet_bits", v)),
-    ("traffic", "deadline_slots", "int", lambda c: c.traffic.deadline_slots,
-     lambda c, v: setattr(c.traffic, "deadline_slots", v)),
-    ("channel", "eta_los_db", "float", lambda c: c.channel.eta_los_db,
-     lambda c, v: setattr(c.channel, "eta_los_db", v)),
-    ("channel", "eta_nlos_db", "float", lambda c: c.channel.eta_nlos_db,
-     lambda c, v: setattr(c.channel, "eta_nlos_db", v)),
-    ("channel", "los_a", "float", lambda c: c.channel.los_a,
-     lambda c, v: setattr(c.channel, "los_a", v)),
-    ("channel", "los_b", "float", lambda c: c.channel.los_b,
-     lambda c, v: setattr(c.channel, "los_b", v)),
-    ("channel", "backhaul_carrier_hz", "float", lambda c: c.channel.backhaul_carrier_hz,
-     lambda c, v: setattr(c.channel, "backhaul_carrier_hz", v)),
-    ("channel", "backhaul_bandwidth_hz", "float", lambda c: c.channel.backhaul_bandwidth_hz,
-     lambda c, v: setattr(c.channel, "backhaul_bandwidth_hz", v)),
-    ("channel", "backhaul_gain_dbi", "float", lambda c: c.channel.backhaul_gain_dbi,
-     lambda c, v: setattr(c.channel, "backhaul_gain_dbi", v)),
-    ("channel", "ue_noise_figure_db", "float", lambda c: c.channel.ue_noise_figure_db,
-     lambda c, v: setattr(c.channel, "ue_noise_figure_db", v)),
-    ("channel", "noise_density_dbm_hz", "float", lambda c: c.channel.noise_density_dbm_hz,
-     lambda c, v: setattr(c.channel, "noise_density_dbm_hz", v)),
-    ("train", "episodes", "int", lambda c: c.train.episodes,
-     lambda c, v: setattr(c.train, "episodes", v)),
-    ("train", "slots_per_episode", "int", lambda c: c.train.slots_per_episode,
-     lambda c, v: setattr(c.train, "slots_per_episode", v)),
-    ("train", "gamma", "float", lambda c: c.train.gamma,
-     lambda c, v: setattr(c.train, "gamma", v)),
-    ("train", "tau", "float", lambda c: c.train.tau,
-     lambda c, v: setattr(c.train, "tau", v)),
-    ("train", "actor_lr", "float", lambda c: c.train.actor_lr,
-     lambda c, v: setattr(c.train, "actor_lr", v)),
-    ("train", "critic_lr", "float", lambda c: c.train.critic_lr,
-     lambda c, v: setattr(c.train, "critic_lr", v)),
-    ("train", "batch_size", "int", lambda c: c.train.batch_size,
-     lambda c, v: setattr(c.train, "batch_size", v)),
-    ("train", "hidden_width", "int", lambda c: c.train.hidden_width,
-     lambda c, v: setattr(c.train, "hidden_width", v)),
-    ("train", "traj_hidden_width", "int", lambda c: c.train.traj_hidden_width,
-     lambda c, v: setattr(c.train, "traj_hidden_width", v)),
-    ("train", "sched_buffer_capacity", "int", lambda c: c.train.sched_buffer_capacity,
-     lambda c, v: setattr(c.train, "sched_buffer_capacity", v)),
-    ("train", "traj_buffer_capacity", "int", lambda c: c.train.traj_buffer_capacity,
-     lambda c, v: setattr(c.train, "traj_buffer_capacity", v)),
-    ("train", "warmup_transitions", "int", lambda c: c.train.warmup_transitions,
-     lambda c, v: setattr(c.train, "warmup_transitions", v)),
-    ("train", "slots_per_update", "int", lambda c: c.train.slots_per_update,
-     lambda c, v: setattr(c.train, "slots_per_update", v)),
-    ("train", "noise_start", "float", lambda c: c.train.noise_start,
-     lambda c, v: setattr(c.train, "noise_start", v)),
-    ("train", "noise_end", "float", lambda c: c.train.noise_end,
-     lambda c, v: setattr(c.train, "noise_end", v)),
-    ("train", "noise_decay_frac", "float", lambda c: c.train.noise_decay_frac,
-     lambda c, v: setattr(c.train, "noise_decay_frac", v)),
-    ("train", "traj_drift_std", "float", lambda c: c.train.traj_drift_std,
-     lambda c, v: setattr(c.train, "traj_drift_std", v)),
-    ("train", "traj_drift_floor", "float", lambda c: c.train.traj_drift_floor,
-     lambda c, v: setattr(c.train, "traj_drift_floor", v)),
-    ("train", "traj_actor_delay", "int", lambda c: c.train.traj_actor_delay,
-     lambda c, v: setattr(c.train, "traj_actor_delay", v)),
-    ("train", "traj_actor_window", "int", lambda c: c.train.traj_actor_window,
-     lambda c, v: setattr(c.train, "traj_actor_window", v)),
-    ("train", "traj_anchor_every", "int", lambda c: c.train.traj_anchor_every,
-     lambda c, v: setattr(c.train, "traj_anchor_every", v)),
-    ("train", "action_reg", "float", lambda c: c.train.action_reg,
-     lambda c, v: setattr(c.train, "action_reg", v)),
-    ("train", "traj_critic_weight_decay", "float",
-     lambda c: c.train.traj_critic_weight_decay,
-     lambda c, v: setattr(c.train, "traj_critic_weight_decay", v)),
-    ("train", "update_rounds_budget", "int", lambda c: c.train.update_rounds_budget,
-     lambda c, v: setattr(c.train, "update_rounds_budget", v)),
-    ("train", "eval_every_episodes", "int", lambda c: c.train.eval_every_episodes,
-     lambda c, v: setattr(c.train, "eval_every_episodes", v)),
-    ("train", "eval_episodes", "int", lambda c: c.train.eval_episodes,
-     lambda c, v: setattr(c.train, "eval_episodes", v)),
-    ("train", "k_obs", "int", lambda c: c.k_obs,
-     lambda c, v: setattr(c, "k_obs", v)),
+# Scenario keys stored on the fleet: key -> (tier, PlatformSpec attribute),
+# where tier None means every platform. A read returns the first platform of
+# the group; a write sets the whole group.
+_FLEET_KEYS = {
+    "donor_altitude_m": (TETHERED_DONOR, "altitude_m"),
+    "node_altitude_m": (UNTETHERED_NODE, "altitude_m"),
+    "donor_carrier_hz": (TETHERED_DONOR, "carrier_hz"),
+    "donor_bandwidth_hz": (TETHERED_DONOR, "bandwidth_hz"),
+    "node_carrier_hz": (UNTETHERED_NODE, "carrier_hz"),
+    "node_bandwidth_hz": (UNTETHERED_NODE, "bandwidth_hz"),
+    "donor_tx_power_dbm": (TETHERED_DONOR, "tx_power_dbm"),
+    "node_tx_power_dbm": (UNTETHERED_NODE, "tx_power_dbm"),
+    "antenna_gain_dbi": (None, "antenna_gain_dbi"),
+    "noise_figure_db": (None, "noise_figure_db"),
+    "node_max_speed_mps": (UNTETHERED_NODE, "max_speed_mps"),
+}
+# Fields whose config key differs from the field name.
+_RENAMED = {"lambda_pkts": "lambda"}
+_SEEDS = list[int]
+# Field type -> (read from config text, write to config text).
+_CODECS = {
+    int: (int, str),
+    float: (float, lambda v: repr(float(v))),
+    str: (str, str),
+    _SEEDS: (_parse_seeds, lambda v: ", ".join(str(s) for s in v)),
+}
+
+
+def _field_keys(section: str, cls, targets, keep=lambda name: True) -> list[tuple]:
+    """Keys for the value fields of `cls`; fields that hold config objects
+    (sub-configs, the fleet) are not values."""
+    hints = get_type_hints(cls)
+    nested = {name for name, t in hints.items() if any(map(is_dataclass, (t, *get_args(t))))}
+    return [
+        (section, _RENAMED.get(f.name, f.name), hints[f.name], targets, f.name)
+        for f in fields(cls)
+        if keep(f.name) and f.name not in nested
+    ]
+
+
+def _fleet(tier):
+    return lambda cfg: [p for p in cfg.scenario.platforms if tier in (None, p.tier)]
+
+
+_PLATFORM_TYPES = get_type_hints(PlatformSpec)
+
+# Every config key in dump order, as (section, key, field type, targets,
+# field name): the key reads the field of the first object `targets(cfg)`
+# lists and writes it on all of them.
+_KEYS = [
+    *_field_keys("run", ExperimentConfig, lambda c: [c], lambda name: name != "k_obs"),
+    *_field_keys("scenario", ScenarioConfig, lambda c: [c.scenario]),
+    *(
+        ("scenario", key, _PLATFORM_TYPES[attr], _fleet(tier), attr)
+        for key, (tier, attr) in _FLEET_KEYS.items()
+    ),
+    *_field_keys("traffic", TrafficConfig, lambda c: [c.traffic]),
+    *_field_keys("channel", ChannelConfig, lambda c: [c.channel]),
+    # [run] sets the trainer's method and seed (ExperimentConfig.train_config)
+    *_field_keys("train", TrainConfig, lambda c: [c.train],
+                 lambda name: name not in ("method", "seed")),
+    *_field_keys("train", ExperimentConfig, lambda c: [c], lambda name: name == "k_obs"),
 ]
+_BY_NAME = {(sec, key): rest for sec, key, *rest in _KEYS}
+_SECTIONS = {sec for sec, *_ in _KEYS}
 
-_SECTIONS = {s for s, *_ in _SCHEMA}
-_BY_KEY = {(s, k): (kind, setter) for s, k, kind, _, setter in _SCHEMA}
 
-
-def _convert(raw: str, kind: str, where: str):
+def _convert(raw: str, typ, where: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "seeds":
-            return _parse_seeds(raw)
-        return raw
+        value = _CODECS[typ][0](raw)
     except ValueError as e:
-        raise ConfigError(f"{where}: expected {kind}, got {raw!r}") from e
+        raise ConfigError(f"{where}: expected {typ.__name__}, got {raw!r}") from e
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite float, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -248,14 +169,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{where}: key {key!r} appears before any [section]")
         else:
             sec = section
-        if (sec, key) not in _BY_KEY:
+        if (sec, key) not in _BY_NAME:
             raise ConfigError(f"{where}: unknown key {sec}.{key}")
-        kind, setter = _BY_KEY[(sec, key)]
-        value = _convert(raw, kind, f"{where}: {sec}.{key}")
-        try:
-            setter(cfg, value)
-        except ValueError as e:
-            raise ConfigError(f"{where}: {sec}.{key}: {e}") from e
+        typ, targets, attr = _BY_NAME[(sec, key)]
+        value = _convert(raw, typ, f"{where}: {sec}.{key}")
+        for obj in targets(cfg):
+            setattr(obj, attr, value)
     cfg.validate()
     return cfg
 
@@ -269,24 +188,18 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text, source=str(p))
 
 
-def _fmt(value, kind: str) -> str:
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
-
-
 def dump_config(cfg: ExperimentConfig) -> str:
     """Effective config in the same format load_config reads; parsing the
     dump reproduces the config exactly."""
     lines = []
     current = None
-    for sec, key, kind, getter, _ in _SCHEMA:
+    for sec, key, typ, targets, attr in _KEYS:
         if sec != current:
             if current is not None:
                 lines.append("")
             lines.append(f"[{sec}]")
             current = sec
-        lines.append(f"{key} = {_fmt(getter(cfg), kind)}")
+        lines.append(f"{key} = {_CODECS[typ][1](getattr(targets(cfg)[0], attr))}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,11 +233,7 @@ def run_single(cfg: ExperimentConfig, seed: int, quiet: bool = False) -> Path:
     """
     out = Path(cfg.out_dir) / f"{cfg.method}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
-    echo = ExperimentConfig(
-        method=cfg.method, seeds=[seed], out_dir=cfg.out_dir, k_obs=cfg.k_obs,
-        scenario=cfg.scenario, traffic=cfg.traffic, channel=cfg.channel, train=cfg.train,
-    )
-    (out / "config.ini").write_text(dump_config(echo))
+    (out / "config.ini").write_text(dump_config(replace(cfg, seeds=[seed])))
 
     trainer = Trainer(cfg.env_spec(), cfg.train_config(seed))
     tc = trainer.cfg

@@ -27,6 +27,7 @@ from .scenario import (
 )
 from .traffic import SlotMetrics, TrafficConfig
 
+METHODS = ("rr", "maddpg", "tts-maddpg")
 K_OBS = 8  # fixed observation slots per agent; smaller cells are zero-padded
 TRAJECTORY_PERIOD = 5  # slots per trajectory decision
 REWARD_SCALE = 1e9  # slot reward = delivered bits per second / this
@@ -227,15 +228,10 @@ def target_actions(actors: list[MlpParams], next_obs: np.ndarray) -> np.ndarray:
 
 
 def critic_targets(
-    batch: dict,
-    target_actors: list[MlpParams],
-    target_critic: MlpParams,
-    gamma: float,
-    next_actions: np.ndarray | None = None,
+    batch: dict, target_critic: MlpParams, gamma: float, next_actions: np.ndarray
 ) -> np.ndarray:
-    """y = r + gamma * (1 - done) * Q_target(next_state, target-actor actions)."""
-    if next_actions is None:
-        next_actions = target_actions(target_actors, batch["next_obs"])
+    """y = r + gamma * (1 - done) * Q_target(next_state, next_actions), where
+    next_actions are the target actors' (see target_actions)."""
     b = next_actions.shape[0]
     x = np.concatenate([batch["next_state"], next_actions.reshape(b, -1)], axis=1)
     q = nn.mlp_forward(target_critic, x)[:, 0]
@@ -360,7 +356,7 @@ def run_episode(
     bookkeeping alone, and zero_global replaces it with zeros without touching
     behavior.
     """
-    if method not in ("rr", "maddpg", "tts-maddpg"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -567,7 +563,7 @@ class TrainConfig:
     eval_episodes: int = 20
 
     def validate(self) -> None:
-        if self.method not in ("rr", "maddpg", "tts-maddpg"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.episodes <= 0 or self.slots_per_episode <= 0:
             raise ValueError("episodes and slots_per_episode must be positive")
@@ -589,6 +585,10 @@ class TrainConfig:
             raise ValueError("traj_anchor_every must be non-negative (0 disables)")
         if self.update_rounds_budget < 0:
             raise ValueError("update_rounds_budget must be non-negative (0 disables)")
+        if self.sched_buffer_capacity < 1 or self.traj_buffer_capacity < 1:
+            raise ValueError("replay buffer capacities must be positive")
+        if self.eval_every_episodes < 1:
+            raise ValueError("eval_every_episodes must be at least 1")
 
 
 @dataclass
@@ -703,12 +703,10 @@ class Trainer:
     def drift_std(self, episode: int) -> float:
         """Zero before the unlock ring's lookback begins, full-scale while the
         velocity actors are held, then linear decay to the floor by the final
-        episode."""
+        episode, counted from the unlock episode that rollout records."""
         cfg = self.cfg
         if not self.traj_agents:
             return 0.0
-        if self.update_rounds >= cfg.traj_actor_delay and self.drift_decay_from is None:
-            self.drift_decay_from = episode
         if self.drift_decay_from is None:
             return cfg.traj_drift_std if episode >= self.drift_start_ep else 0.0
         floor = min(cfg.traj_drift_floor, cfg.traj_drift_std)
@@ -748,6 +746,9 @@ class Trainer:
         """One training-mode episode on the per-episode derived world seed."""
         cfg = self.cfg
         learn = cfg.method != "rr"
+        if (self.traj_agents and self.drift_decay_from is None
+                and self.update_rounds >= cfg.traj_actor_delay):
+            self.drift_decay_from = episode
         std = (
             noise_schedule(episode, cfg.episodes, cfg.noise_start, cfg.noise_end,
                            cfg.noise_decay_frac)
@@ -808,7 +809,7 @@ class Trainer:
             batch = buffer.sample(self.rng, cfg.batch_size)
             next_a = target_actions([a.actor_target for a in agents], batch["next_obs"])
             for i, ag in enumerate(agents):
-                y = critic_targets(batch, [], ag.critic_target, gamma, next_actions=next_a)
+                y = critic_targets(batch, ag.critic_target, gamma, next_a)
                 update_critic(ag.critic, ag.critic_adam, batch, y, cfg.critic_lr, wd)
                 if step_actors:
                     update_actor(

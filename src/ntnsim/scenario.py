@@ -31,6 +31,8 @@ class PlatformSpec:
             raise ValueError(f"platform {self.id}: altitude must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"platform {self.id}: bandwidth must be positive")
+        if self.max_speed_mps < 0:
+            raise ValueError(f"platform {self.id}: max speed must be non-negative")
         if self.tier == TETHERED_DONOR and self.max_speed_mps != 0:
             raise ValueError(f"platform {self.id}: a tethered donor cannot move")
         if self.tier not in (TETHERED_DONOR, UNTETHERED_NODE):

@@ -17,6 +17,12 @@ class TrafficConfig:
     packet_bits: int = 200_000  # sized so one UE's arrivals can saturate a serving link
     deadline_slots: int = 10
 
+    def validate(self) -> None:
+        if self.lambda_pkts < 0 or self.packet_bits <= 0:
+            raise ValueError("traffic.lambda must be non-negative and packet_bits positive")
+        if self.deadline_slots < 1:
+            raise ValueError("traffic.deadline_slots must be at least 1")
+
 
 @dataclass
 class Packet:

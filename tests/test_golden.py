@@ -1,0 +1,97 @@
+"""Byte-identity oracles: golden CSV hashes per method and the exact
+`ntnsim dump-config` output.
+
+A refactor that claims unchanged behaviour must leave every value here as it
+is. The CSV hashes cover every training milestone of the two-timescale
+trainer on a tiny config: warmup, drift, velocity-actor unlock, anchor
+episodes, window close and a spent update budget. They hold for float64
+numpy on x86-64; another BLAS or CPU may round the learners differently.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from ntnsim import cli
+from ntnsim.harness import parse_config, run_single
+
+DATA = Path(__file__).parent / "data"
+
+GOLDEN_CONFIG = """
+[run]
+method = {method}
+seeds = 3
+out_dir = {out}
+
+[scenario]
+n_ues = 6
+
+[train]
+episodes = 6
+slots_per_episode = 20
+batch_size = 8
+warmup_transitions = 40
+eval_every_episodes = 2
+eval_episodes = 2
+traj_actor_delay = 5
+traj_actor_window = 10
+traj_anchor_every = 2
+update_rounds_budget = 20
+"""
+
+GOLDEN_SHA256 = {
+    "rr": (
+        "f924fc328f9095b5a293d1c295c02052a9b980e50be90a28cdb43d116b7478e8",
+        "b620c6e8cc8c304dfc1762b347bd546cc765036ddc9d6bb81b9719b50ba1a870",
+    ),
+    "maddpg": (
+        "7406cb18e1568e04dc7d97349494bd4711dc7f364109a0284fc63b7befb3ae68",
+        "64a9146af4fb597ee50fa824098de7feb1f789d21ddc43f6393c63d2b0f80960",
+    ),
+    "tts-maddpg": (
+        "1c622b2ba3f78ea88e73d954be4ba4b94489696dc5464b41536b475b1937d52a",
+        "bddedee8206ddb48d61f6dc5f1bd0ed41153f9f91f043cbc3051909ddcba2c54",
+    ),
+}
+
+# One key per fleet group (donor, nodes, all platforms), the renamed
+# `lambda`, a mixed-separator seed list and `k_obs`.
+OVERRIDE_CONFIG = """
+[run]
+seeds = 4, 7 9
+
+[scenario]
+donor_altitude_m = 250
+node_bandwidth_hz = 1.5e7
+noise_figure_db = 6.5
+
+[traffic]
+lambda = 3
+
+[train]
+k_obs = 5
+"""
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
+def test_golden_csv_hashes(tmp_path, method):
+    cfg = parse_config(GOLDEN_CONFIG.format(method=method, out=tmp_path))
+    out = run_single(cfg, 3, quiet=True)
+    assert (sha256(out / "train.csv"), sha256(out / "eval.csv")) == GOLDEN_SHA256[method]
+
+
+def test_dump_config_default_bytes(capsys):
+    assert cli.main(["dump-config"]) == 0
+    assert capsys.readouterr().out == (DATA / "dump_default.ini").read_text()
+
+
+def test_dump_config_override_bytes(tmp_path, capsys):
+    conf = tmp_path / "override.ini"
+    conf.write_text(OVERRIDE_CONFIG)
+    assert cli.main(["dump-config", "--config", str(conf)]) == 0
+    assert capsys.readouterr().out == (DATA / "dump_override.ini").read_text()

@@ -77,12 +77,32 @@ def test_parse_config_errors_name_line_numbers():
 
 
 def test_parse_config_rejects_invalid_values():
-    with pytest.raises(ConfigError):
-        parse_config("[run]\nmethod = dqn\n")
-    with pytest.raises(ConfigError):
-        parse_config("[scenario]\nn_ues = 0\n")
-    with pytest.raises(ConfigError):
-        parse_config("[train]\ntau = 1.5\n")
+    for text in (
+        "[run]\nmethod = dqn\n",
+        "[scenario]\nn_ues = 0\n",
+        "[train]\ntau = 1.5\n",
+        # each of these would crash a run or silently bias the simulation
+        "[train]\neval_every_episodes = 0\n",
+        "[train]\nsched_buffer_capacity = 0\n",
+        "[train]\ntraj_buffer_capacity = 0\n",
+        "[scenario]\nnode_max_speed_mps = -5\n",
+        "[traffic]\ndeadline_slots = 0\n",
+        "[channel]\nbackhaul_bandwidth_hz = 0\n",
+        "[channel]\nlos_a = -1\n",
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+    # non-finite floats are refused where the value is read (lambda = nan
+    # would otherwise hang the Poisson sampler)
+    for text in (
+        "[traffic]\nlambda = nan\n",
+        "[scenario]\narea_w_m = inf\n",
+        "[scenario]\nslot_seconds = nan\n",
+        "[train]\ngamma = nan\n",
+        "[channel]\nlos_a = nan\n",
+    ):
+        with pytest.raises(ConfigError, match=r"bad\.ini:2: .* finite"):
+            parse_config(text, source="bad.ini")
 
 
 def test_dump_config_roundtrip_exact():
@@ -247,4 +267,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "bad.ini:2" in err
+    for text in ("[traffic]\nlambda = nan\n", "[train]\neval_every_episodes = 0\n",
+                 "[train]\nsched_buffer_capacity = 0\n"):
+        bad.write_text(text)
+        assert cli.main(["run", "--config", str(bad), "--quiet"]) == 2
     assert cli.main(["compare", str(tmp_path / "missing")]) == 2

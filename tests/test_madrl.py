@@ -236,10 +236,11 @@ def test_critic_targets_terminal_and_gamma_zero():
         "next_state": rng.normal(size=(1, 3)),
         "next_obs": rng.normal(size=(1, 1, 4)),
     }
-    y = critic_targets(batch, [actor], critic, gamma=0.95)
+    next_actions = target_actions([actor], batch["next_obs"])
+    y = critic_targets(batch, critic, 0.95, next_actions)
     assert y[0] == pytest.approx(1.5)
     batch["done"] = np.array([0.0])
-    y0 = critic_targets(batch, [actor], critic, gamma=0.0)
+    y0 = critic_targets(batch, critic, 0.0, next_actions)
     assert y0[0] == pytest.approx(1.5)
 
 
@@ -257,7 +258,7 @@ def test_critic_targets_hand_computation():
     }
     a_prime = nn.mlp_forward(actor, next_obs[:, 0, :])
     q = nn.mlp_forward(critic, np.concatenate([next_state, a_prime], axis=1))[0, 0]
-    y = critic_targets(batch, [actor], critic, gamma=0.9)
+    y = critic_targets(batch, critic, 0.9, target_actions([actor], next_obs))
     assert y[0] == pytest.approx(0.7 + 0.9 * q, rel=1e-12)
 
 
@@ -517,9 +518,13 @@ def test_trainer_drift_schedule():
     assert tr.drift_decay_from is None
     assert not tr.anchor_episode(9)
     tr.update_rounds = 50
-    # first unlocked episode anchors the decay and still gets full scale
-    assert tr.drift_std(40) == 1.0
+    # drift_std only reads: the first rollout after the unlock anchors the
+    # decay, and that episode still gets full scale
+    assert tr.drift_std(39) == 1.0
+    assert tr.drift_decay_from is None
+    tr.rollout(40)
     assert tr.drift_decay_from == 40
+    assert tr.drift_std(40) == 1.0
     mid = tr.drift_std(70)
     assert 0.2 < mid < 1.0
     assert tr.drift_std(100) == pytest.approx(0.2)

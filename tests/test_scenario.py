@@ -76,6 +76,10 @@ def test_validate_rejects_bad_configs():
     fleet[0].max_speed_mps = 5.0  # a tethered donor cannot move
     with pytest.raises(ValueError):
         init_world(ScenarioConfig(n_ues=4, platforms=fleet), seed=0)
+    fleet = default_fleet()
+    fleet[1].max_speed_mps = -5.0  # would flip the sign of the velocity command
+    with pytest.raises(ValueError):
+        init_world(ScenarioConfig(n_ues=4, platforms=fleet), seed=0)
 
 
 def test_ue_advances_toward_waypoint():
