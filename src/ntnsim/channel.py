@@ -1,9 +1,19 @@
-"""Link budgets: geometry, LoS probability, path loss, SINR, Shannon rate."""
+"""Link budgets: geometry, LoS probability, path loss, SINR, Shannon rate.
+
+`link_geometry` is the one budget pass of a slot. Association, access SINR
+and the backhaul all read its matrices through `path_loss_db`, which weights
+the LoS and NLoS excess losses by a LoS probability: the sigmoid value for
+the fading-free budget, a drawn 1/0 state for one slot's link, or 1 for the
+always-LoS air-to-air backhaul.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -32,68 +42,46 @@ class ChannelConfig:
             raise ValueError("backhaul carrier and bandwidth must be positive")
 
 
-@dataclass
-class LinkBudget:
-    distance_m: float
-    elevation_deg: float
-    los: bool
-    path_loss_db: float
-    rx_power_dbm: float
-    sinr_linear: float
-    rate_bps: float
+class LinkGeometry(NamedTuple):
+    """Transmitter x receiver matrices (row = transmitter, column = receiver)."""
+
+    distance_m: np.ndarray  # 3-D, unclamped
+    elevation_deg: np.ndarray  # of the transmitter above the receiver's horizon
+    p_los: np.ndarray
+    fspl_db: np.ndarray  # free-space loss; distances under 1 m count as 1 m
 
 
-def distance3d(a, b) -> float:
-    return math.dist(tuple(a), tuple(b))
-
-
-def elevation_deg(low, high) -> float:
-    """Elevation angle in degrees of `high` as seen from `low` (0 = horizon)."""
-    dx = high[0] - low[0]
-    dy = high[1] - low[1]
-    dz = high[2] - low[2]
-    horiz = math.hypot(dx, dy)
-    return math.degrees(math.atan2(dz, horiz))
-
-
-def los_probability(elevation: float, a: float = 9.61, b: float = 0.16) -> float:
+def los_probability(elevation_deg, a: float, b: float):
     """Sigmoid LoS probability, monotone in elevation, ~1 at zenith."""
-    return 1.0 / (1.0 + a * math.exp(-b * (elevation - a)))
+    return 1.0 / (1.0 + a * np.exp(-b * (elevation_deg - a)))
 
 
-def path_loss_db(
-    carrier_hz: float,
-    distance_m: float,
-    los: bool,
-    eta_los_db: float = 1.0,
-    eta_nlos_db: float = 20.0,
-) -> float:
-    """Free-space path loss plus an additive excess loss for LoS or NLoS."""
-    d = max(distance_m, 1.0)
-    fspl = 20.0 * math.log10(4.0 * math.pi * d * carrier_hz / SPEED_OF_LIGHT)
-    return fspl + (eta_los_db if los else eta_nlos_db)
+def link_geometry(
+    tx_xyz: np.ndarray, rx_xyz: np.ndarray, carrier_hz: np.ndarray, cfg: ChannelConfig
+) -> LinkGeometry:
+    """Budget matrices from transmitters at tx_xyz (n_tx, 3), on carriers
+    carrier_hz (n_tx,), to receivers at rx_xyz (n_rx, 3)."""
+    horiz = np.hypot(rx_xyz[:, 0] - tx_xyz[:, 0:1], rx_xyz[:, 1] - tx_xyz[:, 1:2])
+    height = tx_xyz[:, 2:3] - rx_xyz[:, 2]
+    distance = np.hypot(horiz, height)
+    elevation = np.degrees(np.arctan2(height, horiz))
+    fspl = 20.0 * np.log10(
+        4.0 * math.pi / SPEED_OF_LIGHT * np.maximum(distance, 1.0) * carrier_hz[:, None]
+    )
+    return LinkGeometry(distance, elevation, los_probability(elevation, cfg.los_a, cfg.los_b), fspl)
 
 
-def expected_path_loss_db(
-    carrier_hz: float, distance_m: float, elevation: float, cfg: ChannelConfig
-) -> float:
-    """Fading-free budget: excess loss replaced by its LoS-probability average."""
-    p = los_probability(elevation, cfg.los_a, cfg.los_b)
-    d = max(distance_m, 1.0)
-    fspl = 20.0 * math.log10(4.0 * math.pi * d * carrier_hz / SPEED_OF_LIGHT)
-    return fspl + p * cfg.eta_los_db + (1.0 - p) * cfg.eta_nlos_db
+def path_loss_db(fspl_db, p_los, cfg: ChannelConfig):
+    """Free-space loss plus the LoS and NLoS excess losses weighted by p_los."""
+    return fspl_db + p_los * cfg.eta_los_db + (1.0 - p_los) * cfg.eta_nlos_db
 
 
-def rx_power_dbm(tx_power_dbm: float, tx_gain_dbi: float, rx_gain_dbi: float, pl_db: float) -> float:
+def rx_power_dbm(tx_power_dbm, tx_gain_dbi, rx_gain_dbi, pl_db):
     return tx_power_dbm + tx_gain_dbi + rx_gain_dbi - pl_db
 
 
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * math.log10(mw)
 
 
 def noise_power_dbm(

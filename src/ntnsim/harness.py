@@ -53,6 +53,13 @@ class ExperimentConfig:
             raise ConfigError("run.seeds must list at least one seed")
         if self.k_obs < 1:
             raise ConfigError("train.k_obs must be positive")
+        # Checked here rather than in TrainConfig.validate: a Trainer built
+        # only to lend its actors to run_episode may use one-slot episodes.
+        if self.method != "rr" and self.train.slots_per_update > self.train.slots_per_episode:
+            raise ConfigError(
+                "train.slots_per_update must not exceed train.slots_per_episode: "
+                "an episode would run no update round, so nothing would learn"
+            )
         try:
             for sub in (self.scenario, self.traffic, self.channel, self.train):
                 sub.validate()

@@ -3,8 +3,6 @@ and the per-slot simulation step tying channel, traffic, and actions together.""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import channel, traffic
@@ -13,68 +11,69 @@ from .scenario import TETHERED_DONOR, UNTETHERED_NODE, WorldState, step_ue_mobil
 from .traffic import SlotMetrics, TrafficConfig
 
 
-def ue_position_matrix(world: WorldState) -> np.ndarray:
-    """(n_ues, 2) positions in UE-id order."""
-    return np.array([ue.position for ue in sorted(world.ues, key=lambda u: u.id)])
+class Association(dict):
+    """UE id -> serving platform id, together with the slot's link geometry
+    it was decided on (`links`, platform rows x UE ids) and the serving
+    platform row of each UE (`rows`). The slot's ranking and access SINR
+    read the same geometry."""
+
+    def __init__(self, world: WorldState, links: channel.LinkGeometry, rows: np.ndarray):
+        ids = [p.id for p in world.cfg.platforms]
+        super().__init__(enumerate(ids[r] for r in rows.tolist()))
+        self.links = links
+        self.rows = rows
 
 
-def _expected_rsrp_matrix(world: WorldState, chan: ChannelConfig) -> np.ndarray:
-    """(n_platforms, n_ues) fading-free received power in dBm (UE gain 0 dBi)."""
-    ue_xy = ue_position_matrix(world)
-    out = np.empty((len(world.cfg.platforms), len(ue_xy)))
-    four_pi_over_c = 4.0 * math.pi / channel.SPEED_OF_LIGHT
-    for row, p in enumerate(world.cfg.platforms):
-        px, py, pz = world.positions[row]
-        horiz = np.hypot(ue_xy[:, 0] - px, ue_xy[:, 1] - py)
-        dist = np.maximum(np.hypot(horiz, pz), 1.0)
-        elev = np.degrees(np.arctan2(pz, horiz))
-        p_los = 1.0 / (1.0 + chan.los_a * np.exp(-chan.los_b * (elev - chan.los_a)))
-        fspl = 20.0 * np.log10(four_pi_over_c * dist * p.carrier_hz)
-        pl = fspl + p_los * chan.eta_los_db + (1.0 - p_los) * chan.eta_nlos_db
-        out[row] = p.tx_power_dbm + p.antenna_gain_dbi - pl
-    return out
+def associate(world: WorldState, chan: ChannelConfig) -> Association:
+    """Map every UE to the platform with the strongest fading-free budget
+    (excess loss averaged over the LoS probability, UE gain 0 dBi).
 
-
-def associate(world: WorldState, chan: ChannelConfig) -> dict[int, int]:
-    """Map every UE to the platform with the strongest fading-free budget.
-
-    Ties break toward the lowest platform id (row order).
+    Ties break toward the lowest platform row.
     """
-    rsrp = _expected_rsrp_matrix(world, chan)
-    best_row = np.argmax(rsrp, axis=0)
-    platform_ids = [p.id for p in world.cfg.platforms]
-    ue_ids = sorted(ue.id for ue in world.ues)
-    return {ue_id: platform_ids[best_row[i]] for i, ue_id in enumerate(ue_ids)}
+    platforms = world.cfg.platforms
+    ue_xyz = np.column_stack((world.ue_positions, np.zeros(len(world.ue_positions))))
+    links = channel.link_geometry(
+        world.positions, ue_xyz, np.array([p.carrier_hz for p in platforms]), chan
+    )
+    rsrp = channel.rx_power_dbm(
+        np.array([[p.tx_power_dbm] for p in platforms]),
+        np.array([[p.antenna_gain_dbi] for p in platforms]),
+        0.0,
+        channel.path_loss_db(links.fspl_db, links.p_los, chan),
+    )
+    return Association(world, links, np.argmax(rsrp, axis=0))
 
 
-def observed_ues(world: WorldState, association: dict[int, int], uav_id: int, k: int) -> list[int]:
-    """The k nearest associated UEs of a platform, nearest first, ties by UE id."""
-    row = next(i for i, p in enumerate(world.cfg.platforms) if p.id == uav_id)
-    pos = world.positions[row]
-    cell = [ue for ue in world.ues if association[ue.id] == uav_id]
-    cell.sort(key=lambda ue: (channel.distance3d((*ue.position, 0.0), pos), ue.id))
-    return [ue.id for ue in cell[:k]]
+def observed_ues(world: WorldState, association: Association) -> dict[int, list[int]]:
+    """Every platform's cell, nearest UE first on the unclamped 3-D distance,
+    ties by UE id; observations and schedule decoding read its first k."""
+    rows = association.rows
+    ue_ids = np.arange(len(rows))
+    order = np.lexsort((ue_ids, association.links.distance_m[rows, ue_ids], rows))
+    ends = np.cumsum(np.bincount(rows, minlength=len(world.cfg.platforms)))
+    return {
+        p.id: cell.tolist()
+        for p, cell in zip(world.cfg.platforms, np.split(order, ends[:-1]))
+    }
 
 
 def decode_schedule(
-    actions: dict[int, np.ndarray],
-    association: dict[int, int],
-    world: WorldState,
-    k: int,
+    actions: dict[int, np.ndarray], ranked: dict[int, list[int]], k: int
 ) -> dict[int, int | None]:
     """Turn per-UAV priority vectors into one chosen UE per UAV (None = idle).
 
-    Priority entry i refers to the i-th observed UE; entries beyond the cell
-    size are ignored, and ties go to the lowest index.
+    Priority entry i refers to the i-th of the k nearest UEs in the UAV's
+    ranked cell (see observed_ues); entries beyond the cell size are ignored,
+    and ties go to the lowest index.
     """
     choices: dict[int, int | None] = {}
-    for p in world.cfg.platforms:
-        observed = observed_ues(world, association, p.id, k)
+    for uav_id, cell in ranked.items():
+        observed = cell[:k]
         if not observed:
-            choices[p.id] = None
+            choices[uav_id] = None
             continue
-        priorities = np.asarray(actions[p.id])[: len(observed)]
-        choices[p.id] = observed[int(np.argmax(priorities))]
+        priorities = np.asarray(actions[uav_id])[: len(observed)]
+        choices[uav_id] = observed[int(np.argmax(priorities))]
     return choices
 
 
@@ -100,40 +99,25 @@ def backhaul_rates(world: WorldState, chan: ChannelConfig) -> dict[int, float]:
     The backhaul band is split evenly four ways; both endpoints are airborne,
     so the link is always LoS and interference-free.
     """
-    donor_row = next(
-        i for i, p in enumerate(world.cfg.platforms) if p.tier == TETHERED_DONOR
+    platforms = world.cfg.platforms
+    donor_row = next(i for i, p in enumerate(platforms) if p.tier == TETHERED_DONOR)
+    donor = platforms[donor_row]
+    node_rows = [i for i, p in enumerate(platforms) if p.tier == UNTETHERED_NODE]
+    links = channel.link_geometry(
+        world.positions[[donor_row]], world.positions[node_rows],
+        np.array([chan.backhaul_carrier_hz]), chan,
     )
-    donor = world.cfg.platforms[donor_row]
-    nodes = [
-        (i, p) for i, p in enumerate(world.cfg.platforms) if p.tier == UNTETHERED_NODE
-    ]
-    share = chan.backhaul_bandwidth_hz / len(nodes)
+    share = chan.backhaul_bandwidth_hz / len(node_rows)
     rates = {}
-    for row, node in nodes:
-        dist = channel.distance3d(world.positions[donor_row], world.positions[row])
-        pl = channel.path_loss_db(
-            chan.backhaul_carrier_hz, dist, True, chan.eta_los_db, chan.eta_nlos_db
-        )
+    for row, fspl in zip(node_rows, links.fspl_db[0].tolist()):
+        node = platforms[row]
         rx = channel.rx_power_dbm(
-            donor.tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi, pl
+            donor.tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi,
+            channel.path_loss_db(fspl, 1.0, chan),
         )
         snr = channel.sinr(rx, (), share, node.noise_figure_db, chan.noise_density_dbm_hz)
         rates[node.id] = channel.shannon_rate(snr, share)
     return rates
-
-
-def _access_budget(
-    world: WorldState,
-    chan: ChannelConfig,
-    uav_row: int,
-    ue_pos,
-    los: bool,
-) -> float:
-    """Received power in dBm of one platform at one UE for a drawn LoS state."""
-    p = world.cfg.platforms[uav_row]
-    dist = channel.distance3d(world.positions[uav_row], (*ue_pos, 0.0))
-    pl = channel.path_loss_db(p.carrier_hz, dist, los, chan.eta_los_db, chan.eta_nlos_db)
-    return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
 
 
 def step_slot(
@@ -141,50 +125,50 @@ def step_slot(
     choices: dict[int, int | None],
     tcfg: TrafficConfig,
     chan: ChannelConfig,
-    association: dict[int, int] | None = None,
+    association: Association | None = None,
 ) -> tuple[WorldState, SlotMetrics]:
     """Advance the world by one slot under the given per-UAV service choices.
 
     Pipeline order: expire packets, draw arrivals, evaluate access SINR with
     co-channel active UAVs as interferers, cap node service by its backhaul
     share, serve the chosen queues, move the UEs, advance the slot counter.
+    The access links use the association's geometry with a LoS state drawn
+    per link.
     """
     if association is None:
         association = associate(world, chan)
+    links = association.links
     metrics = SlotMetrics(slot=world.slot)
-    for p in world.cfg.platforms:
-        metrics.delivered_by_uav[p.id] = 0
+    metrics.delivered_by_uav = {p.id: 0 for p in world.cfg.platforms}
 
-    for ue in world.ues:
-        dropped = traffic.drop_expired(world.queues[ue.id], world.slot, tcfg.deadline_slots)
-        metrics.dropped_by_ue[ue.id] = dropped
-        metrics.delivered_by_ue[ue.id] = 0
+    for ue_id, queue in world.queues.items():
+        metrics.dropped_by_ue[ue_id] = traffic.drop_expired(queue, world.slot, tcfg.deadline_slots)
+        metrics.delivered_by_ue[ue_id] = 0
 
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
 
     rows = {p.id: i for i, p in enumerate(world.cfg.platforms)}
-    ue_by_id = {ue.id: ue for ue in world.ues}
-    active = [p for p in world.cfg.platforms if choices.get(p.id) is not None]
+    active = sorted(
+        (p for p in world.cfg.platforms if choices.get(p.id) is not None), key=lambda p: p.id
+    )
     bh_rates = backhaul_rates(world, chan)
 
-    # LoS draws happen per (link, slot) in platform-id order for determinism.
-    for p in sorted(active, key=lambda p: p.id):
+    def rx_dbm(p, ue_id):
+        row = rows[p.id]
+        los = float(world.rng.random() < links.p_los[row, ue_id])
+        pl = channel.path_loss_db(float(links.fspl_db[row, ue_id]), los, chan)
+        return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
+
+    # LoS draws happen per (link, slot) in platform-id order for determinism:
+    # the serving link first, then the co-channel interferers.
+    for p in active:
         ue_id = choices[p.id]
         if association[ue_id] != p.id:
             raise ValueError(f"UAV {p.id} chose UE {ue_id} outside its cell")
-        ue = ue_by_id[ue_id]
-        elev = channel.elevation_deg((*ue.position, 0.0), world.positions[rows[p.id]])
-        serving_los = world.rng.random() < channel.los_probability(elev, chan.los_a, chan.los_b)
-        serving_dbm = _access_budget(world, chan, rows[p.id], ue.position, serving_los)
-
-        interferers = []
-        for q in sorted(active, key=lambda q: q.id):
-            if q.id == p.id or q.carrier_hz != p.carrier_hz:
-                continue
-            i_elev = channel.elevation_deg((*ue.position, 0.0), world.positions[rows[q.id]])
-            i_los = world.rng.random() < channel.los_probability(i_elev, chan.los_a, chan.los_b)
-            interferers.append(_access_budget(world, chan, rows[q.id], ue.position, i_los))
-
+        serving_dbm = rx_dbm(p, ue_id)
+        interferers = [
+            rx_dbm(q, ue_id) for q in active if q.id != p.id and q.carrier_hz == p.carrier_hz
+        ]
         ratio = channel.sinr(
             serving_dbm, interferers, p.bandwidth_hz, chan.ue_noise_figure_db,
             chan.noise_density_dbm_hz,

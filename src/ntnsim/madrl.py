@@ -19,6 +19,7 @@ from . import mac, nn
 from .channel import ChannelConfig
 from .nn import MlpParams
 from .scenario import (
+    TETHERED_DONOR,
     UNTETHERED_NODE,
     ScenarioConfig,
     WorldState,
@@ -89,34 +90,30 @@ def build_agent_specs(env: EnvSpec) -> tuple[list[AgentSpec], list[AgentSpec]]:
 def local_observation(
     agent: AgentSpec,
     world: WorldState,
-    association: dict[int, int],
+    ranked: dict[int, list[int]],
     norm: ObsNorm,
     k_obs: int = K_OBS,
 ) -> np.ndarray:
-    """Own normalized position, then per observed UE (nearest first) its
-    relative position, backlog, and head-of-line age; trajectory agents also
-    see the donor's relative position. Every entry lands in [-1, 1]."""
+    """Own normalized position, then per observed UE (the k_obs nearest of
+    the agent's ranked cell, see mac.observed_ues) its relative position,
+    backlog, and head-of-line age; trajectory agents also see the donor's
+    relative position. Every entry lands in [-1, 1]."""
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
     row = next(i for i, p in enumerate(world.cfg.platforms) if p.id == agent.platform_id)
     px, py = world.positions[row, 0], world.positions[row, 1]
     out = np.zeros(agent.obs_dim)
     out[0] = px / w
     out[1] = py / h
-    ue_by_id = {ue.id: ue for ue in world.ues}
-    for i, ue_id in enumerate(mac.observed_ues(world, association, agent.platform_id, k_obs)):
-        ue = ue_by_id[ue_id]
+    for i, ue_id in enumerate(ranked[agent.platform_id][:k_obs]):
+        ux, uy = world.ue_positions[ue_id]
         q = world.queues[ue_id]
         base = 2 + 4 * i
-        out[base] = (ue.position[0] - px) / w
-        out[base + 1] = (ue.position[1] - py) / h
+        out[base] = (ux - px) / w
+        out[base + 1] = (uy - py) / h
         out[base + 2] = min(q.queued_bits() / norm.backlog_bits, 1.0)
         out[base + 3] = min(q.hol_age(world.slot) / norm.age_slots, 1.0)
     if agent.group == "trajectory":
-        donor_row = 0
-        for j, p in enumerate(world.cfg.platforms):
-            if p.tier != UNTETHERED_NODE:
-                donor_row = j
-                break
+        donor_row = next(j for j, p in enumerate(world.cfg.platforms) if p.tier == TETHERED_DONOR)
         out[-2] = (world.positions[donor_row, 0] - px) / w
         out[-1] = (world.positions[donor_row, 1] - py) / h
     return out
@@ -126,17 +123,15 @@ def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
     """All platform positions, all UE positions (id order), all backlogs and
     head-of-line ages, each normalized. Used by critics only."""
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    parts = [world.positions[:, 0] / w, world.positions[:, 1] / h]
-    ues = sorted(world.ues, key=lambda u: u.id)
-    parts.append(np.array([ue.position[0] / w for ue in ues]))
-    parts.append(np.array([ue.position[1] / h for ue in ues]))
-    parts.append(
-        np.array([min(world.queues[ue.id].queued_bits() / norm.backlog_bits, 1.0) for ue in ues])
-    )
-    parts.append(
-        np.array([min(world.queues[ue.id].hol_age(world.slot) / norm.age_slots, 1.0) for ue in ues])
-    )
-    return np.concatenate(parts)
+    queues = world.queues.values()  # keyed and ordered by UE id
+    return np.concatenate([
+        world.positions[:, 0] / w,
+        world.positions[:, 1] / h,
+        world.ue_positions[:, 0] / w,
+        world.ue_positions[:, 1] / h,
+        [min(q.queued_bits() / norm.backlog_bits, 1.0) for q in queues],
+        [min(q.hol_age(world.slot) / norm.age_slots, 1.0) for q in queues],
+    ])
 
 
 def global_state_dim(n_platforms: int, n_ues: int) -> int:
@@ -352,9 +347,9 @@ def run_episode(
     velocity commands are the drift alone (actors ignored for this episode),
     which keeps near-hover contrast data in the buffer after the policy has
     committed to a direction. Eval mode stores nothing. Action selection reads
-    only local observations; the global state is computed for critic-side
-    bookkeeping alone, and zero_global replaces it with zeros without touching
-    behavior.
+    only local observations; learners compute the global state for
+    critic-side bookkeeping alone (in eval mode too), rr computes none, and
+    zero_global replaces it with zeros without touching behavior.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -386,18 +381,19 @@ def run_episode(
     macro_sum = 0.0
 
     def snapshot(association):
+        """A learner's ranked cells, global state and scheduler observations."""
+        ranked = mac.observed_ues(world, association)
         state = np.zeros(global_state_dim(len(uav_ids), env.scenario.n_ues)) if zero_global \
             else global_state(world, norm)
-        obs = None
-        if learn:
-            obs = np.stack(
-                [local_observation(s, world, association, norm, env.k_obs) for s in sched_specs]
-            )
-        return state, obs
+        obs = np.stack(
+            [local_observation(s, world, ranked, norm, env.k_obs) for s in sched_specs]
+        )
+        return ranked, state, obs
 
     for t in range(slots):
         association = mac.associate(world, env.channel)
-        state, sched_obs = snapshot(association)
+        if learn:
+            ranked, state, sched_obs = snapshot(association)
 
         if pending_sched is not None:
             sched_buffer.push(*pending_sched, state, sched_obs, False)
@@ -405,7 +401,7 @@ def run_episode(
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
             traj_obs = np.stack(
-                [local_observation(s, world, association, norm, env.k_obs) for s in traj_specs]
+                [local_observation(s, world, ranked, norm, env.k_obs) for s in traj_specs]
             )
             if pending_traj is not None:
                 if train:
@@ -438,8 +434,7 @@ def run_episode(
             )
             choices = mac.decode_schedule(
                 {s.platform_id: sched_acts[i] for i, s in enumerate(sched_specs)},
-                association,
-                world,
+                ranked,
                 env.k_obs,
             )
             if record_actions:
@@ -462,13 +457,13 @@ def run_episode(
 
     if pending_sched is not None or pending_traj is not None:
         association = mac.associate(world, env.channel)
-        state, sched_obs = snapshot(association)
+        ranked, state, sched_obs = snapshot(association)
         if pending_sched is not None:
             sched_buffer.push(*pending_sched, state, sched_obs, True)
             res.n_sched_transitions += 1
         if pending_traj is not None:
             traj_obs = np.stack(
-                [local_observation(s, world, association, norm, env.k_obs) for s in traj_specs]
+                [local_observation(s, world, ranked, norm, env.k_obs) for s in traj_specs]
             )
             if train:
                 traj_buffer.push(*pending_traj, macro_sum, state, traj_obs, True)
@@ -569,6 +564,8 @@ class TrainConfig:
             raise ValueError("episodes and slots_per_episode must be positive")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
         if self.batch_size <= 0 or self.slots_per_update <= 0:
             raise ValueError("batch_size and slots_per_update must be positive")
         if self.hidden_width <= 0 or self.traj_hidden_width <= 0:
@@ -589,6 +586,8 @@ class TrainConfig:
             raise ValueError("replay buffer capacities must be positive")
         if self.eval_every_episodes < 1:
             raise ValueError("eval_every_episodes must be at least 1")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be at least 1")
 
 
 @dataclass

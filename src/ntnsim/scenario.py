@@ -130,31 +130,19 @@ class ScenarioConfig:
 
 
 @dataclass
-class UeState:
-    """A mobile ground user moving waypoint-to-waypoint at fixed height 0."""
-
-    id: int
-    position: np.ndarray  # (2,) meters
-    waypoint: np.ndarray  # (2,) meters
-    speed: float  # m/s toward the waypoint
-
-    @property
-    def velocity(self) -> np.ndarray:
-        delta = self.waypoint - self.position
-        dist = float(np.hypot(delta[0], delta[1]))
-        if dist == 0.0:
-            return np.zeros(2)
-        return delta * (self.speed / dist)
-
-
-@dataclass
 class WorldState:
-    """Full simulation snapshot; one instance per rollout, never shared."""
+    """Full simulation snapshot; one instance per rollout, never shared.
+
+    Ground users stand at height 0 and move waypoint-to-waypoint; row i of
+    every UE array, and key i of `queues`, is UE id i.
+    """
 
     cfg: ScenarioConfig
     slot: int
     positions: np.ndarray  # (n_platforms, 3), row order = cfg.platforms order
-    ues: list[UeState]
+    ue_positions: np.ndarray  # (n_ues, 2) meters
+    ue_waypoints: np.ndarray  # (n_ues, 2) meters
+    ue_speeds: np.ndarray  # (n_ues,) m/s toward the waypoint
     queues: dict[int, PacketQueue]
     rng: np.random.Generator
 
@@ -188,33 +176,37 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
             node_i += 1
 
     rng = np.random.default_rng(seed)
-    ues = []
-    for ue_id in range(cfg.n_ues):
-        pos = _uniform_point(rng, cfg)
-        wp = _uniform_point(rng, cfg)
-        speed = rng.uniform(cfg.ue_speed_min_mps, cfg.ue_speed_max_mps)
-        ues.append(UeState(id=ue_id, position=pos, waypoint=wp, speed=speed))
-
-    queues = {ue.id: PacketQueue() for ue in ues}
-    return WorldState(cfg=cfg, slot=0, positions=positions, ues=ues, queues=queues, rng=rng)
+    # one row per UE, drawn in id order: position x, y, waypoint x, y, speed
+    ues = rng.uniform(
+        (0.0, 0.0, 0.0, 0.0, cfg.ue_speed_min_mps),
+        (w, h, w, h, cfg.ue_speed_max_mps),
+        size=(cfg.n_ues, 5),
+    )
+    queues = {ue_id: PacketQueue() for ue_id in range(cfg.n_ues)}
+    return WorldState(
+        cfg=cfg, slot=0, positions=positions, ue_positions=ues[:, 0:2].copy(),
+        ue_waypoints=ues[:, 2:4].copy(), ue_speeds=ues[:, 4].copy(), queues=queues, rng=rng,
+    )
 
 
 def step_ue_mobility(world: WorldState, dt: float) -> WorldState:
-    """Advance every UE toward its waypoint; redraw waypoint and speed on arrival."""
+    """Advance every UE toward its waypoint; the UEs that arrive redraw
+    waypoint and speed, in id order."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = world.cfg
-    for ue in world.ues:
-        delta = ue.waypoint - ue.position
-        dist = float(np.hypot(delta[0], delta[1]))
-        travel = ue.speed * dt
-        if dist <= travel:
-            ue.position = ue.waypoint.copy()
-            ue.waypoint = _uniform_point(world.rng, cfg)
-            ue.speed = float(world.rng.uniform(cfg.ue_speed_min_mps, cfg.ue_speed_max_mps))
-        else:
-            ue.position = ue.position + delta * (travel / dist)
-        np.clip(ue.position, (0.0, 0.0), (cfg.area_w_m, cfg.area_h_m), out=ue.position)
+    pos, waypoints, speeds = world.ue_positions, world.ue_waypoints, world.ue_speeds
+    delta = waypoints - pos
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    travel = speeds * dt
+    arrived = dist <= travel
+    moving = ~arrived
+    pos[moving] += delta[moving] * (travel[moving] / dist[moving])[:, None]
+    pos[arrived] = waypoints[arrived]
+    for i in np.flatnonzero(arrived):
+        waypoints[i] = _uniform_point(world.rng, cfg)
+        speeds[i] = world.rng.uniform(cfg.ue_speed_min_mps, cfg.ue_speed_max_mps)
+    np.clip(pos, (0.0, 0.0), (cfg.area_w_m, cfg.area_h_m), out=pos)
     return world
 
 

@@ -10,6 +10,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+# exp(-lambda) in Knuth's sampler leaves the normal float range near 708, so
+# larger means come out biased low (lambda = 800 draws a mean of about 745)
+MAX_EXACT_LAMBDA = 700.0
+
 
 @dataclass
 class TrafficConfig:
@@ -20,6 +24,11 @@ class TrafficConfig:
     def validate(self) -> None:
         if self.lambda_pkts < 0 or self.packet_bits <= 0:
             raise ValueError("traffic.lambda must be non-negative and packet_bits positive")
+        if self.lambda_pkts > MAX_EXACT_LAMBDA:
+            raise ValueError(
+                f"traffic.lambda must be at most {MAX_EXACT_LAMBDA:g}: above it the Poisson "
+                "sampler is no longer exact"
+            )
         if self.deadline_slots < 1:
             raise ValueError("traffic.deadline_slots must be at least 1")
 
@@ -72,14 +81,12 @@ def sample_poisson(rng, lam: float) -> int:
 
 
 def generate_arrivals(world, lam: float, packet_bits: int):
-    """Append this slot's Poisson arrivals to every UE queue."""
-    for ue in world.ues:
-        n = sample_poisson(world.rng, lam)
-        queue = world.queues[ue.id]
-        for _ in range(n):
+    """Append this slot's Poisson arrivals to every UE queue, in UE-id order."""
+    for ue_id, queue in world.queues.items():
+        for _ in range(sample_poisson(world.rng, lam)):
             queue.push(
                 Packet(
-                    ue_id=ue.id,
+                    ue_id=ue_id,
                     size_bits=packet_bits,
                     arrival_slot=world.slot,
                     remaining_bits=packet_bits,

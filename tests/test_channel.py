@@ -9,57 +9,87 @@ from ntnsim import channel
 from ntnsim.channel import ChannelConfig
 
 
+def geometry(tx, rx, carrier_hz=2.4e9, cfg=None):
+    """The link geometry of one transmitter and one receiver as scalars."""
+    links = channel.link_geometry(
+        np.array([tx], dtype=float), np.array([rx], dtype=float), np.array([carrier_hz]),
+        cfg or ChannelConfig(),
+    )
+    return channel.LinkGeometry(*(float(m[0, 0]) for m in links))
+
+
 def test_distance3d_examples():
-    assert channel.distance3d((0, 0, 0), (0, 0, 100)) == 100.0
-    assert channel.distance3d((3, 4, 0), (0, 0, 0)) == 5.0
-    assert channel.distance3d((250, 250, 100), (310, 330, 0)) == pytest.approx(141.42, abs=0.01)
+    assert geometry((0, 0, 100), (0, 0, 0)).distance_m == 100.0
+    assert geometry((3, 4, 0), (0, 0, 0)).distance_m == 5.0
+    assert geometry((250, 250, 100), (310, 330, 0)).distance_m == pytest.approx(141.42, abs=0.01)
     # symmetry, zero iff equal
     a, b = (1.0, 2.0, 3.0), (-4.0, 0.5, 9.0)
-    assert channel.distance3d(a, b) == channel.distance3d(b, a)
-    assert channel.distance3d(a, a) == 0.0
+    assert geometry(a, b).distance_m == geometry(b, a).distance_m
+    assert geometry(a, a).distance_m == 0.0
+    # one matrix: row = transmitter, column = receiver
+    tx = np.array([[0.0, 0.0, 100.0], [3.0, 4.0, 0.0]])
+    rx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 100.0], [6.0, 8.0, 0.0]])
+    links = channel.link_geometry(tx, rx, np.array([2e9, 2.5e9]), ChannelConfig())
+    want = [[math.dist(t, r) for r in rx] for t in tx]
+    assert links.distance_m.shape == (2, 3)
+    assert np.allclose(links.distance_m, want, rtol=1e-15, atol=0.0)
 
 
 def test_elevation_deg():
-    assert channel.elevation_deg((0, 0, 0), (0, 0, 100)) == pytest.approx(90.0)
-    assert channel.elevation_deg((0, 0, 0), (100, 0, 100)) == pytest.approx(45.0)
-    assert channel.elevation_deg((0, 0, 0), (100, 0, 0)) == pytest.approx(0.0)
+    assert geometry((0, 0, 100), (0, 0, 0)).elevation_deg == pytest.approx(90.0)
+    assert geometry((100, 0, 100), (0, 0, 0)).elevation_deg == pytest.approx(45.0)
+    assert geometry((100, 0, 0), (0, 0, 0)).elevation_deg == pytest.approx(0.0)
+    # a transmitter below the receiver sits under its horizon
+    assert geometry((100, 0, 0), (0, 0, 100)).elevation_deg == pytest.approx(-45.0)
 
 
 def test_los_probability_monotone_and_bounds():
-    assert channel.los_probability(90.0) >= 0.99
-    grid = np.linspace(0.0, 90.0, 181)
-    vals = [channel.los_probability(e) for e in grid]
-    assert all(0.0 <= v <= 1.0 for v in vals)
-    assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+    cfg = ChannelConfig()
+    assert channel.los_probability(90.0, cfg.los_a, cfg.los_b) >= 0.99
+    vals = channel.los_probability(np.linspace(0.0, 90.0, 181), cfg.los_a, cfg.los_b)
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals) >= 0.0)
+    # the geometry pass applies the same sigmoid to its elevations
+    g = geometry((100, 0, 100), (0, 0, 0), cfg=cfg)
+    assert g.p_los == channel.los_probability(g.elevation_deg, cfg.los_a, cfg.los_b)
 
 
 def test_los_probability_sigmoid_formula():
     a, b = 9.61, 0.16
     expected = 1.0 / (1.0 + a * math.exp(-b * (45.0 - a)))
-    assert channel.los_probability(45.0) == pytest.approx(expected, rel=1e-12)
+    assert channel.los_probability(45.0, a, b) == pytest.approx(expected, rel=1e-12)
 
 
 def test_path_loss_fspl_plus_excess():
+    cfg = ChannelConfig(eta_los_db=1.0, eta_nlos_db=20.0)
+
+    def loss(d, los, carrier_hz=2.4e9):
+        fspl = geometry((0, 0, d), (0, 0, 0), carrier_hz).fspl_db
+        return channel.path_loss_db(fspl, float(los), cfg)
+
     # FSPL(1 m, 2.4 GHz) = 40.05 dB; LoS adds eta_los = 1 dB
-    assert channel.path_loss_db(2.4e9, 1.0, True) == pytest.approx(41.05, abs=0.01)
-    base = channel.path_loss_db(2.4e9, 100.0, True)
-    assert channel.path_loss_db(2.4e9, 200.0, True) - base == pytest.approx(6.02, abs=0.01)
-    nlos = channel.path_loss_db(2.4e9, 100.0, False)
-    assert nlos - base == pytest.approx(20.0 - 1.0, rel=1e-12)
-    # strictly increasing in distance and frequency
-    assert channel.path_loss_db(2.4e9, 150.0, True) > base
-    assert channel.path_loss_db(3.5e9, 100.0, True) > base
+    assert loss(1.0, True) == pytest.approx(41.05, abs=0.01)
+    base = loss(100.0, True)
+    assert loss(200.0, True) - base == pytest.approx(6.02, abs=0.01)
+    assert loss(100.0, False) - base == pytest.approx(20.0 - 1.0, rel=1e-12)
+    # strictly increasing in distance and frequency; under 1 m counts as 1 m
+    assert loss(150.0, True) > base
+    assert loss(100.0, True, 3.5e9) > base
+    assert loss(0.25, True) == loss(1.0, True)
 
 
 def test_expected_path_loss_between_extremes():
     cfg = ChannelConfig()
-    lo = channel.path_loss_db(2.4e9, 300.0, True, cfg.eta_los_db, cfg.eta_nlos_db)
-    hi = channel.path_loss_db(2.4e9, 300.0, False, cfg.eta_los_db, cfg.eta_nlos_db)
+    fspl = geometry((0, 0, 300), (0, 0, 0)).fspl_db
+    lo = channel.path_loss_db(fspl, 1.0, cfg)
+    hi = channel.path_loss_db(fspl, 0.0, cfg)
+    assert lo == fspl + cfg.eta_los_db and hi == fspl + cfg.eta_nlos_db
     for elev in (5.0, 30.0, 60.0, 85.0):
-        mid = channel.expected_path_loss_db(2.4e9, 300.0, elev, cfg)
+        mid = channel.path_loss_db(fspl, channel.los_probability(elev, cfg.los_a, cfg.los_b), cfg)
         assert lo <= mid <= hi
     # high elevation approaches the LoS budget
-    assert channel.expected_path_loss_db(2.4e9, 300.0, 89.0, cfg) == pytest.approx(lo, abs=0.05)
+    p_high = channel.los_probability(89.0, cfg.los_a, cfg.los_b)
+    assert channel.path_loss_db(fspl, p_high, cfg) == pytest.approx(lo, abs=0.05)
 
 
 def test_rx_power_arithmetic():
@@ -111,6 +141,7 @@ def test_shannon_rate():
         channel.shannon_rate(-0.1, 20e6)
 
 
-def test_dbm_mw_roundtrip():
-    for dbm in (-120.0, -30.0, 0.0, 23.0):
-        assert channel.mw_to_dbm(channel.dbm_to_mw(dbm)) == pytest.approx(dbm, rel=1e-12)
+def test_dbm_to_mw_examples():
+    assert channel.dbm_to_mw(0.0) == 1.0
+    assert channel.dbm_to_mw(30.0) == pytest.approx(1000.0, rel=1e-12)
+    assert channel.dbm_to_mw(-120.0) == pytest.approx(1e-12, rel=1e-12)

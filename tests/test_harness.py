@@ -89,9 +89,21 @@ def test_parse_config_rejects_invalid_values():
         "[traffic]\ndeadline_slots = 0\n",
         "[channel]\nbackhaul_bandwidth_hz = 0\n",
         "[channel]\nlos_a = -1\n",
+        # no update round per episode: nothing would learn
+        "[train]\nslots_per_episode = 10\nslots_per_update = 11\n",
+        # no eval world: every checkpoint would report nan Mbps
+        "[train]\neval_episodes = 0\n",
+        "[train]\ngamma = 1.5\n",
+        "[train]\ngamma = -0.1\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(text)
+    # above 700 the Poisson sampler is biased low; the message names the limit
+    with pytest.raises(ConfigError, match="700"):
+        parse_config("[traffic]\nlambda = 720\n")
+    assert parse_config("[traffic]\nlambda = 700\n").traffic.lambda_pkts == 700.0
+    # rr runs no update rounds, so its episodes may be shorter than the cadence
+    assert parse_config("[run]\nmethod = rr\n[train]\nslots_per_episode = 2\n").method == "rr"
     # non-finite floats are refused where the value is read (lambda = nan
     # would otherwise hang the Poisson sampler)
     for text in (
@@ -268,7 +280,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.ini:2" in err
     for text in ("[traffic]\nlambda = nan\n", "[train]\neval_every_episodes = 0\n",
-                 "[train]\nsched_buffer_capacity = 0\n"):
+                 "[train]\nsched_buffer_capacity = 0\n",
+                 "[train]\nslots_per_episode = 10\nslots_per_update = 11\n",
+                 "[train]\neval_episodes = 0\n", "[train]\ngamma = 5\n"):
         bad.write_text(text)
         assert cli.main(["run", "--config", str(bad), "--quiet"]) == 2
     assert cli.main(["compare", str(tmp_path / "missing")]) == 2

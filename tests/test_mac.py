@@ -1,9 +1,13 @@
 """Association, schedule decoding, round-robin, backhaul capping, slot pipeline."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ntnsim import channel, mac
+from ntnsim import mac
 from ntnsim.channel import ChannelConfig
 from ntnsim.scenario import ScenarioConfig, default_fleet, init_world
 from ntnsim.traffic import Packet, TrafficConfig
@@ -13,19 +17,27 @@ def make_world(seed=0, **cfg_kwargs):
     return init_world(ScenarioConfig(**cfg_kwargs), seed)
 
 
-def test_ue_position_matrix_order():
+def ue_distance(world, row, ue_id):
+    return math.dist(world.positions[row], (*world.ue_positions[ue_id], 0.0))
+
+
+def test_association_geometry_rows_platforms_columns_ue_ids():
     world = make_world(seed=3)
-    mat = mac.ue_position_matrix(world)
-    assert mat.shape == (world.cfg.n_ues, 2)
-    by_id = {ue.id: ue.position for ue in world.ues}
-    for i in range(world.cfg.n_ues):
-        assert np.array_equal(mat[i], by_id[i])
+    assoc = mac.associate(world, ChannelConfig())
+    n_p, n_u = len(world.cfg.platforms), world.cfg.n_ues
+    for matrix in assoc.links:
+        assert matrix.shape == (n_p, n_u)
+    for row in range(n_p):
+        for ue_id in range(n_u):
+            want = ue_distance(world, row, ue_id)
+            assert assoc.links.distance_m[row, ue_id] == pytest.approx(want, rel=1e-14)
+    assert [world.cfg.platforms[r].id for r in assoc.rows] == [assoc[i] for i in range(n_u)]
 
 
 def test_associate_covers_every_ue():
     world = make_world(seed=1)
     assoc = mac.associate(world, ChannelConfig())
-    assert sorted(assoc) == sorted(ue.id for ue in world.ues)
+    assert list(assoc) == list(range(world.cfg.n_ues))
     valid = {p.id for p in world.cfg.platforms}
     assert set(assoc.values()) <= valid
 
@@ -35,10 +47,10 @@ def test_associate_prefers_overhead_platform():
     # and 90 degrees elevation; every alternative is farther and lower
     world = make_world(seed=2)
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    world.ues[0].position = np.array([w / 4, h / 4])
+    world.ue_positions[0] = (w / 4, h / 4)
     assoc = mac.associate(world, ChannelConfig())
     assert assoc[0] == 1
-    world.ues[0].position = np.array([3 * w / 4, 3 * h / 4])
+    world.ue_positions[0] = (3 * w / 4, 3 * h / 4)
     assert mac.associate(world, ChannelConfig())[0] == 4
 
 
@@ -47,43 +59,90 @@ def test_associate_tie_breaks_low_id():
     fleet = default_fleet(donor_tx_power_dbm=-80.0)
     cfg = ScenarioConfig(platforms=fleet)
     world = init_world(cfg, 0)
-    world.ues[0].position = np.array([cfg.area_w_m / 2, cfg.area_h_m / 4])
+    world.ue_positions[0] = (cfg.area_w_m / 2, cfg.area_h_m / 4)
     assoc = mac.associate(world, ChannelConfig())
     assert assoc[0] == 1
 
 
 def test_observed_ues_nearest_first():
     world = make_world(seed=4)
+    assoc = mac.associate(world, ChannelConfig())
+    ranked = mac.observed_ues(world, assoc)
+    assert list(ranked) == [p.id for p in world.cfg.platforms]
+    for row, p in enumerate(world.cfg.platforms):
+        cell = ranked[p.id]
+        assert sorted(cell) == [i for i in assoc if assoc[i] == p.id]
+        dists = [ue_distance(world, row, i) for i in cell]
+        assert dists == sorted(dists)
+
+
+def reference_association(world, chan):
+    """UE id -> argmax of the fading-free budget, written link by link; a
+    strictly larger budget is needed to displace a lower platform row."""
+    out = {}
+    for ue_id, (ux, uy) in enumerate(world.ue_positions.tolist()):
+        best = None
+        for row, p in enumerate(world.cfg.platforms):
+            px, py, pz = world.positions[row].tolist()
+            horiz = math.hypot(ux - px, uy - py)
+            elev = math.degrees(math.atan2(pz, horiz))
+            p_los = 1.0 / (1.0 + chan.los_a * math.exp(-chan.los_b * (elev - chan.los_a)))
+            dist = max(math.hypot(horiz, pz), 1.0)
+            fspl = 20.0 * math.log10(4.0 * math.pi * dist * p.carrier_hz / 299_792_458.0)
+            loss = fspl + p_los * chan.eta_los_db + (1.0 - p_los) * chan.eta_nlos_db
+            rsrp = p.tx_power_dbm + p.antenna_gain_dbi - loss
+            if best is None or rsrp > best[0]:
+                best = (rsrp, p.id)
+        out[ue_id] = best[1]
+    return out
+
+
+def reference_ranking(world, assoc):
+    """Each platform's cell sorted by (3-D distance, UE id)."""
+    return {
+        p.id: sorted(
+            (i for i in assoc if assoc[i] == p.id),
+            key=lambda i: (ue_distance(world, row, i), i),
+        )
+        for row, p in enumerate(world.cfg.platforms)
+    }
+
+
+coordinate = st.floats(0.0, 1400.0, allow_nan=False, allow_infinity=False)
+point = st.tuples(coordinate, coordinate)
+
+
+@st.composite
+def geometries(draw):
+    # UEs pick from a small pool of spots, so equal distances (ties) occur
+    spots = draw(st.lists(point, min_size=1, max_size=6))
+    ue_xy = draw(st.lists(st.sampled_from(spots), min_size=1, max_size=24))
+    platform_xy = draw(st.lists(point, min_size=5, max_size=5))
+    donor_tx_dbm = draw(st.sampled_from([-80.0, -13.0, 10.0]))
+    return ue_xy, platform_xy, donor_tx_dbm
+
+
+@settings(max_examples=200, deadline=None)
+@given(geometries())
+def test_association_and_ranking_match_scalar_reference(geometry):
+    ue_xy, platform_xy, donor_tx_dbm = geometry
+    cfg = ScenarioConfig(n_ues=len(ue_xy), platforms=default_fleet(donor_tx_power_dbm=donor_tx_dbm))
+    world = init_world(cfg, 0)
+    world.ue_positions[:] = ue_xy
+    world.positions[:, :2] = platform_xy
     chan = ChannelConfig()
     assoc = mac.associate(world, chan)
-    for p in world.cfg.platforms:
-        row = [i for i, q in enumerate(world.cfg.platforms) if q.id == p.id][0]
-        pos = world.positions[row]
-        obs = mac.observed_ues(world, assoc, p.id, k=8)
-        cell = [ue.id for ue in world.ues if assoc[ue.id] == p.id]
-        assert len(obs) == min(8, len(cell))
-        assert set(obs) <= set(cell)
-        dists = [
-            channel.distance3d((*next(u.position for u in world.ues if u.id == i), 0.0), pos)
-            for i in obs
-        ]
-        assert dists == sorted(dists)
-        # nothing outside the k nearest is closer than the last one observed
-        if obs:
-            worst = dists[-1]
-            for i in set(cell) - set(obs):
-                pos_i = next(u.position for u in world.ues if u.id == i)
-                assert channel.distance3d((*pos_i, 0.0), pos) >= worst
+    assert assoc == reference_association(world, chan)
+    assert mac.observed_ues(world, assoc) == reference_ranking(world, assoc)
 
 
 def test_observed_ues_tie_by_id():
     world = make_world(seed=5)
     # two UEs of node 1 at identical positions -> lower id listed first
-    world.ues[0].position = np.array([250.0, 240.0])
-    world.ues[1].position = np.array([250.0, 240.0])
+    world.ue_positions[0] = world.ue_positions[1] = (250.0, 240.0)
     assoc = mac.associate(world, ChannelConfig())
     assert assoc[0] == assoc[1] == 1
-    obs = mac.observed_ues(world, assoc, 1, k=8)
+    obs = mac.observed_ues(world, assoc)[1]
     assert obs.index(0) < obs.index(1)
 
 
@@ -97,9 +156,10 @@ def test_decode_schedule_argmax_over_observed():
         vec = np.zeros(k)
         vec[1] = 1.0  # second-nearest observed UE everywhere
         actions[p.id] = vec
-    choices = mac.decode_schedule(actions, assoc, world, k)
+    ranked = mac.observed_ues(world, assoc)
+    choices = mac.decode_schedule(actions, ranked, k)
     for p in world.cfg.platforms:
-        obs = mac.observed_ues(world, assoc, p.id, k)
+        obs = ranked[p.id][:k]
         if len(obs) >= 2:
             assert choices[p.id] == obs[1]
         elif obs:
@@ -113,10 +173,10 @@ def test_decode_schedule_tie_lowest_index():
     world = make_world(seed=6)
     assoc = mac.associate(world, ChannelConfig())
     actions = {p.id: np.full(8, 0.25) for p in world.cfg.platforms}
-    choices = mac.decode_schedule(actions, assoc, world, 8)
+    ranked = mac.observed_ues(world, assoc)
+    choices = mac.decode_schedule(actions, ranked, 8)
     for p in world.cfg.platforms:
-        obs = mac.observed_ues(world, assoc, p.id, 8)
-        assert choices[p.id] == (obs[0] if obs else None)
+        assert choices[p.id] == (ranked[p.id][0] if ranked[p.id] else None)
 
 
 def test_rr_schedule_rotation():
@@ -153,15 +213,12 @@ def test_backhaul_rate_matches_link_budget():
     donor = world.cfg.donor
     node = world.cfg.nodes[0]
     share = chan.backhaul_bandwidth_hz / 4
-    dist = channel.distance3d(world.positions[0], world.positions[1])
-    pl = channel.path_loss_db(
-        chan.backhaul_carrier_hz, dist, True, chan.eta_los_db, chan.eta_nlos_db
-    )
-    rx = channel.rx_power_dbm(
-        donor.tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi, pl
-    )
-    snr = channel.sinr(rx, (), share, node.noise_figure_db, chan.noise_density_dbm_hz)
-    want = channel.shannon_rate(snr, share)
+    # always LoS: free-space loss plus the LoS excess
+    dist = math.dist(world.positions[0], world.positions[1])
+    fspl = 20.0 * math.log10(4.0 * math.pi * dist * chan.backhaul_carrier_hz / 299_792_458.0)
+    rx = donor.tx_power_dbm + 2 * chan.backhaul_gain_dbi - (fspl + chan.eta_los_db)
+    noise = chan.noise_density_dbm_hz + 10.0 * math.log10(share) + node.noise_figure_db
+    want = share * math.log2(1.0 + 10 ** ((rx - noise) / 10.0))
     assert mac.backhaul_rates(world, chan)[1] == pytest.approx(want, rel=1e-12)
 
 
@@ -187,10 +244,10 @@ def run_slots(world, tcfg, chan, n_slots):
 
 def test_step_slot_advances_clock_and_moves_ues():
     world = make_world(seed=8)
-    before = mac.ue_position_matrix(world).copy()
+    before = world.ue_positions.copy()
     world, _ = run_slots(world, TrafficConfig(), ChannelConfig(), 1)
     assert world.slot == 1
-    moved = np.linalg.norm(mac.ue_position_matrix(world) - before, axis=1)
+    moved = np.linalg.norm(world.ue_positions - before, axis=1)
     assert np.all(moved > 0)
     assert np.all(moved <= world.cfg.ue_speed_max_mps * world.cfg.slot_seconds + 1e-9)
 
@@ -198,8 +255,7 @@ def test_step_slot_advances_clock_and_moves_ues():
 def test_step_slot_queue_conservation():
     world = make_world(seed=9)
     world, metrics = run_slots(world, TrafficConfig(), ChannelConfig(), 200)
-    for ue in world.ues:
-        q = world.queues[ue.id]
+    for q in world.queues.values():
         assert q.arrived_bits == q.delivered_bits + q.dropped_bits + q.queued_bits()
     # metric streams agree with the cumulative queue counters
     assert sum(m.delivered_bits for m in metrics) == sum(
@@ -214,9 +270,9 @@ def test_step_slot_rejects_out_of_cell_choice():
     world = make_world(seed=10)
     chan = ChannelConfig()
     assoc = mac.associate(world, chan)
-    foreign = next(ue for ue in world.ues if assoc[ue.id] != 1)
+    foreign = next(ue_id for ue_id, uav in assoc.items() if uav != 1)
     choices = {p.id: None for p in world.cfg.platforms}
-    choices[1] = foreign.id
+    choices[1] = foreign
     with pytest.raises(ValueError):
         mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
 

@@ -56,9 +56,9 @@ def test_local_observation_layout_and_bounds():
     sched, traj = build_agent_specs(env)
     rng_worlds = [init_world(env.scenario, s) for s in range(20)]
     for world in rng_worlds:
-        assoc = mac.associate(world, env.channel)
+        ranked = mac.observed_ues(world, mac.associate(world, env.channel))
         for spec in sched + traj:
-            obs = local_observation(spec, world, assoc, norm, env.k_obs)
+            obs = local_observation(spec, world, ranked, norm, env.k_obs)
             assert obs.shape == (spec.obs_dim,)
             assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
 
@@ -68,10 +68,11 @@ def test_local_observation_padding_empty_cell():
     norm = env.norm()
     sched, _ = build_agent_specs(env)
     world = init_world(env.scenario, 0)
-    # association that gives platform 3 no UEs at all
-    assoc = {ue.id: 0 for ue in world.ues}
+    # ranked cells that give platform 3 no UEs at all
+    ranked = {p.id: [] for p in env.scenario.platforms}
+    ranked[0] = list(range(env.scenario.n_ues))
     spec = next(s for s in sched if s.platform_id == 3)
-    obs = local_observation(spec, world, assoc, norm, env.k_obs)
+    obs = local_observation(spec, world, ranked, norm, env.k_obs)
     assert np.any(obs[:2] != 0.0)
     assert np.all(obs[2:] == 0.0)
 
@@ -81,9 +82,9 @@ def test_local_observation_trajectory_sees_donor():
     norm = env.norm()
     _, traj = build_agent_specs(env)
     world = init_world(env.scenario, 1)
-    assoc = mac.associate(world, env.channel)
+    ranked = mac.observed_ues(world, mac.associate(world, env.channel))
     spec = next(s for s in traj if s.platform_id == 1)
-    obs = local_observation(spec, world, assoc, norm, env.k_obs)
+    obs = local_observation(spec, world, ranked, norm, env.k_obs)
     w, h = env.scenario.area_w_m, env.scenario.area_h_m
     # donor sits at (w/2, h/2), node 1 at (w/4, h/4)
     assert obs[-2] == pytest.approx((w / 2 - w / 4) / w)
@@ -98,10 +99,9 @@ def test_global_state_layout():
     n_p, n_u = len(env.scenario.platforms), env.scenario.n_ues
     assert vec.shape == (global_state_dim(n_p, n_u),)
     assert vec.shape == (2 * n_p + 4 * n_u,)
-    # id-ordered encoding: permuting UE storage order changes nothing
-    world2 = init_world(env.scenario, 2)
-    world2.ues = world2.ues[::-1]
-    assert np.array_equal(global_state(world2, norm), vec)
+    # UE blocks in id order
+    w = env.scenario.area_w_m
+    assert np.array_equal(vec[2 * n_p : 2 * n_p + n_u], world.ue_positions[:, 0] / w)
     # identical worlds -> identical vectors
     assert np.array_equal(global_state(init_world(env.scenario, 2), norm), vec)
 

@@ -1,7 +1,11 @@
 """World construction, UE mobility, and trajectory actuation."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntnsim.scenario import (
     ScenarioConfig,
@@ -40,28 +44,42 @@ def test_init_world_placement():
     assert np.allclose(world.positions[3], [w / 4, 3 * h / 4, 100.0])
     assert np.allclose(world.positions[4], [3 * w / 4, 3 * h / 4, 100.0])
     assert world.slot == 0
-    assert len(world.ues) == 6
-    assert sorted(world.queues) == [u.id for u in world.ues]
+    assert world.ue_positions.shape == world.ue_waypoints.shape == (6, 2)
+    assert world.ue_speeds.shape == (6,)
+    assert list(world.queues) == list(range(6))
 
 
 def test_init_world_deterministic():
     a = init_world(small_cfg(), seed=7)
     b = init_world(small_cfg(), seed=7)
-    for ua, ub in zip(a.ues, b.ues):
-        assert np.array_equal(ua.position, ub.position)
-        assert np.array_equal(ua.waypoint, ub.waypoint)
-        assert ua.speed == ub.speed
+    assert np.array_equal(a.ue_positions, b.ue_positions)
+    assert np.array_equal(a.ue_waypoints, b.ue_waypoints)
+    assert np.array_equal(a.ue_speeds, b.ue_speeds)
     c = init_world(small_cfg(), seed=8)
-    assert any(not np.array_equal(ua.position, uc.position) for ua, uc in zip(a.ues, c.ues))
+    assert not np.array_equal(a.ue_positions, c.ue_positions)
+
+
+def test_init_world_draws_each_ue_in_id_order():
+    # per UE: position, waypoint, speed, one UE after another
+    cfg = small_cfg(3)
+    world = init_world(cfg, seed=5)
+    rng = np.random.default_rng(5)
+    for i in range(3):
+        pos = [rng.uniform(0.0, cfg.area_w_m), rng.uniform(0.0, cfg.area_h_m)]
+        wp = [rng.uniform(0.0, cfg.area_w_m), rng.uniform(0.0, cfg.area_h_m)]
+        speed = rng.uniform(cfg.ue_speed_min_mps, cfg.ue_speed_max_mps)
+        assert world.ue_positions[i].tolist() == pos
+        assert world.ue_waypoints[i].tolist() == wp
+        assert world.ue_speeds[i] == speed
 
 
 def test_init_world_ues_inside_area():
     cfg = small_cfg(50)
     world = init_world(cfg, seed=3)
-    for ue in world.ues:
-        assert 0.0 <= ue.position[0] <= cfg.area_w_m
-        assert 0.0 <= ue.position[1] <= cfg.area_h_m
-        assert cfg.ue_speed_min_mps <= ue.speed <= cfg.ue_speed_max_mps
+    assert np.all((0.0 <= world.ue_positions[:, 0]) & (world.ue_positions[:, 0] <= cfg.area_w_m))
+    assert np.all((0.0 <= world.ue_positions[:, 1]) & (world.ue_positions[:, 1] <= cfg.area_h_m))
+    speeds = world.ue_speeds
+    assert np.all((cfg.ue_speed_min_mps <= speeds) & (speeds <= cfg.ue_speed_max_mps))
 
 
 def test_validate_rejects_bad_configs():
@@ -84,22 +102,54 @@ def test_validate_rejects_bad_configs():
 
 def test_ue_advances_toward_waypoint():
     world = init_world(small_cfg(1), seed=0)
-    ue = world.ues[0]
-    ue.position = np.array([0.0, 0.0])
-    ue.waypoint = np.array([30.0, 40.0])
-    ue.speed = 5.0
+    world.ue_positions[0] = (0.0, 0.0)
+    world.ue_waypoints[0] = (30.0, 40.0)
+    world.ue_speeds[0] = 5.0
     step_ue_mobility(world, dt=1.0)
-    assert np.allclose(ue.position, [3.0, 4.0])
+    assert np.allclose(world.ue_positions[0], [3.0, 4.0])
 
 
 def test_ue_waypoint_redraw_on_arrival():
     world = init_world(small_cfg(1), seed=0)
-    ue = world.ues[0]
-    ue.position = np.array([10.0, 10.0])
-    ue.waypoint = np.array([10.0, 10.0])
+    world.ue_positions[0] = (10.0, 10.0)
+    world.ue_waypoints[0] = (10.0, 10.0)
     step_ue_mobility(world, dt=1.0)
-    assert np.allclose(ue.position, [10.0, 10.0])
-    assert not np.allclose(ue.waypoint, [10.0, 10.0])
+    assert np.allclose(world.ue_positions[0], [10.0, 10.0])
+    assert not np.allclose(world.ue_waypoints[0], [10.0, 10.0])
+
+
+def mobility_reference(world, dt):
+    """One UE after another: move toward the waypoint, or land on it and
+    redraw waypoint and speed; then clip to the area."""
+    cfg, rng = world.cfg, copy.deepcopy(world.rng)
+    pos, wps, speeds = world.ue_positions.copy(), world.ue_waypoints.copy(), world.ue_speeds.copy()
+    for i in range(len(speeds)):
+        delta = wps[i] - pos[i]
+        dist = float(np.hypot(delta[0], delta[1]))
+        travel = speeds[i] * dt
+        if dist <= travel:
+            pos[i] = wps[i]
+            wps[i] = [rng.uniform(0.0, cfg.area_w_m), rng.uniform(0.0, cfg.area_h_m)]
+            speeds[i] = rng.uniform(cfg.ue_speed_min_mps, cfg.ue_speed_max_mps)
+        else:
+            pos[i] = pos[i] + delta * (travel / dist)
+        pos[i] = np.clip(pos[i], (0.0, 0.0), (cfg.area_w_m, cfg.area_h_m))
+    return pos, wps, speeds, rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.001, 500.0), st.integers(0, 3))
+def test_mobility_matches_per_ue_loop(seed, dt, steps):
+    # long steps make many UEs arrive at once; identical arithmetic, so exact
+    world = init_world(small_cfg(12), seed)
+    for _ in range(steps):
+        step_ue_mobility(world, dt)
+    pos, wps, speeds, next_draw = mobility_reference(world, dt)
+    step_ue_mobility(world, dt)
+    assert np.array_equal(world.ue_positions, pos)
+    assert np.array_equal(world.ue_waypoints, wps)
+    assert np.array_equal(world.ue_speeds, speeds)
+    assert world.rng.random() == next_draw
 
 
 def test_ue_containment_long_run():
@@ -107,9 +157,8 @@ def test_ue_containment_long_run():
     world = init_world(cfg, seed=11)
     for _ in range(10_000):
         step_ue_mobility(world, dt=0.030)
-    for ue in world.ues:
-        assert 0.0 <= ue.position[0] <= cfg.area_w_m
-        assert 0.0 <= ue.position[1] <= cfg.area_h_m
+    assert np.all((0.0 <= world.ue_positions[:, 0]) & (world.ue_positions[:, 0] <= cfg.area_w_m))
+    assert np.all((0.0 <= world.ue_positions[:, 1]) & (world.ue_positions[:, 1] <= cfg.area_h_m))
 
 
 def test_mobility_rejects_nonpositive_dt():
