@@ -22,7 +22,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, help="override run.seeds with a single seed")
     runp.add_argument("--out", help="override run.out_dir")
     runp.add_argument("--episodes", type=int, help="override train.episodes")
-    runp.add_argument("--parallel", action="store_true", help="one process per seed")
+    runp.add_argument(
+        "--parallel", action="store_true", help="one process per seed, BLAS on one thread each"
+    )
     runp.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     cmpp = sub.add_parser("compare", help="compare converged throughput across runs")

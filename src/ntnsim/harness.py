@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -271,12 +274,37 @@ def run_single(cfg: ExperimentConfig, seed: int, quiet: bool = False) -> Path:
     return out
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def seed_pool(n_workers: int):
+    """A pool of spawned worker processes whose BLAS runs one thread each.
+
+    Concurrent seeds with a BLAS thread per core oversubscribe the cores (on
+    2 cores: 42 ms per update round each, against 11.5 ms pinned). Workers
+    read the thread variables when they import numpy, so those the caller
+    left unset are set here while the pool lives and removed afterwards.
+    """
+    unset = [v for v in BLAS_THREAD_VARS if v not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=n_workers, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            yield pool
+    finally:
+        for v in unset:
+            os.environ.pop(v, None)
+
+
 def run(cfg: ExperimentConfig, parallel: bool = False, quiet: bool = False) -> int:
     """Run every seed in the config; the parallel flag fans seeds out to
-    separate processes (results are identical either way)."""
+    separate processes, one BLAS thread each (results are identical either
+    way)."""
     cfg.validate()
     if parallel and len(cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=len(cfg.seeds)) as pool:
+        with seed_pool(len(cfg.seeds)) as pool:
             futures = [pool.submit(run_single, cfg, s, quiet) for s in cfg.seeds]
             for f in futures:
                 f.result()

@@ -215,6 +215,12 @@ class ReplayBuffer:
         }
 
 
+def critic_input(state: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """(batch, state_dim + n_agents * act_dim) critic input rows: the global
+    state, then every same-group agent's action in agent order."""
+    return np.concatenate([state, actions.reshape(actions.shape[0], -1)], axis=1)
+
+
 def target_actions(actors: list[MlpParams], next_obs: np.ndarray) -> np.ndarray:
     """(batch, n_agents, act_dim) actions of the target actors on next observations."""
     return np.stack(
@@ -223,37 +229,35 @@ def target_actions(actors: list[MlpParams], next_obs: np.ndarray) -> np.ndarray:
 
 
 def critic_targets(
-    batch: dict, target_critic: MlpParams, gamma: float, next_actions: np.ndarray
+    batch: dict, target_critic: MlpParams, gamma: float, next_x: np.ndarray
 ) -> np.ndarray:
-    """y = r + gamma * (1 - done) * Q_target(next_state, next_actions), where
-    next_actions are the target actors' (see target_actions)."""
-    b = next_actions.shape[0]
-    x = np.concatenate([batch["next_state"], next_actions.reshape(b, -1)], axis=1)
-    q = nn.mlp_forward(target_critic, x)[:, 0]
+    """y = r + gamma * (1 - done) * Q_target(next_x), where next_x is the
+    critic input of the next state and the target actors' actions (see
+    target_actions and critic_input)."""
+    q = nn.mlp_forward(target_critic, next_x)[:, 0]
     return batch["reward"] + gamma * (1.0 - batch["done"]) * q
 
 
 def update_critic(
     critic: MlpParams,
     adam: nn.AdamState,
-    batch: dict,
+    x: np.ndarray,
     targets: np.ndarray,
     lr: float = 1e-3,
     weight_decay: float = 0.0,
 ) -> float:
-    """One Adam step on the mean squared TD error (plus L2 on the weights);
-    returns the TD loss.
+    """One Adam step on the mean squared TD error (plus L2 on the weights)
+    of the critic on its input rows x (see critic_input); returns the TD loss.
 
     The decay matters for the high-dimensional critics: with a few thousand
     buffered transitions and a hundred-plus state dims, an unregularized net
     soaks up chance state-reward correlations, and its action gradient (which
     steers the actors) inherits them."""
-    b = batch["state"].shape[0]
-    x = np.concatenate([batch["state"], batch["actions"].reshape(b, -1)], axis=1)
-    q = nn.mlp_forward(critic, x)[:, 0]
-    err = q - targets
+    b = x.shape[0]
+    q, cache = nn.forward_pass(critic, x)
+    err = q[:, 0] - targets
     upstream = (2.0 * err / b)[:, None]
-    gw, gb, _ = nn.mlp_backward(critic, x, upstream)
+    gw, gb = nn.param_grads(critic, cache, upstream)
     if weight_decay > 0.0:
         for g, w in zip(gw, critic.weights):
             g += 2.0 * weight_decay * w
@@ -267,28 +271,29 @@ def update_actor(
     adam: nn.AdamState,
     critic: MlpParams,
     batch: dict,
+    x: np.ndarray,
     lr: float = 1e-4,
     action_reg: float = 1e-3,
 ) -> None:
     """One Adam ascent step on mean Q with this agent's action replayed
     through its actor; the gradient reaches the actor via the critic's
-    input gradient on the action columns.
+    input gradient on the action columns. x is the critic input of the
+    batch's own actions (see critic_input); it is left unchanged.
 
     action_reg penalizes mean squared action magnitude, which keeps tanh
     outputs off the rails where their gradient vanishes and the actor can
     never recover."""
-    b, n_agents, act_dim = batch["actions"].shape
-    obs_i = batch["obs"][:, agent_index, :]
-    a_i = nn.mlp_forward(actor, obs_i)
-    actions = batch["actions"].copy()
-    actions[:, agent_index, :] = a_i
-    x = np.concatenate([batch["state"], actions.reshape(b, -1)], axis=1)
+    b, _, act_dim = batch["actions"].shape
+    a_i, actor_cache = nn.forward_pass(actor, batch["obs"][:, agent_index, :])
+    start = batch["state"].shape[1] + agent_index * act_dim
+    cols = slice(start, start + act_dim)
+    x_i = x.copy()
+    x_i[:, cols] = a_i
+    _, critic_cache = nn.forward_pass(critic, x_i)
     upstream = np.full((b, 1), -1.0 / b)  # minimize -mean(Q)
-    _, _, gx = nn.mlp_backward(critic, x, upstream)
-    state_dim = batch["state"].shape[1]
-    start = state_dim + agent_index * act_dim
-    da_i = gx[:, start : start + act_dim] + (2.0 * action_reg / b) * a_i
-    gw, gb, _ = nn.mlp_backward(actor, obs_i, da_i)
+    gx = nn.input_grad(critic, critic_cache, upstream)
+    da_i = gx[:, cols] + (2.0 * action_reg / b) * a_i
+    gw, gb = nn.param_grads(actor, actor_cache, da_i)
     nn.adam_step(actor, gw, gb, adam, lr)
 
 
@@ -806,13 +811,15 @@ class Trainer:
             if buffer.size < cfg.batch_size:
                 continue
             batch = buffer.sample(self.rng, cfg.batch_size)
+            x = critic_input(batch["state"], batch["actions"])
             next_a = target_actions([a.actor_target for a in agents], batch["next_obs"])
+            next_x = critic_input(batch["next_state"], next_a)
             for i, ag in enumerate(agents):
-                y = critic_targets(batch, ag.critic_target, gamma, next_a)
-                update_critic(ag.critic, ag.critic_adam, batch, y, cfg.critic_lr, wd)
+                y = critic_targets(batch, ag.critic_target, gamma, next_x)
+                update_critic(ag.critic, ag.critic_adam, x, y, cfg.critic_lr, wd)
                 if step_actors:
                     update_actor(
-                        i, ag.actor, ag.actor_adam, ag.critic, batch, cfg.actor_lr, reg
+                        i, ag.actor, ag.actor_adam, ag.critic, batch, x, cfg.actor_lr, reg
                     )
         for ag in self.sched_agents + self.traj_agents:
             nn.soft_update(ag.actor_target, ag.actor, cfg.tau)

@@ -1,7 +1,14 @@
 """Dense-network math used by the actor-critic stack: forward pass, exact
-reverse-mode gradients (including d/d(input), which the deterministic policy
-gradient needs to push critic gradients into the actor), Adam, soft target
-updates, and a small binary checkpoint format.
+reverse-mode gradients, in-place Adam, soft target updates, and a small
+binary checkpoint format.
+
+forward_pass returns the output together with a cache of the layer
+activations. The two backward passes read that cache instead of running the
+forward pass again, and each forms only one kind of gradient:
+param_grads the weight and bias gradients (a critic's TD step, an actor's
+step), input_grad the gradient w.r.t. the input (the deterministic policy
+gradient pushes a critic's action gradient into the actor through it).
+mlp_backward runs all three and returns every gradient.
 
 All functions accept a single sample (d,) or a minibatch (n, d); gradients
 are summed over the batch, so mean-loss callers fold 1/n into the upstream
@@ -70,14 +77,22 @@ def _check_input(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def _forward_pass(params: MlpParams, x: np.ndarray):
-    """Returns (output, pre-activations list, post-activations list incl. input)."""
+def forward_pass(params: MlpParams, x):
+    """Forward pass that keeps its intermediates: returns (output, cache).
+
+    A single sample is a batch of one, so the output is always (n, d_out).
+    The cache holds the pre-activations of every layer and the
+    post-activations including the input (by reference, not copied);
+    param_grads and input_grad read it instead of running the pass again.
+    """
+    x, _ = _check_input(params, x)
     acts = [x]
     zs = []
     h = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         zs.append(z)
         if l < last:
             h = np.maximum(z, 0.0)
@@ -86,13 +101,51 @@ def _forward_pass(params: MlpParams, x: np.ndarray):
         else:
             h = z
         acts.append(h)
-    return h, zs, acts
+    return h, (zs, acts)
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    x2, single = _check_input(params, x)
-    y, _, _ = _forward_pass(params, x2)
-    return y[0] if single else y
+    y, _ = forward_pass(params, x)
+    return y[0] if np.ndim(x) == 1 else y
+
+
+def _output_grad(params: MlpParams, cache, upstream) -> np.ndarray:
+    """The upstream gradient carried back through the output activation."""
+    y = cache[1][-1]
+    g = np.asarray(upstream, dtype=float)
+    if g.shape != y.shape:
+        raise ValueError(f"upstream shape {g.shape} does not match output {y.shape}")
+    if params.out_act == "tanh":
+        g = g * (1.0 - y * y)
+    return g
+
+
+def param_grads(params: MlpParams, cache, upstream):
+    """Batch-summed gradients of sum(upstream * output) w.r.t. the weights
+    and biases, from a forward_pass cache: (weight grads, bias grads)."""
+    zs, acts = cache
+    g = _output_grad(params, cache, upstream)
+    grads_w = [None] * len(params.weights)
+    grads_b = [None] * len(params.biases)
+    for l in range(len(params.weights) - 1, -1, -1):
+        grads_w[l] = acts[l].T @ g
+        grads_b[l] = g.sum(axis=0)
+        if l > 0:
+            g = g @ params.weights[l].T
+            g *= zs[l - 1] > 0.0
+    return grads_w, grads_b
+
+
+def input_grad(params: MlpParams, cache, upstream) -> np.ndarray:
+    """Per-sample gradient of sum(upstream * output) w.r.t. the input, from
+    a forward_pass cache; no parameter gradient is formed."""
+    zs, _ = cache
+    g = _output_grad(params, cache, upstream)
+    for l in range(len(params.weights) - 1, -1, -1):
+        g = g @ params.weights[l].T
+        if l > 0:
+            g *= zs[l - 1] > 0.0
+    return g
 
 
 def mlp_backward(params: MlpParams, x, upstream):
@@ -101,25 +154,14 @@ def mlp_backward(params: MlpParams, x, upstream):
     Returns (weight grads, bias grads, input grad); batch inputs yield
     batch-summed parameter grads and a per-sample input grad.
     """
-    x2, single = _check_input(params, x)
+    single = np.ndim(x) == 1
     g = np.asarray(upstream, dtype=float)
     if single:
         g = g[None, :]
-    y, zs, acts = _forward_pass(params, x2)
-    if g.shape != y.shape:
-        raise ValueError(f"upstream shape {g.shape} does not match output {y.shape}")
-
-    if params.out_act == "tanh":
-        g = g * (1.0 - y * y)
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
-    for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ g
-        grads_b[l] = g.sum(axis=0)
-        g = g @ params.weights[l].T
-        if l > 0:
-            g = g * (zs[l - 1] > 0.0)
-    return grads_w, grads_b, (g[0] if single else g)
+    _, cache = forward_pass(params, x)
+    grads_w, grads_b = param_grads(params, cache, g)
+    gx = input_grad(params, cache, g)
+    return grads_w, grads_b, (gx[0] if single else gx)
 
 
 @dataclass
@@ -151,22 +193,37 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Bias-corrected Adam, in place; returns (params, state) for chaining."""
+    """Bias-corrected Adam, in place; returns (params, state) for chaining.
+
+    Per parameter array:
+        m <- beta1*m + (1-beta1)*g
+        v <- beta2*v + ((1-beta2)*g)*g
+        p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+    evaluated in exactly this order in two scratch arrays.
+    """
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for w, gw, m, v in zip(params.weights, grads_w, state.m_w, state.v_w):
+    for p, g, m, v in zip(
+        params.weights + params.biases,
+        list(grads_w) + list(grads_b),
+        state.m_w + state.m_b,
+        state.v_w + state.v_b,
+    ):
+        s = np.multiply(g, 1.0 - beta1)
         m *= beta1
-        m += (1.0 - beta1) * gw
+        m += s
+        np.multiply(g, 1.0 - beta2, out=s)
+        s *= g
         v *= beta2
-        v += (1.0 - beta2) * gw * gw
-        w -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    for b, gb, m, v in zip(params.biases, grads_b, state.m_b, state.v_b):
-        m *= beta1
-        m += (1.0 - beta1) * gb
-        v *= beta2
-        v += (1.0 - beta2) * gb * gb
-        b -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        r = np.divide(v, bc2)
+        np.sqrt(r, out=r)
+        r += eps
+        s /= r
+        p -= s
     return params, state
 
 
@@ -212,14 +269,24 @@ def load_params(path) -> MlpParams:
         raw = f.read()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: header cut short")
     version, act_code, _, n_layers = struct.unpack("<BBHI", raw[8:16])
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
     if act_code not in _ACT_NAMES:
         raise ValueError(f"{path}: unknown activation code {act_code}")
-    off = 16
-    sizes = struct.unpack(f"<{n_layers}I", raw[off : off + 4 * n_layers])
-    off += 4 * n_layers
+    off = 16 + 4 * n_layers
+    if len(raw) < off:
+        raise ValueError(f"{path}: header cut short before its {n_layers} layer sizes")
+    sizes = struct.unpack(f"<{n_layers}I", raw[16:off])
+    if n_layers < 2 or 0 in sizes:
+        raise ValueError(f"{path}: bad layer sizes {sizes}")
+    payload = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    if len(raw) - off != payload:
+        raise ValueError(
+            f"{path}: {len(raw) - off} parameter bytes where layer sizes {sizes} need {payload}"
+        )
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         n = fan_in * fan_out
@@ -229,7 +296,5 @@ def load_params(path) -> MlpParams:
         off += 8 * n
         biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off).copy())
         off += 8 * fan_out
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes after parameter payload")
     return MlpParams(layer_sizes=sizes, weights=weights, biases=biases,
                      out_act=_ACT_NAMES[act_code])

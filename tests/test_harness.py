@@ -1,6 +1,7 @@
 """Config parsing/echo, run orchestration, CSV outputs, comparison math, CLI."""
 
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,21 @@ def test_run_multi_seed_sequential_equals_parallel(tmp_path):
         a = (tmp_path / "seq" / f"rr_seed{s}" / "train.csv").read_bytes()
         b = (tmp_path / "par" / f"rr_seed{s}" / "train.csv").read_bytes()
         assert a == b
+
+
+def test_seed_pool_pins_blas_threads_in_workers(monkeypatch):
+    for var in harness.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # a caller's own setting wins
+    with harness.seed_pool(2) as pool:
+        seen = [pool.submit(os.getenv, v).result(timeout=120) for v in harness.BLAS_THREAD_VARS]
+    assert dict(zip(harness.BLAS_THREAD_VARS, seen)) == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
+    }
+    # this process's environment is as the caller left it
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "OMP_NUM_THREADS" not in os.environ
+    assert os.environ["MKL_NUM_THREADS"] == "3"
 
 
 def write_eval_csv(d: Path, episodes, values):

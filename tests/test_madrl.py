@@ -13,6 +13,7 @@ from ntnsim.madrl import (
     TrainConfig,
     Trainer,
     build_agent_specs,
+    critic_input,
     critic_targets,
     global_state,
     global_state_dim,
@@ -236,11 +237,11 @@ def test_critic_targets_terminal_and_gamma_zero():
         "next_state": rng.normal(size=(1, 3)),
         "next_obs": rng.normal(size=(1, 1, 4)),
     }
-    next_actions = target_actions([actor], batch["next_obs"])
-    y = critic_targets(batch, critic, 0.95, next_actions)
+    next_x = critic_input(batch["next_state"], target_actions([actor], batch["next_obs"]))
+    y = critic_targets(batch, critic, 0.95, next_x)
     assert y[0] == pytest.approx(1.5)
     batch["done"] = np.array([0.0])
-    y0 = critic_targets(batch, critic, 0.0, next_actions)
+    y0 = critic_targets(batch, critic, 0.0, next_x)
     assert y0[0] == pytest.approx(1.5)
 
 
@@ -258,7 +259,8 @@ def test_critic_targets_hand_computation():
     }
     a_prime = nn.mlp_forward(actor, next_obs[:, 0, :])
     q = nn.mlp_forward(critic, np.concatenate([next_state, a_prime], axis=1))[0, 0]
-    y = critic_targets(batch, critic, 0.9, target_actions([actor], next_obs))
+    next_x = critic_input(next_state, target_actions([actor], next_obs))
+    y = critic_targets(batch, critic, 0.9, next_x)
     assert y[0] == pytest.approx(0.7 + 0.9 * q, rel=1e-12)
 
 
@@ -270,10 +272,12 @@ def test_update_critic_zero_gradient_noop():
         "state": rng.normal(size=(4, 3)),
         "actions": rng.normal(size=(4, 1, 2)),
     }
-    x = np.concatenate([batch["state"], batch["actions"].reshape(4, -1)], axis=1)
+    x = critic_input(batch["state"], batch["actions"])
+    flat = np.concatenate([batch["state"], batch["actions"].reshape(4, -1)], axis=1)
+    assert np.array_equal(x, flat)
     targets = nn.mlp_forward(critic, x)[:, 0]
     before = [w.copy() for w in critic.weights]
-    loss = update_critic(critic, adam, batch, targets, lr=1e-3)
+    loss = update_critic(critic, adam, x, targets, lr=1e-3)
     assert loss == pytest.approx(0.0, abs=1e-20)
     for w0, w1 in zip(before, critic.weights):
         assert np.array_equal(w0, w1)
@@ -288,9 +292,10 @@ def test_update_critic_loss_decreases():
         "actions": rng.normal(size=(16, 1, 2)),
     }
     targets = rng.normal(size=16)
-    first = update_critic(critic, adam, batch, targets, lr=1e-3)
+    x = critic_input(batch["state"], batch["actions"])
+    first = update_critic(critic, adam, x, targets, lr=1e-3)
     for _ in range(99):
-        last = update_critic(critic, adam, batch, targets, lr=1e-3)
+        last = update_critic(critic, adam, x, targets, lr=1e-3)
     assert last < first
 
 
@@ -310,13 +315,15 @@ def test_update_actor_constant_critic_noop():
         "actions": rng.normal(size=(6, 1, 2)),
     }
     before = [w.copy() for w in actor.weights]
-    update_actor(0, actor, adam, critic, batch, lr=1e-3, action_reg=0.0)
+    x = critic_input(batch["state"], batch["actions"])
+    update_actor(0, actor, adam, critic, batch, x, lr=1e-3, action_reg=0.0)
     for w0, w1 in zip(before, actor.weights):
         assert np.array_equal(w0, w1)
 
 
 def test_update_actor_leaves_batch_actions_for_others():
-    # the critic sees agent 1's batch action, not its actor output
+    # the critic sees agent 1's batch action, not its actor output, and the
+    # shared critic input of the batch is left as it was
     rng = np.random.default_rng(6)
     actor0 = nn.init_mlp((4, 8, 2), "tanh", rng)
     adam0 = nn.init_adam(actor0)
@@ -327,8 +334,91 @@ def test_update_actor_leaves_batch_actions_for_others():
         "actions": rng.normal(size=(5, 2, 2)),
     }
     snap = batch["actions"].copy()
-    update_actor(0, actor0, adam0, critic, batch, lr=1e-4)
+    x = critic_input(batch["state"], batch["actions"])
+    x_snap = x.copy()
+    update_actor(0, actor0, adam0, critic, batch, x, lr=1e-4)
     assert np.array_equal(batch["actions"], snap)
+    assert np.array_equal(x, x_snap)
+
+
+def _reference_update_round(tr):
+    """Reference: one update round written with the public mlp_forward and
+    mlp_backward, a critic forward pass per use and a full backward pass per
+    gradient, as the trainer computed it before the forward caches."""
+    cfg = tr.cfg
+    groups = [(tr.sched_agents, tr.sched_buffer, cfg.gamma, 0.0, 0.0, True)]
+    if tr.traj_agents:
+        groups.append((tr.traj_agents, tr.traj_buffer, cfg.gamma ** madrl.TRAJECTORY_PERIOD,
+                       cfg.action_reg, cfg.traj_critic_weight_decay, tr.traj_actors_stepping()))
+    for agents, buffer, gamma, reg, wd, step_actors in groups:
+        if buffer.size < cfg.batch_size:
+            continue
+        batch = buffer.sample(tr.rng, cfg.batch_size)
+        b, _, act_dim = batch["actions"].shape
+        next_a = np.stack([nn.mlp_forward(a.actor_target, batch["next_obs"][:, i, :])
+                           for i, a in enumerate(agents)], axis=1)
+        for i, ag in enumerate(agents):
+            xn = np.concatenate([batch["next_state"], next_a.reshape(b, -1)], axis=1)
+            q_next = nn.mlp_forward(ag.critic_target, xn)[:, 0]
+            y = batch["reward"] + gamma * (1.0 - batch["done"]) * q_next
+
+            x = np.concatenate([batch["state"], batch["actions"].reshape(b, -1)], axis=1)
+            err = nn.mlp_forward(ag.critic, x)[:, 0] - y
+            gw, gb, _ = nn.mlp_backward(ag.critic, x, (2.0 * err / b)[:, None])
+            if wd > 0.0:
+                for g, w in zip(gw, ag.critic.weights):
+                    g += 2.0 * wd * w
+            nn.adam_step(ag.critic, gw, gb, ag.critic_adam, cfg.critic_lr)
+
+            if step_actors:
+                obs_i = batch["obs"][:, i, :]
+                a_i = nn.mlp_forward(ag.actor, obs_i)
+                actions = batch["actions"].copy()
+                actions[:, i, :] = a_i
+                xa = np.concatenate([batch["state"], actions.reshape(b, -1)], axis=1)
+                _, _, gx = nn.mlp_backward(ag.critic, xa, np.full((b, 1), -1.0 / b))
+                start = batch["state"].shape[1] + i * act_dim
+                da = gx[:, start : start + act_dim] + (2.0 * reg / b) * a_i
+                gw, gb, _ = nn.mlp_backward(ag.actor, obs_i, da)
+                nn.adam_step(ag.actor, gw, gb, ag.actor_adam, cfg.actor_lr)
+    for ag in tr.sched_agents + tr.traj_agents:
+        nn.soft_update(ag.actor_target, ag.actor, cfg.tau)
+        nn.soft_update(ag.critic_target, ag.critic, cfg.tau)
+    tr.update_rounds += 1
+
+
+def _trainer_arrays(tr):
+    out = []
+    for ag in tr.sched_agents + tr.traj_agents:
+        for net in (ag.actor, ag.actor_target, ag.critic, ag.critic_target):
+            out += net.weights + net.biases
+        for adam in (ag.actor_adam, ag.critic_adam):
+            out += adam.m_w + adam.v_w + adam.m_b + adam.v_b
+    return out
+
+
+@pytest.mark.parametrize("seed,batch_size", [(0, 8), (1, 13)])
+def test_update_round_equals_reference_round(seed, batch_size):
+    # velocity actors hold in rounds 0-1, step in rounds 2-3, hold from round 4
+    cfg = TrainConfig(
+        method="tts-maddpg", episodes=4, slots_per_episode=20, seed=seed,
+        warmup_transitions=8, batch_size=batch_size, traj_actor_delay=2, traj_actor_window=2,
+    )
+    tr = Trainer(make_env(n_ues=6), cfg)
+    for ep in range(4):
+        tr.rollout(ep)
+    assert len(tr.traj_buffer) >= batch_size
+    ref = copy.deepcopy(tr)
+    stepping = []
+    for _ in range(6):
+        stepping.append(tr.traj_actors_stepping())
+        tr.update_round()
+        _reference_update_round(ref)
+        assert tr.update_rounds == ref.update_rounds
+        assert [a.actor_adam.t for a in tr.traj_agents] == [a.actor_adam.t for a in ref.traj_agents]
+        assert all(np.array_equal(a, b) for a, b in zip(_trainer_arrays(tr), _trainer_arrays(ref)))
+        assert tr.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert stepping == [False, False, True, True, False, False]
 
 
 def make_trained_actors(env, seed=0):

@@ -1,9 +1,18 @@
 """Dense-net math: forward, exact gradients, Adam, soft updates, checkpoints."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntnsim import nn
+
+layer_sizes = st.lists(st.integers(1, 12), min_size=2, max_size=5)
+out_acts = st.sampled_from(["linear", "tanh"])
+seeds = st.integers(0, 2**32 - 1)
 
 
 def test_init_shapes_and_bounds():
@@ -152,6 +161,71 @@ def test_backward_batch_sums_parameter_grads():
         assert np.allclose(a, b, atol=1e-10)
 
 
+def _one_walk_backward(p, x, upstream):
+    """Reference: the backward pass as one walk that reruns the forward pass
+    and forms the parameter and input gradients together."""
+    acts, zs, h = [x], [], x
+    last = len(p.weights) - 1
+    for l, (w, b) in enumerate(zip(p.weights, p.biases)):
+        z = h @ w + b
+        zs.append(z)
+        if l < last:
+            h = np.maximum(z, 0.0)
+        else:
+            h = np.tanh(z) if p.out_act == "tanh" else z
+        acts.append(h)
+    g = upstream * (1.0 - h * h) if p.out_act == "tanh" else upstream
+    gw, gb = [None] * len(p.weights), [None] * len(p.biases)
+    for l in range(last, -1, -1):
+        gw[l] = acts[l].T @ g
+        gb[l] = g.sum(axis=0)
+        g = g @ p.weights[l].T
+        if l > 0:
+            g = g * (zs[l - 1] > 0.0)
+    return h, gw, gb, g
+
+
+def _all_equal(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(a, b) for a, b in zip(xs, ys))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=layer_sizes, batch=st.integers(1, 16), out_act=out_acts, seed=seeds)
+def test_split_gradients_equal_one_walk_backward(sizes, batch, out_act, seed):
+    rng = np.random.default_rng(seed)
+    p = nn.init_mlp(sizes, out_act, rng)
+    x = rng.normal(size=(batch, sizes[0]))
+    up = rng.normal(size=(batch, sizes[-1]))
+    up_before = up.copy()
+    y_ref, gw_ref, gb_ref, gx_ref = _one_walk_backward(p, x, up)
+
+    y, cache = nn.forward_pass(p, x)
+    gw, gb = nn.param_grads(p, cache, up)
+    gx = nn.input_grad(p, cache, up)
+    assert np.array_equal(y, y_ref)
+    assert _all_equal(gw, gw_ref) and _all_equal(gb, gb_ref)
+    assert np.array_equal(gx, gx_ref)
+    assert np.array_equal(up, up_before)  # upstream is read, never written
+    assert np.array_equal(nn.mlp_forward(p, x), y_ref)
+
+    gw2, gb2, gx2 = nn.mlp_backward(p, x, up)
+    assert _all_equal(gw2, gw) and _all_equal(gb2, gb) and np.array_equal(gx2, gx)
+    gw1, gb1, gx1 = nn.mlp_backward(p, x[0], up[0])  # a single sample is a batch of one
+    y1, gw1_ref, gb1_ref, gx1_ref = _one_walk_backward(p, x[:1], up[:1])
+    assert np.array_equal(nn.mlp_forward(p, x[0]), y1[0])
+    assert _all_equal(gw1, gw1_ref) and _all_equal(gb1, gb1_ref)
+    assert np.array_equal(gx1, gx1_ref[0])
+
+
+def test_split_gradients_reject_wrong_upstream_shape():
+    rng = np.random.default_rng(13)
+    p = nn.init_mlp((3, 4, 2), "tanh", rng)
+    _, cache = nn.forward_pass(p, rng.normal(size=(5, 3)))
+    for grad in (nn.param_grads, nn.input_grad):
+        with pytest.raises(ValueError):
+            grad(p, cache, np.zeros((5, 3)))
+
+
 def test_adam_first_step_is_signed_lr():
     rng = np.random.default_rng(7)
     p = nn.init_mlp((2, 3), "linear", rng)
@@ -188,6 +262,51 @@ def test_adam_descends_quadratic():
         nn.adam_step(p, [np.array([[2 * (w - 3.0)]])], [np.array([2 * (b + 1.0)])], state, 1e-2)
     assert abs(p.weights[0][0, 0] - 3.0) < 1e-3
     assert abs(p.biases[0][0] + 1.0) < 1e-3
+
+
+def _reference_adam(params, grads_w, grads_b, state, lr, beta1, beta2, eps):
+    """Reference: the Adam step written with one temporary per operation."""
+    state.t += 1
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    for p, g, m, v in zip(params.weights + params.biases, grads_w + grads_b,
+                          state.m_w + state.m_b, state.v_w + state.v_b):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=layer_sizes,
+    out_act=out_acts,
+    seed=seeds,
+    steps=st.integers(1, 6),
+    lr=st.sampled_from([0.0, 1e-4, 1e-3, 0.3]),
+    beta1=st.sampled_from([0.0, 0.5, 0.9]),
+    beta2=st.sampled_from([0.9, 0.999]),
+    eps=st.sampled_from([1e-8, 1e-3]),
+)
+def test_adam_in_place_equals_reference(sizes, out_act, seed, steps, lr, beta1, beta2, eps):
+    rng = np.random.default_rng(seed)
+    p = nn.init_mlp(sizes, out_act, rng)
+    ref = p.copy()
+    state, ref_state = nn.init_adam(p), nn.init_adam(ref)
+    for _ in range(steps):
+        # some exact zeros, some large values
+        gw = [rng.normal(size=w.shape) * rng.choice([0.0, 1.0, 1e3], size=w.shape)
+              for w in p.weights]
+        gb = [rng.normal(size=b.shape) for b in p.biases]
+        snapshot = [g.copy() for g in gw + gb]
+        nn.adam_step(p, gw, gb, state, lr, beta1, beta2, eps)
+        _reference_adam(ref, gw, gb, ref_state, lr, beta1, beta2, eps)
+        assert _all_equal(gw + gb, snapshot)  # gradients are read, never written
+        assert state.t == ref_state.t
+        assert _all_equal(p.weights + p.biases, ref.weights + ref.biases)
+        assert _all_equal(state.m_w + state.m_b, ref_state.m_w + ref_state.m_b)
+        assert _all_equal(state.v_w + state.v_b, ref_state.v_w + ref_state.v_b)
 
 
 def test_soft_update_endpoints_and_decay():
@@ -243,3 +362,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(bytes(raw) + b"\x00")  # trailing garbage
     with pytest.raises(ValueError):
         nn.load_params(bad)
+
+    bad.write_bytes(bytes(raw[:-8]))  # payload cut short
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        nn.load_params(bad)
+
+    for cut in (8, 12, 16, 20):  # header cut before or inside the layer sizes
+        bad.write_bytes(bytes(raw[:cut]))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            nn.load_params(bad)
+
+    def checkpoint(sizes, n_floats):
+        head = struct.pack("<BBHI", nn.FORMAT_VERSION, 0, 0, len(sizes))
+        return nn.MAGIC + head + struct.pack(f"<{len(sizes)}I", *sizes) + bytes(8 * n_floats)
+
+    # no layer, one layer (a net without weights), a zero layer size
+    for sizes, n_floats in [((), 0), ((5,), 0), ((3, 0, 2), 2)]:
+        bad.write_bytes(checkpoint(sizes, n_floats))
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            nn.load_params(bad)
+    bad.write_bytes(checkpoint((3, 1, 2), 3 + 1 + 2 + 2))
+    assert nn.load_params(bad).layer_sizes == (3, 1, 2)
