@@ -54,6 +54,9 @@ class ExperimentConfig:
             raise ConfigError(f"run.method must be one of {METHODS}, got {self.method!r}")
         if not self.seeds:
             raise ConfigError("run.seeds must list at least one seed")
+        # each seed writes its own run directory, and numpy refuses negative seeds
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"run.seeds must be distinct and non-negative, got {self.seeds}")
         if self.k_obs < 1:
             raise ConfigError("train.k_obs must be positive")
         # Checked here rather than in TrainConfig.validate: a Trainer built

@@ -129,22 +129,18 @@ def step_slot(
 ) -> tuple[WorldState, SlotMetrics]:
     """Advance the world by one slot under the given per-UAV service choices.
 
-    Pipeline order: expire packets, draw arrivals, evaluate access SINR with
-    co-channel active UAVs as interferers, cap node service by its backhaul
-    share, serve the chosen queues, move the UEs, advance the slot counter.
-    The access links use the association's geometry with a LoS state drawn
-    per link.
+    Pipeline order: drop expired cohorts (per UE in `dropped_by_ue`), draw
+    arrivals into a new cohort, evaluate access SINR with co-channel active
+    UAVs as interferers, cap node service by its backhaul share, drain each
+    chosen UE's queue oldest cohort first, move the UEs, advance the slot
+    counter. The access links use the association's geometry with a LoS
+    state drawn per link.
     """
     if association is None:
         association = associate(world, chan)
     links = association.links
-    metrics = SlotMetrics(slot=world.slot)
-    metrics.delivered_by_uav = {p.id: 0 for p in world.cfg.platforms}
-
-    for ue_id, queue in world.queues.items():
-        metrics.dropped_by_ue[ue_id] = traffic.drop_expired(queue, world.slot, tcfg.deadline_slots)
-        metrics.delivered_by_ue[ue_id] = 0
-
+    dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
+    metrics = SlotMetrics(world.slot, {p.id: 0 for p in world.cfg.platforms}, dropped)
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
 
     rows = {p.id: i for i, p in enumerate(world.cfg.platforms)}
@@ -177,9 +173,7 @@ def step_slot(
         capacity = int(rate * world.cfg.slot_seconds)
         if p.tier == UNTETHERED_NODE:
             capacity = min(capacity, int(bh_rates[p.id] * world.cfg.slot_seconds))
-        delivered = traffic.serve_bits(world.queues[ue_id], capacity)
-        metrics.delivered_by_uav[p.id] = delivered
-        metrics.delivered_by_ue[ue_id] += delivered
+        metrics.delivered_by_uav[p.id] = traffic.serve_bits(world.queue, ue_id, capacity)
 
     step_ue_mobility(world, world.cfg.slot_seconds)
     world.slot += 1

@@ -104,14 +104,11 @@ def local_observation(
     out = np.zeros(agent.obs_dim)
     out[0] = px / w
     out[1] = py / h
-    for i, ue_id in enumerate(ranked[agent.platform_id][:k_obs]):
-        ux, uy = world.ue_positions[ue_id]
-        q = world.queues[ue_id]
-        base = 2 + 4 * i
-        out[base] = (ux - px) / w
-        out[base + 1] = (uy - py) / h
-        out[base + 2] = min(q.queued_bits() / norm.backlog_bits, 1.0)
-        out[base + 3] = min(q.hol_age(world.slot) / norm.age_slots, 1.0)
+    ue_ids = ranked[agent.platform_id][:k_obs]
+    per_ue = out[2 : 2 + 4 * len(ue_ids)].reshape(-1, 4)
+    per_ue[:, :2] = (world.ue_positions[ue_ids] - (px, py)) / (w, h)
+    per_ue[:, 2] = np.minimum(world.queue.queued_bits(ue_ids) / norm.backlog_bits, 1.0)
+    per_ue[:, 3] = np.minimum(world.queue.hol_age(world.slot, ue_ids) / norm.age_slots, 1.0)
     if agent.group == "trajectory":
         donor_row = next(j for j, p in enumerate(world.cfg.platforms) if p.tier == TETHERED_DONOR)
         out[-2] = (world.positions[donor_row, 0] - px) / w
@@ -123,14 +120,13 @@ def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
     """All platform positions, all UE positions (id order), all backlogs and
     head-of-line ages, each normalized. Used by critics only."""
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    queues = world.queues.values()  # keyed and ordered by UE id
     return np.concatenate([
         world.positions[:, 0] / w,
         world.positions[:, 1] / h,
         world.ue_positions[:, 0] / w,
         world.ue_positions[:, 1] / h,
-        [min(q.queued_bits() / norm.backlog_bits, 1.0) for q in queues],
-        [min(q.hol_age(world.slot) / norm.age_slots, 1.0) for q in queues],
+        np.minimum(world.queue.queued_bits() / norm.backlog_bits, 1.0),
+        np.minimum(world.queue.hol_age(world.slot) / norm.age_slots, 1.0),
     ])
 
 
@@ -476,8 +472,8 @@ def run_episode(
             res.macro_rewards.append(macro_sum)
 
     res.delivered_bits = sum(res.delivered_by_uav.values())
-    res.arrived_bits = sum(q.arrived_bits for q in world.queues.values())
-    res.dropped_bits = sum(q.dropped_bits for q in world.queues.values())
+    res.arrived_bits = int(world.queue.arrived_bits.sum())
+    res.dropped_bits = int(world.queue.dropped_bits.sum())
     return res
 
 

@@ -134,7 +134,7 @@ class WorldState:
     """Full simulation snapshot; one instance per rollout, never shared.
 
     Ground users stand at height 0 and move waypoint-to-waypoint; row i of
-    every UE array, and key i of `queues`, is UE id i.
+    every UE array, and of the queue's matrix, is UE id i.
     """
 
     cfg: ScenarioConfig
@@ -143,7 +143,7 @@ class WorldState:
     ue_positions: np.ndarray  # (n_ues, 2) meters
     ue_waypoints: np.ndarray  # (n_ues, 2) meters
     ue_speeds: np.ndarray  # (n_ues,) m/s toward the waypoint
-    queues: dict[int, PacketQueue]
+    queue: PacketQueue
     rng: np.random.Generator
 
 
@@ -182,10 +182,10 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
         (w, h, w, h, cfg.ue_speed_max_mps),
         size=(cfg.n_ues, 5),
     )
-    queues = {ue_id: PacketQueue() for ue_id in range(cfg.n_ues)}
     return WorldState(
         cfg=cfg, slot=0, positions=positions, ue_positions=ues[:, 0:2].copy(),
-        ue_waypoints=ues[:, 2:4].copy(), ue_speeds=ues[:, 4].copy(), queues=queues, rng=rng,
+        ue_waypoints=ues[:, 2:4].copy(), ue_speeds=ues[:, 4].copy(),
+        queue=PacketQueue(cfg.n_ues), rng=rng,
     )
 
 

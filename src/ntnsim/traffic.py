@@ -1,18 +1,23 @@
 """Poisson packet arrivals, deadline-dropping queues, and bit accounting.
 
-All bit quantities are integers so that the conservation identity
-arrived = delivered + dropped + queued holds exactly, with zero tolerance.
+The packets that reach one UE in one slot share size and arrival slot, so all
+queues are one int64 matrix of remaining bits, a row per UE and a column per
+arrival slot (a deadline cohort); draining a row oldest column first is FIFO
+service. Integer bits keep arrived = delivered + dropped + queued exact.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # exp(-lambda) in Knuth's sampler leaves the normal float range near 708, so
 # larger means come out biased low (lambda = 800 draws a mean of about 745)
 MAX_EXACT_LAMBDA = 700.0
+# int64 bit counts: a UE reaches 2**63 bits only after 2**31 such packets
+MAX_PACKET_BITS = 2**32
 
 
 @dataclass
@@ -22,8 +27,8 @@ class TrafficConfig:
     deadline_slots: int = 10
 
     def validate(self) -> None:
-        if self.lambda_pkts < 0 or self.packet_bits <= 0:
-            raise ValueError("traffic.lambda must be non-negative and packet_bits positive")
+        if self.lambda_pkts < 0 or not 0 < self.packet_bits <= MAX_PACKET_BITS:
+            raise ValueError(f"traffic.lambda must be >= 0, packet_bits in [1, {MAX_PACKET_BITS}]")
         if self.lambda_pkts > MAX_EXACT_LAMBDA:
             raise ValueError(
                 f"traffic.lambda must be at most {MAX_EXACT_LAMBDA:g}: above it the Poisson "
@@ -33,35 +38,42 @@ class TrafficConfig:
             raise ValueError("traffic.deadline_slots must be at least 1")
 
 
-@dataclass
-class Packet:
-    ue_id: int
-    size_bits: int
-    arrival_slot: int
-    remaining_bits: int
-
-
 class PacketQueue:
-    """FIFO queue of packets for one UE, with cumulative bit counters."""
+    """The queues of n_ues UEs as cohorts of remaining bits, with per-UE bit
+    counters. Columns [0, n_cohorts) are the live cohorts, oldest first, and
+    every cell past them is 0; the matrix widens when all columns are live."""
 
-    def __init__(self):
-        self.packets: deque[Packet] = deque()
-        self.arrived_bits = 0
-        self.delivered_bits = 0
-        self.dropped_bits = 0
+    def __init__(self, n_ues: int):
+        self.cells = np.zeros((n_ues, 1), dtype=np.int64)
+        self.arrival_slots = np.zeros(1, dtype=np.int64)
+        self.n_cohorts = 0
+        self.arrived_bits = np.zeros(n_ues, dtype=np.int64)
+        self.delivered_bits = np.zeros(n_ues, dtype=np.int64)
+        self.dropped_bits = np.zeros(n_ues, dtype=np.int64)
 
-    def push(self, packet: Packet):
-        self.packets.append(packet)
-        self.arrived_bits += packet.size_bits
+    def push(self, slot: int, bits) -> None:
+        """Add a cohort of `bits[i]` arriving at UE i in `slot`; slots of
+        successive cohorts must not decrease."""
+        n = self.n_cohorts
+        if n == len(self.arrival_slots):
+            self.cells = np.hstack((self.cells, np.zeros_like(self.cells)))
+            self.arrival_slots = np.resize(self.arrival_slots, 2 * n)
+        self.cells[:, n] = bits
+        self.arrival_slots[n] = slot
+        self.n_cohorts = n + 1
+        self.arrived_bits += bits
+        if self.arrived_bits.min() < 0:  # wrapped; every cell and counter is at most this
+            raise OverflowError("a UE's arrived bits passed the int64 range")
 
-    def queued_bits(self) -> int:
-        return sum(p.remaining_bits for p in self.packets)
+    def queued_bits(self, ue_ids=slice(None)) -> np.ndarray:
+        """Bits waiting at every UE in id order, or at the UEs `ue_ids`."""
+        return self.cells[ue_ids].sum(axis=1)
 
-    def hol_age(self, current_slot: int) -> int:
-        """Age in slots of the head-of-line packet; 0 when empty."""
-        if not self.packets:
-            return 0
-        return current_slot - self.packets[0].arrival_slot
+    def hol_age(self, current_slot: int, ue_ids=slice(None)) -> np.ndarray:
+        """Age in slots of each UE's oldest waiting bit; 0 for an empty queue."""
+        waiting = self.cells[ue_ids] > 0
+        oldest = self.arrival_slots[waiting.argmax(axis=1)]
+        return np.where(waiting.any(axis=1), current_slot - oldest, 0)
 
 
 def sample_poisson(rng, lam: float) -> int:
@@ -81,44 +93,39 @@ def sample_poisson(rng, lam: float) -> int:
 
 
 def generate_arrivals(world, lam: float, packet_bits: int):
-    """Append this slot's Poisson arrivals to every UE queue, in UE-id order."""
-    for ue_id, queue in world.queues.items():
-        for _ in range(sample_poisson(world.rng, lam)):
-            queue.push(
-                Packet(
-                    ue_id=ue_id,
-                    size_bits=packet_bits,
-                    arrival_slot=world.slot,
-                    remaining_bits=packet_bits,
-                )
-            )
-    return world
+    """Draw this slot's Poisson arrivals, UE by UE in id order, into a new cohort."""
+    bits = [sample_poisson(world.rng, lam) * packet_bits for _ in range(world.cfg.n_ues)]
+    world.queue.push(world.slot, np.array(bits, dtype=np.int64))
 
 
-def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> int:
-    """Remove packets that have waited deadline_slots or more; return dropped bits."""
-    dropped = 0
-    packets = queue.packets
-    while packets and current_slot - packets[0].arrival_slot >= deadline_slots:
-        dropped += packets.popleft().remaining_bits
+def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> np.ndarray:
+    """Drop the cohorts that have waited deadline_slots or more; return bits dropped per UE."""
+    n = queue.n_cohorts
+    k = int(np.searchsorted(queue.arrival_slots[:n], current_slot - deadline_slots, side="right"))
+    dropped = queue.cells[:, :k].sum(axis=1)
+    queue.cells[:, : n - k] = queue.cells[:, k:n]
+    queue.cells[:, n - k : n] = 0
+    queue.arrival_slots[: n - k] = queue.arrival_slots[k:n]
+    queue.n_cohorts = n - k
     queue.dropped_bits += dropped
     return dropped
 
 
-def serve_bits(queue: PacketQueue, capacity_bits: int) -> int:
-    """Drain up to capacity_bits head-of-line first; partial packets keep residuals."""
+def serve_bits(queue: PacketQueue, ue_id: int, capacity_bits: int) -> int:
+    """Drain up to capacity_bits from one UE's queue, oldest cohort first;
+    a partly served cohort keeps its residual. A Python walk over the row:
+    on a deadline's worth of cells it is several times faster than numpy."""
     if capacity_bits < 0:
         raise ValueError("capacity must be nonnegative")
+    row = queue.cells[ue_id]
     delivered = 0
-    packets = queue.packets
-    while packets and delivered < capacity_bits:
-        head = packets[0]
-        take = min(head.remaining_bits, capacity_bits - delivered)
-        head.remaining_bits -= take
+    for c, bits in enumerate(row[: queue.n_cohorts].tolist()):
+        if delivered == capacity_bits:
+            break
+        take = min(bits, capacity_bits - delivered)
+        row[c] = bits - take
         delivered += take
-        if head.remaining_bits == 0:
-            packets.popleft()
-    queue.delivered_bits += delivered
+    queue.delivered_bits[ue_id] += delivered
     return delivered
 
 
@@ -128,8 +135,7 @@ class SlotMetrics:
 
     slot: int
     delivered_by_uav: dict[int, int] = field(default_factory=dict)
-    delivered_by_ue: dict[int, int] = field(default_factory=dict)
-    dropped_by_ue: dict[int, int] = field(default_factory=dict)
+    dropped_by_ue: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def delivered_bits(self) -> int:

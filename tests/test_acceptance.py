@@ -216,9 +216,9 @@ def test_criterion_04_queue_conservation():
         assoc = mac.associate(world, env.channel)
         choices = mac.rr_schedule(assoc, t, uav_ids)
         world, _ = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
-        for q in world.queues.values():
-            assert q.arrived_bits == q.delivered_bits + q.dropped_bits + q.queued_bits()
-            checks += 1
+        q = world.queue
+        assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
+        checks += len(q.arrived_bits)
     _report(4, True, f"arrived == delivered + dropped + residual on {checks} UE-slot checks")
 
 
@@ -229,9 +229,12 @@ def test_criterion_05_deadline_property(monkeypatch):
     now = {"slot": 0}
     real_serve = traffic.serve_bits
 
-    def spy(queue, capacity_bits):
-        before = [(p.arrival_slot, p.remaining_bits) for p in queue.packets]
-        delivered = real_serve(queue, capacity_bits)
+    def spy(queue, ue_id, capacity_bits):
+        # the served UE's waiting cohorts, oldest first
+        n = queue.n_cohorts
+        cohorts = zip(queue.arrival_slots[:n].tolist(), queue.cells[ue_id, :n].tolist())
+        before = [(arrival, remaining) for arrival, remaining in cohorts if remaining > 0]
+        delivered = real_serve(queue, ue_id, capacity_bits)
         drained = delivered
         for arrival, remaining in before:
             if drained <= 0:
@@ -252,7 +255,7 @@ def test_criterion_05_deadline_property(monkeypatch):
     _report(
         5,
         len(ages) > 0 and max(ages) < deadline,
-        f"{len(ages)} served packets, max age {max(ages)} slots (deadline {deadline})",
+        f"{len(ages)} served cohorts, max age {max(ages)} slots (deadline {deadline})",
     )
 
 

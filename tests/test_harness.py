@@ -96,9 +96,20 @@ def test_parse_config_rejects_invalid_values():
         "[train]\neval_episodes = 0\n",
         "[train]\ngamma = 1.5\n",
         "[train]\ngamma = -0.1\n",
+        # numpy refuses a negative seed only after the run directory exists
+        "[run]\nseeds = -2\n",
+        "[run]\nseeds = 0, -1\n",
+        # two seeds of one run would write the same <method>_seed3 directory
+        "[run]\nseeds = 3, 3\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(text)
+    # the queues count bits in int64; the message names the limit
+    with pytest.raises(ConfigError, match="4294967296"):
+        parse_config("[traffic]\npacket_bits = 9223372036854775808\n")
+    with pytest.raises(ConfigError, match="4294967296"):
+        parse_config("[traffic]\npacket_bits = 4294967297\n")
+    assert parse_config("[traffic]\npacket_bits = 4294967296\n").traffic.packet_bits == 2**32
     # above 700 the Poisson sampler is biased low; the message names the limit
     with pytest.raises(ConfigError, match="700"):
         parse_config("[traffic]\nlambda = 720\n")
@@ -298,7 +309,15 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for text in ("[traffic]\nlambda = nan\n", "[train]\neval_every_episodes = 0\n",
                  "[train]\nsched_buffer_capacity = 0\n",
                  "[train]\nslots_per_episode = 10\nslots_per_update = 11\n",
-                 "[train]\neval_episodes = 0\n", "[train]\ngamma = 5\n"):
+                 "[train]\neval_episodes = 0\n", "[train]\ngamma = 5\n",
+                 "[run]\nseeds = -2\n", "[run]\nseeds = 3, 3\n",
+                 "[traffic]\npacket_bits = 9223372036854775808\n"):
         bad.write_text(text)
         assert cli.main(["run", "--config", str(bad), "--quiet"]) == 2
+    capsys.readouterr()
+    out = tmp_path / "neg"
+    argv = ["run", "--method", "rr", "--episodes", "1", "--out", str(out), "--quiet"]
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert "run.seeds must be distinct and non-negative" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run directory is made
     assert cli.main(["compare", str(tmp_path / "missing")]) == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ntnsim import mac
 from ntnsim.channel import ChannelConfig
 from ntnsim.scenario import ScenarioConfig, default_fleet, init_world
-from ntnsim.traffic import Packet, TrafficConfig
+from ntnsim.traffic import TrafficConfig
 
 
 def make_world(seed=0, **cfg_kwargs):
@@ -255,15 +255,11 @@ def test_step_slot_advances_clock_and_moves_ues():
 def test_step_slot_queue_conservation():
     world = make_world(seed=9)
     world, metrics = run_slots(world, TrafficConfig(), ChannelConfig(), 200)
-    for q in world.queues.values():
-        assert q.arrived_bits == q.delivered_bits + q.dropped_bits + q.queued_bits()
+    q = world.queue
+    assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
     # metric streams agree with the cumulative queue counters
-    assert sum(m.delivered_bits for m in metrics) == sum(
-        q.delivered_bits for q in world.queues.values()
-    )
-    assert sum(sum(m.dropped_by_ue.values()) for m in metrics) == sum(
-        q.dropped_bits for q in world.queues.values()
-    )
+    assert sum(m.delivered_bits for m in metrics) == q.delivered_bits.sum()
+    assert np.array_equal(sum(m.dropped_by_ue for m in metrics), q.dropped_bits)
 
 
 def test_step_slot_rejects_out_of_cell_choice():
@@ -291,8 +287,7 @@ def test_step_slot_node_capped_by_backhaul():
     chan = ChannelConfig(backhaul_bandwidth_hz=2e5)
     tcfg = TrafficConfig()
     # preload every queue so service is never queue-limited
-    for q in world.queues.values():
-        q.push(Packet(ue_id=0, size_bits=10**9, arrival_slot=0, remaining_bits=10**9))
+    world.queue.push(0, np.full(world.cfg.n_ues, 10**9))
     caps = {
         nid: int(r * world.cfg.slot_seconds)
         for nid, r in mac.backhaul_rates(world, chan).items()

@@ -46,7 +46,7 @@ def test_init_world_placement():
     assert world.slot == 0
     assert world.ue_positions.shape == world.ue_waypoints.shape == (6, 2)
     assert world.ue_speeds.shape == (6,)
-    assert list(world.queues) == list(range(6))
+    assert world.queue.queued_bits().tolist() == [0] * 6
 
 
 def test_init_world_deterministic():

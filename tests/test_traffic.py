@@ -1,15 +1,24 @@
 """Poisson arrivals, deadline drops, FIFO fluid service, conservation."""
 
+from collections import deque
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntnsim import traffic
 from ntnsim.scenario import ScenarioConfig, init_world
-from ntnsim.traffic import Packet, PacketQueue, TrafficConfig
+from ntnsim.traffic import PacketQueue, TrafficConfig
 
 
-def make_packet(arrival_slot, bits=100_000, ue_id=0):
-    return Packet(ue_id=ue_id, size_bits=bits, arrival_slot=arrival_slot, remaining_bits=bits)
+def one_ue(*arrivals):
+    """A one-UE queue holding (arrival_slot, bits) cohorts."""
+    q = PacketQueue(1)
+    for slot, bits in arrivals:
+        q.push(slot, [bits])
+    return q
 
 
 def test_sample_poisson_edge_cases():
@@ -29,100 +38,195 @@ def test_sample_poisson_moments():
 def test_generate_arrivals_counts_and_determinism():
     cfg = ScenarioConfig(n_ues=20)
     world = init_world(cfg, seed=1)
+    rng = np.random.default_rng()
+    rng.bit_generator.state = world.rng.bit_generator.state
     for slot in range(200):
         world.slot = slot
         traffic.generate_arrivals(world, lam=4.0, packet_bits=50_000)
-    total_packets = sum(len(q.packets) for q in world.queues.values())
+        # one draw per UE, in id order, all into this slot's cohort
+        counts = [traffic.sample_poisson(rng, 4.0) for _ in range(20)]
+        assert world.queue.arrival_slots[slot] == slot
+        assert world.queue.cells[:, slot].tolist() == [50_000 * c for c in counts]
+    total_packets = int(world.queue.queued_bits().sum()) // 50_000
     mean, sigma = 20 * 4.0 * 200, (20 * 4.0 * 200) ** 0.5
     assert abs(total_packets - mean) < 3 * sigma
-    for q in world.queues.values():
-        assert q.arrived_bits == sum(p.size_bits for p in q.packets)
+    assert np.array_equal(world.queue.arrived_bits, world.queue.queued_bits())
 
     again = init_world(cfg, seed=1)
     for slot in range(200):
         again.slot = slot
         traffic.generate_arrivals(again, lam=4.0, packet_bits=50_000)
-    assert [len(q.packets) for q in world.queues.values()] == [
-        len(q.packets) for q in again.queues.values()
-    ]
+    assert np.array_equal(world.queue.cells, again.queue.cells)
 
 
 def test_generate_arrivals_lambda_zero():
     world = init_world(ScenarioConfig(n_ues=5), seed=0)
     traffic.generate_arrivals(world, lam=0.0, packet_bits=50_000)
-    assert all(not q.packets for q in world.queues.values())
+    assert not world.queue.queued_bits().any()
 
 
 def test_hol_age():
-    q = PacketQueue()
-    assert q.hol_age(12) == 0
-    q.push(make_packet(arrival_slot=5))
-    assert q.hol_age(12) == 7
+    q = one_ue()
+    assert q.hol_age(12).tolist() == [0]
+    q.push(5, [100_000])
+    assert q.hol_age(12).tolist() == [7]
+
+
+def test_push_refuses_to_wrap_int64():
+    q = one_ue((0, 2**62))
+    with pytest.raises(OverflowError):
+        q.push(1, [2**62])
 
 
 def test_drop_expired_boundary():
-    q = PacketQueue()
-    q.push(make_packet(arrival_slot=5))
-    assert traffic.drop_expired(q, current_slot=14, deadline_slots=10) == 0
-    assert len(q.packets) == 1
-    assert traffic.drop_expired(q, current_slot=15, deadline_slots=10) == 100_000
-    assert not q.packets
-    assert q.dropped_bits == 100_000
-    assert traffic.drop_expired(q, current_slot=16) == 0
+    q = one_ue((5, 100_000))
+    assert traffic.drop_expired(q, current_slot=14, deadline_slots=10).tolist() == [0]
+    assert q.n_cohorts == 1
+    assert traffic.drop_expired(q, current_slot=15, deadline_slots=10).tolist() == [100_000]
+    assert q.n_cohorts == 0
+    assert q.dropped_bits.tolist() == [100_000]
+    assert traffic.drop_expired(q, current_slot=16).tolist() == [0]
 
 
 def test_drop_expired_partial_residual():
-    q = PacketQueue()
-    q.push(make_packet(arrival_slot=0))
-    traffic.serve_bits(q, 40_000)
+    q = one_ue((0, 100_000))
+    traffic.serve_bits(q, 0, 40_000)
     dropped = traffic.drop_expired(q, current_slot=10, deadline_slots=10)
-    assert dropped == 60_000  # only the residual counts as dropped
+    assert dropped.tolist() == [60_000]  # only the residual counts as dropped
 
 
 def test_serve_bits_examples():
-    q = PacketQueue()
-    q.push(make_packet(0, bits=100_000))
-    assert traffic.serve_bits(q, 250_000) == 100_000
-    assert not q.packets
+    q = one_ue((0, 100_000))
+    assert traffic.serve_bits(q, 0, 250_000) == 100_000
+    assert q.queued_bits().tolist() == [0]
 
-    q = PacketQueue()
-    for _ in range(3):
-        q.push(make_packet(0, bits=100_000))
-    assert traffic.serve_bits(q, 250_000) == 250_000
-    assert len(q.packets) == 1
-    assert q.packets[0].remaining_bits == 50_000
+    q = one_ue(*[(0, 100_000)] * 3)
+    assert traffic.serve_bits(q, 0, 250_000) == 250_000
+    assert q.cells[0, : q.n_cohorts].tolist() == [0, 0, 50_000]
 
     before = q.queued_bits()
-    assert traffic.serve_bits(q, 0) == 0
-    assert q.queued_bits() == before
+    assert traffic.serve_bits(q, 0, 0) == 0
+    assert np.array_equal(q.queued_bits(), before)
     with pytest.raises(ValueError):
-        traffic.serve_bits(q, -1)
+        traffic.serve_bits(q, 0, -1)
 
 
 def test_serve_bits_is_fifo():
-    q = PacketQueue()
-    q.push(make_packet(0, bits=10_000))
-    q.push(make_packet(1, bits=10_000))
-    traffic.serve_bits(q, 15_000)
-    assert len(q.packets) == 1
-    assert q.packets[0].arrival_slot == 1
-    assert q.packets[0].remaining_bits == 5_000
+    q = one_ue((0, 10_000), (1, 10_000))
+    traffic.serve_bits(q, 0, 15_000)
+    assert q.cells[0, : q.n_cohorts].tolist() == [0, 5_000]
+    assert q.hol_age(3).tolist() == [2]  # the slot-1 cohort is the head now
 
 
 def test_conservation_under_random_operations():
     rng = np.random.default_rng(9)
-    q = PacketQueue()
+    q = PacketQueue(3)
     slot = 0
     for _ in range(5_000):
         op = rng.integers(0, 3)
         if op == 0:
-            q.push(make_packet(slot, bits=int(rng.integers(1, 200_000))))
+            q.push(slot, rng.integers(0, 200_000, size=3))
         elif op == 1:
-            traffic.serve_bits(q, int(rng.integers(0, 300_000)))
+            traffic.serve_bits(q, int(rng.integers(0, 3)), int(rng.integers(0, 300_000)))
         else:
             slot += int(rng.integers(0, 4))
             traffic.drop_expired(q, slot, deadline_slots=10)
-        assert q.arrived_bits == q.delivered_bits + q.dropped_bits + q.queued_bits()
+        assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
+
+
+@dataclass
+class Packet:
+    size_bits: int
+    arrival_slot: int
+    remaining_bits: int
+
+
+class FifoQueue:
+    """One UE's queue as a FIFO of packets with fluid head-of-line service:
+    the reference the cohort matrix must match."""
+
+    def __init__(self):
+        self.packets: deque[Packet] = deque()
+        self.arrived_bits = self.delivered_bits = self.dropped_bits = 0
+
+    def push(self, packet: Packet):
+        self.packets.append(packet)
+        self.arrived_bits += packet.size_bits
+
+    def queued_bits(self) -> int:
+        return sum(p.remaining_bits for p in self.packets)
+
+    def hol_age(self, current_slot: int) -> int:
+        return current_slot - self.packets[0].arrival_slot if self.packets else 0
+
+    def drop_expired(self, current_slot: int, deadline_slots: int) -> int:
+        dropped = 0
+        while self.packets and current_slot - self.packets[0].arrival_slot >= deadline_slots:
+            dropped += self.packets.popleft().remaining_bits
+        self.dropped_bits += dropped
+        return dropped
+
+    def serve(self, capacity_bits: int) -> int:
+        delivered = 0
+        while self.packets and delivered < capacity_bits:
+            head = self.packets[0]
+            take = min(head.remaining_bits, capacity_bits - delivered)
+            head.remaining_bits -= take
+            delivered += take
+            if head.remaining_bits == 0:
+                self.packets.popleft()
+        self.delivered_bits += delivered
+        return delivered
+
+
+@st.composite
+def queue_histories(draw):
+    """UE count, deadline, and a run of arrivals (packet count and size per
+    UE), services (UE, capacity) and slot advances followed by expiry."""
+    n_ues = draw(st.integers(1, 4))
+    deadline = draw(st.integers(1, 6))
+    per_ue = st.lists(
+        st.tuples(st.integers(0, 3), st.integers(1, 1_000)), min_size=n_ues, max_size=n_ues
+    )
+    ops = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("arrive"), per_ue),
+            st.tuples(st.just("serve"), st.integers(0, n_ues - 1), st.integers(0, 4_000)),
+            st.tuples(st.just("advance"), st.integers(0, 3)),
+        ),
+        max_size=80,
+    ))
+    return n_ues, deadline, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(queue_histories())
+def test_cohort_queue_matches_packet_fifo(history):
+    n_ues, deadline, ops = history
+    queue = PacketQueue(n_ues)
+    fifos = [FifoQueue() for _ in range(n_ues)]
+    slot = 0
+    for op in ops:
+        if op[0] == "arrive":
+            for fifo, (count, size) in zip(fifos, op[1]):
+                for _ in range(count):
+                    fifo.push(Packet(size, slot, size))
+            queue.push(slot, [count * size for count, size in op[1]])
+        elif op[0] == "serve":
+            _, ue, capacity = op
+            assert traffic.serve_bits(queue, ue, capacity) == fifos[ue].serve(capacity)
+        else:
+            slot += op[1]
+            dropped = traffic.drop_expired(queue, slot, deadline)
+            assert dropped.tolist() == [f.drop_expired(slot, deadline) for f in fifos]
+        assert queue.queued_bits().tolist() == [f.queued_bits() for f in fifos]
+        assert queue.hol_age(slot).tolist() == [f.hol_age(slot) for f in fifos]
+        for counter in ("arrived_bits", "delivered_bits", "dropped_bits"):
+            assert getattr(queue, counter).tolist() == [getattr(f, counter) for f in fifos]
+    # the UE-subset queries read the same rows
+    ids = list(range(n_ues))[::-1]
+    assert queue.queued_bits(ids).tolist() == [fifos[i].queued_bits() for i in ids]
+    assert queue.hol_age(slot, ids).tolist() == [fifos[i].hol_age(slot) for i in ids]
 
 
 def test_slot_metrics_total():
