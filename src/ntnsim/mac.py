@@ -3,6 +3,8 @@ and the per-slot simulation step tying channel, traffic, and actions together.""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import channel, traffic
@@ -133,8 +135,15 @@ def step_slot(
     arrivals into a new cohort, evaluate access SINR with co-channel active
     UAVs as interferers, cap node service by its backhaul share, drain each
     chosen UE's queue oldest cohort first, move the UEs, advance the slot
-    counter. The access links use the association's geometry with a LoS
-    state drawn per link.
+    counter.
+
+    The access links use the association's geometry and one LoS state each,
+    all drawn in one `world.rng.random` call between the arrivals and the UE
+    moves. The links are listed by active platform in id order: its serving
+    link, then its co-channel interferers in id order. Path loss and received
+    power are array sums; SINR and rate stay scalar. The backhaul rates are
+    kept on the world and recomputed only when the platform positions (bit
+    for bit) or `chan` differ from those they were computed for.
     """
     if association is None:
         association = associate(world, chan)
@@ -143,37 +152,47 @@ def step_slot(
     metrics = SlotMetrics(world.slot, {p.id: 0 for p in world.cfg.platforms}, dropped)
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
 
-    rows = {p.id: i for i, p in enumerate(world.cfg.platforms)}
+    platforms = world.cfg.platforms
     active = sorted(
-        (p for p in world.cfg.platforms if choices.get(p.id) is not None), key=lambda p: p.id
+        (row for row, p in enumerate(platforms) if choices.get(p.id) is not None),
+        key=lambda row: platforms[row].id,
     )
-    bh_rates = backhaul_rates(world, chan)
-
-    def rx_dbm(p, ue_id):
-        row = rows[p.id]
-        los = float(world.rng.random() < links.p_los[row, ue_id])
-        pl = channel.path_loss_db(float(links.fspl_db[row, ue_id]), los, chan)
-        return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
-
-    # LoS draws happen per (link, slot) in platform-id order for determinism:
-    # the serving link first, then the co-channel interferers.
-    for p in active:
+    tx_rows, rx_ues, n_links = [], [], []
+    for row in active:
+        p = platforms[row]
         ue_id = choices[p.id]
         if association[ue_id] != p.id:
             raise ValueError(f"UAV {p.id} chose UE {ue_id} outside its cell")
-        serving_dbm = rx_dbm(p, ue_id)
-        interferers = [
-            rx_dbm(q, ue_id) for q in active if q.id != p.id and q.carrier_hz == p.carrier_hz
-        ]
+        cochannel = [q for q in active if q != row and platforms[q].carrier_hz == p.carrier_hz]
+        tx_rows += [row] + cochannel
+        rx_ues += [ue_id] * (1 + len(cochannel))
+        n_links.append(1 + len(cochannel))
+    los = (world.rng.random(len(tx_rows)) < links.p_los[tx_rows, rx_ues]).astype(float)
+    rx_dbm = channel.rx_power_dbm(
+        np.array([platforms[r].tx_power_dbm for r in tx_rows]),
+        np.array([platforms[r].antenna_gain_dbi for r in tx_rows]),
+        0.0,
+        channel.path_loss_db(links.fspl_db[tx_rows, rx_ues], los, chan),
+    ).tolist()
+
+    kept, positions = world.backhaul, world.positions.tobytes()
+    if kept is None or kept[0] != positions or kept[1] != chan:
+        kept = world.backhaul = (positions, replace(chan), backhaul_rates(world, chan))
+    bh_rates = kept[2]
+
+    first = 0
+    for row, n in zip(active, n_links):
+        p = platforms[row]
         ratio = channel.sinr(
-            serving_dbm, interferers, p.bandwidth_hz, chan.ue_noise_figure_db,
-            chan.noise_density_dbm_hz,
+            rx_dbm[first], rx_dbm[first + 1 : first + n], p.bandwidth_hz,
+            chan.ue_noise_figure_db, chan.noise_density_dbm_hz,
         )
+        first += n
         rate = channel.shannon_rate(ratio, p.bandwidth_hz)
         capacity = int(rate * world.cfg.slot_seconds)
         if p.tier == UNTETHERED_NODE:
             capacity = min(capacity, int(bh_rates[p.id] * world.cfg.slot_seconds))
-        metrics.delivered_by_uav[p.id] = traffic.serve_bits(world.queue, ue_id, capacity)
+        metrics.delivered_by_uav[p.id] = traffic.serve_bits(world.queue, choices[p.id], capacity)
 
     step_ue_mobility(world, world.cfg.slot_seconds)
     world.slot += 1

@@ -614,7 +614,8 @@ class Trainer:
 
     def __init__(self, env: EnvSpec, cfg: TrainConfig):
         cfg.validate()
-        env.scenario.validate()
+        for part in (env.scenario, env.traffic, env.channel):
+            part.validate()
         self.env = env
         self.cfg = cfg
         self.sched_specs, self.traj_specs = build_agent_specs(env)

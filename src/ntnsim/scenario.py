@@ -145,6 +145,9 @@ class WorldState:
     ue_speeds: np.ndarray  # (n_ues,) m/s toward the waypoint
     queue: PacketQueue
     rng: np.random.Generator
+    # (positions.tobytes(), channel config, node id -> bps) of the last
+    # backhaul computation; mac.step_slot recomputes it when either key differs
+    backhaul: tuple | None = None
 
 
 def _uniform_point(rng: np.random.Generator, cfg: ScenarioConfig) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Poisson packet arrivals, deadline-dropping queues, and bit accounting.
 
+Arrival counts come from Knuth's multiplicative sampler, one UE after another
+in id order on one uniform stream; `poisson_counts` draws that stream in
+blocks and returns the same counts as the scalar loop, leaving the generator
+in the same state.
+
 The packets that reach one UE in one slot share size and arrival slot, so all
 queues are one int64 matrix of remaining bits, a row per UE and a column per
 arrival slot (a deadline cohort); draining a row oldest column first is FIFO
@@ -27,11 +32,11 @@ class TrafficConfig:
     deadline_slots: int = 10
 
     def validate(self) -> None:
-        if self.lambda_pkts < 0 or not 0 < self.packet_bits <= MAX_PACKET_BITS:
-            raise ValueError(f"traffic.lambda must be >= 0, packet_bits in [1, {MAX_PACKET_BITS}]")
-        if self.lambda_pkts > MAX_EXACT_LAMBDA:
+        if not 0 < self.packet_bits <= MAX_PACKET_BITS:
+            raise ValueError(f"traffic.packet_bits must be in [1, {MAX_PACKET_BITS}]")
+        if not 0 <= self.lambda_pkts <= MAX_EXACT_LAMBDA:  # also rejects NaN
             raise ValueError(
-                f"traffic.lambda must be at most {MAX_EXACT_LAMBDA:g}: above it the Poisson "
+                f"traffic.lambda must be in [0, {MAX_EXACT_LAMBDA:g}]: above it the Poisson "
                 "sampler is no longer exact"
             )
         if self.deadline_slots < 1:
@@ -76,26 +81,43 @@ class PacketQueue:
         return np.where(waiting.any(axis=1), current_slot - oldest, 0)
 
 
-def sample_poisson(rng, lam: float) -> int:
-    """Exact Poisson sampler (Knuth's multiplicative method)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+def poisson_counts(rng, lam: float, n: int) -> list[int]:
+    """n Poisson draws from Knuth's multiplicative method, one after another:
+    a draw multiplies uniforms until the product reaches exp(-lam). Returns
+    the counts and leaves `rng` in the state of n scalar samplers that each
+    call `rng.random()` per uniform.
+
+    Uniforms come in blocks of one per open draw: every open draw needs at
+    least one more, so no block reaches past the last uniform the scalar
+    loop would take, and the Python walk multiplies in the same order.
+    """
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     if lam == 0:
-        return 0
+        return [0] * n
     limit = math.exp(-lam)
-    k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
+    counts: list[int] = []
+    k, p = 0, 1.0
+    while len(counts) < n:
+        for u in rng.random(n - len(counts)).tolist():
+            p *= u
+            if p <= limit:
+                counts.append(k)
+                k, p = 0, 1.0
+            else:
+                k += 1
+    return counts
+
+
+def sample_poisson(rng, lam: float) -> int:
+    """One exact Poisson draw (Knuth's multiplicative method)."""
+    return poisson_counts(rng, lam, 1)[0]
 
 
 def generate_arrivals(world, lam: float, packet_bits: int):
     """Draw this slot's Poisson arrivals, UE by UE in id order, into a new cohort."""
-    bits = [sample_poisson(world.rng, lam) * packet_bits for _ in range(world.cfg.n_ues)]
-    world.queue.push(world.slot, np.array(bits, dtype=np.int64))
+    counts = poisson_counts(world.rng, lam, world.cfg.n_ues)
+    world.queue.push(world.slot, np.array(counts, dtype=np.int64) * packet_bits)
 
 
 def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> np.ndarray:

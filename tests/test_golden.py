@@ -1,5 +1,5 @@
-"""Byte-identity oracles: golden CSV hashes per method and the exact
-`ntnsim dump-config` output.
+"""Byte-identity oracles: golden CSV hashes per method, the world RNG state
+after one episode, and the exact `ntnsim dump-config` output.
 
 A refactor that claims unchanged behaviour must leave every value here as it
 is. The CSV hashes cover every training milestone of the two-timescale
@@ -9,12 +9,14 @@ numpy on x86-64; another BLAS or CPU may round the learners differently.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-from ntnsim import cli
+from ntnsim import cli, madrl
 from ntnsim.harness import parse_config, run_single
+from ntnsim.madrl import Trainer
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,6 +57,16 @@ GOLDEN_SHA256 = {
     ),
 }
 
+# sha256 of the world RNG's `bit_generator.state` (JSON, sorted keys) after
+# the first 20-slot training rollout of GOLDEN_CONFIG at seed 3. The tts
+# episode moves the nodes; at this size both episodes happen to draw the
+# same number of uniforms. A draw added or lost anywhere in an episode moves
+# these even where no CSV byte moves.
+GOLDEN_RNG_STATE_SHA256 = {
+    "rr": "336e804d574dbd632135e644a88044af08bc2c7d1006cb62b4c8e749758a43ac",
+    "tts-maddpg": "336e804d574dbd632135e644a88044af08bc2c7d1006cb62b4c8e749758a43ac",
+}
+
 # One key per fleet group (donor, nodes, all platforms), the renamed
 # `lambda`, a mixed-separator seed list and `k_obs`.
 OVERRIDE_CONFIG = """
@@ -83,6 +95,24 @@ def test_golden_csv_hashes(tmp_path, method):
     cfg = parse_config(GOLDEN_CONFIG.format(method=method, out=tmp_path))
     out = run_single(cfg, 3, quiet=True)
     assert (sha256(out / "train.csv"), sha256(out / "eval.csv")) == GOLDEN_SHA256[method]
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_RNG_STATE_SHA256))
+def test_golden_episode_rng_state(tmp_path, monkeypatch, method):
+    cfg = parse_config(GOLDEN_CONFIG.format(method=method, out=tmp_path))
+    trainer = Trainer(cfg.env_spec(), cfg.train_config(3))
+    real_init_world = madrl.init_world
+    worlds = []
+
+    def init_world(*args):
+        worlds.append(real_init_world(*args))
+        return worlds[-1]
+
+    monkeypatch.setattr(madrl, "init_world", init_world)
+    trainer.rollout(0)
+    assert len(worlds) == 1 and worlds[0].slot == 20
+    state = json.dumps(worlds[0].rng.bit_generator.state, sort_keys=True)
+    assert hashlib.sha256(state.encode()).hexdigest() == GOLDEN_RNG_STATE_SHA256[method]
 
 
 def test_dump_config_default_bytes(capsys):

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntnsim import mac
+from ntnsim import channel, mac, traffic
 from ntnsim.channel import ChannelConfig
-from ntnsim.scenario import ScenarioConfig, default_fleet, init_world
-from ntnsim.traffic import TrafficConfig
+from ntnsim.scenario import (
+    UNTETHERED_NODE,
+    ScenarioConfig,
+    apply_trajectory,
+    default_fleet,
+    init_world,
+    step_ue_mobility,
+)
+from ntnsim.traffic import SlotMetrics, TrafficConfig
 
 
 def make_world(seed=0, **cfg_kwargs):
@@ -317,3 +324,153 @@ def test_step_slot_deterministic():
 
     assert signature(13) == signature(13)
     assert signature(13) != signature(14)
+
+
+def reference_step_slot(world, choices, tcfg, chan, association):
+    """The slot pipeline link by link: a scalar Knuth sampler per UE, one
+    `rng.random()` per LoS state (serving link, then co-channel interferers,
+    by platform id) and the backhaul recomputed every slot."""
+    rng = world.rng
+    dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
+    metrics = SlotMetrics(world.slot, {p.id: 0 for p in world.cfg.platforms}, dropped)
+    counts = []
+    for _ in range(world.cfg.n_ues):
+        k, prod = 0, 1.0
+        while tcfg.lambda_pkts > 0:
+            prod *= rng.random()
+            if prod <= math.exp(-tcfg.lambda_pkts):
+                break
+            k += 1
+        counts.append(k * tcfg.packet_bits)
+    world.queue.push(world.slot, np.array(counts, dtype=np.int64))
+
+    links = association.links
+    rows = {p.id: i for i, p in enumerate(world.cfg.platforms)}
+    active = sorted(
+        (p for p in world.cfg.platforms if choices.get(p.id) is not None), key=lambda p: p.id
+    )
+    bh_rates = mac.backhaul_rates(world, chan)
+
+    def rx_dbm(p, ue_id):
+        row = rows[p.id]
+        los = float(rng.random() < links.p_los[row, ue_id])
+        pl = channel.path_loss_db(float(links.fspl_db[row, ue_id]), los, chan)
+        return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
+
+    for p in active:
+        ue_id = choices[p.id]
+        serving = rx_dbm(p, ue_id)
+        interferers = [
+            rx_dbm(q, ue_id) for q in active if q.id != p.id and q.carrier_hz == p.carrier_hz
+        ]
+        ratio = channel.sinr(serving, interferers, p.bandwidth_hz, chan.ue_noise_figure_db,
+                             chan.noise_density_dbm_hz)
+        capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
+        if p.tier == UNTETHERED_NODE:
+            capacity = min(capacity, int(bh_rates[p.id] * world.cfg.slot_seconds))
+        metrics.delivered_by_uav[p.id] = traffic.serve_bits(world.queue, ue_id, capacity)
+    step_ue_mobility(world, world.cfg.slot_seconds)
+    world.slot += 1
+    return world, metrics
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ues=st.integers(1, 40),
+    lam=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
+    backhaul_hz=st.sampled_from([2e5, 5e6, 50e6]),
+    node_carrier_hz=st.sampled_from([2.0e9, 2.5e9]),
+    n_slots=st.integers(1, 12),
+)
+def test_step_slot_matches_link_by_link_reference(
+    seed, n_ues, lam, backhaul_hz, node_carrier_hz, n_slots
+):
+    cfg = ScenarioConfig(n_ues=n_ues, platforms=default_fleet(node_carrier_hz=node_carrier_hz))
+    tcfg = TrafficConfig(lambda_pkts=lam, packet_bits=60_000, deadline_slots=4)
+    chan = ChannelConfig(backhaul_bandwidth_hz=backhaul_hz)
+    worlds = init_world(cfg, seed), init_world(cfg, seed)
+    pick = np.random.default_rng(seed)  # choices and node moves, outside the worlds
+    for _ in range(n_slots):
+        if pick.random() < 0.3:
+            xy = pick.uniform(0.0, 1400.0, (4, 2))
+            for world in worlds:
+                world.positions[1:, :2] = xy
+        assoc = mac.associate(worlds[0], chan)
+        cells = mac.observed_ues(worlds[0], assoc)
+        choices = {
+            pid: (int(pick.choice(cell)) if cell and pick.random() < 0.8 else None)
+            for pid, cell in cells.items()
+        }
+        _, got = mac.step_slot(worlds[0], choices, tcfg, chan, assoc)
+        ref_assoc = mac.associate(worlds[1], chan)
+        _, want = reference_step_slot(worlds[1], choices, tcfg, chan, ref_assoc)
+        assert (got.slot, got.delivered_by_uav) == (want.slot, want.delivered_by_uav)
+        assert np.array_equal(got.dropped_by_ue, want.dropped_by_ue)
+    a, b = (w.queue for w in worlds)
+    assert a.n_cohorts == b.n_cohorts
+    assert np.array_equal(a.cells[:, : a.n_cohorts], b.cells[:, : b.n_cohorts])
+    assert np.array_equal(a.arrival_slots[: a.n_cohorts], b.arrival_slots[: b.n_cohorts])
+    for name in ("arrived_bits", "delivered_bits", "dropped_bits"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(worlds[0].ue_positions, worlds[1].ue_positions)
+    assert worlds[0].rng.bit_generator.state == worlds[1].rng.bit_generator.state
+
+
+def capped_slot(world, chan):
+    """Step one rr slot on preloaded queues; return the bits each served
+    node delivered and the backhaul cap computed afresh for it."""
+    world.queue.push(world.slot, np.full(world.cfg.n_ues, 10**9))
+    rates = mac.backhaul_rates(world, chan)
+    caps = {nid: int(r * world.cfg.slot_seconds) for nid, r in rates.items()}
+    assoc = mac.associate(world, chan)
+    choices = mac.rr_schedule(assoc, world.slot, [p.id for p in world.cfg.platforms])
+    _, m = mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
+    served = {p.id: m.delivered_by_uav[p.id] for p in world.cfg.nodes if choices[p.id] is not None}
+    assert served
+    return served, {nid: caps[nid] for nid in served}
+
+
+def test_backhaul_computed_once_while_nodes_park(monkeypatch):
+    calls = []
+    real = mac.backhaul_rates
+    monkeypatch.setattr(mac, "backhaul_rates", lambda *a: calls.append(1) or real(*a))
+    run_slots(make_world(seed=12), TrafficConfig(), ChannelConfig(), 20)
+    assert len(calls) == 1
+
+
+def test_backhaul_cap_follows_apply_trajectory():
+    world = make_world(seed=12)
+    chan = ChannelConfig(backhaul_bandwidth_hz=2e5)
+    served, caps = capped_slot(world, chan)
+    assert served == caps
+    # node 1 flies 400 m away from the donor, the others hover
+    apply_trajectory(world, [[-40.0, -40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 10.0)
+    moved_served, moved_caps = capped_slot(world, chan)
+    assert moved_served == moved_caps
+    assert moved_caps[1] < caps[1]
+    assert all(moved_caps[n] == caps[n] for n in moved_caps if n in caps and n != 1)
+
+
+def test_backhaul_cap_follows_position_write():
+    world = make_world(seed=12)
+    chan = ChannelConfig(backhaul_bandwidth_hz=2e5)
+    _, caps = capped_slot(world, chan)
+    world.positions[1:, :2] = world.positions[0, :2]  # every node under the donor
+    served, near_caps = capped_slot(world, chan)
+    assert served == near_caps
+    assert all(near_caps[n] > caps[n] for n in near_caps if n in caps)
+
+
+def test_backhaul_cap_follows_channel_config():
+    world = make_world(seed=12)
+    narrow = ChannelConfig(backhaul_bandwidth_hz=2e5)
+    _, caps = capped_slot(world, narrow)
+    wider = ChannelConfig(backhaul_bandwidth_hz=4e5)
+    served, wide_caps = capped_slot(world, wider)
+    assert served == wide_caps
+    assert all(wide_caps[n] > caps[n] for n in wide_caps if n in caps)
+    wider.backhaul_gain_dbi = 0.0  # the same config object, changed in place
+    served, low_caps = capped_slot(world, wider)
+    assert served == low_caps
+    assert all(low_caps[n] < wide_caps[n] for n in low_caps if n in wide_caps)

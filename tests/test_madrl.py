@@ -689,6 +689,24 @@ def test_trainer_rr_has_no_agents():
     assert res.delivered_bits > 0
 
 
+@pytest.mark.parametrize(
+    "part, name, value, message",
+    [
+        ("scenario", "n_ues", 0, "ground user"),
+        ("traffic", "deadline_slots", 0, "deadline_slots"),
+        ("traffic", "lambda_pkts", float("nan"), "traffic.lambda"),
+        ("traffic", "packet_bits", 0, "packet_bits"),
+        ("channel", "los_a", -1.0, "los_a"),
+        ("channel", "backhaul_bandwidth_hz", 0.0, "backhaul"),
+    ],
+)
+def test_trainer_rejects_invalid_env(part, name, value, message):
+    env = make_env()
+    setattr(getattr(env, part), name, value)
+    with pytest.raises(ValueError, match=message):
+        Trainer(env, TrainConfig(method="rr", episodes=1, slots_per_episode=10))
+
+
 def test_trainer_checkpoint_roundtrip(tmp_path):
     env = make_env()
     cfg = TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10, seed=3)

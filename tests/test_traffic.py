@@ -1,5 +1,6 @@
 """Poisson arrivals, deadline drops, FIFO fluid service, conservation."""
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -21,11 +22,54 @@ def one_ue(*arrivals):
     return q
 
 
+def knuth_reference(rng, lam):
+    """One scalar Knuth draw, a `rng.random()` call per uniform."""
+    if lam == 0:
+        return 0
+    limit, k, p = math.exp(-lam), 0, 1.0
+    while True:
+        p *= rng.random()
+        if p <= limit:
+            return k
+        k += 1
+
+
+def generator(seed, buffered):
+    """A PCG64 generator; `buffered` leaves a 32-bit half in its state."""
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 2**31 - 1, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lam=st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 2.0, 700.0]), st.floats(0.0, 700.0)),
+    n=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    buffered=st.booleans(),
+)
+def test_poisson_counts_match_scalar_knuth(lam, n, seed, buffered):
+    blocks, scalar = generator(seed, buffered), generator(seed, buffered)
+    want = [knuth_reference(scalar, lam) for _ in range(n)]
+    assert traffic.poisson_counts(blocks, lam, n) == want
+    assert blocks.bit_generator.state == scalar.bit_generator.state
+
+
 def test_sample_poisson_edge_cases():
     rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert traffic.poisson_counts(rng, 3.0, 0) == []
+    assert traffic.poisson_counts(rng, 0.0, 4) == [0, 0, 0, 0]
     assert traffic.sample_poisson(rng, 0.0) == 0
-    with pytest.raises(ValueError):
-        traffic.sample_poisson(rng, -1.0)
+    assert rng.bit_generator.state == state  # nothing drawn
+    for lam in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            traffic.poisson_counts(rng, lam, 3)
+        with pytest.raises(ValueError):
+            traffic.sample_poisson(rng, lam)
+    assert rng.bit_generator.state == state
 
 
 def test_sample_poisson_moments():
@@ -44,9 +88,10 @@ def test_generate_arrivals_counts_and_determinism():
         world.slot = slot
         traffic.generate_arrivals(world, lam=4.0, packet_bits=50_000)
         # one draw per UE, in id order, all into this slot's cohort
-        counts = [traffic.sample_poisson(rng, 4.0) for _ in range(20)]
+        counts = [knuth_reference(rng, 4.0) for _ in range(20)]
         assert world.queue.arrival_slots[slot] == slot
         assert world.queue.cells[:, slot].tolist() == [50_000 * c for c in counts]
+    assert world.rng.bit_generator.state == rng.bit_generator.state
     total_packets = int(world.queue.queued_bits().sum()) // 50_000
     mean, sigma = 20 * 4.0 * 200, (20 * 4.0 * 200) ** 0.5
     assert abs(total_packets - mean) < 3 * sigma
@@ -239,3 +284,22 @@ def test_traffic_config_defaults():
     cfg = TrafficConfig()
     assert cfg.lambda_pkts == 2.0
     assert cfg.deadline_slots == 10
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # NaN fails every comparison, and the sampler never stops on it
+        {"lambda_pkts": float("nan")},
+        {"lambda_pkts": float("inf")},
+        {"lambda_pkts": -0.5},
+        {"lambda_pkts": 700.5},
+        {"packet_bits": 0},
+        {"deadline_slots": 0},
+    ],
+)
+def test_traffic_config_rejects(kwargs):
+    with pytest.raises(ValueError):
+        TrafficConfig(**kwargs).validate()
+    TrafficConfig(lambda_pkts=700.0).validate()
+    TrafficConfig(lambda_pkts=0.0).validate()
