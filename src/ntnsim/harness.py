@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelConfig
 from .madrl import K_OBS, METHODS, EnvSpec, TrainConfig, Trainer
-from .scenario import TETHERED_DONOR, UNTETHERED_NODE, PlatformSpec, ScenarioConfig
+from .scenario import PlatformSpec, ScenarioConfig
 from .traffic import TrafficConfig
 
 
@@ -80,21 +80,22 @@ def _parse_seeds(raw: str) -> list[int]:
     return [int(t) for t in toks]
 
 
-# Scenario keys stored on the fleet: key -> (tier, PlatformSpec attribute),
-# where tier None means every platform. A read returns the first platform of
-# the group; a write sets the whole group.
+# The fleet's rows: the donor in row 0, the nodes in rows 1-4.
+_DONOR, _NODES, _ALL = slice(0, 1), slice(1, None), slice(None)
+# Scenario keys stored on the fleet: key -> (rows, PlatformSpec attribute).
+# A read returns the first platform of the rows; a write sets them all.
 _FLEET_KEYS = {
-    "donor_altitude_m": (TETHERED_DONOR, "altitude_m"),
-    "node_altitude_m": (UNTETHERED_NODE, "altitude_m"),
-    "donor_carrier_hz": (TETHERED_DONOR, "carrier_hz"),
-    "donor_bandwidth_hz": (TETHERED_DONOR, "bandwidth_hz"),
-    "node_carrier_hz": (UNTETHERED_NODE, "carrier_hz"),
-    "node_bandwidth_hz": (UNTETHERED_NODE, "bandwidth_hz"),
-    "donor_tx_power_dbm": (TETHERED_DONOR, "tx_power_dbm"),
-    "node_tx_power_dbm": (UNTETHERED_NODE, "tx_power_dbm"),
-    "antenna_gain_dbi": (None, "antenna_gain_dbi"),
-    "noise_figure_db": (None, "noise_figure_db"),
-    "node_max_speed_mps": (UNTETHERED_NODE, "max_speed_mps"),
+    "donor_altitude_m": (_DONOR, "altitude_m"),
+    "node_altitude_m": (_NODES, "altitude_m"),
+    "donor_carrier_hz": (_DONOR, "carrier_hz"),
+    "donor_bandwidth_hz": (_DONOR, "bandwidth_hz"),
+    "node_carrier_hz": (_NODES, "carrier_hz"),
+    "node_bandwidth_hz": (_NODES, "bandwidth_hz"),
+    "donor_tx_power_dbm": (_DONOR, "tx_power_dbm"),
+    "node_tx_power_dbm": (_NODES, "tx_power_dbm"),
+    "antenna_gain_dbi": (_ALL, "antenna_gain_dbi"),
+    "noise_figure_db": (_ALL, "noise_figure_db"),
+    "node_max_speed_mps": (_NODES, "max_speed_mps"),
 }
 # Fields whose config key differs from the field name.
 _RENAMED = {"lambda_pkts": "lambda"}
@@ -120,8 +121,8 @@ def _field_keys(section: str, cls, targets, keep=lambda name: True) -> list[tupl
     ]
 
 
-def _fleet(tier):
-    return lambda cfg: [p for p in cfg.scenario.platforms if tier in (None, p.tier)]
+def _fleet(rows: slice):
+    return lambda cfg: cfg.scenario.platforms[rows]
 
 
 _PLATFORM_TYPES = get_type_hints(PlatformSpec)
@@ -133,8 +134,8 @@ _KEYS = [
     *_field_keys("run", ExperimentConfig, lambda c: [c], lambda name: name != "k_obs"),
     *_field_keys("scenario", ScenarioConfig, lambda c: [c.scenario]),
     *(
-        ("scenario", key, _PLATFORM_TYPES[attr], _fleet(tier), attr)
-        for key, (tier, attr) in _FLEET_KEYS.items()
+        ("scenario", key, _PLATFORM_TYPES[attr], _fleet(rows), attr)
+        for key, (rows, attr) in _FLEET_KEYS.items()
     ),
     *_field_keys("traffic", TrafficConfig, lambda c: [c.traffic]),
     *_field_keys("channel", ChannelConfig, lambda c: [c.channel]),
@@ -232,7 +233,7 @@ def _result_cells(cfg: ExperimentConfig, result) -> list[str]:
     # 9 decimals keeps the per-UAV/overall accounting identity visible in the
     # rounded cells (worst-case rounding error ~3e-9 Mbps)
     cells = [f"{result.overall_mbps():.9f}"]
-    cells += [f"{result.uav_mbps(p.id):.9f}" for p in cfg.scenario.platforms]
+    cells += [f"{result.uav_mbps(row):.9f}" for row in range(len(cfg.scenario.platforms))]
     cells.append(f"{result.drop_rate():.9f}")
     return cells
 

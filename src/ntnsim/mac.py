@@ -4,26 +4,23 @@ and the per-slot simulation step tying channel, traffic, and actions together.""
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import channel, traffic
 from .channel import ChannelConfig
-from .scenario import TETHERED_DONOR, UNTETHERED_NODE, WorldState, step_ue_mobility
+from .scenario import UNTETHERED_NODE, WorldState, step_ue_mobility
 from .traffic import SlotMetrics, TrafficConfig
 
 
-class Association(dict):
-    """UE id -> serving platform id, together with the slot's link geometry
-    it was decided on (`links`, platform rows x UE ids) and the serving
-    platform row of each UE (`rows`). The slot's ranking and access SINR
-    read the same geometry."""
+class Association(NamedTuple):
+    """The serving platform row of each UE (`rows`, indexed by UE id) and the
+    slot's link geometry it was decided on (`links`, platform rows x UE ids).
+    The slot's ranking and access SINR read the same geometry."""
 
-    def __init__(self, world: WorldState, links: channel.LinkGeometry, rows: np.ndarray):
-        ids = [p.id for p in world.cfg.platforms]
-        super().__init__(enumerate(ids[r] for r in rows.tolist()))
-        self.links = links
-        self.rows = rows
+    rows: np.ndarray
+    links: channel.LinkGeometry
 
 
 def associate(world: WorldState, chan: ChannelConfig) -> Association:
@@ -43,84 +40,72 @@ def associate(world: WorldState, chan: ChannelConfig) -> Association:
         0.0,
         channel.path_loss_db(links.fspl_db, links.p_los, chan),
     )
-    return Association(world, links, np.argmax(rsrp, axis=0))
+    return Association(np.argmax(rsrp, axis=0), links)
 
 
-def observed_ues(world: WorldState, association: Association) -> dict[int, list[int]]:
-    """Every platform's cell, nearest UE first on the unclamped 3-D distance,
-    ties by UE id; observations and schedule decoding read its first k."""
+def observed_ues(world: WorldState, association: Association, k: int) -> np.ndarray:
+    """(n_platforms, k) UE ids: row i lists the k nearest UEs of platform i's
+    cell on the unclamped 3-D distance, ties by UE id, padded with -1 past
+    the cell's size. Observations and schedule decoding read these ranks."""
     rows = association.rows
     ue_ids = np.arange(len(rows))
     order = np.lexsort((ue_ids, association.links.distance_m[rows, ue_ids], rows))
-    ends = np.cumsum(np.bincount(rows, minlength=len(world.cfg.platforms)))
-    return {
-        p.id: cell.tolist()
-        for p, cell in zip(world.cfg.platforms, np.split(order, ends[:-1]))
-    }
+    sizes = np.bincount(rows, minlength=len(world.cfg.platforms))
+    # the rank of order[j] in its cell: j minus the cell's first position in order
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    kept = rank < k
+    cells = np.full((len(sizes), k), -1)
+    cells[rows[order[kept]], rank[kept]] = order[kept]
+    return cells
 
 
-def decode_schedule(
-    actions: dict[int, np.ndarray], ranked: dict[int, list[int]], k: int
-) -> dict[int, int | None]:
-    """Turn per-UAV rank vectors into one chosen UE per UAV (None = idle).
+def decode_schedule(actions: np.ndarray, cells: np.ndarray) -> dict[int, int | None]:
+    """Turn the (n_platforms, k) rank vectors into one chosen UE per platform
+    row (None = idle).
 
-    Entry i refers to the i-th of the k nearest UEs in the UAV's ranked cell
-    (see observed_ues), and the UAV serves the UE of the largest entry. A
+    Entry i of row r refers to rank i of platform r's observed UEs (see
+    observed_ues), and the platform serves the UE of its largest entry. A
     learned scheduler's vector is the one-hot of its chosen rank
-    (madrl.select_rank). Entries beyond the cell size are ignored, and ties
-    go to the lowest index.
+    (madrl.select_rank). Entries at padded ranks are ignored, and ties go to
+    the lowest rank.
     """
-    choices: dict[int, int | None] = {}
-    for uav_id, cell in ranked.items():
-        observed = cell[:k]
-        if not observed:
-            choices[uav_id] = None
-            continue
-        priorities = np.asarray(actions[uav_id])[: len(observed)]
-        choices[uav_id] = observed[int(np.argmax(priorities))]
-    return choices
+    ranks = np.argmax(np.where(cells >= 0, actions, -np.inf), axis=1)
+    chosen = cells[np.arange(len(cells)), ranks].tolist()
+    return {row: (ue if ue >= 0 else None) for row, ue in enumerate(chosen)}
 
 
-def rr_schedule(
-    association: dict[int, int], slot: int, uav_ids=None
-) -> dict[int, int | None]:
-    """Round-robin: each UAV cycles through its cell (sorted by UE id) once per slot."""
-    if uav_ids is None:
-        uav_ids = sorted(set(association.values()))
-    cells: dict[int, list[int]] = {uav: [] for uav in uav_ids}
-    for ue_id in sorted(association):
-        uav = association[ue_id]
-        if uav in cells:
-            cells[uav].append(ue_id)
+def rr_schedule(association: Association, slot: int) -> dict[int, int | None]:
+    """Round-robin: each platform row cycles through its cell (sorted by UE
+    id) once per slot; an empty cell idles."""
+    sizes = np.bincount(association.rows, minlength=len(association.links.distance_m))
+    by_row = np.argsort(association.rows, kind="stable").tolist()
+    starts = (np.cumsum(sizes) - sizes).tolist()
     return {
-        uav: (cell[slot % len(cell)] if cell else None) for uav, cell in cells.items()
+        row: (by_row[start + slot % size] if size else None)
+        for row, (start, size) in enumerate(zip(starts, sizes.tolist()))
     }
 
 
 def backhaul_rates(world: WorldState, chan: ChannelConfig) -> dict[int, float]:
-    """Donor-to-node backhaul rate in bps per node on the dedicated carrier.
+    """Donor-to-node backhaul rate in bps per node row on the dedicated
+    carrier.
 
     The backhaul band is split evenly four ways; both endpoints are airborne,
     so the link is always LoS and interference-free.
     """
     platforms = world.cfg.platforms
-    donor_row = next(i for i, p in enumerate(platforms) if p.tier == TETHERED_DONOR)
-    donor = platforms[donor_row]
-    node_rows = [i for i, p in enumerate(platforms) if p.tier == UNTETHERED_NODE]
     links = channel.link_geometry(
-        world.positions[[donor_row]], world.positions[node_rows],
-        np.array([chan.backhaul_carrier_hz]), chan,
+        world.positions[:1], world.positions[1:], np.array([chan.backhaul_carrier_hz]), chan,
     )
-    share = chan.backhaul_bandwidth_hz / len(node_rows)
+    share = chan.backhaul_bandwidth_hz / (len(platforms) - 1)
     rates = {}
-    for row, fspl in zip(node_rows, links.fspl_db[0].tolist()):
-        node = platforms[row]
+    for row, fspl in enumerate(links.fspl_db[0].tolist(), start=1):
         rx = channel.rx_power_dbm(
-            donor.tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi,
+            platforms[0].tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi,
             channel.path_loss_db(fspl, 1.0, chan),
         )
-        snr = channel.sinr(rx, (), share, node.noise_figure_db, chan.noise_density_dbm_hz)
-        rates[node.id] = channel.shannon_rate(snr, share)
+        snr = channel.sinr(rx, (), share, platforms[row].noise_figure_db, chan.noise_density_dbm_hz)
+        rates[row] = channel.shannon_rate(snr, share)
     return rates
 
 
@@ -129,41 +114,38 @@ def step_slot(
     choices: dict[int, int | None],
     tcfg: TrafficConfig,
     chan: ChannelConfig,
-    association: Association | None = None,
+    association: Association,
 ) -> tuple[WorldState, SlotMetrics]:
-    """Advance the world by one slot under the given per-UAV service choices.
+    """Advance the world by one slot under the given per-row service choices
+    (platform row -> UE id or None), with the slot's association.
 
     Pipeline order: drop expired cohorts (per UE in `dropped_by_ue`), draw
     arrivals into a new cohort, evaluate access SINR with co-channel active
-    UAVs as interferers, cap node service by its backhaul share, drain each
-    chosen UE's queue oldest cohort first, move the UEs, advance the slot
-    counter.
+    platforms as interferers, cap node service by its backhaul share, drain
+    each chosen UE's queue oldest cohort first, move the UEs, advance the
+    slot counter.
 
     The access links use the association's geometry and one LoS state each,
     all drawn in one `world.rng.random` call between the arrivals and the UE
-    moves. The links are listed by active platform in id order: its serving
-    link, then its co-channel interferers in id order. Path loss and received
-    power are array sums; SINR and rate stay scalar. The backhaul rates are
-    kept on the world and recomputed only when the platform positions (bit
-    for bit) or `chan` differ from those they were computed for.
+    moves. The links are listed by active platform in row order: its serving
+    link, then its co-channel interferers in row order. Path loss and
+    received power are array sums; SINR and rate stay scalar. The backhaul
+    rates are kept on the world and recomputed only when the platform
+    positions (bit for bit) or `chan` differ from those they were computed
+    for.
     """
-    if association is None:
-        association = associate(world, chan)
     links = association.links
+    platforms = world.cfg.platforms
     dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = SlotMetrics(world.slot, {p.id: 0 for p in world.cfg.platforms}, dropped)
+    metrics = SlotMetrics(world.slot, [0] * len(platforms), dropped)
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
 
-    platforms = world.cfg.platforms
-    active = sorted(
-        (row for row, p in enumerate(platforms) if choices.get(p.id) is not None),
-        key=lambda row: platforms[row].id,
-    )
+    active = [row for row in range(len(platforms)) if choices.get(row) is not None]
     tx_rows, rx_ues, n_links = [], [], []
     for row in active:
         p = platforms[row]
-        ue_id = choices[p.id]
-        if association[ue_id] != p.id:
+        ue_id = choices[row]
+        if association.rows[ue_id] != row:
             raise ValueError(f"UAV {p.id} chose UE {ue_id} outside its cell")
         cochannel = [q for q in active if q != row and platforms[q].carrier_hz == p.carrier_hz]
         tx_rows += [row] + cochannel
@@ -193,8 +175,8 @@ def step_slot(
         rate = channel.shannon_rate(ratio, p.bandwidth_hz)
         capacity = int(rate * world.cfg.slot_seconds)
         if p.tier == UNTETHERED_NODE:
-            capacity = min(capacity, int(bh_rates[p.id] * world.cfg.slot_seconds))
-        metrics.delivered_by_uav[p.id] = traffic.serve_bits(world.queue, choices[p.id], capacity)
+            capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
+        metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, choices[row], capacity)
 
     step_ue_mobility(world, world.cfg.slot_seconds)
     world.slot += 1

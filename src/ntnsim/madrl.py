@@ -26,14 +26,7 @@ import numpy as np
 from . import mac, nn
 from .channel import ChannelConfig
 from .nn import MlpParams
-from .scenario import (
-    TETHERED_DONOR,
-    UNTETHERED_NODE,
-    ScenarioConfig,
-    WorldState,
-    apply_trajectory,
-    init_world,
-)
+from .scenario import ScenarioConfig, WorldState, apply_trajectory, init_world
 from .traffic import SlotMetrics, TrafficConfig
 
 METHODS = ("rr", "maddpg", "tts-maddpg")
@@ -58,8 +51,7 @@ REWARD_SCALE = 1e9  # slot reward = delivered bits per second / this
 class AgentSpec:
     name: str
     group: str  # "scheduler" | "trajectory"
-    platform_id: int
-    decision_period_slots: int
+    row: int  # the platform's row in the fleet
     obs_dim: int
     action_dim: int
 
@@ -94,50 +86,48 @@ class EnvSpec:
 
 
 def build_agent_specs(env: EnvSpec) -> tuple[list[AgentSpec], list[AgentSpec]]:
-    """One scheduler per platform and one trajectory agent per untethered
-    node. A scheduler observes its own position and k_obs UE rows and acts
-    with a one-hot over the k_obs observed ranks; a trajectory agent also
-    sees the donor and acts with a 2-D velocity in [-1, 1]^2."""
+    """One scheduler per platform row and one trajectory agent per
+    untethered node (rows 1-4). A scheduler observes its own position and
+    k_obs UE rows and acts with a one-hot over the k_obs observed ranks; a
+    trajectory agent also sees the donor and acts with a 2-D velocity in
+    [-1, 1]^2."""
     k = env.k_obs
+    platforms = env.scenario.platforms
     sched = [
-        AgentSpec(f"sched{p.id}", "scheduler", p.id, 1, 2 + UE_FEATURES * k, k)
-        for p in env.scenario.platforms
+        AgentSpec(f"sched{p.id}", "scheduler", row, 2 + UE_FEATURES * k, k)
+        for row, p in enumerate(platforms)
     ]
     traj = [
-        AgentSpec(f"traj{p.id}", "trajectory", p.id, TRAJECTORY_PERIOD, 4 + UE_FEATURES * k, 2)
-        for p in env.scenario.platforms
-        if p.tier == UNTETHERED_NODE
+        AgentSpec(f"traj{p.id}", "trajectory", row, 4 + UE_FEATURES * k, 2)
+        for row, p in enumerate(platforms[1:], start=1)
     ]
     return sched, traj
 
 
-def local_observation(
-    agent: AgentSpec,
-    world: WorldState,
-    ranked: dict[int, list[int]],
-    norm: ObsNorm,
-    k_obs: int = K_OBS,
-) -> np.ndarray:
-    """Own normalized position, then per observed UE (the k_obs nearest of
-    the agent's ranked cell, see mac.observed_ues) its relative position,
-    backlog, and head-of-line age; trajectory agents also see the donor's
-    relative position. Every entry lands in [-1, 1]."""
-    w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    row = next(i for i, p in enumerate(world.cfg.platforms) if p.id == agent.platform_id)
-    px, py = world.positions[row, 0], world.positions[row, 1]
-    out = np.zeros(agent.obs_dim)
-    out[0] = px / w
-    out[1] = py / h
-    ue_ids = ranked[agent.platform_id][:k_obs]
-    per_ue = out[2 : 2 + 4 * len(ue_ids)].reshape(-1, 4)
-    per_ue[:, :2] = (world.ue_positions[ue_ids] - (px, py)) / (w, h)
-    per_ue[:, 2] = np.minimum(world.queue.queued_bits(ue_ids) / norm.backlog_bits, 1.0)
-    per_ue[:, 3] = np.minimum(world.queue.hol_age(world.slot, ue_ids) / norm.age_slots, 1.0)
-    if agent.group == "trajectory":
-        donor_row = next(j for j, p in enumerate(world.cfg.platforms) if p.tier == TETHERED_DONOR)
-        out[-2] = (world.positions[donor_row, 0] - px) / w
-        out[-1] = (world.positions[donor_row, 1] - py) / h
-    return out
+def local_observation(world: WorldState, cells: np.ndarray, norm: ObsNorm) -> np.ndarray:
+    """(n_platforms, 2 + 4k) scheduler observations, one row per platform
+    row: its own normalized position, then per observed UE (the rank-ordered
+    ids of its row of `cells`, see mac.observed_ues) the UE's relative
+    position, backlog, and head-of-line age; padded ranks stay zero. Every
+    entry lands in [-1, 1]."""
+    wh = (world.cfg.area_w_m, world.cfg.area_h_m)
+    xy = world.positions[:, :2]
+    observed = cells >= 0
+    ue_ids = cells[observed]
+    per_ue = np.zeros(cells.shape + (UE_FEATURES,))
+    per_ue[observed, :2] = (world.ue_positions[ue_ids] - xy[np.nonzero(observed)[0]]) / wh
+    per_ue[observed, 2] = np.minimum(world.queue.queued_bits(ue_ids) / norm.backlog_bits, 1.0)
+    per_ue[observed, 3] = np.minimum(world.queue.hol_age(world.slot, ue_ids) / norm.age_slots, 1.0)
+    return np.hstack((xy / wh, per_ue.reshape(len(cells), -1)))
+
+
+def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarray:
+    """(n_nodes, 4 + 4k) trajectory observations: each node's scheduler
+    observation (rows 1-4 of sched_obs) and then the donor's position
+    relative to the node, normalized like the UE offsets."""
+    xy = world.positions[:, :2]
+    donor_offset = (xy[:1] - xy[1:]) / (world.cfg.area_w_m, world.cfg.area_h_m)
+    return np.hstack((sched_obs[1:], donor_offset))
 
 
 def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
@@ -347,9 +337,10 @@ def update_actor(
     input gradient on the action columns. x is the critic input of the
     batch's own actions (see critic_input); it is left unchanged.
 
-    action_reg penalizes mean squared action magnitude, which keeps tanh
-    outputs off the rails where their gradient vanishes and the actor can
-    never recover."""
+    action_reg penalizes the mean squared action, a pull toward hover. It
+    acts on the post-tanh action a, so its gradient 2 * action_reg * a *
+    (1 - a^2) vanishes on the rails as well: it cannot pull a saturated
+    output back."""
     b, _, act_dim = batch["actions"].shape
     a_i, actor_cache = nn.forward_pass(actor, batch["obs"][:, agent_index, :])
     start = batch["state"].shape[1] + agent_index * act_dim
@@ -424,7 +415,7 @@ class EpisodeResult:
     delivered_bits: int = 0
     arrived_bits: int = 0
     dropped_bits: int = 0
-    delivered_by_uav: dict = field(default_factory=dict)
+    delivered_by_uav: list = field(default_factory=list)  # bits by platform row
     slot_rewards: list = field(default_factory=list)
     macro_rewards: list = field(default_factory=list)
     n_sched_transitions: int = 0
@@ -435,8 +426,8 @@ class EpisodeResult:
     def overall_mbps(self) -> float:
         return self.delivered_bits / (self.slots * self.slot_seconds) / 1e6
 
-    def uav_mbps(self, uav_id: int) -> float:
-        return self.delivered_by_uav.get(uav_id, 0) / (self.slots * self.slot_seconds) / 1e6
+    def uav_mbps(self, row: int) -> float:
+        return self.delivered_by_uav[row] / (self.slots * self.slot_seconds) / 1e6
 
     def drop_rate(self) -> float:
         return self.dropped_bits / self.arrived_bits if self.arrived_bits else 0.0
@@ -488,13 +479,10 @@ def run_episode(
     norm = env.norm()
     world = init_world(env.scenario, world_seed)
     dt = env.scenario.slot_seconds
-    node_caps = np.array(
-        [p.max_speed_mps for p in env.scenario.platforms if p.tier == UNTETHERED_NODE]
-    )
-    uav_ids = [p.id for p in env.scenario.platforms]
+    n_platforms = len(env.scenario.platforms)
+    node_caps = np.array([[p.max_speed_mps] for p in env.scenario.platforms[1:]])
 
-    res = EpisodeResult(slots=slots, slot_seconds=dt)
-    res.delivered_by_uav = {pid: 0 for pid in uav_ids}
+    res = EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
     held_velocity = np.zeros((len(traj_specs), 2))
     # One exploration bearing per episode, held for the whole episode so the
     # node's displacement accumulates along it. The episode-level correlation
@@ -508,21 +496,17 @@ def run_episode(
     macro_sum = 0.0
 
     def snapshot(association):
-        """A learner's ranked cells, global state, scheduler observations and
-        observed-UE counts."""
-        ranked = mac.observed_ues(world, association)
-        state = np.zeros(global_state_dim(len(uav_ids), env.scenario.n_ues)) if zero_global \
+        """A learner's observed-UE cells, global state, scheduler
+        observations and observed-UE counts."""
+        cells = mac.observed_ues(world, association, env.k_obs)
+        state = np.zeros(global_state_dim(n_platforms, env.scenario.n_ues)) if zero_global \
             else global_state(world, norm)
-        obs = np.stack(
-            [local_observation(s, world, ranked, norm, env.k_obs) for s in sched_specs]
-        )
-        n_obs = np.array([min(len(ranked[s.platform_id]), env.k_obs) for s in sched_specs])
-        return ranked, state, obs, n_obs
+        return cells, state, local_observation(world, cells, norm), (cells >= 0).sum(axis=1)
 
     for t in range(slots):
         association = mac.associate(world, env.channel)
         if learn:
-            ranked, state, sched_obs, sched_n = snapshot(association)
+            cells, state, sched_obs, sched_n = snapshot(association)
 
         if pending_sched is not None:
             sched_buffer.push(*pending_sched[:4], state, sched_obs, False,
@@ -530,9 +514,7 @@ def run_episode(
             res.n_sched_transitions += 1
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
-            traj_obs = np.stack(
-                [local_observation(s, world, ranked, norm, env.k_obs) for s in traj_specs]
-            )
+            traj_obs = trajectory_observation(world, sched_obs)
             if pending_traj is not None:
                 if train:
                     traj_buffer.push(*pending_traj, macro_sum, state, traj_obs, False)
@@ -550,7 +532,7 @@ def run_episode(
                 )
             if train:
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
-            held_velocity = traj_acts * node_caps[:, None]
+            held_velocity = traj_acts * node_caps
             pending_traj = (state, traj_obs, traj_acts)
             if record_actions:
                 res.traj_action_log.append(traj_acts.copy())
@@ -562,16 +544,12 @@ def run_episode(
                     for i in range(len(sched_specs))
                 ]
             )
-            choices = mac.decode_schedule(
-                {s.platform_id: sched_acts[i] for i, s in enumerate(sched_specs)},
-                ranked,
-                env.k_obs,
-            )
+            choices = mac.decode_schedule(sched_acts, cells)
             if record_actions:
                 res.sched_action_log.append(sched_acts.copy())
         else:
             sched_acts = None
-            choices = mac.rr_schedule(association, t, uav_ids)
+            choices = mac.rr_schedule(association, t)
 
         world, metrics = mac.step_slot(world, choices, env.traffic, env.channel, association)
         if method == "tts-maddpg":
@@ -580,27 +558,25 @@ def run_episode(
         r = team_reward(metrics, dt)
         macro_sum += r
         res.slot_rewards.append(r)
-        for pid, bits in metrics.delivered_by_uav.items():
-            res.delivered_by_uav[pid] += bits
+        for row, bits in enumerate(metrics.delivered_by_uav):
+            res.delivered_by_uav[row] += bits
 
         pending_sched = (state, sched_obs, sched_acts, r, sched_n) if (train and learn) else None
 
     if pending_sched is not None or pending_traj is not None:
         association = mac.associate(world, env.channel)
-        ranked, state, sched_obs, sched_n = snapshot(association)
+        cells, state, sched_obs, sched_n = snapshot(association)
         if pending_sched is not None:
             sched_buffer.push(*pending_sched[:4], state, sched_obs, True, pending_sched[4], sched_n)
             res.n_sched_transitions += 1
         if pending_traj is not None:
-            traj_obs = np.stack(
-                [local_observation(s, world, ranked, norm, env.k_obs) for s in traj_specs]
-            )
+            traj_obs = trajectory_observation(world, sched_obs)
             if train:
                 traj_buffer.push(*pending_traj, macro_sum, state, traj_obs, True)
                 res.n_traj_transitions += 1
             res.macro_rewards.append(macro_sum)
 
-    res.delivered_bits = sum(res.delivered_by_uav.values())
+    res.delivered_bits = sum(res.delivered_by_uav)
     res.arrived_bits = int(world.queue.arrived_bits.sum())
     res.dropped_bits = int(world.queue.dropped_bits.sum())
     return res

@@ -29,6 +29,8 @@ class PlatformSpec:
     def validate(self):
         if self.altitude_m <= 0:
             raise ValueError(f"platform {self.id}: altitude must be positive")
+        if self.carrier_hz <= 0:
+            raise ValueError(f"platform {self.id}: carrier must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"platform {self.id}: bandwidth must be positive")
         if self.max_speed_mps < 0:
@@ -52,7 +54,8 @@ def default_fleet(
     noise_figure_db=7.0,
     node_max_speed_mps=40.0,
 ) -> list[PlatformSpec]:
-    """One tethered donor (id 0) plus four untethered nodes (ids 1..4).
+    """One tethered donor (id 0, row 0) plus four untethered nodes (ids and
+    rows 1..4), the only layout ScenarioConfig accepts.
 
     Default transmit powers are deliberately low: they put every access link
     in the noise-limited regime where per-UE rates spread by more than an
@@ -100,15 +103,9 @@ class ScenarioConfig:
     ue_speed_min_mps: float = 1.0
     ue_speed_max_mps: float = 3.0
     slot_seconds: float = 0.030
+    # Row i of every platform array is platforms[i]: the donor in row 0, the
+    # nodes in rows 1-4. PlatformSpec.id only labels a platform.
     platforms: list[PlatformSpec] = field(default_factory=default_fleet)
-
-    @property
-    def donor(self) -> PlatformSpec:
-        return next(p for p in self.platforms if p.tier == TETHERED_DONOR)
-
-    @property
-    def nodes(self) -> list[PlatformSpec]:
-        return [p for p in self.platforms if p.tier == UNTETHERED_NODE]
 
     def validate(self):
         if self.area_w_m <= 0 or self.area_h_m <= 0:
@@ -119,11 +116,10 @@ class ScenarioConfig:
             raise ValueError("ground-user speed range must satisfy 0 < min <= max")
         if self.slot_seconds <= 0:
             raise ValueError("slot duration must be positive")
-        n_donor = sum(p.tier == TETHERED_DONOR for p in self.platforms)
-        n_node = sum(p.tier == UNTETHERED_NODE for p in self.platforms)
-        if n_donor != 1 or n_node != 4:
+        tiers = [p.tier for p in self.platforms]
+        if tiers != [TETHERED_DONOR] + [UNTETHERED_NODE] * 4:
             raise ValueError(
-                f"fleet must be 1 donor + 4 nodes, got {n_donor} + {n_node}"
+                f"fleet must be the donor in row 0 and 4 nodes in rows 1-4, got {tiers}"
             )
         for p in self.platforms:
             p.validate()
@@ -145,7 +141,7 @@ class WorldState:
     ue_speeds: np.ndarray  # (n_ues,) m/s toward the waypoint
     queue: PacketQueue
     rng: np.random.Generator
-    # (positions.tobytes(), channel config, node id -> bps) of the last
+    # (positions.tobytes(), channel config, node row -> bps) of the last
     # backhaul computation; mac.step_slot recomputes it when either key differs
     backhaul: tuple | None = None
 
@@ -162,21 +158,9 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
     """
     cfg.validate()
     w, h = cfg.area_w_m, cfg.area_h_m
-    quadrants = [
-        (w / 4, h / 4),
-        (3 * w / 4, h / 4),
-        (w / 4, 3 * h / 4),
-        (3 * w / 4, 3 * h / 4),
-    ]
-    positions = np.zeros((len(cfg.platforms), 3))
-    node_i = 0
-    for row, p in enumerate(cfg.platforms):
-        if p.tier == TETHERED_DONOR:
-            positions[row] = (w / 2, h / 2, p.altitude_m)
-        else:
-            qx, qy = quadrants[node_i]
-            positions[row] = (qx, qy, p.altitude_m)
-            node_i += 1
+    centers = [(w / 2, h / 2), (w / 4, h / 4), (3 * w / 4, h / 4), (w / 4, 3 * h / 4),
+               (3 * w / 4, 3 * h / 4)]
+    positions = np.array([(x, y, p.altitude_m) for (x, y), p in zip(centers, cfg.platforms)])
 
     rng = np.random.default_rng(seed)
     # one row per UE, drawn in id order: position x, y, waypoint x, y, speed
@@ -214,16 +198,17 @@ def step_ue_mobility(world: WorldState, dt: float) -> WorldState:
 
 
 def apply_trajectory(world: WorldState, commands, dt: float) -> WorldState:
-    """Move each untethered node by its commanded velocity for dt seconds.
+    """Move each untethered node by its commanded velocity for dt seconds;
+    command i moves the node in row i + 1.
 
     Commands above a node's speed cap are renormalized to the cap; positions
     are clamped to the service area; altitudes and the donor never change.
     """
-    nodes = [(row, p) for row, p in enumerate(world.cfg.platforms) if p.tier == UNTETHERED_NODE]
+    nodes = world.cfg.platforms[1:]
     commands = np.asarray(commands, dtype=float)
     if commands.shape != (len(nodes), 2):
         raise ValueError(f"expected {len(nodes)} velocity commands, got shape {commands.shape}")
-    for (row, p), v in zip(nodes, commands):
+    for row, (p, v) in enumerate(zip(nodes, commands), start=1):
         speed = float(np.hypot(v[0], v[1]))
         if speed > p.max_speed_mps and speed > 0:
             v = v * (p.max_speed_mps / speed)

@@ -153,12 +153,13 @@ def serve_bits(queue: PacketQueue, ue_id: int, capacity_bits: int) -> int:
 
 @dataclass
 class SlotMetrics:
-    """Per-slot accounting of delivered and dropped bits."""
+    """Per-slot accounting of delivered bits (by platform row) and dropped
+    bits (by UE id)."""
 
     slot: int
-    delivered_by_uav: dict[int, int] = field(default_factory=dict)
+    delivered_by_uav: list[int] = field(default_factory=list)
     dropped_by_ue: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def delivered_bits(self) -> int:
-        return sum(self.delivered_by_uav.values())
+        return sum(self.delivered_by_uav)

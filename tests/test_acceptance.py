@@ -210,11 +210,10 @@ def test_criterion_04_queue_conservation():
     cfg = ExperimentConfig()
     env = cfg.env_spec()
     world = init_world(env.scenario, 2024)
-    uav_ids = [p.id for p in env.scenario.platforms]
     checks = 0
     for t in range(1000):
         assoc = mac.associate(world, env.channel)
-        choices = mac.rr_schedule(assoc, t, uav_ids)
+        choices = mac.rr_schedule(assoc, t)
         world, _ = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
         q = world.queue
         assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
@@ -245,11 +244,10 @@ def test_criterion_05_deadline_property(monkeypatch):
 
     monkeypatch.setattr(traffic, "serve_bits", spy)
     world = init_world(env.scenario, 7)
-    uav_ids = [p.id for p in env.scenario.platforms]
     for t in range(1000):
         now["slot"] = world.slot
         assoc = mac.associate(world, env.channel)
-        choices = mac.rr_schedule(assoc, t, uav_ids)
+        choices = mac.rr_schedule(assoc, t)
         world, _ = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
     deadline = env.traffic.deadline_slots
     _report(

@@ -87,6 +87,9 @@ def test_parse_config_rejects_invalid_values():
         "[train]\nsched_buffer_capacity = 0\n",
         "[train]\ntraj_buffer_capacity = 0\n",
         "[scenario]\nnode_max_speed_mps = -5\n",
+        # a run would die in its first slot (NaN or overflow in the path loss)
+        "[scenario]\nnode_carrier_hz = -2.5e9\n",
+        "[scenario]\ndonor_carrier_hz = 0.0\n",
         "[traffic]\ndeadline_slots = 0\n",
         "[channel]\nbackhaul_bandwidth_hz = 0\n",
         "[channel]\nlos_a = -1\n",

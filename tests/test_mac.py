@@ -38,15 +38,13 @@ def test_association_geometry_rows_platforms_columns_ue_ids():
         for ue_id in range(n_u):
             want = ue_distance(world, row, ue_id)
             assert assoc.links.distance_m[row, ue_id] == pytest.approx(want, rel=1e-14)
-    assert [world.cfg.platforms[r].id for r in assoc.rows] == [assoc[i] for i in range(n_u)]
 
 
 def test_associate_covers_every_ue():
     world = make_world(seed=1)
     assoc = mac.associate(world, ChannelConfig())
-    assert list(assoc) == list(range(world.cfg.n_ues))
-    valid = {p.id for p in world.cfg.platforms}
-    assert set(assoc.values()) <= valid
+    assert assoc.rows.shape == (world.cfg.n_ues,)
+    assert set(assoc.rows.tolist()) <= set(range(len(world.cfg.platforms)))
 
 
 def test_associate_prefers_overhead_platform():
@@ -56,9 +54,9 @@ def test_associate_prefers_overhead_platform():
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
     world.ue_positions[0] = (w / 4, h / 4)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc[0] == 1
+    assert assoc.rows[0] == 1
     world.ue_positions[0] = (3 * w / 4, 3 * h / 4)
-    assert mac.associate(world, ChannelConfig())[0] == 4
+    assert mac.associate(world, ChannelConfig()).rows[0] == 4
 
 
 def test_associate_tie_breaks_low_id():
@@ -68,26 +66,37 @@ def test_associate_tie_breaks_low_id():
     world = init_world(cfg, 0)
     world.ue_positions[0] = (cfg.area_w_m / 2, cfg.area_h_m / 4)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc[0] == 1
+    assert assoc.rows[0] == 1
+
+
+def observed(cells, row):
+    """The UE ids of one row of an observed_ues matrix, padding dropped."""
+    return [i for i in cells[row].tolist() if i >= 0]
 
 
 def test_observed_ues_nearest_first():
     world = make_world(seed=4)
     assoc = mac.associate(world, ChannelConfig())
-    ranked = mac.observed_ues(world, assoc)
-    assert list(ranked) == [p.id for p in world.cfg.platforms]
-    for row, p in enumerate(world.cfg.platforms):
-        cell = ranked[p.id]
-        assert sorted(cell) == [i for i in assoc if assoc[i] == p.id]
+    n_p, n_u = len(world.cfg.platforms), world.cfg.n_ues
+    cells = mac.observed_ues(world, assoc, n_u)
+    assert cells.shape == (n_p, n_u)
+    for row in range(n_p):
+        cell = observed(cells, row)
+        assert cells[row].tolist() == cell + [-1] * (n_u - len(cell))
+        assert sorted(cell) == [i for i in range(n_u) if assoc.rows[i] == row]
         dists = [ue_distance(world, row, i) for i in cell]
         assert dists == sorted(dists)
+    # a smaller k keeps the first k ranks of every cell
+    k = 3
+    assert np.array_equal(mac.observed_ues(world, assoc, k), cells[:, :k])
 
 
 def reference_association(world, chan):
-    """UE id -> argmax of the fading-free budget, written link by link; a
-    strictly larger budget is needed to displace a lower platform row."""
-    out = {}
-    for ue_id, (ux, uy) in enumerate(world.ue_positions.tolist()):
+    """Serving platform row per UE id: the argmax of the fading-free budget,
+    written link by link; a strictly larger budget is needed to displace a
+    lower platform row."""
+    out = []
+    for ux, uy in world.ue_positions.tolist():
         best = None
         for row, p in enumerate(world.cfg.platforms):
             px, py, pz = world.positions[row].tolist()
@@ -99,20 +108,23 @@ def reference_association(world, chan):
             loss = fspl + p_los * chan.eta_los_db + (1.0 - p_los) * chan.eta_nlos_db
             rsrp = p.tx_power_dbm + p.antenna_gain_dbi - loss
             if best is None or rsrp > best[0]:
-                best = (rsrp, p.id)
-        out[ue_id] = best[1]
+                best = (rsrp, row)
+        out.append(best[1])
     return out
 
 
-def reference_ranking(world, assoc):
-    """Each platform's cell sorted by (3-D distance, UE id)."""
-    return {
-        p.id: sorted(
-            (i for i in assoc if assoc[i] == p.id),
+def reference_ranking(world, serving_rows, k):
+    """Each platform row's cell sorted by (3-D distance, UE id), cut to k
+    and padded with -1 to k entries."""
+    n_u = len(serving_rows)
+    cells = []
+    for row in range(len(world.cfg.platforms)):
+        cell = sorted(
+            (i for i in range(n_u) if serving_rows[i] == row),
             key=lambda i: (ue_distance(world, row, i), i),
-        )
-        for row, p in enumerate(world.cfg.platforms)
-    }
+        )[:k]
+        cells.append(cell + [-1] * (k - len(cell)))
+    return cells
 
 
 coordinate = st.floats(0.0, 1400.0, allow_nan=False, allow_infinity=False)
@@ -139,8 +151,11 @@ def test_association_and_ranking_match_scalar_reference(geometry):
     world.positions[:, :2] = platform_xy
     chan = ChannelConfig()
     assoc = mac.associate(world, chan)
-    assert assoc == reference_association(world, chan)
-    assert mac.observed_ues(world, assoc) == reference_ranking(world, assoc)
+    serving_rows = reference_association(world, chan)
+    assert assoc.rows.tolist() == serving_rows
+    # k = n_ues: every rank of every cell
+    k = len(ue_xy)
+    assert mac.observed_ues(world, assoc, k).tolist() == reference_ranking(world, serving_rows, k)
 
 
 def test_observed_ues_tie_by_id():
@@ -148,8 +163,8 @@ def test_observed_ues_tie_by_id():
     # two UEs of node 1 at identical positions -> lower id listed first
     world.ue_positions[0] = world.ue_positions[1] = (250.0, 240.0)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc[0] == assoc[1] == 1
-    obs = mac.observed_ues(world, assoc)[1]
+    assert assoc.rows[0] == assoc.rows[1] == 1
+    obs = observed(mac.observed_ues(world, assoc, world.cfg.n_ues), 1)
     assert obs.index(0) < obs.index(1)
 
 
@@ -158,47 +173,59 @@ def test_decode_schedule_argmax_over_observed():
     chan = ChannelConfig()
     assoc = mac.associate(world, chan)
     k = 8
-    actions = {}
-    for p in world.cfg.platforms:
-        vec = np.zeros(k)
-        vec[1] = 1.0  # second-nearest observed UE everywhere
-        actions[p.id] = vec
-    ranked = mac.observed_ues(world, assoc)
-    choices = mac.decode_schedule(actions, ranked, k)
-    for p in world.cfg.platforms:
-        obs = ranked[p.id][:k]
+    n_p = len(world.cfg.platforms)
+    actions = np.zeros((n_p, k))
+    actions[:, 1] = 1.0  # second-nearest observed UE everywhere
+    cells = mac.observed_ues(world, assoc, k)
+    # one UE in row 3's cell and none in row 4's: rank 1 is padding in both
+    cells[3, 1:] = -1
+    cells[4] = -1
+    choices = mac.decode_schedule(actions, cells)
+    assert list(choices) == list(range(n_p))
+    for row in range(n_p):
+        obs = observed(cells, row)
         if len(obs) >= 2:
-            assert choices[p.id] == obs[1]
+            assert choices[row] == obs[1]
         elif obs:
             # entry beyond the cell size is ignored; ties go to index 0
-            assert choices[p.id] == obs[0]
+            assert choices[row] == obs[0]
         else:
-            assert choices[p.id] is None
+            assert choices[row] is None
+    assert choices[3] == cells[3, 0] and choices[4] is None
 
 
 def test_decode_schedule_tie_lowest_index():
     world = make_world(seed=6)
     assoc = mac.associate(world, ChannelConfig())
-    actions = {p.id: np.full(8, 0.25) for p in world.cfg.platforms}
-    ranked = mac.observed_ues(world, assoc)
-    choices = mac.decode_schedule(actions, ranked, 8)
-    for p in world.cfg.platforms:
-        assert choices[p.id] == (ranked[p.id][0] if ranked[p.id] else None)
+    cells = mac.observed_ues(world, assoc, 8)
+    choices = mac.decode_schedule(np.full(cells.shape, 0.25), cells)
+    for row in range(len(world.cfg.platforms)):
+        obs = observed(cells, row)
+        assert choices[row] == (obs[0] if obs else None)
+
+
+def with_rows(rows):
+    """An association of len(rows) UEs whose serving rows are `rows`."""
+    world = make_world(n_ues=len(rows))
+    return mac.associate(world, ChannelConfig())._replace(rows=np.array(rows))
 
 
 def test_rr_schedule_rotation():
-    assoc = {2: 1, 5: 1, 9: 1, 7: 3}
-    assert mac.rr_schedule(assoc, 0) == {1: 2, 3: 7}
-    assert mac.rr_schedule(assoc, 1) == {1: 5, 3: 7}
-    assert mac.rr_schedule(assoc, 2) == {1: 9, 3: 7}
-    assert mac.rr_schedule(assoc, 3) == {1: 2, 3: 7}
+    # row 0 serves UEs 0 1 3 4 6 8, row 1 UEs 2 5 9, row 3 UE 7
+    assoc = with_rows([0, 0, 1, 0, 0, 1, 0, 3, 0, 1])
+    idle = {2: None, 4: None}
+    assert mac.rr_schedule(assoc, 0) == {0: 0, 1: 2, 3: 7, **idle}
+    assert mac.rr_schedule(assoc, 1) == {0: 1, 1: 5, 3: 7, **idle}
+    assert mac.rr_schedule(assoc, 2) == {0: 3, 1: 9, 3: 7, **idle}
+    assert mac.rr_schedule(assoc, 3) == {0: 4, 1: 2, 3: 7, **idle}
+    assert mac.rr_schedule(assoc, 6) == {0: 0, 1: 2, 3: 7, **idle}
     # stateless: same slot always yields the same pick
     assert mac.rr_schedule(assoc, 1) == mac.rr_schedule(assoc, 1)
 
 
 def test_rr_schedule_empty_cell_idles():
-    assoc = {0: 2, 1: 2}
-    out = mac.rr_schedule(assoc, 0, uav_ids=[1, 2])
+    out = mac.rr_schedule(with_rows([2, 2]), 0)
+    assert list(out) == [0, 1, 2, 3, 4]
     assert out[1] is None
     assert out[2] == 0
 
@@ -217,8 +244,7 @@ def test_backhaul_rates_symmetric_at_start():
 def test_backhaul_rate_matches_link_budget():
     world = make_world(seed=7)
     chan = ChannelConfig()
-    donor = world.cfg.donor
-    node = world.cfg.nodes[0]
+    donor, node = world.cfg.platforms[0], world.cfg.platforms[1]
     share = chan.backhaul_bandwidth_hz / 4
     # always LoS: free-space loss plus the LoS excess
     dist = math.dist(world.positions[0], world.positions[1])
@@ -239,11 +265,10 @@ def test_backhaul_rate_drops_with_distance():
 
 
 def run_slots(world, tcfg, chan, n_slots):
-    uav_ids = [p.id for p in world.cfg.platforms]
     out = []
     for _ in range(n_slots):
         assoc = mac.associate(world, chan)
-        choices = mac.rr_schedule(assoc, world.slot, uav_ids)
+        choices = mac.rr_schedule(assoc, world.slot)
         world, m = mac.step_slot(world, choices, tcfg, chan, assoc)
         out.append(m)
     return world, out
@@ -273,8 +298,8 @@ def test_step_slot_rejects_out_of_cell_choice():
     world = make_world(seed=10)
     chan = ChannelConfig()
     assoc = mac.associate(world, chan)
-    foreign = next(ue_id for ue_id, uav in assoc.items() if uav != 1)
-    choices = {p.id: None for p in world.cfg.platforms}
+    foreign = next(ue_id for ue_id, row in enumerate(assoc.rows.tolist()) if row != 1)
+    choices = {row: None for row in range(len(world.cfg.platforms))}
     choices[1] = foreign
     with pytest.raises(ValueError):
         mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
@@ -282,10 +307,11 @@ def test_step_slot_rejects_out_of_cell_choice():
 
 def test_step_slot_idle_uavs_deliver_nothing():
     world = make_world(seed=11)
-    choices = {p.id: None for p in world.cfg.platforms}
-    world, m = mac.step_slot(world, choices, TrafficConfig(), ChannelConfig())
+    chan = ChannelConfig()
+    choices = {row: None for row in range(len(world.cfg.platforms))}
+    world, m = mac.step_slot(world, choices, TrafficConfig(), chan, mac.associate(world, chan))
     assert m.delivered_bits == 0
-    assert all(v == 0 for v in m.delivered_by_uav.values())
+    assert m.delivered_by_uav == [0] * len(world.cfg.platforms)
 
 
 def test_step_slot_node_capped_by_backhaul():
@@ -296,17 +322,17 @@ def test_step_slot_node_capped_by_backhaul():
     # preload every queue so service is never queue-limited
     world.queue.push(0, np.full(world.cfg.n_ues, 10**9))
     caps = {
-        nid: int(r * world.cfg.slot_seconds)
-        for nid, r in mac.backhaul_rates(world, chan).items()
+        row: int(r * world.cfg.slot_seconds)
+        for row, r in mac.backhaul_rates(world, chan).items()
     }
     assoc = mac.associate(world, chan)
-    choices = mac.rr_schedule(assoc, 0, [p.id for p in world.cfg.platforms])
+    choices = mac.rr_schedule(assoc, 0)
     world, m = mac.step_slot(world, choices, tcfg, chan, assoc)
     served_nodes = 0
-    for p in world.cfg.nodes:
-        if choices[p.id] is not None:
-            assert m.delivered_by_uav[p.id] <= caps[p.id]
-            served_nodes += int(m.delivered_by_uav[p.id] > 0)
+    for row in range(1, 5):
+        if choices[row] is not None:
+            assert m.delivered_by_uav[row] <= caps[row]
+            served_nodes += int(m.delivered_by_uav[row] > 0)
     assert served_nodes > 0
     # the donor has no backhaul hop and is allowed to exceed any node cap
     if choices[0] is not None:
@@ -318,7 +344,7 @@ def test_step_slot_deterministic():
         world = make_world(seed=seed)
         world, metrics = run_slots(world, TrafficConfig(), ChannelConfig(), 50)
         return [
-            (m.slot, m.delivered_bits, tuple(sorted(m.delivered_by_uav.items())))
+            (m.slot, m.delivered_bits, tuple(m.delivered_by_uav))
             for m in metrics
         ]
 
@@ -329,10 +355,11 @@ def test_step_slot_deterministic():
 def reference_step_slot(world, choices, tcfg, chan, association):
     """The slot pipeline link by link: a scalar Knuth sampler per UE, one
     `rng.random()` per LoS state (serving link, then co-channel interferers,
-    by platform id) and the backhaul recomputed every slot."""
+    by platform row) and the backhaul recomputed every slot."""
     rng = world.rng
+    platforms = world.cfg.platforms
     dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = SlotMetrics(world.slot, {p.id: 0 for p in world.cfg.platforms}, dropped)
+    metrics = SlotMetrics(world.slot, [0] * len(platforms), dropped)
     counts = []
     for _ in range(world.cfg.n_ues):
         k, prod = 0, 1.0
@@ -345,30 +372,30 @@ def reference_step_slot(world, choices, tcfg, chan, association):
     world.queue.push(world.slot, np.array(counts, dtype=np.int64))
 
     links = association.links
-    rows = {p.id: i for i, p in enumerate(world.cfg.platforms)}
-    active = sorted(
-        (p for p in world.cfg.platforms if choices.get(p.id) is not None), key=lambda p: p.id
-    )
+    active = [row for row in range(len(platforms)) if choices[row] is not None]
     bh_rates = mac.backhaul_rates(world, chan)
 
-    def rx_dbm(p, ue_id):
-        row = rows[p.id]
+    def rx_dbm(row, ue_id):
+        p = platforms[row]
         los = float(rng.random() < links.p_los[row, ue_id])
         pl = channel.path_loss_db(float(links.fspl_db[row, ue_id]), los, chan)
         return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
 
-    for p in active:
-        ue_id = choices[p.id]
-        serving = rx_dbm(p, ue_id)
+    for row in active:
+        p = platforms[row]
+        ue_id = choices[row]
+        serving = rx_dbm(row, ue_id)
         interferers = [
-            rx_dbm(q, ue_id) for q in active if q.id != p.id and q.carrier_hz == p.carrier_hz
+            rx_dbm(q, ue_id)
+            for q in active
+            if q != row and platforms[q].carrier_hz == p.carrier_hz
         ]
         ratio = channel.sinr(serving, interferers, p.bandwidth_hz, chan.ue_noise_figure_db,
                              chan.noise_density_dbm_hz)
         capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
         if p.tier == UNTETHERED_NODE:
-            capacity = min(capacity, int(bh_rates[p.id] * world.cfg.slot_seconds))
-        metrics.delivered_by_uav[p.id] = traffic.serve_bits(world.queue, ue_id, capacity)
+            capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
+        metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, ue_id, capacity)
     step_ue_mobility(world, world.cfg.slot_seconds)
     world.slot += 1
     return world, metrics
@@ -397,11 +424,11 @@ def test_step_slot_matches_link_by_link_reference(
             for world in worlds:
                 world.positions[1:, :2] = xy
         assoc = mac.associate(worlds[0], chan)
-        cells = mac.observed_ues(worlds[0], assoc)
-        choices = {
-            pid: (int(pick.choice(cell)) if cell and pick.random() < 0.8 else None)
-            for pid, cell in cells.items()
-        }
+        cells = mac.observed_ues(worlds[0], assoc, n_ues)
+        choices = {}
+        for row in range(len(cfg.platforms)):
+            cell = observed(cells, row)
+            choices[row] = int(pick.choice(cell)) if cell and pick.random() < 0.8 else None
         _, got = mac.step_slot(worlds[0], choices, tcfg, chan, assoc)
         ref_assoc = mac.associate(worlds[1], chan)
         _, want = reference_step_slot(worlds[1], choices, tcfg, chan, ref_assoc)
@@ -422,13 +449,13 @@ def capped_slot(world, chan):
     node delivered and the backhaul cap computed afresh for it."""
     world.queue.push(world.slot, np.full(world.cfg.n_ues, 10**9))
     rates = mac.backhaul_rates(world, chan)
-    caps = {nid: int(r * world.cfg.slot_seconds) for nid, r in rates.items()}
+    caps = {row: int(r * world.cfg.slot_seconds) for row, r in rates.items()}
     assoc = mac.associate(world, chan)
-    choices = mac.rr_schedule(assoc, world.slot, [p.id for p in world.cfg.platforms])
+    choices = mac.rr_schedule(assoc, world.slot)
     _, m = mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
-    served = {p.id: m.delivered_by_uav[p.id] for p in world.cfg.nodes if choices[p.id] is not None}
+    served = {row: m.delivered_by_uav[row] for row in range(1, 5) if choices[row] is not None}
     assert served
-    return served, {nid: caps[nid] for nid in served}
+    return served, {row: caps[row] for row in served}
 
 
 def test_backhaul_computed_once_while_nodes_park(monkeypatch):

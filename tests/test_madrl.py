@@ -24,6 +24,7 @@ from ntnsim.madrl import (
     select_rank,
     target_actions,
     team_reward,
+    trajectory_observation,
     update_actor,
     update_critic,
 )
@@ -42,51 +43,80 @@ def test_agent_specs():
     sched, traj = build_agent_specs(env)
     assert len(sched) == 5 and len(traj) == 4
     for s in sched:
-        assert s.decision_period_slots == 1
         assert s.obs_dim == 2 + 4 * env.k_obs
         assert s.action_dim == env.k_obs
     for s in traj:
-        assert s.decision_period_slots == 5
         assert s.obs_dim == 4 + 4 * env.k_obs
         assert s.action_dim == 2
-    assert [s.platform_id for s in traj] == [1, 2, 3, 4]
+    assert [s.row for s in sched] == [0, 1, 2, 3, 4]
+    assert [s.row for s in traj] == [1, 2, 3, 4]
+    assert [s.name for s in sched + traj] == [
+        "sched0", "sched1", "sched2", "sched3", "sched4", "traj1", "traj2", "traj3", "traj4"
+    ]
+
+
+def reference_observation(world, cells, norm, row):
+    """One platform row's scheduler observation, UE by UE."""
+    w, h = world.cfg.area_w_m, world.cfg.area_h_m
+    px, py = world.positions[row, :2].tolist()
+    out = [px / w, py / h]
+    for ue_id in cells[row].tolist():
+        if ue_id < 0:
+            out += [0.0] * 4
+            continue
+        ux, uy = world.ue_positions[ue_id].tolist()
+        queued = int(world.queue.cells[ue_id].sum())
+        waiting = np.flatnonzero(world.queue.cells[ue_id] > 0)
+        age = world.slot - int(world.queue.arrival_slots[waiting[0]]) if len(waiting) else 0
+        out += [(ux - px) / w, (uy - py) / h, min(queued / norm.backlog_bits, 1.0),
+                min(age / norm.age_slots, 1.0)]
+    return out
 
 
 def test_local_observation_layout_and_bounds():
     env = make_env()
     norm = env.norm()
     sched, traj = build_agent_specs(env)
-    rng_worlds = [init_world(env.scenario, s) for s in range(20)]
-    for world in rng_worlds:
-        ranked = mac.observed_ues(world, mac.associate(world, env.channel))
-        for spec in sched + traj:
-            obs = local_observation(spec, world, ranked, norm, env.k_obs)
-            assert obs.shape == (spec.obs_dim,)
-            assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
+    for seed in range(20):
+        world = init_world(env.scenario, seed)
+        for _ in range(seed % 4):  # queues with cohorts of several ages
+            assoc = mac.associate(world, env.channel)
+            mac.step_slot(world, mac.rr_schedule(assoc, world.slot), env.traffic, env.channel,
+                          assoc)
+        cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
+        obs = local_observation(world, cells, norm)
+        traj_obs = trajectory_observation(world, obs)
+        assert obs.shape == (len(sched), sched[0].obs_dim)
+        assert traj_obs.shape == (len(traj), traj[0].obs_dim)
+        for o in (obs, traj_obs):
+            assert np.all(o >= -1.0) and np.all(o <= 1.0)
+        for row in range(len(sched)):
+            assert obs[row].tolist() == reference_observation(world, cells, norm, row)
 
 
 def test_local_observation_padding_empty_cell():
     env = make_env()
     norm = env.norm()
-    sched, _ = build_agent_specs(env)
     world = init_world(env.scenario, 0)
-    # ranked cells that give platform 3 no UEs at all
-    ranked = {p.id: [] for p in env.scenario.platforms}
-    ranked[0] = list(range(env.scenario.n_ues))
-    spec = next(s for s in sched if s.platform_id == 3)
-    obs = local_observation(spec, world, ranked, norm, env.k_obs)
-    assert np.any(obs[:2] != 0.0)
-    assert np.all(obs[2:] == 0.0)
+    # cells that give platform row 3 no UEs at all and row 1 only two
+    cells = np.full((len(env.scenario.platforms), env.k_obs), -1)
+    cells[0] = np.arange(env.k_obs)
+    cells[1, :2] = (10, 11)
+    obs = local_observation(world, cells, norm)
+    assert np.any(obs[3, :2] != 0.0)
+    assert np.all(obs[3, 2:] == 0.0)
+    assert np.all(obs[1, [2, 3, 6, 7]] != 0.0)  # the two UEs' relative positions
+    assert np.all(obs[1, 10:] == 0.0)
 
 
 def test_local_observation_trajectory_sees_donor():
     env = make_env()
     norm = env.norm()
-    _, traj = build_agent_specs(env)
     world = init_world(env.scenario, 1)
-    ranked = mac.observed_ues(world, mac.associate(world, env.channel))
-    spec = next(s for s in traj if s.platform_id == 1)
-    obs = local_observation(spec, world, ranked, norm, env.k_obs)
+    cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
+    sched_obs = local_observation(world, cells, norm)
+    obs = trajectory_observation(world, sched_obs)[0]  # the node in row 1
+    assert np.array_equal(obs[:-2], sched_obs[1])
     w, h = env.scenario.area_w_m, env.scenario.area_h_m
     # donor sits at (w/2, h/2), node 1 at (w/4, h/4)
     assert obs[-2] == pytest.approx((w / 2 - w / 4) / w)
@@ -195,11 +225,11 @@ def test_traj_anchor_episode_ignores_actors():
 
 
 def test_team_reward_example():
-    m = SlotMetrics(slot=0, delivered_by_uav={0: 5_250_000})
+    m = SlotMetrics(slot=0, delivered_by_uav=[5_250_000, 0, 0, 0, 0])
     assert team_reward(m, 0.030) == pytest.approx(0.175, rel=1e-12)
     assert team_reward(SlotMetrics(slot=0), 0.030) == 0.0
     # invariant to which UAV delivered
-    m2 = SlotMetrics(slot=0, delivered_by_uav={0: 250_000, 3: 5_000_000})
+    m2 = SlotMetrics(slot=0, delivered_by_uav=[250_000, 0, 0, 5_000_000, 0])
     assert team_reward(m2, 0.030) == team_reward(m, 0.030)
 
 
@@ -512,11 +542,10 @@ def test_run_episode_rr_matches_manual_trace():
     env = make_env()
     res = run_episode(env, "rr", None, None, 42, slots=30)
     world = init_world(env.scenario, 42)
-    uav_ids = [p.id for p in env.scenario.platforms]
     delivered = 0
     for t in range(30):
         assoc = mac.associate(world, env.channel)
-        choices = mac.rr_schedule(assoc, t, uav_ids)
+        choices = mac.rr_schedule(assoc, t)
         world, m = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
         delivered += m.delivered_bits
     assert res.delivered_bits == delivered

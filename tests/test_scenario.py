@@ -91,6 +91,10 @@ def test_validate_rejects_bad_configs():
     with pytest.raises(ValueError):
         init_world(ScenarioConfig(n_ues=4, platforms=fleet[:3]), seed=0)
     fleet = default_fleet()
+    fleet[0], fleet[1] = fleet[1], fleet[0]  # the donor belongs in row 0
+    with pytest.raises(ValueError, match="row 0"):
+        init_world(ScenarioConfig(n_ues=4, platforms=fleet), seed=0)
+    fleet = default_fleet()
     fleet[0].max_speed_mps = 5.0  # a tethered donor cannot move
     with pytest.raises(ValueError):
         init_world(ScenarioConfig(n_ues=4, platforms=fleet), seed=0)
@@ -169,7 +173,7 @@ def test_mobility_rejects_nonpositive_dt():
 
 def test_trajectory_below_speed_cap():
     world = init_world(small_cfg(1), seed=0)
-    for p in world.cfg.nodes:
+    for p in world.cfg.platforms[1:]:
         p.max_speed_mps = 10.0
     start = world.positions[1, :2].copy()
     cmds = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -179,7 +183,7 @@ def test_trajectory_below_speed_cap():
 
 def test_trajectory_renormalizes_overspeed():
     world = init_world(small_cfg(1), seed=0)
-    for p in world.cfg.nodes:
+    for p in world.cfg.platforms[1:]:
         p.max_speed_mps = 10.0
     start = world.positions[1, :2].copy()
     cmds = np.array([[30.0, 40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -209,7 +213,7 @@ def test_trajectory_rejects_wrong_command_count():
 def test_trajectory_clamped_to_area():
     cfg = small_cfg(1)
     world = init_world(cfg, seed=0)
-    for p in world.cfg.nodes:
+    for p in world.cfg.platforms[1:]:
         p.max_speed_mps = 10_000.0
     cmds = np.tile([-10_000.0, -10_000.0], (4, 1))
     apply_trajectory(world, cmds, dt=1.0)

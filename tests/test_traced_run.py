@@ -1,0 +1,70 @@
+"""The benchmark's traced run against the package: `perfbench/layers.py`
+wraps attributes of every layer by name, so a rename in the package breaks
+the traced benchmark. On a tiny config per method, installing the layer
+spans must succeed, every wrapped attribute must be restored, the per-layer
+analysis must run, and tracing must not change a CSV byte."""
+
+from pathlib import Path
+
+import pytest
+
+from ntnsim import channel, harness, mac, madrl, nn, scenario, traffic
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+CONFIG = """
+[run]
+method = {method}
+seeds = 3
+out_dir = {out}
+
+[scenario]
+n_ues = 6
+
+[train]
+episodes = 4
+slots_per_episode = 20
+batch_size = 8
+warmup_transitions = 40
+eval_every_episodes = 2
+eval_episodes = 2
+traj_actor_delay = 5
+traj_actor_window = 10
+update_rounds_budget = 20
+"""
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import spantrace
+
+    return layers, spantrace
+
+
+def run(method: str, out: Path) -> list[bytes]:
+    cfg = harness.parse_config(CONFIG.format(method=method, out=out))
+    run_dir = harness.run_single(cfg, 3, quiet=True)
+    return [(run_dir / name).read_bytes() for name in ("train.csv", "eval.csv")]
+
+
+@pytest.mark.parametrize("method", madrl.METHODS)
+def test_traced_run_writes_untraced_bytes(method, tmp_path, perfbench):
+    layers, spantrace = perfbench
+    untraced = run(method, tmp_path / "untraced")
+    tracer = spantrace.Tracer()
+    # the phase spans the benchmark worker records in every run
+    for attr in ("rollout", "update_round", "evaluate"):
+        tracer.trace_method(madrl.Trainer, attr, f"madrl.{attr}")
+    try:
+        probes = layers.install(tracer, {
+            "harness": harness, "madrl": madrl, "mac": mac, "traffic": traffic,
+            "scenario": scenario, "channel": channel, "nn": nn,
+        })
+        traced = run(method, tmp_path / "traced")
+    finally:
+        not_restored = tracer.patches.restore()
+    assert not_restored == []
+    assert traced == untraced
+    layers.analyse(tracer.spans(), tracer.counts, probes)

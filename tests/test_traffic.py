@@ -276,7 +276,7 @@ def test_cohort_queue_matches_packet_fifo(history):
 
 def test_slot_metrics_total():
     m = traffic.SlotMetrics(slot=3)
-    m.delivered_by_uav = {0: 100, 1: 200, 2: 0}
+    m.delivered_by_uav = [100, 200, 0]
     assert m.delivered_bits == 300
 
 
