@@ -90,15 +90,14 @@ def noise_power_dbm(
     return noise_density_dbm_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
 
 
-def sinr(
-    serving_rx_dbm: float,
-    interferer_rx_dbm,
-    bandwidth_hz: float,
-    noise_figure_db: float,
-    noise_density_dbm_hz: float = -174.0,
+def noise_mw(
+    bandwidth_hz: float, noise_figure_db: float, noise_density_dbm_hz: float = -174.0
 ) -> float:
+    return dbm_to_mw(noise_power_dbm(bandwidth_hz, noise_figure_db, noise_density_dbm_hz))
+
+
+def sinr(serving_rx_dbm: float, interferer_rx_dbm, noise_mw: float) -> float:
     """Linear SINR; the sum in the denominator is computed in milliwatts."""
-    noise_mw = dbm_to_mw(noise_power_dbm(bandwidth_hz, noise_figure_db, noise_density_dbm_hz))
     interference_mw = sum(dbm_to_mw(p) for p in interferer_rx_dbm)
     return dbm_to_mw(serving_rx_dbm) / (interference_mw + noise_mw)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import channel, traffic
 from .channel import ChannelConfig
-from .scenario import UNTETHERED_NODE, WorldState, step_ue_mobility
+from .scenario import WorldState, step_ue_mobility
 from .traffic import SlotMetrics, TrafficConfig
 
 
@@ -29,17 +29,9 @@ def associate(world: WorldState, chan: ChannelConfig) -> Association:
 
     Ties break toward the lowest platform row.
     """
-    platforms = world.cfg.platforms
     ue_xyz = np.column_stack((world.ue_positions, np.zeros(len(world.ue_positions))))
-    links = channel.link_geometry(
-        world.positions, ue_xyz, np.array([p.carrier_hz for p in platforms]), chan
-    )
-    rsrp = channel.rx_power_dbm(
-        np.array([[p.tx_power_dbm] for p in platforms]),
-        np.array([[p.antenna_gain_dbi] for p in platforms]),
-        0.0,
-        channel.path_loss_db(links.fspl_db, links.p_los, chan),
-    )
+    links = channel.link_geometry(world.positions, ue_xyz, world.carrier_hz, chan)
+    rsrp = world.eirp_dbm[:, None] - channel.path_loss_db(links.fspl_db, links.p_los, chan)
     return Association(np.argmax(rsrp, axis=0), links)
 
 
@@ -104,7 +96,8 @@ def backhaul_rates(world: WorldState, chan: ChannelConfig) -> dict[int, float]:
             platforms[0].tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi,
             channel.path_loss_db(fspl, 1.0, chan),
         )
-        snr = channel.sinr(rx, (), share, platforms[row].noise_figure_db, chan.noise_density_dbm_hz)
+        noise = channel.noise_mw(share, platforms[row].noise_figure_db, chan.noise_density_dbm_hz)
+        snr = channel.sinr(rx, (), noise)
         rates[row] = channel.shannon_rate(snr, share)
     return rates
 
@@ -119,65 +112,71 @@ def step_slot(
     """Advance the world by one slot under the given per-row service choices
     (platform row -> UE id or None), with the slot's association.
 
-    Pipeline order: drop expired cohorts (per UE in `dropped_by_ue`), draw
-    arrivals into a new cohort, evaluate access SINR with co-channel active
-    platforms as interferers, cap node service by its backhaul share, drain
-    each chosen UE's queue oldest cohort first, move the UEs, advance the
-    slot counter.
+    Every choice is checked first: a UE id outside [0, n_ues) or outside the
+    row's cell raises ValueError and leaves the world as it was. Then, in
+    order: drop expired cohorts (per UE in `dropped_by_ue`), draw arrivals
+    into a new cohort (one `world.rng.poisson` call), draw one LoS state per
+    access link (one `world.rng.random` call), evaluate access SINR with
+    co-channel active platforms as interferers, cap node service by its
+    backhaul share, drain each chosen UE's queue oldest cohort first, move
+    the UEs (one `world.rng.uniform` call for those that reach their
+    waypoint), advance the slot counter.
 
-    The access links use the association's geometry and one LoS state each,
-    all drawn in one `world.rng.random` call between the arrivals and the UE
-    moves. The links are listed by active platform in row order: its serving
-    link, then its co-channel interferers in row order. Path loss and
-    received power are array sums; SINR and rate stay scalar. The backhaul
-    rates are kept on the world and recomputed only when the platform
-    positions (bit for bit) or `chan` differ from those they were computed
-    for.
+    The access links use the association's geometry. They are listed by
+    active platform in row order: its serving link, then its co-channel
+    interferers in row order. EIRP, bandwidth and co-channel rows are the
+    world's fleet constants from `init_world`. Path loss and received power
+    are array sums; SINR and rate stay scalar. The backhaul rates are kept
+    on the world and recomputed only when the platform positions (bit for
+    bit) or `chan` differ from those they were computed for; the access
+    noise powers, one per platform, only when `chan` differs.
     """
-    links = association.links
-    platforms = world.cfg.platforms
-    dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = SlotMetrics(world.slot, [0] * len(platforms), dropped)
-    traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
-
-    active = [row for row in range(len(platforms)) if choices.get(row) is not None]
-    tx_rows, rx_ues, n_links = [], [], []
-    for row in active:
-        p = platforms[row]
-        ue_id = choices[row]
-        if association.rows[ue_id] != row:
-            raise ValueError(f"UAV {p.id} chose UE {ue_id} outside its cell")
-        cochannel = [q for q in active if q != row and platforms[q].carrier_hz == p.carrier_hz]
+    n_ues = len(association.rows)
+    active, tx_rows, rx_ues, n_links = [], [], [], []
+    for row in range(len(world.positions)):
+        ue_id = choices.get(row)
+        if ue_id is None:
+            continue
+        if not 0 <= ue_id < n_ues or association.rows[ue_id] != row:
+            raise ValueError(f"UAV {world.cfg.platforms[row].id} chose UE {ue_id} outside its cell")
+        cochannel = [q for q in world.cochannel[row] if choices.get(q) is not None]
+        active.append(row)
         tx_rows += [row] + cochannel
         rx_ues += [ue_id] * (1 + len(cochannel))
         n_links.append(1 + len(cochannel))
+
+    links = association.links
+    dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
+    metrics = SlotMetrics(world.slot, [0] * len(world.positions), dropped)
+    traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
+    tx_rows, rx_ues = np.array(tx_rows, dtype=np.intp), np.array(rx_ues, dtype=np.intp)
     los = (world.rng.random(len(tx_rows)) < links.p_los[tx_rows, rx_ues]).astype(float)
-    rx_dbm = channel.rx_power_dbm(
-        np.array([platforms[r].tx_power_dbm for r in tx_rows]),
-        np.array([platforms[r].antenna_gain_dbi for r in tx_rows]),
-        0.0,
-        channel.path_loss_db(links.fspl_db[tx_rows, rx_ues], los, chan),
+    rx_dbm = (
+        world.eirp_dbm[tx_rows] - channel.path_loss_db(links.fspl_db[tx_rows, rx_ues], los, chan)
     ).tolist()
 
     kept, positions = world.backhaul, world.positions.tobytes()
     if kept is None or kept[0] != positions or kept[1] != chan:
         kept = world.backhaul = (positions, replace(chan), backhaul_rates(world, chan))
     bh_rates = kept[2]
+    noise = world.access_noise
+    if noise is None or noise[0] != chan:
+        noise = world.access_noise = (replace(chan), [
+            channel.noise_mw(bandwidth, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
+            for bandwidth in world.bandwidth_hz
+        ])
+    noise_mw = noise[1]
 
+    slot_s = world.cfg.slot_seconds
     first = 0
     for row, n in zip(active, n_links):
-        p = platforms[row]
-        ratio = channel.sinr(
-            rx_dbm[first], rx_dbm[first + 1 : first + n], p.bandwidth_hz,
-            chan.ue_noise_figure_db, chan.noise_density_dbm_hz,
-        )
+        ratio = channel.sinr(rx_dbm[first], rx_dbm[first + 1 : first + n], noise_mw[row])
         first += n
-        rate = channel.shannon_rate(ratio, p.bandwidth_hz)
-        capacity = int(rate * world.cfg.slot_seconds)
-        if p.tier == UNTETHERED_NODE:
-            capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
+        capacity = int(channel.shannon_rate(ratio, world.bandwidth_hz[row]) * slot_s)
+        if row > 0:  # a node, capped by its backhaul share
+            capacity = min(capacity, int(bh_rates[row] * slot_s))
         metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, choices[row], capacity)
 
-    step_ue_mobility(world, world.cfg.slot_seconds)
+    step_ue_mobility(world, slot_s)
     world.slot += 1
     return world, metrics

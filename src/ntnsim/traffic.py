@@ -1,9 +1,10 @@
 """Poisson packet arrivals, deadline-dropping queues, and bit accounting.
 
-Arrival counts come from Knuth's multiplicative sampler, one UE after another
-in id order on one uniform stream; `poisson_counts` draws that stream in
-blocks and returns the same counts as the scalar loop, leaving the generator
-in the same state.
+A slot's arrival counts are one `Generator.poisson` call, one count per UE in
+id order. Below lambda = 10 numpy draws them with Knuth's multiplicative
+method (TAOCP vol. 2, 3.4.1), a `next_double` uniform per factor, so the
+counts are exact; from lambda = 10 it switches to Hoermann's PTRS rejection
+sampler (1993).
 
 The packets that reach one UE in one slot share size and arrival slot, so all
 queues are one int64 matrix of remaining bits, a row per UE and a column per
@@ -13,14 +14,12 @@ service. Integer bits keep arrived = delivered + dropped + queued exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# exp(-lambda) in Knuth's sampler leaves the normal float range near 708, so
-# larger means come out biased low (lambda = 800 draws a mean of about 745)
-MAX_EXACT_LAMBDA = 700.0
+# keeps a slot's arrival bits (lambda * packet_bits plus a tail) far inside int64
+MAX_LAMBDA = 700.0
 # int64 bit counts: a UE reaches 2**63 bits only after 2**31 such packets
 MAX_PACKET_BITS = 2**32
 
@@ -34,11 +33,8 @@ class TrafficConfig:
     def validate(self) -> None:
         if not 0 < self.packet_bits <= MAX_PACKET_BITS:
             raise ValueError(f"traffic.packet_bits must be in [1, {MAX_PACKET_BITS}]")
-        if not 0 <= self.lambda_pkts <= MAX_EXACT_LAMBDA:  # also rejects NaN
-            raise ValueError(
-                f"traffic.lambda must be in [0, {MAX_EXACT_LAMBDA:g}]: above it the Poisson "
-                "sampler is no longer exact"
-            )
+        if not 0 <= self.lambda_pkts <= MAX_LAMBDA:  # also rejects NaN
+            raise ValueError(f"traffic.lambda must be in [0, {MAX_LAMBDA:g}]")
         if self.deadline_slots < 1:
             raise ValueError("traffic.deadline_slots must be at least 1")
 
@@ -81,43 +77,14 @@ class PacketQueue:
         return np.where(waiting.any(axis=1), current_slot - oldest, 0)
 
 
-def poisson_counts(rng, lam: float, n: int) -> list[int]:
-    """n Poisson draws from Knuth's multiplicative method, one after another:
-    a draw multiplies uniforms until the product reaches exp(-lam). Returns
-    the counts and leaves `rng` in the state of n scalar samplers that each
-    call `rng.random()` per uniform.
-
-    Uniforms come in blocks of one per open draw: every open draw needs at
-    least one more, so no block reaches past the last uniform the scalar
-    loop would take, and the Python walk multiplies in the same order.
-    """
-    if not 0 <= lam < math.inf:
-        raise ValueError("lambda must be finite and nonnegative")
-    if lam == 0:
-        return [0] * n
-    limit = math.exp(-lam)
-    counts: list[int] = []
-    k, p = 0, 1.0
-    while len(counts) < n:
-        for u in rng.random(n - len(counts)).tolist():
-            p *= u
-            if p <= limit:
-                counts.append(k)
-                k, p = 0, 1.0
-            else:
-                k += 1
-    return counts
-
-
 def sample_poisson(rng, lam: float) -> int:
-    """One exact Poisson draw (Knuth's multiplicative method)."""
-    return poisson_counts(rng, lam, 1)[0]
+    """One Poisson draw; `generate_arrivals` draws the same way, n at a time."""
+    return int(rng.poisson(lam))
 
 
 def generate_arrivals(world, lam: float, packet_bits: int):
     """Draw this slot's Poisson arrivals, UE by UE in id order, into a new cohort."""
-    counts = poisson_counts(world.rng, lam, world.cfg.n_ues)
-    world.queue.push(world.slot, np.array(counts, dtype=np.int64) * packet_bits)
+    world.queue.push(world.slot, world.rng.poisson(lam, world.cfg.n_ues) * packet_bits)
 
 
 def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> np.ndarray:

@@ -105,19 +105,20 @@ def test_sinr_examples():
     cfg = ChannelConfig()
     # no interferers, rx equal to noise floor -> SNR exactly 1
     noise = channel.noise_power_dbm(20e6, cfg.ue_noise_figure_db)
-    assert channel.sinr(noise, (), 20e6, cfg.ue_noise_figure_db) == pytest.approx(1.0, rel=1e-12)
+    noise_mw = channel.noise_mw(20e6, cfg.ue_noise_figure_db)
+    assert channel.sinr(noise, (), noise_mw) == pytest.approx(1.0, rel=1e-12)
     # dominant interferer equal to the carrier -> ratio tends to 1
-    assert channel.sinr(-60.0, [-60.0], 20e6, cfg.ue_noise_figure_db) == pytest.approx(1.0, rel=1e-3)
+    assert channel.sinr(-60.0, [-60.0], noise_mw) == pytest.approx(1.0, rel=1e-3)
     # hand computation in milliwatts: 1e-9 / (1e-10 + 1e-10) with N forced to -100 dBm
-    ratio = channel.sinr(-90.0, [-100.0], 1.0, 0.0, noise_density_dbm_hz=-100.0)
+    ratio = channel.sinr(-90.0, [-100.0], channel.noise_mw(1.0, 0.0, noise_density_dbm_hz=-100.0))
     assert ratio == pytest.approx(5.0, rel=1e-9)
 
 
 def test_sinr_monotonicity():
-    cfg = ChannelConfig()
-    base = channel.sinr(-80.0, [-95.0], 20e6, cfg.ue_noise_figure_db)
-    assert channel.sinr(-78.0, [-95.0], 20e6, cfg.ue_noise_figure_db) > base
-    assert channel.sinr(-80.0, [-90.0], 20e6, cfg.ue_noise_figure_db) < base
+    noise = channel.noise_mw(20e6, ChannelConfig().ue_noise_figure_db)
+    base = channel.sinr(-80.0, [-95.0], noise)
+    assert channel.sinr(-78.0, [-95.0], noise) > base
+    assert channel.sinr(-80.0, [-90.0], noise) < base
 
 
 def test_units_audit_matches_mw_domain():
@@ -127,9 +128,9 @@ def test_units_audit_matches_mw_domain():
         ints = list(rng.uniform(-130.0, -80.0, size=rng.integers(0, 4)))
         bw = rng.uniform(1e6, 50e6)
         nf = rng.uniform(0.0, 10.0)
-        got = channel.sinr(rx, ints, bw, nf)
-        noise_mw = 10 ** ((-174.0 + 10 * math.log10(bw) + nf) / 10.0)
-        want = 10 ** (rx / 10.0) / (sum(10 ** (p / 10.0) for p in ints) + noise_mw)
+        got = channel.sinr(rx, ints, channel.noise_mw(bw, nf))
+        noise = 10 ** ((-174.0 + 10 * math.log10(bw) + nf) / 10.0)
+        want = 10 ** (rx / 10.0) / (sum(10 ** (p / 10.0) for p in ints) + noise)
         assert got == pytest.approx(want, rel=1e-9)
 
 

@@ -1,5 +1,6 @@
 """Association, schedule decoding, round-robin, backhaul capping, slot pipeline."""
 
+import copy
 import math
 
 import numpy as np
@@ -296,13 +297,26 @@ def test_step_slot_queue_conservation():
 
 def test_step_slot_rejects_out_of_cell_choice():
     world = make_world(seed=10)
-    chan = ChannelConfig()
+    chan, tcfg = ChannelConfig(), TrafficConfig()
     assoc = mac.associate(world, chan)
+    # a cohort the refused slot would drop at the deadline
+    world.queue.push(0, np.arange(world.cfg.n_ues) * 1000)
+    world.slot = tcfg.deadline_slots
     foreign = next(ue_id for ue_id, row in enumerate(assoc.rows.tolist()) if row != 1)
-    choices = {row: None for row in range(len(world.cfg.platforms))}
-    choices[1] = foreign
-    with pytest.raises(ValueError):
-        mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
+    last = world.cfg.n_ues - 1  # rows[-1] would name this UE
+    before = copy.deepcopy(world)
+    for row, ue_id in ((1, foreign), (int(assoc.rows[last]), -1), (0, world.cfg.n_ues)):
+        choices = {r: None for r in range(len(world.cfg.platforms))}
+        choices[row] = ue_id
+        with pytest.raises(ValueError):
+            mac.step_slot(world, choices, tcfg, chan, assoc)
+        # refused before anything moved, dropped or was drawn
+        assert world.slot == before.slot
+        assert world.rng.bit_generator.state == before.rng.bit_generator.state
+        assert world.queue.n_cohorts == before.queue.n_cohorts
+        for name in ("cells", "arrived_bits", "delivered_bits", "dropped_bits"):
+            assert np.array_equal(getattr(world.queue, name), getattr(before.queue, name))
+        assert np.array_equal(world.ue_positions, before.ue_positions)
 
 
 def test_step_slot_idle_uavs_deliver_nothing():
@@ -390,8 +404,8 @@ def reference_step_slot(world, choices, tcfg, chan, association):
             for q in active
             if q != row and platforms[q].carrier_hz == p.carrier_hz
         ]
-        ratio = channel.sinr(serving, interferers, p.bandwidth_hz, chan.ue_noise_figure_db,
-                             chan.noise_density_dbm_hz)
+        noise = channel.noise_mw(p.bandwidth_hz, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
+        ratio = channel.sinr(serving, interferers, noise)
         capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
         if p.tier == UNTETHERED_NODE:
             capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
@@ -501,3 +515,17 @@ def test_backhaul_cap_follows_channel_config():
     served, low_caps = capped_slot(world, wider)
     assert served == low_caps
     assert all(low_caps[n] < wide_caps[n] for n in low_caps if n in wide_caps)
+
+
+def test_access_noise_follows_channel_config():
+    chan, tcfg = ChannelConfig(), TrafficConfig()
+    worlds = make_world(seed=15), make_world(seed=15)
+    for slot in range(4):
+        if slot == 2:
+            chan.ue_noise_figure_db = 20.0  # the same config object, changed in place
+        delivered = []
+        for world, step in zip(worlds, (mac.step_slot, reference_step_slot)):
+            assoc = mac.associate(world, chan)
+            _, metrics = step(world, mac.rr_schedule(assoc, slot), tcfg, chan, assoc)
+            delivered.append(metrics.delivered_by_uav)
+        assert delivered[0] == delivered[1]

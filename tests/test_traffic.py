@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ntnsim import traffic
 from ntnsim.scenario import ScenarioConfig, init_world
@@ -45,28 +46,56 @@ def generator(seed, buffered):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    lam=st.one_of(st.sampled_from([0.0, 1e-300, 0.5, 2.0, 700.0]), st.floats(0.0, 700.0)),
+    lam=st.one_of(
+        st.sampled_from([0.0, 1e-300, 0.5, 2.0, math.nextafter(10.0, 0.0)]),
+        st.floats(0.0, 10.0, exclude_max=True),
+    ),
     n=st.integers(1, 80),
     seed=st.integers(0, 2**32 - 1),
     buffered=st.booleans(),
 )
 def test_poisson_counts_match_scalar_knuth(lam, n, seed, buffered):
-    blocks, scalar = generator(seed, buffered), generator(seed, buffered)
+    # below lambda = 10 numpy's Generator.poisson is Knuth's multiplicative
+    # method on next_double; a change of numpy's sampler fails here
+    scalar = generator(seed, buffered)
     want = [knuth_reference(scalar, lam) for _ in range(n)]
-    assert traffic.poisson_counts(blocks, lam, n) == want
-    assert blocks.bit_generator.state == scalar.bit_generator.state
+    world = init_world(ScenarioConfig(n_ues=n), seed=0)
+    world.rng = generator(seed, buffered)
+    traffic.generate_arrivals(world, lam, packet_bits=1)
+    assert world.queue.cells[:, 0].tolist() == want
+    assert world.rng.bit_generator.state == scalar.bit_generator.state
+    one_by_one = generator(seed, buffered)
+    assert [traffic.sample_poisson(one_by_one, lam) for _ in range(n)] == want
+    assert one_by_one.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("lam", [10.0, 50.0, 700.0])
+def test_arrivals_fit_poisson_from_lambda_10(lam):
+    # numpy's PTRS rejection sampler; chi-square against the exact pmf on
+    # bins of at least 20 expected draws, both tails lumped into end bins
+    n = 40_000
+    world = init_world(ScenarioConfig(n_ues=n), seed=int(lam))
+    traffic.generate_arrivals(world, lam, packet_bits=1)
+    draws = world.queue.cells[:, 0]
+    edges, below = [0], 0.0  # bin starts; the pmf mass below the open bin
+    for k in range(int(stats.poisson.ppf(1 - 1e-6, lam)) + 1):
+        cdf = stats.poisson.cdf(k, lam)
+        if (cdf - below) * n >= 20 and stats.poisson.sf(k, lam) * n >= 20:
+            edges.append(k + 1)
+            below = cdf
+    observed = np.bincount(np.searchsorted(edges, draws, side="right") - 1, minlength=len(edges))
+    cdf = stats.poisson.cdf(np.array(edges[1:]) - 1, lam)
+    expected = np.diff(np.concatenate(([0.0], cdf, [1.0]))) * n
+    assert expected.min() >= 20 and len(edges) > 10
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_sample_poisson_edge_cases():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert traffic.poisson_counts(rng, 3.0, 0) == []
-    assert traffic.poisson_counts(rng, 0.0, 4) == [0, 0, 0, 0]
     assert traffic.sample_poisson(rng, 0.0) == 0
     assert rng.bit_generator.state == state  # nothing drawn
     for lam in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            traffic.poisson_counts(rng, lam, 3)
         with pytest.raises(ValueError):
             traffic.sample_poisson(rng, lam)
     assert rng.bit_generator.state == state
