@@ -60,12 +60,19 @@ class ExperimentConfig:
         if self.k_obs < 1:
             raise ConfigError("train.k_obs must be positive")
         # Checked here rather than in TrainConfig.validate: a Trainer built
-        # only to lend its actors to run_episode may use one-slot episodes.
-        if self.method != "rr" and self.train.slots_per_update > self.train.slots_per_episode:
+        # only to lend its actors to run_episode may use one-slot episodes and
+        # tiny rings.
+        train = self.train
+        if self.method != "rr" and train.slots_per_update > train.slots_per_episode:
             raise ConfigError(
                 "train.slots_per_update must not exceed train.slots_per_episode: "
                 "an episode would run no update round, so nothing would learn"
             )
+        trained = {"rr": (), "maddpg": ("sched",), "tts-maddpg": ("sched", "traj")}[self.method]
+        for key in (f"{group}_buffer_capacity" for group in trained):
+            if getattr(train, key) < train.batch_size:
+                raise ConfigError(f"train.{key} must be at least train.batch_size: update_round "
+                                  "skips a group whose ring holds less than one batch")
         try:
             for sub in (self.scenario, self.traffic, self.channel, self.train):
                 sub.validate()

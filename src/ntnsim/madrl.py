@@ -48,15 +48,6 @@ REWARD_SCALE = 1e9  # slot reward = delivered bits per second / this
 
 
 @dataclass
-class AgentSpec:
-    name: str
-    group: str  # "scheduler" | "trajectory"
-    row: int  # the platform's row in the fleet
-    obs_dim: int
-    action_dim: int
-
-
-@dataclass
 class ObsNorm:
     """Scales that map raw queue quantities into [0, 1] observation entries."""
 
@@ -83,25 +74,6 @@ class EnvSpec:
 
     def norm(self) -> ObsNorm:
         return ObsNorm.from_traffic(self.traffic)
-
-
-def build_agent_specs(env: EnvSpec) -> tuple[list[AgentSpec], list[AgentSpec]]:
-    """One scheduler per platform row and one trajectory agent per
-    untethered node (rows 1-4). A scheduler observes its own position and
-    k_obs UE rows and acts with a one-hot over the k_obs observed ranks; a
-    trajectory agent also sees the donor and acts with a 2-D velocity in
-    [-1, 1]^2."""
-    k = env.k_obs
-    platforms = env.scenario.platforms
-    sched = [
-        AgentSpec(f"sched{p.id}", "scheduler", row, 2 + UE_FEATURES * k, k)
-        for row, p in enumerate(platforms)
-    ]
-    traj = [
-        AgentSpec(f"traj{p.id}", "trajectory", row, 4 + UE_FEATURES * k, 2)
-        for row, p in enumerate(platforms[1:], start=1)
-    ]
-    return sched, traj
 
 
 def local_observation(world: WorldState, cells: np.ndarray, norm: ObsNorm) -> np.ndarray:
@@ -447,7 +419,6 @@ def run_episode(
     noise_rng: np.random.Generator | None = None,
     sched_buffer: ReplayBuffer | None = None,
     traj_buffer: ReplayBuffer | None = None,
-    zero_global: bool = False,
     record_actions: bool = False,
 ) -> EpisodeResult:
     """One rollout. Scheduling agents act every slot; trajectory agents emit
@@ -464,10 +435,12 @@ def run_episode(
     velocity commands are the drift alone (actors ignored for this episode),
     which keeps near-hover contrast data in the buffer after the policy has
     committed to a direction. Eval mode stores nothing, and schedulers take
-    their argmax rank. Action selection reads only local observations;
-    learners compute the global state for critic-side bookkeeping alone (in
-    eval mode too), rr computes none, and zero_global replaces it with zeros
-    without touching behavior.
+    their argmax rank. Action selection reads only local observations; the
+    global state is built only for the replay buffers, so only learners'
+    train rollouts build it.
+
+    Scheduler i serves fleet row i and, under tts-maddpg, velocity agent i
+    moves the node in row i + 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -475,32 +448,30 @@ def run_episode(
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
     learn = method != "rr"
-    sched_specs, traj_specs = build_agent_specs(env)
     norm = env.norm()
     world = init_world(env.scenario, world_seed)
     dt = env.scenario.slot_seconds
     n_platforms = len(env.scenario.platforms)
+    n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
     node_caps = np.array([[p.max_speed_mps] for p in env.scenario.platforms[1:]])
 
     res = EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
-    held_velocity = np.zeros((len(traj_specs), 2))
     # One exploration bearing per episode, held for the whole episode so the
     # node's displacement accumulates along it. The episode-level correlation
     # between the bearing and the rewards it earns is the channel the value
     # fit actually reads; a sign-alternating bearing was tried and nulls it.
-    traj_drift = np.zeros((len(traj_specs), 2))
-    if train and traj_specs and traj_drift_std > 0.0:
-        traj_drift = noise_rng.normal(0.0, traj_drift_std, (len(traj_specs), 2))
+    traj_drift = np.zeros((n_nodes, 2))
+    if train and n_nodes and traj_drift_std > 0.0:
+        traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
     pending_sched = None  # (state, obs, actions, reward) awaiting next state
     pending_traj = None  # (state, obs, actions) for the running macro-step
     macro_sum = 0.0
 
     def snapshot(association):
-        """A learner's observed-UE cells, global state, scheduler
-        observations and observed-UE counts."""
+        """A learner's observed-UE cells, global state (None in eval mode),
+        scheduler observations and observed-UE counts."""
         cells = mac.observed_ues(world, association, env.k_obs)
-        state = np.zeros(global_state_dim(n_platforms, env.scenario.n_ues)) if zero_global \
-            else global_state(world, norm)
+        state = global_state(world, norm) if train else None
         return cells, state, local_observation(world, cells, norm), (cells >= 0).sum(axis=1)
 
     for t in range(slots):
@@ -522,12 +493,12 @@ def run_episode(
                 res.macro_rewards.append(macro_sum)
             macro_sum = 0.0
             if train and traj_explore_only:
-                traj_acts = np.zeros((len(traj_specs), 2))
+                traj_acts = np.zeros((n_nodes, 2))
             else:
                 traj_acts = np.stack(
                     [
                         select_action(traj_actors[i], traj_obs[i], noise_std if train else 0.0, noise_rng)
-                        for i in range(len(traj_specs))
+                        for i in range(n_nodes)
                     ]
                 )
             if train:
@@ -541,7 +512,7 @@ def run_episode(
             sched_acts = np.stack(
                 [
                     select_rank(sched_actors[i], sched_obs[i], sched_n[i], noise_rng if train else None)
-                    for i in range(len(sched_specs))
+                    for i in range(n_platforms)
                 ]
             )
             choices = mac.decode_schedule(sched_acts, cells)
@@ -677,6 +648,10 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.batch_size <= 0 or self.slots_per_update <= 0:
             raise ValueError("batch_size and slots_per_update must be positive")
+        if self.actor_lr <= 0.0 or self.critic_lr <= 0.0:
+            raise ValueError("actor_lr and critic_lr must be positive")
+        if self.noise_start < 0.0 or self.noise_end < 0.0:
+            raise ValueError("noise_start and noise_end must be non-negative")
         if self.hidden_width <= 0 or self.traj_hidden_width <= 0:
             raise ValueError("hidden widths must be positive")
         if self.traj_drift_std < 0.0 or self.traj_actor_delay < 0:
@@ -701,7 +676,7 @@ class TrainConfig:
 
 @dataclass
 class AgentNets:
-    spec: AgentSpec
+    name: str  # checkpoint file prefix: sched{platform id} or traj{platform id}
     actor: MlpParams
     actor_target: MlpParams
     critic: MlpParams
@@ -727,10 +702,8 @@ class Trainer:
         nn.keep_heap()
         self.env = env
         self.cfg = cfg
-        self.sched_specs, self.traj_specs = build_agent_specs(env)
-        if cfg.method != "tts-maddpg":
-            self.traj_specs = []
-        self.state_dim = global_state_dim(len(env.scenario.platforms), env.scenario.n_ues)
+        platforms, k = env.scenario.platforms, env.k_obs
+        self.state_dim = global_state_dim(len(platforms), env.scenario.n_ues)
         self.rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
         self.sched_agents: list[AgentNets] = []
         self.traj_agents: list[AgentNets] = []
@@ -742,33 +715,29 @@ class Trainer:
 
         if cfg.method == "rr":
             return
+        # Scheduler i serves fleet row i: it observes its own position and k
+        # UE rows and acts with a one-hot over the k ranks. Velocity agent i
+        # moves the node in row i + 1: it also sees the donor and acts with a
+        # 2-D velocity in [-1, 1]^2. Nets draw from init_rng in that order.
         init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        for spec in self.sched_specs:
-            self.sched_agents.append(
-                self._make_agent(spec, self.sched_specs, cfg.hidden_width, init_rng)
-            )
-        for spec in self.traj_specs:
+        for p in platforms:
+            scorer = nn.init_mlp((SCORER_IN, SCORER_WIDTH, 1), "linear", init_rng)
+            self.sched_agents.append(self._make_agent(
+                f"sched{p.id}", scorer, len(platforms) * k, cfg.hidden_width, init_rng))
+        nodes = platforms[1:] if cfg.method == "tts-maddpg" else []
+        h = cfg.traj_hidden_width
+        for p in nodes:
+            actor = nn.init_mlp((4 + UE_FEATURES * k, h, h, 2), "tanh", init_rng)
             self.traj_agents.append(
-                self._make_agent(spec, self.traj_specs, cfg.traj_hidden_width, init_rng)
-            )
+                self._make_agent(f"traj{p.id}", actor, len(nodes) * 2, h, init_rng))
 
         total_sched = cfg.episodes * cfg.slots_per_episode
-        self.sched_buffer = ReplayBuffer(
-            min(cfg.sched_buffer_capacity, total_sched),
-            self.state_dim,
-            len(self.sched_specs),
-            self.sched_specs[0].obs_dim,
-            self.sched_specs[0].action_dim,
-        )
-        if self.traj_specs:
+        self.sched_buffer = ReplayBuffer(min(cfg.sched_buffer_capacity, total_sched),
+                                         self.state_dim, len(platforms), 2 + UE_FEATURES * k, k)
+        if nodes:
             per_ep = len(range(0, cfg.slots_per_episode, TRAJECTORY_PERIOD))
-            self.traj_buffer = ReplayBuffer(
-                min(cfg.traj_buffer_capacity, cfg.episodes * per_ep),
-                self.state_dim,
-                len(self.traj_specs),
-                self.traj_specs[0].obs_dim,
-                self.traj_specs[0].action_dim,
-            )
+            self.traj_buffer = ReplayBuffer(min(cfg.traj_buffer_capacity, cfg.episodes * per_ep),
+                                            self.state_dim, len(nodes), 4 + UE_FEATURES * k, 2)
             # Drift episodes older than one ring length at the unlock are
             # evicted before the velocity actors ever read the critics, so
             # they carry zero exploration value and only perturb the geometry
@@ -784,15 +753,13 @@ class Trainer:
             ring_eps = self.traj_buffer.capacity // per_ep
             self.drift_start_ep = max(0, int(unlock_ep) - ring_eps)
 
-    def _make_agent(self, spec: AgentSpec, group: list[AgentSpec], h: int, rng) -> AgentNets:
-        if spec.group == "scheduler":
-            actor = nn.init_mlp((SCORER_IN, SCORER_WIDTH, 1), "linear", rng)
-        else:
-            actor = nn.init_mlp((spec.obs_dim, h, h, spec.action_dim), "tanh", rng)
-        critic_in = self.state_dim + sum(s.action_dim for s in group)
-        critic = nn.init_mlp((critic_in, h, h, 1), "linear", rng)
+    def _make_agent(self, name: str, actor: MlpParams, group_action_dim: int, h: int,
+                    rng) -> AgentNets:
+        """The agent around `actor`; its critic reads the global state and the
+        actions of every agent in its group."""
+        critic = nn.init_mlp((self.state_dim + group_action_dim, h, h, 1), "linear", rng)
         return AgentNets(
-            spec=spec,
+            name=name,
             actor=actor,
             actor_target=actor.copy(),
             critic=critic,
@@ -960,15 +927,15 @@ class Trainer:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for ag in self.sched_agents + self.traj_agents:
-            nn.save_params(out / f"{ag.spec.name}_actor.bin", ag.actor)
-            nn.save_params(out / f"{ag.spec.name}_actor_target.bin", ag.actor_target)
-            nn.save_params(out / f"{ag.spec.name}_critic.bin", ag.critic)
-            nn.save_params(out / f"{ag.spec.name}_critic_target.bin", ag.critic_target)
+            nn.save_params(out / f"{ag.name}_actor.bin", ag.actor)
+            nn.save_params(out / f"{ag.name}_actor_target.bin", ag.actor_target)
+            nn.save_params(out / f"{ag.name}_critic.bin", ag.critic)
+            nn.save_params(out / f"{ag.name}_critic_target.bin", ag.critic_target)
 
     def load_checkpoints(self, out_dir) -> None:
         out = Path(out_dir)
         for ag in self.sched_agents + self.traj_agents:
-            ag.actor = nn.load_params(out / f"{ag.spec.name}_actor.bin")
-            ag.actor_target = nn.load_params(out / f"{ag.spec.name}_actor_target.bin")
-            ag.critic = nn.load_params(out / f"{ag.spec.name}_critic.bin")
-            ag.critic_target = nn.load_params(out / f"{ag.spec.name}_critic_target.bin")
+            ag.actor = nn.load_params(out / f"{ag.name}_actor.bin")
+            ag.actor_target = nn.load_params(out / f"{ag.name}_actor_target.bin")
+            ag.critic = nn.load_params(out / f"{ag.name}_critic.bin")
+            ag.critic_target = nn.load_params(out / f"{ag.name}_critic_target.bin")

@@ -8,16 +8,12 @@ import numpy as np
 
 from .traffic import PacketQueue
 
-TETHERED_DONOR = "tethered_donor"
-UNTETHERED_NODE = "untethered_node"
-
 
 @dataclass
 class PlatformSpec:
     """Radio and mobility capabilities of one UAV base station."""
 
     id: int
-    tier: str
     altitude_m: float
     carrier_hz: float
     bandwidth_hz: float
@@ -35,10 +31,6 @@ class PlatformSpec:
             raise ValueError(f"platform {self.id}: bandwidth must be positive")
         if self.max_speed_mps < 0:
             raise ValueError(f"platform {self.id}: max speed must be non-negative")
-        if self.tier == TETHERED_DONOR and self.max_speed_mps != 0:
-            raise ValueError(f"platform {self.id}: a tethered donor cannot move")
-        if self.tier not in (TETHERED_DONOR, UNTETHERED_NODE):
-            raise ValueError(f"platform {self.id}: unknown tier {self.tier!r}")
 
 
 def default_fleet(
@@ -66,7 +58,6 @@ def default_fleet(
     """
     donor = PlatformSpec(
         id=0,
-        tier=TETHERED_DONOR,
         altitude_m=donor_altitude_m,
         carrier_hz=donor_carrier_hz,
         bandwidth_hz=donor_bandwidth_hz,
@@ -78,7 +69,6 @@ def default_fleet(
     nodes = [
         PlatformSpec(
             id=i + 1,
-            tier=UNTETHERED_NODE,
             altitude_m=node_altitude_m,
             carrier_hz=node_carrier_hz,
             bandwidth_hz=node_bandwidth_hz,
@@ -116,11 +106,11 @@ class ScenarioConfig:
             raise ValueError("ground-user speed range must satisfy 0 < min <= max")
         if self.slot_seconds <= 0:
             raise ValueError("slot duration must be positive")
-        tiers = [p.tier for p in self.platforms]
-        if tiers != [TETHERED_DONOR] + [UNTETHERED_NODE] * 4:
-            raise ValueError(
-                f"fleet must be the donor in row 0 and 4 nodes in rows 1-4, got {tiers}"
-            )
+        if len(self.platforms) != 5:
+            raise ValueError("fleet must be the donor in row 0 and 4 nodes in rows 1-4, "
+                             f"got {len(self.platforms)} platforms")
+        if self.platforms[0].max_speed_mps != 0:
+            raise ValueError("the platform in row 0 is the tethered donor and cannot move")
         for p in self.platforms:
             p.validate()
 

@@ -20,7 +20,7 @@ import pytest
 from scipy import stats
 
 import ntnsim
-from ntnsim import harness, mac, nn, traffic
+from ntnsim import harness, mac, madrl, nn, traffic
 from ntnsim.harness import ExperimentConfig
 from ntnsim.madrl import (
     ReplayBuffer,
@@ -354,7 +354,7 @@ def test_criterion_08_actor_sanity_oracle():
     )
 
 
-def test_criterion_09_ctde_separation():
+def test_criterion_09_ctde_separation(monkeypatch):
     cfg = ExperimentConfig()
     env = cfg.env_spec()
     tc = TrainConfig(
@@ -366,25 +366,41 @@ def test_criterion_09_ctde_separation():
         tr.train_episode(ep)
     sched = [a.actor for a in tr.sched_agents]
     traj = [a.actor for a in tr.traj_agents]
+    state_dim = global_state_dim(5, env.scenario.n_ues)
 
-    def rollout(zero_global):
-        return run_episode(
-            env, "tts-maddpg", sched, traj, 33, slots=60, mode="eval",
-            zero_global=zero_global, record_actions=True,
+    def rollout(mode):
+        sbuf = ReplayBuffer(100, state_dim, 5, 2 + 4 * env.k_obs, env.k_obs)
+        tbuf = ReplayBuffer(100, state_dim, 4, 4 + 4 * env.k_obs, 2)
+        res = run_episode(
+            env, "tts-maddpg", sched, traj, 33, slots=60, mode=mode, noise_std=0.1,
+            traj_drift_std=0.5, noise_rng=np.random.default_rng(9),
+            sched_buffer=sbuf, traj_buffer=tbuf, record_actions=True,
         )
+        return res, sbuf
 
-    a = rollout(False)
-    b = rollout(True)
+    a, abuf = rollout("train")
+    calls = []
+    monkeypatch.setattr(
+        madrl, "global_state", lambda world, norm: calls.append(0) or np.zeros(state_dim)
+    )
+    b, bbuf = rollout("train")
+    train_calls = len(calls)
+    rollout("eval")
+    eval_calls = len(calls) - train_calls
     same = (
-        all(np.array_equal(x, y) for x, y in zip(a.sched_action_log, b.sched_action_log))
+        len(a.sched_action_log) == 60 and len(a.traj_action_log) == 12
+        and all(np.array_equal(x, y) for x, y in zip(a.sched_action_log, b.sched_action_log))
         and all(np.array_equal(x, y) for x, y in zip(a.traj_action_log, b.traj_action_log))
         and a.delivered_bits == b.delivered_bits
     )
+    # the zeros reached the critics' replay rows, and the real state is not zero
+    zeroed = (train_calls == 61 and not bbuf.state[:60].any() and abuf.state[:60].any())
     _report(
         9,
-        same,
+        same and zeroed and eval_calls == 0,
         f"zeroed global state leaves all {len(a.sched_action_log)} slot actions and "
-        f"{len(a.traj_action_log)} velocity commands identical",
+        f"{len(a.traj_action_log)} velocity commands of a train rollout identical; "
+        f"an eval rollout builds no global state ({eval_calls} calls)",
     )
 
 

@@ -104,6 +104,14 @@ def test_parse_config_rejects_invalid_values():
         "[run]\nseeds = 0, -1\n",
         # two seeds of one run would write the same <method>_seed3 directory
         "[run]\nseeds = 3, 3\n",
+        # the velocity actors would raise on their first noisy step
+        "[train]\nnoise_start = -0.1\n",
+        "[train]\nnoise_end = -0.1\n",
+        "[train]\nactor_lr = 0\n",
+        "[train]\ncritic_lr = -0.001\n",
+        # a ring smaller than one batch: that group would never update
+        "[train]\ntraj_buffer_capacity = 4\nbatch_size = 8\n",
+        "[run]\nmethod = maddpg\n[train]\nsched_buffer_capacity = 4\nbatch_size = 8\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(text)
@@ -119,6 +127,12 @@ def test_parse_config_rejects_invalid_values():
     assert parse_config("[traffic]\nlambda = 700\n").traffic.lambda_pkts == 700.0
     # rr runs no update rounds, so its episodes may be shorter than the cadence
     assert parse_config("[run]\nmethod = rr\n[train]\nslots_per_episode = 2\n").method == "rr"
+    # a ring is checked against the batch only for a group the method trains
+    assert parse_config("[run]\nmethod = maddpg\n[train]\ntraj_buffer_capacity = 4\n"
+                        "batch_size = 8\n").train.traj_buffer_capacity == 4
+    assert parse_config("[run]\nmethod = rr\n[train]\nsched_buffer_capacity = 4\n"
+                        "batch_size = 8\n").method == "rr"
+    assert parse_config("[train]\ntraj_buffer_capacity = 8\nbatch_size = 8\n").train.batch_size == 8
     # non-finite floats are refused where the value is read (lambda = nan
     # would otherwise hang the Poisson sampler)
     for text in (

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ntnsim import channel, mac, traffic
 from ntnsim.channel import ChannelConfig
 from ntnsim.scenario import (
-    UNTETHERED_NODE,
     ScenarioConfig,
     apply_trajectory,
     default_fleet,
@@ -407,7 +406,7 @@ def reference_step_slot(world, choices, tcfg, chan, association):
         noise = channel.noise_mw(p.bandwidth_hz, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
         ratio = channel.sinr(serving, interferers, noise)
         capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
-        if p.tier == UNTETHERED_NODE:
+        if row > 0:  # a node, capped by its backhaul
             capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
         metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, ue_id, capacity)
     step_ue_mobility(world, world.cfg.slot_seconds)

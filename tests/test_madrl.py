@@ -1,9 +1,12 @@
-"""Agent specs, observations, replay, update mechanics, two-timescale rollouts."""
+"""Observations, replay, update mechanics, two-timescale rollouts."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntnsim import mac, madrl, nn
 from ntnsim.channel import ChannelConfig
@@ -12,7 +15,6 @@ from ntnsim.madrl import (
     ReplayBuffer,
     TrainConfig,
     Trainer,
-    build_agent_specs,
     critic_input,
     critic_targets,
     global_state,
@@ -38,23 +40,6 @@ def make_env(**kwargs):
     )
 
 
-def test_agent_specs():
-    env = make_env()
-    sched, traj = build_agent_specs(env)
-    assert len(sched) == 5 and len(traj) == 4
-    for s in sched:
-        assert s.obs_dim == 2 + 4 * env.k_obs
-        assert s.action_dim == env.k_obs
-    for s in traj:
-        assert s.obs_dim == 4 + 4 * env.k_obs
-        assert s.action_dim == 2
-    assert [s.row for s in sched] == [0, 1, 2, 3, 4]
-    assert [s.row for s in traj] == [1, 2, 3, 4]
-    assert [s.name for s in sched + traj] == [
-        "sched0", "sched1", "sched2", "sched3", "sched4", "traj1", "traj2", "traj3", "traj4"
-    ]
-
-
 def reference_observation(world, cells, norm, row):
     """One platform row's scheduler observation, UE by UE."""
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
@@ -76,7 +61,7 @@ def reference_observation(world, cells, norm, row):
 def test_local_observation_layout_and_bounds():
     env = make_env()
     norm = env.norm()
-    sched, traj = build_agent_specs(env)
+    assert env.k_obs == 8
     for seed in range(20):
         world = init_world(env.scenario, seed)
         for _ in range(seed % 4):  # queues with cohorts of several ages
@@ -86,11 +71,12 @@ def test_local_observation_layout_and_bounds():
         cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
         obs = local_observation(world, cells, norm)
         traj_obs = trajectory_observation(world, obs)
-        assert obs.shape == (len(sched), sched[0].obs_dim)
-        assert traj_obs.shape == (len(traj), traj[0].obs_dim)
+        # five schedulers see 2 + 4 * 8 entries, four velocity agents 4 + 4 * 8
+        assert obs.shape == (5, 34)
+        assert traj_obs.shape == (4, 36)
         for o in (obs, traj_obs):
             assert np.all(o >= -1.0) and np.all(o <= 1.0)
-        for row in range(len(sched)):
+        for row in range(5):
             assert obs[row].tolist() == reference_observation(world, cells, norm, row)
 
 
@@ -528,6 +514,27 @@ def test_run_episode_transition_counts_and_reward_split():
     assert tbuf.done.sum() == 1.0 and tbuf.done[19] == 1.0
 
 
+@settings(max_examples=25, deadline=None)
+@given(slots=st.integers(1, 60), world_seed=st.integers(0, 2**32 - 1))
+def test_run_episode_two_timescale_bookkeeping(slots, world_seed):
+    env = make_env(n_ues=12)
+    sched, traj = make_trained_actors(env)
+    sbuf = ReplayBuffer(100, global_state_dim(5, 12), 5, 2 + 4 * 8, 8)
+    tbuf = ReplayBuffer(100, global_state_dim(5, 12), 4, 4 + 4 * 8, 2)
+    res = run_episode(
+        env, "tts-maddpg", sched, traj, world_seed, slots=slots, mode="train",
+        noise_std=0.1, traj_drift_std=0.5, noise_rng=np.random.default_rng(world_seed),
+        sched_buffer=sbuf, traj_buffer=tbuf,
+    )
+    macros = math.ceil(slots / madrl.TRAJECTORY_PERIOD)
+    assert res.n_sched_transitions == len(sbuf) == len(res.slot_rewards) == slots
+    assert res.n_traj_transitions == len(tbuf) == len(res.macro_rewards) == macros
+    # one terminal transition per ring, at its last index
+    assert sbuf.done[:slots].tolist() == [0.0] * (slots - 1) + [1.0]
+    assert tbuf.done[:macros].tolist() == [0.0] * (macros - 1) + [1.0]
+    assert sum(res.macro_rewards) == pytest.approx(sum(res.slot_rewards), rel=1e-9, abs=0.0)
+
+
 def test_run_episode_eval_stores_nothing():
     env = make_env()
     sched, traj = make_trained_actors(env)
@@ -793,6 +800,12 @@ def test_trainer_checkpoint_roundtrip(tmp_path):
     cfg = TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10, seed=3)
     tr = Trainer(env, cfg)
     tr.save_checkpoints(tmp_path)
+    # one file per net: schedulers by platform id 0-4, velocity agents 1-4
+    nets = ("actor", "actor_target", "critic", "critic_target")
+    agents = [f"sched{i}" for i in range(5)] + [f"traj{i}" for i in range(1, 5)]
+    files = [p.name for p in tmp_path.iterdir()]
+    assert len(files) == 36
+    assert set(files) == {f"{a}_{n}.bin" for a in agents for n in nets}
     tr2 = Trainer(env, cfg)
     tr2.load_checkpoints(tmp_path)
     for a, b in zip(tr.sched_agents + tr.traj_agents, tr2.sched_agents + tr2.traj_agents):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ntnsim.scenario import (
     ScenarioConfig,
-    UNTETHERED_NODE,
     apply_trajectory,
     default_fleet,
     init_world,
@@ -24,12 +23,12 @@ def small_cfg(n_ues=6):
 def test_default_fleet_composition():
     fleet = default_fleet()
     assert len(fleet) == 5
-    assert fleet[0].tier == "tethered_donor"
+    # row 0 is the tethered donor: it cannot move
+    assert fleet[0].id == 0
     assert fleet[0].altitude_m == 200.0
     assert fleet[0].max_speed_mps == 0.0
     for i, node in enumerate(fleet[1:], start=1):
         assert node.id == i
-        assert node.tier == UNTETHERED_NODE
         assert node.altitude_m == 100.0
         assert node.max_speed_mps > 0
 
@@ -96,7 +95,7 @@ def test_validate_rejects_bad_configs():
         init_world(ScenarioConfig(n_ues=4, platforms=fleet), seed=0)
     fleet = default_fleet()
     fleet[0].max_speed_mps = 5.0  # a tethered donor cannot move
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="row 0"):
         init_world(ScenarioConfig(n_ues=4, platforms=fleet), seed=0)
     fleet = default_fleet()
     fleet[1].max_speed_mps = -5.0  # would flip the sign of the velocity command
