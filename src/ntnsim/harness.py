@@ -59,6 +59,11 @@ class ExperimentConfig:
             raise ConfigError(f"run.seeds must be distinct and non-negative, got {self.seeds}")
         if self.k_obs < 1:
             raise ConfigError("train.k_obs must be positive")
+        try:
+            for sub in (self.scenario, self.traffic, self.channel, self.train):
+                sub.validate()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         # Checked here rather than in TrainConfig.validate: a Trainer built
         # only to lend its actors to run_episode may use one-slot episodes and
         # tiny rings.
@@ -69,15 +74,12 @@ class ExperimentConfig:
                 "an episode would run no update round, so nothing would learn"
             )
         trained = {"rr": (), "maddpg": ("sched",), "tts-maddpg": ("sched", "traj")}[self.method]
-        for key in (f"{group}_buffer_capacity" for group in trained):
-            if getattr(train, key) < train.batch_size:
-                raise ConfigError(f"train.{key} must be at least train.batch_size: update_round "
-                                  "skips a group whose ring holds less than one batch")
-        try:
-            for sub in (self.scenario, self.traffic, self.channel, self.train):
-                sub.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        rows = train.ring_rows()
+        for group in trained:
+            if rows[group] < train.batch_size:
+                raise ConfigError(f"the {group} replay ring holds {rows[group]} rows (capacity, "
+                                  "or all the run's transitions if fewer) < train.batch_size: "
+                                  "update_round skips a group whose ring holds less than one batch")
 
 
 def _parse_seeds(raw: str) -> list[int]:
@@ -368,10 +370,15 @@ def summarize_eval(result_dir) -> MethodSummary:
 
 def compare(result_dirs) -> tuple[list[MethodSummary], dict[tuple[str, str], float]]:
     """Converged mean +/- std per run plus pairwise relative gains
-    (row over column, as a fraction)."""
+    (row over column, as a fraction). Runs that share a label (method and
+    seed) are labelled by their paths instead."""
     if len(result_dirs) < 2:
         raise ConfigError("compare needs at least two result directories")
     summaries = [summarize_eval(d) for d in result_dirs]
+    labels = [s.label for s in summaries]
+    for s in summaries:
+        if labels.count(s.label) > 1:
+            s.label = s.path
     gains = {}
     for a in summaries:
         for b in summaries:

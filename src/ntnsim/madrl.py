@@ -189,9 +189,15 @@ def team_reward(metrics: SlotMetrics, slot_seconds: float, scale: float = REWARD
 class ReplayBuffer:
     """Fixed-capacity ring of team transitions, uniformly sampled.
 
-    n_obs and next_n_obs hold each agent's observed-UE count, which masks
-    the padded ranks of a scheduler's observation; velocity transitions
-    leave them zero."""
+    Each row stores the snapshot a transition starts from; the successor a
+    batch returns (next_state, next_obs, next_n_obs) is row (idx + 1) %
+    capacity. Rows are pushed in time order and sampled only between
+    episodes, so the newest row is always done and a row's successor is
+    overwritten only after the row. A done row's successor is whatever
+    finite row follows (the next episode's first, the oldest, or a zero row
+    never written): its target r + gamma * (1 - done) * q is r for any
+    finite q. n_obs holds each agent's observed-UE count, which masks the
+    padded ranks of a scheduler's observation; velocity rows leave it zero."""
 
     def __init__(self, capacity: int, state_dim: int, n_agents: int, obs_dim: int, act_dim: int):
         if capacity <= 0:
@@ -203,27 +209,20 @@ class ReplayBuffer:
         self.obs = np.zeros((capacity, n_agents, obs_dim), dtype=np.float32)
         self.actions = np.zeros((capacity, n_agents, act_dim), dtype=np.float32)
         self.reward = np.zeros(capacity, dtype=np.float32)
-        self.next_state = np.zeros((capacity, state_dim), dtype=np.float32)
-        self.next_obs = np.zeros((capacity, n_agents, obs_dim), dtype=np.float32)
         self.done = np.zeros(capacity, dtype=np.float32)
         self.n_obs = np.zeros((capacity, n_agents), dtype=np.int32)
-        self.next_n_obs = np.zeros((capacity, n_agents), dtype=np.int32)
 
     def __len__(self) -> int:
         return self.size
 
-    def push(self, state, obs, actions, reward, next_state, next_obs, done: bool,
-             n_obs=0, next_n_obs=0):
+    def push(self, state, obs, actions, reward, done: bool, n_obs=0):
         i = self._head
         self.state[i] = state
         self.obs[i] = obs
         self.actions[i] = actions
         self.reward[i] = reward
-        self.next_state[i] = next_state
-        self.next_obs[i] = next_obs
         self.done[i] = 1.0 if done else 0.0
         self.n_obs[i] = n_obs
-        self.next_n_obs[i] = next_n_obs
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -231,16 +230,17 @@ class ReplayBuffer:
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch size {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
+        nxt = (idx + 1) % self.capacity
         return {
             "state": self.state[idx].astype(float),
             "obs": self.obs[idx].astype(float),
             "actions": self.actions[idx].astype(float),
             "reward": self.reward[idx].astype(float),
-            "next_state": self.next_state[idx].astype(float),
-            "next_obs": self.next_obs[idx].astype(float),
+            "next_state": self.state[nxt].astype(float),
+            "next_obs": self.obs[nxt].astype(float),
             "done": self.done[idx].astype(float),
             "n_obs": self.n_obs[idx],
-            "next_n_obs": self.next_n_obs[idx],
+            "next_n_obs": self.n_obs[nxt],
         }
 
 
@@ -428,6 +428,10 @@ def run_episode(
     actors add Gaussian noise, both drawn from noise_rng, and transitions
     are pushed into the group buffers: one per slot for the scheduler group,
     one per 5-slot macro-step (with summed reward) for the trajectory group.
+    Each is pushed as soon as it is complete, at the end of its slot or macro
+    step, and the episode's last one is done. A transition's successor is
+    the next row of its ring (see ReplayBuffer), so no snapshot is built
+    after the final slot: a done row's target never reads its successor.
     Velocity exploration adds an episode-constant drift vector on top of the
     per-step Gaussian: white noise at the macro-step scale cancels itself and
     displaces a node only a few meters per episode, so sustained-movement
@@ -463,35 +467,19 @@ def run_episode(
     traj_drift = np.zeros((n_nodes, 2))
     if train and n_nodes and traj_drift_std > 0.0:
         traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
-    pending_sched = None  # (state, obs, actions, reward) awaiting next state
-    pending_traj = None  # (state, obs, actions) for the running macro-step
     macro_sum = 0.0
 
-    def snapshot(association):
-        """A learner's observed-UE cells, global state (None in eval mode),
-        scheduler observations and observed-UE counts."""
-        cells = mac.observed_ues(world, association, env.k_obs)
-        state = global_state(world, norm) if train else None
-        return cells, state, local_observation(world, cells, norm), (cells >= 0).sum(axis=1)
-
     for t in range(slots):
+        last = t == slots - 1
         association = mac.associate(world, env.channel)
         if learn:
-            cells, state, sched_obs, sched_n = snapshot(association)
-
-        if pending_sched is not None:
-            sched_buffer.push(*pending_sched[:4], state, sched_obs, False,
-                              pending_sched[4], sched_n)
-            res.n_sched_transitions += 1
+            cells = mac.observed_ues(world, association, env.k_obs)
+            state = global_state(world, norm) if train else None
+            sched_obs = local_observation(world, cells, norm)
+            sched_n = (cells >= 0).sum(axis=1)
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
-            traj_obs = trajectory_observation(world, sched_obs)
-            if pending_traj is not None:
-                if train:
-                    traj_buffer.push(*pending_traj, macro_sum, state, traj_obs, False)
-                    res.n_traj_transitions += 1
-                res.macro_rewards.append(macro_sum)
-            macro_sum = 0.0
+            traj_state, traj_obs = state, trajectory_observation(world, sched_obs)
             if train and traj_explore_only:
                 traj_acts = np.zeros((n_nodes, 2))
             else:
@@ -504,7 +492,6 @@ def run_episode(
             if train:
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
             held_velocity = traj_acts * node_caps
-            pending_traj = (state, traj_obs, traj_acts)
             if record_actions:
                 res.traj_action_log.append(traj_acts.copy())
 
@@ -519,7 +506,6 @@ def run_episode(
             if record_actions:
                 res.sched_action_log.append(sched_acts.copy())
         else:
-            sched_acts = None
             choices = mac.rr_schedule(association, t)
 
         world, metrics = mac.step_slot(world, choices, env.traffic, env.channel, association)
@@ -532,20 +518,15 @@ def run_episode(
         for row, bits in enumerate(metrics.delivered_by_uav):
             res.delivered_by_uav[row] += bits
 
-        pending_sched = (state, sched_obs, sched_acts, r, sched_n) if (train and learn) else None
-
-    if pending_sched is not None or pending_traj is not None:
-        association = mac.associate(world, env.channel)
-        cells, state, sched_obs, sched_n = snapshot(association)
-        if pending_sched is not None:
-            sched_buffer.push(*pending_sched[:4], state, sched_obs, True, pending_sched[4], sched_n)
+        if train and learn:
+            sched_buffer.push(state, sched_obs, sched_acts, r, last, sched_n)
             res.n_sched_transitions += 1
-        if pending_traj is not None:
-            traj_obs = trajectory_observation(world, sched_obs)
+        if method == "tts-maddpg" and (last or (t + 1) % TRAJECTORY_PERIOD == 0):
             if train:
-                traj_buffer.push(*pending_traj, macro_sum, state, traj_obs, True)
+                traj_buffer.push(traj_state, traj_obs, traj_acts, macro_sum, last)
                 res.n_traj_transitions += 1
             res.macro_rewards.append(macro_sum)
+            macro_sum = 0.0
 
     res.delivered_bits = sum(res.delivered_by_uav)
     res.arrived_bits = int(world.queue.arrived_bits.sum())
@@ -673,6 +654,18 @@ class TrainConfig:
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be at least 1")
 
+    def macro_steps(self) -> int:
+        """Velocity transitions per episode."""
+        return len(range(0, self.slots_per_episode, TRAJECTORY_PERIOD))
+
+    def ring_rows(self) -> dict[str, int]:
+        """Rows of each group's replay ring: its configured capacity, or every
+        transition the run pushes if that is fewer."""
+        return {
+            "sched": min(self.sched_buffer_capacity, self.episodes * self.slots_per_episode),
+            "traj": min(self.traj_buffer_capacity, self.episodes * self.macro_steps()),
+        }
+
 
 @dataclass
 class AgentNets:
@@ -731,13 +724,13 @@ class Trainer:
             self.traj_agents.append(
                 self._make_agent(f"traj{p.id}", actor, len(nodes) * 2, h, init_rng))
 
-        total_sched = cfg.episodes * cfg.slots_per_episode
-        self.sched_buffer = ReplayBuffer(min(cfg.sched_buffer_capacity, total_sched),
-                                         self.state_dim, len(platforms), 2 + UE_FEATURES * k, k)
+        rows = cfg.ring_rows()
+        self.sched_buffer = ReplayBuffer(rows["sched"], self.state_dim, len(platforms),
+                                         2 + UE_FEATURES * k, k)
         if nodes:
-            per_ep = len(range(0, cfg.slots_per_episode, TRAJECTORY_PERIOD))
-            self.traj_buffer = ReplayBuffer(min(cfg.traj_buffer_capacity, cfg.episodes * per_ep),
-                                            self.state_dim, len(nodes), 4 + UE_FEATURES * k, 2)
+            per_ep = cfg.macro_steps()
+            self.traj_buffer = ReplayBuffer(rows["traj"], self.state_dim, len(nodes),
+                                            4 + UE_FEATURES * k, 2)
             # Drift episodes older than one ring length at the unlock are
             # evicted before the velocity actors ever read the critics, so
             # they carry zero exploration value and only perturb the geometry

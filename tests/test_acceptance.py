@@ -393,8 +393,9 @@ def test_criterion_09_ctde_separation(monkeypatch):
         and all(np.array_equal(x, y) for x, y in zip(a.traj_action_log, b.traj_action_log))
         and a.delivered_bits == b.delivered_bits
     )
-    # the zeros reached the critics' replay rows, and the real state is not zero
-    zeroed = (train_calls == 61 and not bbuf.state[:60].any() and abuf.state[:60].any())
+    # one state per slot, and no snapshot after the last slot: the zeros
+    # reached the critics' replay rows, and the real state is not zero
+    zeroed = (train_calls == 60 and not bbuf.state[:60].any() and abuf.state[:60].any())
     _report(
         9,
         same and zeroed and eval_calls == 0,

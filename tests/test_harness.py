@@ -112,9 +112,16 @@ def test_parse_config_rejects_invalid_values():
         # a ring smaller than one batch: that group would never update
         "[train]\ntraj_buffer_capacity = 4\nbatch_size = 8\n",
         "[run]\nmethod = maddpg\n[train]\nsched_buffer_capacity = 4\nbatch_size = 8\n",
+        # a short run fills a ring of 5 x 4 velocity transitions only
+        "[train]\nepisodes = 5\nslots_per_episode = 20\nwarmup_transitions = 8\nbatch_size = 32\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(text)
+    # the message names the group whose ring is short
+    with pytest.raises(ConfigError, match="traj replay ring holds 20 rows"):
+        parse_config("[train]\nepisodes = 5\nslots_per_episode = 20\nbatch_size = 32\n")
+    with pytest.raises(ConfigError, match="sched replay ring holds 20 rows"):
+        parse_config("[run]\nmethod = maddpg\n[train]\nepisodes = 1\nslots_per_episode = 20\n")
     # the queues count bits in int64; the message names the limit
     with pytest.raises(ConfigError, match="4294967296"):
         parse_config("[traffic]\npacket_bits = 9223372036854775808\n")
@@ -281,6 +288,21 @@ def test_compare_identical_dirs_zero_gain(tmp_path):
     assert all(g == pytest.approx(0.0) for g in gains.values())
 
 
+def test_compare_keeps_every_pair_of_runs_that_share_a_label(tmp_path):
+    dirs = []
+    for parent, mbps in (("cmpA", 40.0), ("cmpB", 50.0)):
+        d = tmp_path / parent / "rr_seed0"
+        write_eval_csv(d, [99], [mbps])
+        (d / "config.ini").write_text(dump_config(small_cfg()))  # labelled "rr seed 0"
+        dirs.append(str(d))
+    summaries, gains = compare(dirs)
+    assert [s.label for s in summaries] == dirs
+    assert gains == pytest.approx({(dirs[1], dirs[0]): 0.25, (dirs[0], dirs[1]): -0.2})
+    text = format_comparison(summaries, gains)
+    assert f"{dirs[1]} over {dirs[0]}: +25.0%" in text
+    assert f"{dirs[0]} over {dirs[1]}: -20.0%" in text
+
+
 def test_compare_needs_two_dirs(tmp_path):
     with pytest.raises(ConfigError):
         compare([str(tmp_path)])
@@ -293,7 +315,7 @@ def test_cli_run_and_compare(tmp_path, capsys):
     conf.write_text(
         "[run]\nmethod = rr\nseeds = 0\nout_dir = {out}\n"
         "[scenario]\nn_ues = 6\n"
-        "[train]\nepisodes = 2\nslots_per_episode = 20\n"
+        "[train]\nepisodes = 2\nslots_per_episode = 20\nbatch_size = 8\n"
         "eval_every_episodes = 1\neval_episodes = 2\n".format(out=tmp_path / "res")
     )
     assert cli.main(["run", "--config", str(conf), "--quiet"]) == 0

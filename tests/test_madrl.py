@@ -226,7 +226,7 @@ def test_replay_buffer_ring_and_sampling():
         s = np.full(3, float(i))
         o = np.full((2, 4), float(i))
         a = np.full((2, 2), float(i))
-        buf.push(s, o, a, float(i), s + 1, o + 1, done=False)
+        buf.push(s, o, a, float(i), False, i)
     assert len(buf) == 8
     # oldest entries (0..3) were overwritten
     assert set(buf.reward.tolist()) == set(float(i) for i in range(4, 12))
@@ -237,11 +237,122 @@ def test_replay_buffer_ring_and_sampling():
     for _ in range(200):
         batch = buf.sample(rng, 4)
         seen.update(batch["reward"].tolist())
+        # a row's successor is the row pushed after it; the newest row's
+        # successor is the oldest row
+        nxt = np.where(batch["reward"] == 11.0, 4.0, batch["reward"] + 1.0)
+        assert np.array_equal(batch["next_state"], np.repeat(nxt[:, None], 3, axis=1))
+        assert np.array_equal(batch["next_obs"], np.broadcast_to(nxt[:, None, None], (4, 2, 4)))
+        assert np.array_equal(batch["next_n_obs"], np.repeat(nxt[:, None], 2, axis=1))
     assert seen == set(float(i) for i in range(4, 12))
     batch = buf.sample(rng, 5)
-    assert batch["state"].shape == (5, 3)
-    assert batch["obs"].shape == (5, 2, 4)
+    assert batch["state"].shape == batch["next_state"].shape == (5, 3)
+    assert batch["obs"].shape == batch["next_obs"].shape == (5, 2, 4)
     assert batch["actions"].shape == (5, 2, 2)
+
+
+class ExplicitSuccessorRing:
+    """Reference ring that stores each transition's successor in the
+    transition's own row."""
+
+    def __init__(self, capacity, state_dim, n_agents, obs_dim, act_dim):
+        shapes = {"state": (state_dim,), "obs": (n_agents, obs_dim),
+                  "actions": (n_agents, act_dim), "reward": (), "done": (), "n_obs": (n_agents,)}
+        shapes.update({f"next_{key}": shapes[key] for key in ("state", "obs", "n_obs")})
+        self.rows = {key: np.zeros((capacity, *shape),
+                                   np.int32 if key.endswith("n_obs") else np.float32)
+                     for key, shape in shapes.items()}
+        self.capacity, self.size, self.head = capacity, 0, 0
+
+    def push(self, **row):
+        for key, value in row.items():
+            self.rows[key][self.head] = value
+        self.head = (self.head + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, rng, batch_size):
+        idx = rng.integers(0, self.size, size=batch_size)
+        return {key: rows[idx] if key.endswith("n_obs") else rows[idx].astype(float)
+                for key, rows in self.rows.items()}
+
+
+class OwnRowSuccessor(ReplayBuffer):
+    """Mutant: reads each successor from the sampled row itself."""
+
+    def sample(self, rng, batch_size):
+        idx = rng.integers(0, self.size, size=batch_size)
+        batch = {key: getattr(self, key)[idx].astype(float)
+                 for key in ("state", "obs", "actions", "reward", "done")}
+        batch.update(n_obs=self.n_obs[idx], next_state=batch["state"], next_obs=batch["obs"],
+                     next_n_obs=self.n_obs[idx])
+        return batch
+
+
+def ring_mismatch(ring_cls, group, capacity, lengths, seed):
+    """Push episodes of the given lengths into a ring_cls ring and into the
+    explicit-successor reference, sample both after each episode from
+    generators in the same state, and name the first difference: a sampled
+    field (successors compared on non-terminal rows only), the critic
+    targets, or the generator state after sampling. None if there is none."""
+    sched = group == "sched"
+    k, n_agents, state_dim, batch_size = 3, 2, 5, 16
+    obs_dim, act_dim = (2 + 4 * k, k) if sched else (4 + 4 * k, 2)
+    rng = np.random.default_rng(seed)
+    if sched:
+        targets = [nn.init_mlp((madrl.SCORER_IN, 8, 1), "linear", rng) for _ in range(n_agents)]
+    else:
+        targets = [nn.init_mlp((obs_dim, 8, act_dim), "tanh", rng) for _ in range(n_agents)]
+    critic = nn.init_mlp((state_dim + n_agents * act_dim, 8, 1), "linear", rng)
+    ring = ring_cls(capacity, state_dim, n_agents, obs_dim, act_dim)
+    ref = ExplicitSuccessorRing(capacity, state_dim, n_agents, obs_dim, act_dim)
+
+    def snapshot():
+        n = rng.integers(0, k + 1, size=n_agents) if sched else np.zeros(n_agents, int)
+        return rng.normal(size=state_dim), rng.uniform(-1, 1, (n_agents, obs_dim)), n
+
+    def critic_y(batch):
+        next_a = (madrl.target_ranks(targets, batch["next_obs"], batch["next_n_obs"]) if sched
+                  else target_actions(targets, batch["next_obs"]))
+        return critic_targets(batch, critic, 0.9, critic_input(batch["next_state"], next_a))
+
+    for episode, length in enumerate(lengths):
+        snaps = [snapshot() for _ in range(length + 1)]
+        for t in range(length):
+            (s, o, n), (s1, o1, n1) = snaps[t], snaps[t + 1]
+            a, r, done = rng.uniform(-1, 1, (n_agents, act_dim)), rng.uniform(0, 2), t == length - 1
+            ring.push(s, o, a, r, done, n)
+            ref.push(state=s, obs=o, actions=a, reward=r, done=done, n_obs=n,
+                     next_state=s1, next_obs=o1, next_n_obs=n1)
+        ring_rng, ref_rng = (np.random.default_rng([seed, episode]) for _ in range(2))
+        b = min(len(ring), batch_size)
+        got, want = ring.sample(ring_rng, b), ref.sample(ref_rng, b)
+        if ring_rng.bit_generator.state != ref_rng.bit_generator.state:
+            return "generator state"
+        live = want["done"] == 0.0
+        for key, expected in want.items():
+            rows = live if key.startswith("next_") else slice(None)
+            if not np.array_equal(got[key][rows], expected[rows]):
+                return key
+        if critic_y(got).tobytes() != critic_y(want).tobytes():
+            return "critic targets"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    group=st.sampled_from(["sched", "traj"]),
+    capacity=st.integers(1, 120),
+    lengths=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ring_reads_successors_by_index_exactly(group, capacity, lengths, seed):
+    # rings of 1-120 rows under episodes of 1-60 transitions: many wrap
+    # mid-episode, some never fill
+    assert ring_mismatch(ReplayBuffer, group, capacity, lengths, seed) is None
+
+
+def test_ring_property_catches_a_successor_read_from_the_sampled_row():
+    assert ring_mismatch(OwnRowSuccessor, "sched", 7, [5, 9, 3], 0) == "next_state"
+    assert ring_mismatch(OwnRowSuccessor, "traj", 50, [12], 1) == "next_state"
 
 
 def test_critic_targets_terminal_and_gamma_zero():
