@@ -44,6 +44,11 @@ SCORER_WIDTH = 32
 # leave it near its random initialization for thousands of rounds.
 SCORER_LR = 1e-2
 TRAJECTORY_PERIOD = 5  # slots per trajectory decision
+# The trainer's nets, their target copies and Adam moments, the replay rings
+# and every batch drawn from them. Update rounds run in this dtype under
+# nn.flush_subnormals; observations are cast to the actors' dtype once per
+# slot. The simulator stays float64.
+NET_DTYPE = np.float32
 REWARD_SCALE = 1e9  # slot reward = delivered bits per second / this
 
 
@@ -99,7 +104,7 @@ def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarr
     relative to the node, normalized like the UE offsets."""
     xy = world.positions[:, :2]
     donor_offset = (xy[:1] - xy[1:]) / (world.cfg.area_w_m, world.cfg.area_h_m)
-    return np.hstack((sched_obs[1:], donor_offset))
+    return np.hstack((sched_obs[1:], donor_offset), dtype=sched_obs.dtype)
 
 
 def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
@@ -140,7 +145,7 @@ def rank_logits(scorer: MlpParams, obs: np.ndarray, n_obs: np.ndarray):
     platform's own position) and the (b, k) mask of observed ranks. The
     mask comes from n_obs, not from the (zero) features of padded ranks."""
     b, k = obs.shape[0], (obs.shape[1] - 2) // UE_FEATURES
-    rows = np.empty((b, k, SCORER_IN))
+    rows = np.empty((b, k, SCORER_IN), dtype=obs.dtype)
     rows[:, :, :UE_FEATURES] = obs[:, 2:].reshape(b, k, UE_FEATURES)
     rows[:, :, UE_FEATURES:] = obs[:, None, :2]
     out, cache = nn.forward_pass(scorer, rows.reshape(b * k, SCORER_IN))
@@ -158,12 +163,12 @@ def select_rank(
     a = np.zeros((obs.shape[0] - 2) // UE_FEATURES)
     if n_obs == 0:
         return a
-    rows = np.empty((n_obs, SCORER_IN))
+    rows = np.empty((n_obs, SCORER_IN), dtype=obs.dtype)
     rows[:, :UE_FEATURES] = obs[2 : 2 + UE_FEATURES * n_obs].reshape(n_obs, UE_FEATURES)
     rows[:, UE_FEATURES:] = obs[:2]
     logits = nn.mlp_forward(scorer, rows)[:, 0]
     if rng is not None:
-        logits += rng.gumbel(size=n_obs)
+        logits = logits + rng.gumbel(size=n_obs)  # float64: the draw is not rounded
     a[int(np.argmax(logits))] = 1.0
     return a
 
@@ -197,7 +202,8 @@ class ReplayBuffer:
     finite row follows (the next episode's first, the oldest, or a zero row
     never written): its target r + gamma * (1 - done) * q is r for any
     finite q. n_obs holds each agent's observed-UE count, which masks the
-    padded ranks of a scheduler's observation; velocity rows leave it zero."""
+    padded ranks of a scheduler's observation; velocity rows leave it zero.
+    Rows are stored, and sampled, in NET_DTYPE."""
 
     def __init__(self, capacity: int, state_dim: int, n_agents: int, obs_dim: int, act_dim: int):
         if capacity <= 0:
@@ -205,11 +211,11 @@ class ReplayBuffer:
         self.capacity = capacity
         self.size = 0
         self._head = 0
-        self.state = np.zeros((capacity, state_dim), dtype=np.float32)
-        self.obs = np.zeros((capacity, n_agents, obs_dim), dtype=np.float32)
-        self.actions = np.zeros((capacity, n_agents, act_dim), dtype=np.float32)
-        self.reward = np.zeros(capacity, dtype=np.float32)
-        self.done = np.zeros(capacity, dtype=np.float32)
+        self.state = np.zeros((capacity, state_dim), dtype=NET_DTYPE)
+        self.obs = np.zeros((capacity, n_agents, obs_dim), dtype=NET_DTYPE)
+        self.actions = np.zeros((capacity, n_agents, act_dim), dtype=NET_DTYPE)
+        self.reward = np.zeros(capacity, dtype=NET_DTYPE)
+        self.done = np.zeros(capacity, dtype=NET_DTYPE)
         self.n_obs = np.zeros((capacity, n_agents), dtype=np.int32)
 
     def __len__(self) -> int:
@@ -232,13 +238,13 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch_size)
         nxt = (idx + 1) % self.capacity
         return {
-            "state": self.state[idx].astype(float),
-            "obs": self.obs[idx].astype(float),
-            "actions": self.actions[idx].astype(float),
-            "reward": self.reward[idx].astype(float),
-            "next_state": self.state[nxt].astype(float),
-            "next_obs": self.obs[nxt].astype(float),
-            "done": self.done[idx].astype(float),
+            "state": self.state[idx],
+            "obs": self.obs[idx],
+            "actions": self.actions[idx],
+            "reward": self.reward[idx],
+            "next_state": self.state[nxt],
+            "next_obs": self.obs[nxt],
+            "done": self.done[idx],
             "n_obs": self.n_obs[idx],
             "next_n_obs": self.n_obs[nxt],
         }
@@ -306,8 +312,9 @@ def update_actor(
 ) -> None:
     """One Adam ascent step on mean Q with this agent's action replayed
     through its actor; the gradient reaches the actor via the critic's
-    input gradient on the action columns. x is the critic input of the
-    batch's own actions (see critic_input); it is left unchanged.
+    input gradient on the action columns, formed for those columns only.
+    x is the critic input of the batch's own actions (see critic_input); it
+    is left unchanged.
 
     action_reg penalizes the mean squared action, a pull toward hover. It
     acts on the post-tanh action a, so its gradient 2 * action_reg * a *
@@ -321,8 +328,7 @@ def update_actor(
     x_i[:, cols] = a_i
     _, critic_cache = nn.forward_pass(critic, x_i)
     upstream = np.full((b, 1), -1.0 / b)  # minimize -mean(Q)
-    gx = nn.input_grad(critic, critic_cache, upstream)
-    da_i = gx[:, cols] + (2.0 * action_reg / b) * a_i
+    da_i = nn.input_grad(critic, critic_cache, upstream, cols) + (2.0 * action_reg / b) * a_i
     gw, gb = nn.param_grads(actor, actor_cache, da_i)
     nn.adam_step(actor, gw, gb, adam, lr)
 
@@ -333,7 +339,7 @@ def target_ranks(
     """(batch, n_agents, k) one-hot argmax ranks of the target scorers on
     next observations."""
     b, n_agents, _ = next_obs.shape
-    out = np.zeros((b, n_agents, (next_obs.shape[2] - 2) // UE_FEATURES))
+    out = np.zeros((b, n_agents, (next_obs.shape[2] - 2) // UE_FEATURES), dtype=next_obs.dtype)
     for i, s in enumerate(scorers):
         logits, _, valid = rank_logits(s, next_obs[:, i, :], next_n_obs[:, i])
         live = np.flatnonzero(valid[:, 0])  # an empty cell keeps its all-zero action
@@ -374,7 +380,7 @@ def update_scorer(
     x_i = x.copy()
     x_i[:, cols] = y
     _, critic_cache = nn.forward_pass(critic, x_i)
-    gy = nn.input_grad(critic, critic_cache, np.full((b, 1), -1.0 / b))[:, cols]
+    gy = nn.input_grad(critic, critic_cache, np.full((b, 1), -1.0 / b), cols)
     dz = y * (gy - (y * gy).sum(axis=1, keepdims=True))
     gw, gb = nn.param_grads(scorer, cache, dz.reshape(b * k, 1))
     nn.adam_step(scorer, gw, gb, adam, lr)
@@ -458,6 +464,7 @@ def run_episode(
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
     node_caps = np.array([[p.max_speed_mps] for p in env.scenario.platforms[1:]])
+    obs_dtype = sched_actors[0].dtype if learn else None
 
     res = EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
     # One exploration bearing per episode, held for the whole episode so the
@@ -475,7 +482,7 @@ def run_episode(
         if learn:
             cells = mac.observed_ues(world, association, env.k_obs)
             state = global_state(world, norm) if train else None
-            sched_obs = local_observation(world, cells, norm)
+            sched_obs = local_observation(world, cells, norm).astype(obs_dtype, copy=False)
             sched_n = (cells >= 0).sum(axis=1)
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
@@ -749,8 +756,11 @@ class Trainer:
     def _make_agent(self, name: str, actor: MlpParams, group_action_dim: int, h: int,
                     rng) -> AgentNets:
         """The agent around `actor`; its critic reads the global state and the
-        actions of every agent in its group."""
+        actions of every agent in its group. Both nets are drawn in float64
+        and cast to NET_DTYPE."""
+        actor = actor.astype(NET_DTYPE)
         critic = nn.init_mlp((self.state_dim + group_action_dim, h, h, 1), "linear", rng)
+        critic = critic.astype(NET_DTYPE)
         return AgentNets(
             name=name,
             actor=actor,
@@ -854,42 +864,44 @@ class Trainer:
 
     def update_round(self) -> None:
         """One batch per group, then a critic and an actor step for every
-        agent against that batch, then soft target updates. A no-op once the
+        agent against that batch, then soft target updates, all with float32
+        subnormals flushed to zero (nn.flush_subnormals). A no-op once the
         update budget is spent."""
         cfg = self.cfg
         if 0 < cfg.update_rounds_budget <= self.update_rounds:
             return
-        # Schedulers: Gumbel-Softmax steps on their scorers, greedy target
-        # ranks. Velocity actors: DDPG steps with an L2 pull toward hover, a
-        # sane prior for a node; they wait out traj_actor_delay rounds while
-        # their critics converge, then step only within traj_actor_window
-        # rounds.
-        groups = [(self.sched_agents, self.sched_buffer, cfg.gamma, 0.0)]
-        if self.traj_agents:
-            groups.append((self.traj_agents, self.traj_buffer, cfg.gamma ** TRAJECTORY_PERIOD,
-                           cfg.traj_critic_weight_decay))
-        step_traj = self.traj_actors_stepping()
-        for agents, buffer, gamma, wd in groups:
-            if buffer.size < cfg.batch_size:
-                continue
-            sched = agents is self.sched_agents
-            batch = buffer.sample(self.rng, cfg.batch_size)
-            x = critic_input(batch["state"], batch["actions"])
-            targets = [a.actor_target for a in agents]
-            next_a = (target_ranks(targets, batch["next_obs"], batch["next_n_obs"]) if sched
-                      else target_actions(targets, batch["next_obs"]))
-            next_x = critic_input(batch["next_state"], next_a)
-            for i, ag in enumerate(agents):
-                y = critic_targets(batch, ag.critic_target, gamma, next_x)
-                update_critic(ag.critic, ag.critic_adam, x, y, cfg.critic_lr, wd)
-                if sched:
-                    update_scorer(i, ag.actor, ag.actor_adam, ag.critic, batch, x, self.rng)
-                elif step_traj:
-                    update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x,
-                                 cfg.actor_lr, cfg.action_reg)
-        for ag in self.sched_agents + self.traj_agents:
-            nn.soft_update(ag.actor_target, ag.actor, cfg.tau)
-            nn.soft_update(ag.critic_target, ag.critic, cfg.tau)
+        with nn.flush_subnormals():
+            # Schedulers: Gumbel-Softmax steps on their scorers, greedy target
+            # ranks. Velocity actors: DDPG steps with an L2 pull toward hover, a
+            # sane prior for a node; they wait out traj_actor_delay rounds while
+            # their critics converge, then step only within traj_actor_window
+            # rounds.
+            groups = [(self.sched_agents, self.sched_buffer, cfg.gamma, 0.0)]
+            if self.traj_agents:
+                groups.append((self.traj_agents, self.traj_buffer, cfg.gamma ** TRAJECTORY_PERIOD,
+                               cfg.traj_critic_weight_decay))
+            step_traj = self.traj_actors_stepping()
+            for agents, buffer, gamma, wd in groups:
+                if buffer.size < cfg.batch_size:
+                    continue
+                sched = agents is self.sched_agents
+                batch = buffer.sample(self.rng, cfg.batch_size)
+                x = critic_input(batch["state"], batch["actions"])
+                targets = [a.actor_target for a in agents]
+                next_a = (target_ranks(targets, batch["next_obs"], batch["next_n_obs"]) if sched
+                          else target_actions(targets, batch["next_obs"]))
+                next_x = critic_input(batch["next_state"], next_a)
+                for i, ag in enumerate(agents):
+                    y = critic_targets(batch, ag.critic_target, gamma, next_x)
+                    update_critic(ag.critic, ag.critic_adam, x, y, cfg.critic_lr, wd)
+                    if sched:
+                        update_scorer(i, ag.actor, ag.actor_adam, ag.critic, batch, x, self.rng)
+                    elif step_traj:
+                        update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x,
+                                     cfg.actor_lr, cfg.action_reg)
+            for ag in self.sched_agents + self.traj_agents:
+                nn.soft_update(ag.actor_target, ag.actor, cfg.tau)
+                nn.soft_update(ag.critic_target, ag.critic, cfg.tau)
         self.update_rounds += 1
 
     def train_episode(self, episode: int) -> tuple[EpisodeResult, float]:
@@ -916,19 +928,18 @@ class Trainer:
             for j in range(self.cfg.eval_episodes)
         ]
 
+    CHECKPOINT_NETS = ("actor", "actor_target", "critic", "critic_target")
+
     def save_checkpoints(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for ag in self.sched_agents + self.traj_agents:
-            nn.save_params(out / f"{ag.name}_actor.bin", ag.actor)
-            nn.save_params(out / f"{ag.name}_actor_target.bin", ag.actor_target)
-            nn.save_params(out / f"{ag.name}_critic.bin", ag.critic)
-            nn.save_params(out / f"{ag.name}_critic_target.bin", ag.critic_target)
+            for net in self.CHECKPOINT_NETS:
+                nn.save_params(out / f"{ag.name}_{net}.bin", getattr(ag, net))
 
     def load_checkpoints(self, out_dir) -> None:
+        """Read every net back; a float64 (version 1) file is cast to NET_DTYPE."""
         out = Path(out_dir)
         for ag in self.sched_agents + self.traj_agents:
-            ag.actor = nn.load_params(out / f"{ag.name}_actor.bin")
-            ag.actor_target = nn.load_params(out / f"{ag.name}_actor_target.bin")
-            ag.critic = nn.load_params(out / f"{ag.name}_critic.bin")
-            ag.critic_target = nn.load_params(out / f"{ag.name}_critic_target.bin")
+            for net in self.CHECKPOINT_NETS:
+                setattr(ag, net, nn.load_params(out / f"{ag.name}_{net}.bin").astype(NET_DTYPE))

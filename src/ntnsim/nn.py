@@ -13,20 +13,37 @@ mlp_backward runs all three and returns every gradient.
 All functions accept a single sample (d,) or a minibatch (n, d); gradients
 are summed over the batch, so mean-loss callers fold 1/n into the upstream
 gradient themselves.
+
+There is no dtype option: every function computes in the dtype of the
+parameters it is given, and casts its input and upstream gradient to it.
+init_mlp draws float64; the trainer casts its nets to float32 once. In
+float32, Adam's moments of weights whose gradient stays zero and the
+weight-decayed weights of the velocity critics decay into subnormals, and
+x86-64 takes a slow microcode path for every operation on one: without a
+flush, a tts-maddpg run of 300 episodes x 100 slots held 244k subnormals
+at its end, its rounds slowed from 12 ms to 70-150 ms after round 1,500, and
+it took 373 s instead of 96 s (2-vCPU x86-64, one BLAS thread).
+flush_subnormals sets flush-to-zero for the span of an update round only, so
+the float64 simulator never runs under it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import platform
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAGIC = b"NTNMLP\x00\x00"  # 8 bytes
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _ACT_CODES = {"linear": 0, "tanh": 1}
 _ACT_NAMES = {v: k for k, v in _ACT_CODES.items()}
+_DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
+_DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 @dataclass
@@ -42,13 +59,21 @@ class MlpParams:
     biases: list[np.ndarray]
     out_act: str = "linear"
 
-    def copy(self) -> "MlpParams":
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
+
+    def astype(self, dtype) -> "MlpParams":
+        """A copy with every array in dtype."""
         return MlpParams(
             layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=[w.astype(dtype) for w in self.weights],
+            biases=[b.astype(dtype) for b in self.biases],
             out_act=self.out_act,
         )
+
+    def copy(self) -> "MlpParams":
+        return self.astype(self.dtype)
 
 
 def init_mlp(layer_sizes, out_act: str, rng: np.random.Generator) -> MlpParams:
@@ -67,7 +92,7 @@ def init_mlp(layer_sizes, out_act: str, rng: np.random.Generator) -> MlpParams:
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=params.dtype)
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -113,12 +138,18 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
 def _output_grad(params: MlpParams, cache, upstream) -> np.ndarray:
     """The upstream gradient carried back through the output activation."""
     y = cache[1][-1]
-    g = np.asarray(upstream, dtype=float)
+    g = np.asarray(upstream, dtype=y.dtype)
     if g.shape != y.shape:
         raise ValueError(f"upstream shape {g.shape} does not match output {y.shape}")
     if params.out_act == "tanh":
         g = g * (1.0 - y * y)
     return g
+
+
+def _through(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g @ w.T; for a layer with one output unit (every critic and scorer
+    head) the same products as a broadcast, which is faster than a gemm."""
+    return g * w[:, 0] if w.shape[1] == 1 else g @ w.T
 
 
 def param_grads(params: MlpParams, cache, upstream):
@@ -132,21 +163,23 @@ def param_grads(params: MlpParams, cache, upstream):
         grads_w[l] = acts[l].T @ g
         grads_b[l] = g.sum(axis=0)
         if l > 0:
-            g = g @ params.weights[l].T
+            g = _through(g, params.weights[l])
             g *= zs[l - 1] > 0.0
     return grads_w, grads_b
 
 
-def input_grad(params: MlpParams, cache, upstream) -> np.ndarray:
-    """Per-sample gradient of sum(upstream * output) w.r.t. the input, from
-    a forward_pass cache; no parameter gradient is formed."""
+def input_grad(params: MlpParams, cache, upstream, cols=slice(None)) -> np.ndarray:
+    """Per-sample gradient of sum(upstream * output) w.r.t. the input
+    columns cols (all by default), from a forward_pass cache; no parameter
+    gradient is formed. The last product reads only the rows cols of the
+    first weight matrix, so a few columns cost a few columns of work; the
+    result can differ in the last bit from slicing the full gradient."""
     zs, _ = cache
     g = _output_grad(params, cache, upstream)
-    for l in range(len(params.weights) - 1, -1, -1):
-        g = g @ params.weights[l].T
-        if l > 0:
-            g *= zs[l - 1] > 0.0
-    return g
+    for l in range(len(params.weights) - 1, 0, -1):
+        g = _through(g, params.weights[l])
+        g *= zs[l - 1] > 0.0
+    return _through(g, params.weights[0][cols])
 
 
 def mlp_backward(params: MlpParams, x, upstream):
@@ -156,7 +189,7 @@ def mlp_backward(params: MlpParams, x, upstream):
     batch-summed parameter grads and a per-sample input grad.
     """
     single = np.ndim(x) == 1
-    g = np.asarray(upstream, dtype=float)
+    g = np.asarray(upstream)
     if single:
         g = g[None, :]
     _, cache = forward_pass(params, x)
@@ -184,6 +217,54 @@ def keep_heap() -> bool:
         return False
     m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h parameter numbers
     return bool(mallopt(m_mmap_threshold, 4 << 20)) and bool(mallopt(m_trim_threshold, 16 << 20))
+
+
+# glibc's x86-64 fenv_t: the 28-byte x87 environment, then the SSE control
+# and status register MXCSR, which fesetenv installs whole.
+_FENV_WORDS, _MXCSR_WORD = 8, 7
+_MXCSR_FTZ_DAZ = 0x8000 | 0x0040  # flush-to-zero, denormals-are-zero
+
+
+@functools.cache
+def _fenv_calls():
+    """(fegetenv, fesetenv) from glibc on x86-64, else None."""
+    if platform.machine() not in ("x86_64", "AMD64") or platform.libc_ver()[0] != "glibc":
+        return None
+    try:
+        libc = ctypes.CDLL(None)
+        calls = libc.fegetenv, libc.fesetenv
+    except (OSError, AttributeError):
+        return None
+    for f in calls:
+        f.argtypes, f.restype = [ctypes.POINTER(ctypes.c_uint32 * _FENV_WORDS)], ctypes.c_int
+    return calls
+
+
+@contextmanager
+def flush_subnormals():
+    """Flush subnormal results and operands to zero in this thread while the
+    block runs, then restore the caller's floating-point environment; yields
+    whether it could (glibc on x86-64 only; elsewhere it does nothing and
+    yields False).
+
+    Under it an update round never touches a float32 subnormal (see the
+    module docstring). Only the calling thread's SSE state is set: a BLAS
+    running its own threads computes their share without the flush, so
+    results are reproducible with BLAS on one thread, as the harness runs."""
+    calls = _fenv_calls()
+    saved = (ctypes.c_uint32 * _FENV_WORDS)()
+    if calls is None or calls[0](saved) != 0:
+        yield False
+        return
+    flushed = (ctypes.c_uint32 * _FENV_WORDS)(*saved)
+    flushed[_MXCSR_WORD] |= _MXCSR_FTZ_DAZ
+    if calls[1](flushed) != 0:
+        yield False
+        return
+    try:
+        yield True
+    finally:
+        calls[1](saved)
 
 
 @dataclass
@@ -266,24 +347,27 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
 
 # Checkpoint layout (little-endian throughout):
 #   bytes 0..7   magic "NTNMLP\0\0"
-#   byte  8      format version (1)
+#   byte  8      format version (2; version 1 is read too)
 #   byte  9      output activation code (0 = linear, 1 = tanh)
-#   bytes 10..11 reserved, zero
+#   byte  10     dtype code (0 = float64, 1 = float32); zero in version 1,
+#                whose files are all float64
+#   byte  11     reserved, zero
 #   bytes 12..15 uint32 layer count L
 #   next 4*L     uint32 layer sizes
-#   then per layer: weight matrix (fan_in x fan_out, row-major) float64,
-#                   bias vector (fan_out) float64
+#   then per layer: weight matrix (fan_in x fan_out, row-major),
+#                   bias vector (fan_out), both in the dtype
 
 
 def save_params(path, params: MlpParams) -> None:
+    dtype = params.dtype.newbyteorder("<")
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<BBHI", FORMAT_VERSION, _ACT_CODES[params.out_act], 0,
-                            len(params.layer_sizes)))
+        f.write(struct.pack("<BBBBI", FORMAT_VERSION, _ACT_CODES[params.out_act],
+                            _DTYPE_CODES[params.dtype], 0, len(params.layer_sizes)))
         f.write(struct.pack(f"<{len(params.layer_sizes)}I", *params.layer_sizes))
         for w, b in zip(params.weights, params.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(w, dtype=dtype).tobytes())
+            f.write(np.ascontiguousarray(b, dtype=dtype).tobytes())
 
 
 def load_params(path) -> MlpParams:
@@ -293,18 +377,22 @@ def load_params(path) -> MlpParams:
         raise ValueError(f"{path}: not a checkpoint file")
     if len(raw) < 16:
         raise ValueError(f"{path}: header cut short")
-    version, act_code, _, n_layers = struct.unpack("<BBHI", raw[8:16])
-    if version != FORMAT_VERSION:
+    version, act_code, dtype_code, _, n_layers = struct.unpack("<BBBBI", raw[8:16])
+    if version not in (1, FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported format version {version}")
     if act_code not in _ACT_NAMES:
         raise ValueError(f"{path}: unknown activation code {act_code}")
+    if dtype_code not in _DTYPE_NAMES or (version == 1 and dtype_code != 0):
+        raise ValueError(f"{path}: unknown dtype code {dtype_code}")
+    dtype = _DTYPE_NAMES[dtype_code].newbyteorder("<")
     off = 16 + 4 * n_layers
     if len(raw) < off:
         raise ValueError(f"{path}: header cut short before its {n_layers} layer sizes")
     sizes = struct.unpack(f"<{n_layers}I", raw[16:off])
     if n_layers < 2 or 0 in sizes:
         raise ValueError(f"{path}: bad layer sizes {sizes}")
-    payload = 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    n_floats = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    payload = dtype.itemsize * n_floats
     if len(raw) - off != payload:
         raise ValueError(
             f"{path}: {len(raw) - off} parameter bytes where layer sizes {sizes} need {payload}"
@@ -313,10 +401,10 @@ def load_params(path) -> MlpParams:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         n = fan_in * fan_out
         weights.append(
-            np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(fan_in, fan_out).copy()
+            np.frombuffer(raw, dtype=dtype, count=n, offset=off).reshape(fan_in, fan_out).copy()
         )
-        off += 8 * n
-        biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=off).copy())
-        off += 8 * fan_out
+        off += dtype.itemsize * n
+        biases.append(np.frombuffer(raw, dtype=dtype, count=fan_out, offset=off).copy())
+        off += dtype.itemsize * fan_out
     return MlpParams(layer_sizes=sizes, weights=weights, biases=biases,
                      out_act=_ACT_NAMES[act_code])

@@ -259,7 +259,7 @@ class ExplicitSuccessorRing:
                   "actions": (n_agents, act_dim), "reward": (), "done": (), "n_obs": (n_agents,)}
         shapes.update({f"next_{key}": shapes[key] for key in ("state", "obs", "n_obs")})
         self.rows = {key: np.zeros((capacity, *shape),
-                                   np.int32 if key.endswith("n_obs") else np.float32)
+                                   np.int32 if key.endswith("n_obs") else madrl.NET_DTYPE)
                      for key, shape in shapes.items()}
         self.capacity, self.size, self.head = capacity, 0, 0
 
@@ -271,8 +271,7 @@ class ExplicitSuccessorRing:
 
     def sample(self, rng, batch_size):
         idx = rng.integers(0, self.size, size=batch_size)
-        return {key: rows[idx] if key.endswith("n_obs") else rows[idx].astype(float)
-                for key, rows in self.rows.items()}
+        return {key: rows[idx] for key, rows in self.rows.items()}
 
 
 class OwnRowSuccessor(ReplayBuffer):
@@ -280,7 +279,7 @@ class OwnRowSuccessor(ReplayBuffer):
 
     def sample(self, rng, batch_size):
         idx = rng.integers(0, self.size, size=batch_size)
-        batch = {key: getattr(self, key)[idx].astype(float)
+        batch = {key: getattr(self, key)[idx]
                  for key in ("state", "obs", "actions", "reward", "done")}
         batch.update(n_obs=self.n_obs[idx], next_state=batch["state"], next_obs=batch["obs"],
                      next_n_obs=self.n_obs[idx])
@@ -297,11 +296,14 @@ def ring_mismatch(ring_cls, group, capacity, lengths, seed):
     k, n_agents, state_dim, batch_size = 3, 2, 5, 16
     obs_dim, act_dim = (2 + 4 * k, k) if sched else (4 + 4 * k, 2)
     rng = np.random.default_rng(seed)
+    f32 = madrl.NET_DTYPE
     if sched:
-        targets = [nn.init_mlp((madrl.SCORER_IN, 8, 1), "linear", rng) for _ in range(n_agents)]
+        targets = [nn.init_mlp((madrl.SCORER_IN, 8, 1), "linear", rng).astype(f32)
+                   for _ in range(n_agents)]
     else:
-        targets = [nn.init_mlp((obs_dim, 8, act_dim), "tanh", rng) for _ in range(n_agents)]
-    critic = nn.init_mlp((state_dim + n_agents * act_dim, 8, 1), "linear", rng)
+        targets = [nn.init_mlp((obs_dim, 8, act_dim), "tanh", rng).astype(f32)
+                   for _ in range(n_agents)]
+    critic = nn.init_mlp((state_dim + n_agents * act_dim, 8, 1), "linear", rng).astype(f32)
     ring = ring_cls(capacity, state_dim, n_agents, obs_dim, act_dim)
     ref = ExplicitSuccessorRing(capacity, state_dim, n_agents, obs_dim, act_dim)
 
@@ -490,12 +492,35 @@ def _reference_logits(scorer, obs, n_obs):
     return logits
 
 
+def _reference_column_grad(critic, x, cols):
+    """The gradient of -mean(Q) w.r.t. the critic input columns cols, walked
+    by hand: a forward walk for the ReLU masks, back through the hidden
+    layers, and only the rows cols of the first weight matrix in the last
+    product."""
+    zs, h = [], x
+    for w, b in zip(critic.weights[:-1], critic.biases[:-1]):
+        zs.append(h @ w + b)
+        h = np.maximum(zs[-1], 0.0)
+    g = np.full((x.shape[0], 1), -1.0 / x.shape[0], dtype=x.dtype)
+    for l in range(len(critic.weights) - 1, 0, -1):
+        g = (g @ critic.weights[l].T) * (zs[l - 1] > 0.0)
+    return g @ critic.weights[0][cols].T
+
+
 def _reference_update_round(tr):
     """Reference: one update round written with the public mlp_forward and
     mlp_backward, a critic forward pass per use and a full backward pass per
-    gradient. Schedulers score one row per rank, mask the padded ranks by
-    the observed count, bootstrap on the greedy target rank and step on a
-    temperature-1 Gumbel-Softmax sample; velocity actors take the DDPG step."""
+    parameter gradient, in the trainer's dtype with subnormals flushed as in
+    Trainer.update_round. Schedulers score one row per rank, mask the padded
+    ranks by the observed count, bootstrap on the greedy target rank and
+    step on a temperature-1 Gumbel-Softmax sample; velocity actors take the
+    DDPG step. The action-column input gradient is _reference_column_grad."""
+    with nn.flush_subnormals():
+        _reference_round_body(tr)
+    tr.update_rounds += 1
+
+
+def _reference_round_body(tr):
     cfg = tr.cfg
     groups = [(tr.sched_agents, tr.sched_buffer, cfg.gamma, 0.0, 0.0, True, True)]
     if tr.traj_agents:
@@ -545,8 +570,7 @@ def _reference_update_round(tr):
                         soft[r] = e / e.sum()
                 actions[:, i, :] = soft
                 xa = np.concatenate([batch["state"], actions.reshape(b, -1)], axis=1)
-                _, _, gx = nn.mlp_backward(ag.critic, xa, np.full((b, 1), -1.0 / b))
-                gy = gx[:, start : start + act_dim]
+                gy = _reference_column_grad(ag.critic, xa, slice(start, start + act_dim))
                 dz = soft * (gy - (soft * gy).sum(axis=1, keepdims=True))
                 rows = _reference_scorer_rows(obs_i)
                 gw, gb, _ = nn.mlp_backward(ag.actor, rows, dz.reshape(-1, 1))
@@ -555,14 +579,13 @@ def _reference_update_round(tr):
                 a_i = nn.mlp_forward(ag.actor, obs_i)
                 actions[:, i, :] = a_i
                 xa = np.concatenate([batch["state"], actions.reshape(b, -1)], axis=1)
-                _, _, gx = nn.mlp_backward(ag.critic, xa, np.full((b, 1), -1.0 / b))
-                da = gx[:, start : start + act_dim] + (2.0 * reg / b) * a_i
+                da = (_reference_column_grad(ag.critic, xa, slice(start, start + act_dim))
+                      + (2.0 * reg / b) * a_i)
                 gw, gb, _ = nn.mlp_backward(ag.actor, obs_i, da)
                 nn.adam_step(ag.actor, gw, gb, ag.actor_adam, cfg.actor_lr)
     for ag in tr.sched_agents + tr.traj_agents:
         nn.soft_update(ag.actor_target, ag.actor, cfg.tau)
         nn.soft_update(ag.critic_target, ag.critic, cfg.tau)
-    tr.update_rounds += 1
 
 
 def _trainer_arrays(tr):
@@ -595,6 +618,7 @@ def test_update_round_equals_reference_round(seed, batch_size):
         assert tr.update_rounds == ref.update_rounds
         assert [a.actor_adam.t for a in tr.traj_agents] == [a.actor_adam.t for a in ref.traj_agents]
         assert all(np.array_equal(a, b) for a, b in zip(_trainer_arrays(tr), _trainer_arrays(ref)))
+        assert all(a.dtype == madrl.NET_DTYPE for a in _trainer_arrays(tr))
         assert tr.rng.bit_generator.state == ref.rng.bit_generator.state
     assert stepping == [False, False, True, True, False, False]
 
@@ -917,13 +941,13 @@ def test_trainer_checkpoint_roundtrip(tmp_path):
     files = [p.name for p in tmp_path.iterdir()]
     assert len(files) == 36
     assert set(files) == {f"{a}_{n}.bin" for a in agents for n in nets}
-    tr2 = Trainer(env, cfg)
+    tr2 = Trainer(env, TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10, seed=4))
     tr2.load_checkpoints(tmp_path)
     for a, b in zip(tr.sched_agents + tr.traj_agents, tr2.sched_agents + tr2.traj_agents):
-        for w0, w1 in zip(a.actor.weights, b.actor.weights):
-            assert np.array_equal(w0, w1)
-        for w0, w1 in zip(a.critic_target.weights, b.critic_target.weights):
-            assert np.array_equal(w0, w1)
+        for net in nets:
+            arrays = [getattr(x, net).weights + getattr(x, net).biases for x in (a, b)]
+            assert all(w0.dtype == w1.dtype == madrl.NET_DTYPE and np.array_equal(w0, w1)
+                       for w0, w1 in zip(*arrays))
 
 
 def _scorer_batch(rng, b=6, k=4, n_agents=2, state_dim=3):

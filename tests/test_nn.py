@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntnsim import nn
+from ntnsim.harness import ExperimentConfig
+from ntnsim.madrl import TrainConfig, Trainer
 
 layer_sizes = st.lists(st.integers(1, 12), min_size=2, max_size=5)
 out_acts = st.sampled_from(["linear", "tanh"])
@@ -190,18 +192,22 @@ def _all_equal(xs, ys):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sizes=layer_sizes, batch=st.integers(1, 16), out_act=out_acts, seed=seeds)
-def test_split_gradients_equal_one_walk_backward(sizes, batch, out_act, seed):
+@given(sizes=layer_sizes, batch=st.integers(1, 16), out_act=out_acts, seed=seeds,
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_split_gradients_equal_one_walk_backward(sizes, batch, out_act, seed, dtype):
+    # layers of one unit take the broadcast form of g @ W.T in nn; the
+    # reference walk keeps the gemm, so this also shows the two agree
     rng = np.random.default_rng(seed)
-    p = nn.init_mlp(sizes, out_act, rng)
-    x = rng.normal(size=(batch, sizes[0]))
-    up = rng.normal(size=(batch, sizes[-1]))
+    p = nn.init_mlp(sizes, out_act, rng).astype(dtype)
+    x = rng.normal(size=(batch, sizes[0])).astype(dtype)
+    up = rng.normal(size=(batch, sizes[-1])).astype(dtype)
     up_before = up.copy()
     y_ref, gw_ref, gb_ref, gx_ref = _one_walk_backward(p, x, up)
 
     y, cache = nn.forward_pass(p, x)
     gw, gb = nn.param_grads(p, cache, up)
     gx = nn.input_grad(p, cache, up)
+    assert y.dtype == dtype and all(g.dtype == dtype for g in gw + gb + [gx])
     assert np.array_equal(y, y_ref)
     assert _all_equal(gw, gw_ref) and _all_equal(gb, gb_ref)
     assert np.array_equal(gx, gx_ref)
@@ -215,6 +221,96 @@ def test_split_gradients_equal_one_walk_backward(sizes, batch, out_act, seed):
     assert np.array_equal(nn.mlp_forward(p, x[0]), y1[0])
     assert _all_equal(gw1, gw1_ref) and _all_equal(gb1, gb1_ref)
     assert np.array_equal(gx1, gx1_ref[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows,units", [(1024, 32), (128, 64), (128, 128)])
+def test_one_unit_backward_broadcast_equals_gemm(rows, units, dtype):
+    # the scorer, scheduler-critic and velocity-critic heads at their
+    # training batch sizes
+    rng = np.random.default_rng(rows + units)
+    g = rng.normal(size=(rows, 1)).astype(dtype)
+    w = rng.normal(size=(units, 1)).astype(dtype)
+    assert np.array_equal(g * w[:, 0], g @ w.T)
+
+
+def test_input_grad_columns_match_full_gradient():
+    rng = np.random.default_rng(14)
+    p = nn.init_mlp((9, 7, 5, 1), "linear", rng)
+    _, cache = nn.forward_pass(p, rng.normal(size=(6, 9)))
+    up = rng.normal(size=(6, 1))
+    full = nn.input_grad(p, cache, up)
+    for cols in (slice(None), slice(0, 1), slice(3, 7), slice(7, 9)):
+        part = nn.input_grad(p, cache, up, cols)
+        assert part.shape == full[:, cols].shape
+        np.testing.assert_allclose(part, full[:, cols], rtol=1e-12, atol=1e-15)
+
+
+def _trainer_net_shapes():
+    """(layer sizes, output activation) of every distinct net the Trainer
+    builds at the default scenario, under both learning methods."""
+    env = ExperimentConfig().env_spec()
+    shapes = set()
+    for method in ("maddpg", "tts-maddpg"):
+        tr = Trainer(env, TrainConfig(method=method, episodes=1, slots_per_episode=10))
+        for ag in tr.sched_agents + tr.traj_agents:
+            shapes |= {(net.layer_sizes, net.out_act) for net in (ag.actor, ag.critic)}
+    return sorted(shapes)
+
+
+TRAINER_NET_SHAPES = _trainer_net_shapes()
+# Set from the float32 unit roundoff before the comparison was first run:
+# every compared value is a sum of at most ~300 products of float32-rounded
+# operands, whose error is below n * eps32 = 300 * 6e-8 = 1.8e-5 of the sum
+# of the absolute terms. Errors are measured against the largest magnitude
+# of the float64 array, with a margin of about 5 over that bound; an Adam
+# step is compared by its size, which float32 rounds like any other value.
+FLOAT32_REL_TOL = 1e-4
+
+
+def _close_in_float32(a32, a64):
+    scale = max(float(np.max(np.abs(a64))), np.finfo(np.float32).tiny)
+    err = float(np.max(np.abs(a32.astype(np.float64) - a64))) / scale
+    assert err <= FLOAT32_REL_TOL, f"float32 off by {err:.2e} of the float64 scale"
+
+
+def test_trainer_builds_four_net_shapes():
+    # scorer, scheduler critic, velocity actor, velocity critic
+    assert len(TRAINER_NET_SHAPES) == 4
+
+
+@pytest.mark.parametrize("sizes,out_act", TRAINER_NET_SHAPES)
+def test_float32_passes_and_adam_step_track_float64(sizes, out_act):
+    rng = np.random.default_rng(sum(sizes))
+    p64 = nn.init_mlp(sizes, out_act, rng)
+    p32 = p64.astype(np.float32)
+    x = rng.uniform(-1, 1, size=(128, sizes[0]))
+    up = rng.normal(size=(128, sizes[-1])) / 128
+    y64, c64 = nn.forward_pass(p64, x)
+    y32, c32 = nn.forward_pass(p32, x)
+    assert y32.dtype == np.float32
+    _close_in_float32(y32, y64)
+    gw64, gb64 = nn.param_grads(p64, c64, up)
+    gw32, gb32 = nn.param_grads(p32, c32, up)
+    assert all(g.dtype == np.float32 for g in gw32 + gb32)
+    for a, b in zip(gw32 + gb32, gw64 + gb64):
+        _close_in_float32(a, b)
+    _close_in_float32(nn.input_grad(p32, c32, up), nn.input_grad(p64, c64, up))
+    cols = slice(sizes[0] - 2, sizes[0])
+    _close_in_float32(nn.input_grad(p32, c32, up, cols), nn.input_grad(p64, c64, up, cols))
+
+    # one Adam step from the same float64 gradients: the step and the moments
+    before64, before32 = p64.copy(), p32.copy()
+    s64, s32 = nn.init_adam(p64), nn.init_adam(p32)
+    nn.adam_step(p64, gw64, gb64, s64, 1e-3)
+    nn.adam_step(p32, [g.astype(np.float32) for g in gw64],
+                 [g.astype(np.float32) for g in gb64], s32, 1e-3)
+    for a1, a0, b1, b0 in zip(p32.weights + p32.biases, before32.weights + before32.biases,
+                              p64.weights + p64.biases, before64.weights + before64.biases):
+        assert a1.dtype == np.float32
+        _close_in_float32(a1.astype(np.float64) - a0, b1 - b0)
+    for a, b in zip(s32.m_w + s32.m_b + s32.v_w + s32.v_b, s64.m_w + s64.m_b + s64.v_w + s64.v_b):
+        _close_in_float32(a, b)
 
 
 def test_split_gradients_reject_wrong_upstream_shape():
@@ -309,6 +405,40 @@ def test_adam_in_place_equals_reference(sizes, out_act, seed, steps, lr, beta1, 
         assert _all_equal(state.v_w + state.v_b, ref_state.v_w + ref_state.v_b)
 
 
+def _is_subnormal(a):
+    a = np.asarray(a)
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
+def _adam_subnormal_steps(steps):
+    """Steps, out of one Adam step from gradients spanning 1e-30..1e3 and
+    then `steps` zero-gradient steps, after which a float32 first moment
+    held a subnormal."""
+    p = nn.init_mlp((4, 16), "linear", np.random.default_rng(15)).astype(np.float32)
+    state = nn.init_adam(p)
+    g = np.logspace(-30, 3, 64, dtype=np.float32).reshape(4, 16)
+    nn.adam_step(p, [g], [np.ones(16, np.float32)], state, 1e-3)
+    hits = 0
+    for _ in range(steps):
+        nn.adam_step(p, [np.zeros_like(g)], [np.zeros(16, np.float32)], state, 1e-3)
+        hits += bool(_is_subnormal(state.m_w[0]).any() or _is_subnormal(state.m_b[0]).any())
+    return hits
+
+
+def test_flush_subnormals_scoped_to_the_block():
+    tiny = np.float32(1e-20)
+    with nn.flush_subnormals() as flushed:
+        if not flushed:
+            pytest.skip("no flush-to-zero control on this platform")
+        assert np.float32(1e-40) * np.float32(1) == 0.0  # subnormal operand
+        assert (np.full(8, tiny) * tiny == 0.0).all()  # subnormal result
+        assert _adam_subnormal_steps(1000) == 0
+    # the caller's environment is back: subnormals are kept again
+    assert _is_subnormal(np.float32(1e-40) * np.float32(1))
+    assert _is_subnormal(np.full(8, tiny) * tiny).all()
+    assert _adam_subnormal_steps(1000) > 0
+
+
 def test_soft_update_endpoints_and_decay():
     rng = np.random.default_rng(10)
     online = nn.init_mlp((3, 4, 2), "tanh", rng)
@@ -339,6 +469,37 @@ def test_checkpoint_roundtrip(tmp_path):
     assert q.out_act == p.out_act
     assert all(np.array_equal(a, b) for a, b in zip(p.weights, q.weights))
     assert all(np.array_equal(a, b) for a, b in zip(p.biases, q.biases))
+
+
+def test_checkpoint_keeps_float32_and_reads_version_1(tmp_path):
+    rng = np.random.default_rng(16)
+    p = nn.init_mlp((5, 9, 2), "tanh", rng)
+    p32 = p.astype(np.float32)
+    path = tmp_path / "net32.bin"
+    nn.save_params(path, p32)
+    raw = path.read_bytes()
+    assert raw[8] == nn.FORMAT_VERSION == 2 and raw[10] == 1
+    q = nn.load_params(path)
+    assert all(a.dtype == np.float32 and np.array_equal(a, b)
+               for a, b in zip(q.weights + q.biases, p32.weights + p32.biases))
+    # a version-1 file: float64 payload, zero dtype byte
+    v1 = tmp_path / "net64_v1.bin"
+    payload = b"".join(np.asarray(a, "<f8").tobytes()
+                       for w, b in zip(p.weights, p.biases) for a in (w, b))
+    v1.write_bytes(nn.MAGIC + struct.pack("<BBHI", 1, 1, 0, 3)
+                   + struct.pack("<3I", 5, 9, 2) + payload)
+    q = nn.load_params(v1)
+    assert q.out_act == "tanh" and q.layer_sizes == (5, 9, 2)
+    assert all(a.dtype == np.float64 and np.array_equal(a, b)
+               for a, b in zip(q.weights + q.biases, p.weights + p.biases))
+    nn.save_params(path, p)
+    assert path.read_bytes()[8:] == bytes([2]) + v1.read_bytes()[9:]  # only the version moved
+    for version, code in ((1, 1), (2, 2)):
+        bad = bytearray(raw)
+        bad[8], bad[10] = version, code
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ValueError, match="dtype code"):
+            nn.load_params(path)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
