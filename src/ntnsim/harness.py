@@ -23,7 +23,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .channel import ChannelConfig
-from .madrl import K_OBS, METHODS, EnvSpec, TrainConfig, Trainer
+from .madrl import K_OBS, METHODS, SLOTS_PER_UPDATE, EnvSpec, TrainConfig, Trainer
 from .scenario import PlatformSpec, ScenarioConfig
 from .traffic import TrafficConfig
 
@@ -68,10 +68,10 @@ class ExperimentConfig:
         # only to lend its actors to run_episode may use one-slot episodes and
         # tiny rings.
         train = self.train
-        if self.method != "rr" and train.slots_per_update > train.slots_per_episode:
+        if self.method != "rr" and train.slots_per_episode < SLOTS_PER_UPDATE:
             raise ConfigError(
-                "train.slots_per_update must not exceed train.slots_per_episode: "
-                "an episode would run no update round, so nothing would learn"
+                f"train.slots_per_episode must be at least {SLOTS_PER_UPDATE} (slots per "
+                "update round): an episode would run no update round, so nothing would learn"
             )
         trained = {"rr": (), "maddpg": ("sched",), "tts-maddpg": ("sched", "traj")}[self.method]
         rows = train.ring_rows()
@@ -291,19 +291,25 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 @contextmanager
-def seed_pool(n_workers: int):
-    """A pool of spawned worker processes whose BLAS runs one thread each.
+def seed_pool(n_tasks: int):
+    """A pool of spawned worker processes for n_tasks runs, one per usable
+    core at most, whose BLAS runs one thread each.
 
     Concurrent seeds with a BLAS thread per core oversubscribe the cores (on
-    2 cores: 42 ms per update round each, against 11.5 ms pinned). Workers
-    read the thread variables when they import numpy, so those the caller
-    left unset are set here while the pool lives and removed afterwards.
+    2 cores: 42 ms per update round each, against 11.5 ms pinned), and a
+    worker per seed beyond the cores only adds its replay rings to memory.
+    Workers read the thread variables when they import numpy, so those the
+    caller left unset are set here while the pool lives and removed
+    afterwards.
     """
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
     unset = [v for v in BLAS_THREAD_VARS if v not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
     try:
         with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=multiprocessing.get_context("spawn")
+            max_workers=min(n_tasks, cores),
+            mp_context=multiprocessing.get_context("spawn"),
         ) as pool:
             yield pool
     finally:
@@ -312,9 +318,8 @@ def seed_pool(n_workers: int):
 
 
 def run(cfg: ExperimentConfig, parallel: bool = False, quiet: bool = False) -> int:
-    """Run every seed in the config; the parallel flag fans seeds out to
-    separate processes, one BLAS thread each (results are identical either
-    way)."""
+    """Run every seed in the config; the parallel flag fans seeds out to a
+    seed_pool of processes (results are identical either way)."""
     cfg.validate()
     if parallel and len(cfg.seeds) > 1:
         with seed_pool(len(cfg.seeds)) as pool:

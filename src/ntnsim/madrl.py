@@ -44,6 +44,53 @@ SCORER_WIDTH = 32
 # leave it near its random initialization for thousands of rounds.
 SCORER_LR = 1e-2
 TRAJECTORY_PERIOD = 5  # slots per trajectory decision
+GAMMA = 0.95  # per-slot discount; a velocity transition spans TRAJECTORY_PERIOD slots
+TAU = 0.005  # soft target update rate of every net
+ACTOR_LR = 1e-4  # Adam step size of the velocity actors
+CRITIC_LR = 1e-3  # Adam step size of every critic
+HIDDEN_WIDTH = 64  # hidden units per layer of the scheduler critics
+# Wider nets for the velocity group only: its critics regress position
+# value against the full cross-agent state, a few hundred dims at the
+# default scenario, from a replay ring two orders of magnitude smaller
+# than the schedulers'. The scheduler critics keep the narrow width; their
+# per-slot reward makes the fit easy and they dominate runtime. The
+# per-UE scorers have their own width (SCORER_WIDTH).
+TRAJ_HIDDEN_WIDTH = 128
+SCHED_BUFFER_CAPACITY = 200_000  # scheduler replay rows
+# Kept small on purpose: the ring then holds only the most recent ~120
+# episodes, so the velocity critics regress against the current scheduler
+# rather than the stale low-reward transitions from early training.
+TRAJ_BUFFER_CAPACITY = 2_400
+SLOTS_PER_UPDATE = 4  # environment slots per update round
+# Gaussian exploration on the velocity commands; schedulers sample their
+# rank instead.
+NOISE_START = 0.3
+NOISE_END = 0.05
+NOISE_DECAY_FRAC = 0.6
+# Episode-constant velocity drift std, held fixed across training (unlike
+# the per-step Gaussian): critics only see position-vs-throughput evidence
+# if exploration displaces nodes across the cell, and a decaying drift
+# would correlate position spread with training epoch, letting the
+# concurrent scheduler improvement masquerade as a movement penalty.
+TRAJ_DRIFT_STD = 1.0
+# Once the velocity actors are stepping, the drift decays linearly to
+# this floor by the final episode: full-scale drift is only needed while
+# the critics map the position field, and keeping it up afterwards makes
+# the schedulers train on geometry they will never see at eval time.
+TRAJ_DRIFT_FLOOR = 0.25
+# L2 pull toward hover on the velocity actions. The actor rails a
+# dimension when its critic gradient beats 2*reg*|a|, and measured
+# gradients for wrong directions sit at the same scale as weak true
+# ones, so no L2 value can arbitrate direction; that job belongs to the
+# drift anchors. This is kept an order of magnitude below the measured
+# slopes so any direction the critic does hold saturates the command,
+# and it only bounds the command where the critic is flat.
+ACTION_REG = 1e-3
+# L2 on the velocity critics only: they regress a hundred-plus state dims
+# against a few thousand recent transitions, and unregularized they soak
+# up chance state-reward correlations that then steer the actors. The
+# scheduler critics see an order of magnitude more data and need none.
+TRAJ_CRITIC_WEIGHT_DECAY = 1e-4
 # The trainer's nets, their target copies and Adam moments, the replay rings
 # and every batch drawn from them. Update rounds run in this dtype under
 # nn.flush_subnormals; observations are cast to the actors' dtype once per
@@ -176,9 +223,9 @@ def select_rank(
 def noise_schedule(
     episode: int,
     total_episodes: int,
-    start: float = 0.3,
-    end: float = 0.05,
-    decay_frac: float = 0.6,
+    start: float = NOISE_START,
+    end: float = NOISE_END,
+    decay_frac: float = NOISE_DECAY_FRAC,
 ) -> float:
     """Linear decay from start to end over the first decay_frac of training."""
     horizon = max(int(total_episodes * decay_frac), 1)
@@ -278,7 +325,7 @@ def update_critic(
     adam: nn.AdamState,
     x: np.ndarray,
     targets: np.ndarray,
-    lr: float = 1e-3,
+    lr: float = CRITIC_LR,
     weight_decay: float = 0.0,
 ) -> float:
     """One Adam step on the mean squared TD error (plus L2 on the weights)
@@ -307,8 +354,8 @@ def update_actor(
     critic: MlpParams,
     batch: dict,
     x: np.ndarray,
-    lr: float = 1e-4,
-    action_reg: float = 1e-3,
+    lr: float = ACTOR_LR,
+    action_reg: float = ACTION_REG,
 ) -> None:
     """One Adam ascent step on mean Q with this agent's action replayed
     through its actor; the gradient reaches the actor via the critic's
@@ -547,42 +594,8 @@ class TrainConfig:
     episodes: int = 1000
     slots_per_episode: int = 200
     seed: int = 0
-    gamma: float = 0.95
-    tau: float = 0.005
-    actor_lr: float = 1e-4
-    critic_lr: float = 1e-3
     batch_size: int = 128
-    hidden_width: int = 64
-    # Wider nets for the velocity group only: its critics regress position
-    # value against the full cross-agent state, a few hundred dims at the
-    # default scenario, from a replay ring two orders of magnitude smaller
-    # than the schedulers'. The scheduler critics keep the narrow width; their
-    # per-slot reward makes the fit easy and they dominate runtime. The
-    # per-UE scorers have their own width (SCORER_WIDTH).
-    traj_hidden_width: int = 128
-    sched_buffer_capacity: int = 200_000
-    # Kept small on purpose: the ring then holds only the most recent ~120
-    # episodes, so the velocity critics regress against the current scheduler
-    # rather than the stale low-reward transitions from early training.
-    traj_buffer_capacity: int = 2_400
     warmup_transitions: int = 5_000
-    slots_per_update: int = 4
-    # Gaussian exploration on the velocity commands; schedulers sample their
-    # rank instead.
-    noise_start: float = 0.3
-    noise_end: float = 0.05
-    noise_decay_frac: float = 0.6
-    # Episode-constant velocity drift std, held fixed across training (unlike
-    # the per-step Gaussian): critics only see position-vs-throughput evidence
-    # if exploration displaces nodes across the cell, and a decaying drift
-    # would correlate position spread with training epoch, letting the
-    # concurrent scheduler improvement masquerade as a movement penalty.
-    traj_drift_std: float = 1.0
-    # Once the velocity actors are stepping, the drift decays linearly to
-    # this floor by the final episode: full-scale drift is only needed while
-    # the critics map the position field, and keeping it up afterwards makes
-    # the schedulers train on geometry they will never see at eval time.
-    traj_drift_floor: float = 0.25
     # Update rounds before velocity actors start stepping: their critics must
     # first map the position field, or the actors chase gradient noise into
     # the tanh rails and never recover.
@@ -601,19 +614,6 @@ class TrainConfig:
     # direction and the actors wander off it. Before the unlock every
     # training episode flies drift alone already, so anchors start there.
     traj_anchor_every: int = 3
-    # L2 pull toward hover on the velocity actions. The actor rails a
-    # dimension when its critic gradient beats 2*reg*|a|, and measured
-    # gradients for wrong directions sit at the same scale as weak true
-    # ones, so no L2 value can arbitrate direction; that job belongs to the
-    # drift anchors. This is kept an order of magnitude below the measured
-    # slopes so any direction the critic does hold saturates the command,
-    # and it only bounds the command where the critic is flat.
-    action_reg: float = 1e-3
-    # L2 on the velocity critics only: they regress a hundred-plus state dims
-    # against a few thousand recent transitions, and unregularized they soak
-    # up chance state-reward correlations that then steer the actors. The
-    # scheduler critics see an order of magnitude more data and need none.
-    traj_critic_weight_decay: float = 1e-4
     # Total update rounds for the run (0 = unlimited); rollouts and evals
     # continue after the budget so the logs keep their cadence. Once every
     # agent has converged, further rounds only give the weakest critic's
@@ -630,32 +630,18 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.episodes <= 0 or self.slots_per_episode <= 0:
             raise ValueError("episodes and slots_per_episode must be positive")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError("tau must lie in [0, 1]")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.batch_size <= 0 or self.slots_per_update <= 0:
-            raise ValueError("batch_size and slots_per_update must be positive")
-        if self.actor_lr <= 0.0 or self.critic_lr <= 0.0:
-            raise ValueError("actor_lr and critic_lr must be positive")
-        if self.noise_start < 0.0 or self.noise_end < 0.0:
-            raise ValueError("noise_start and noise_end must be non-negative")
-        if self.hidden_width <= 0 or self.traj_hidden_width <= 0:
-            raise ValueError("hidden widths must be positive")
-        if self.traj_drift_std < 0.0 or self.traj_actor_delay < 0:
-            raise ValueError("traj_drift_std and traj_actor_delay must be non-negative")
+        if self.batch_size <= 0:
+            raise ValueError("batch_size must be positive")
+        if self.warmup_transitions < 0:
+            raise ValueError("warmup_transitions must be non-negative")
+        if self.traj_actor_delay < 0:
+            raise ValueError("traj_actor_delay must be non-negative")
         if self.traj_actor_window < 0:
             raise ValueError("traj_actor_window must be non-negative (0 disables)")
-        if self.traj_drift_floor < 0.0:
-            raise ValueError("traj_drift_floor must be non-negative")
-        if self.traj_critic_weight_decay < 0.0 or self.action_reg < 0.0:
-            raise ValueError("traj_critic_weight_decay and action_reg must be non-negative")
         if self.traj_anchor_every < 0:
             raise ValueError("traj_anchor_every must be non-negative (0 disables)")
         if self.update_rounds_budget < 0:
             raise ValueError("update_rounds_budget must be non-negative (0 disables)")
-        if self.sched_buffer_capacity < 1 or self.traj_buffer_capacity < 1:
-            raise ValueError("replay buffer capacities must be positive")
         if self.eval_every_episodes < 1:
             raise ValueError("eval_every_episodes must be at least 1")
         if self.eval_episodes < 1:
@@ -666,11 +652,11 @@ class TrainConfig:
         return len(range(0, self.slots_per_episode, TRAJECTORY_PERIOD))
 
     def ring_rows(self) -> dict[str, int]:
-        """Rows of each group's replay ring: its configured capacity, or every
-        transition the run pushes if that is fewer."""
+        """Rows of each group's replay ring: its capacity, or every transition
+        the run pushes if that is fewer."""
         return {
-            "sched": min(self.sched_buffer_capacity, self.episodes * self.slots_per_episode),
-            "traj": min(self.traj_buffer_capacity, self.episodes * self.macro_steps()),
+            "sched": min(SCHED_BUFFER_CAPACITY, self.episodes * self.slots_per_episode),
+            "traj": min(TRAJ_BUFFER_CAPACITY, self.episodes * self.macro_steps()),
         }
 
 
@@ -723,9 +709,9 @@ class Trainer:
         for p in platforms:
             scorer = nn.init_mlp((SCORER_IN, SCORER_WIDTH, 1), "linear", init_rng)
             self.sched_agents.append(self._make_agent(
-                f"sched{p.id}", scorer, len(platforms) * k, cfg.hidden_width, init_rng))
+                f"sched{p.id}", scorer, len(platforms) * k, HIDDEN_WIDTH, init_rng))
         nodes = platforms[1:] if cfg.method == "tts-maddpg" else []
-        h = cfg.traj_hidden_width
+        h = TRAJ_HIDDEN_WIDTH
         for p in nodes:
             actor = nn.init_mlp((4 + UE_FEATURES * k, h, h, 2), "tanh", init_rng)
             self.traj_agents.append(
@@ -745,7 +731,7 @@ class Trainer:
             # and update cadence fix the unlock episode, the ring capacity
             # fixes the lookback.
             fill_per_ep = cfg.slots_per_episode + per_ep
-            rounds_per_ep = max(cfg.slots_per_episode // cfg.slots_per_update, 1)
+            rounds_per_ep = max(cfg.slots_per_episode // SLOTS_PER_UPDATE, 1)
             unlock_ep = (
                 cfg.warmup_transitions / fill_per_ep
                 + cfg.traj_actor_delay / rounds_per_ep
@@ -787,15 +773,13 @@ class Trainer:
         """Zero before the unlock ring's lookback begins, full-scale while the
         velocity actors are held, then linear decay to the floor by the final
         episode, counted from the unlock episode that rollout records."""
-        cfg = self.cfg
         if not self.traj_agents:
             return 0.0
         if self.drift_decay_from is None:
-            return cfg.traj_drift_std if episode >= self.drift_start_ep else 0.0
-        floor = min(cfg.traj_drift_floor, cfg.traj_drift_std)
-        span = max(cfg.episodes - 1 - self.drift_decay_from, 1)
+            return TRAJ_DRIFT_STD if episode >= self.drift_start_ep else 0.0
+        span = max(self.cfg.episodes - 1 - self.drift_decay_from, 1)
         frac = min((episode - self.drift_decay_from) / span, 1.0)
-        return cfg.traj_drift_std + (floor - cfg.traj_drift_std) * frac
+        return TRAJ_DRIFT_STD + (TRAJ_DRIFT_FLOOR - TRAJ_DRIFT_STD) * frac
 
     def traj_actors_stepping(self) -> bool:
         """Velocity actors step only inside [delay, delay + window): held at
@@ -832,12 +816,7 @@ class Trainer:
         if (self.traj_agents and self.drift_decay_from is None
                 and self.update_rounds >= cfg.traj_actor_delay):
             self.drift_decay_from = episode
-        std = (
-            noise_schedule(episode, cfg.episodes, cfg.noise_start, cfg.noise_end,
-                           cfg.noise_decay_frac)
-            if self.traj_agents
-            else 0.0
-        )
+        std = noise_schedule(episode, cfg.episodes) if self.traj_agents else 0.0
         drift = self.drift_std(episode)
         # Until the velocity actors take their first step they fly pure
         # drift: the replay ring then holds a controlled-displacement design
@@ -876,10 +855,10 @@ class Trainer:
             # sane prior for a node; they wait out traj_actor_delay rounds while
             # their critics converge, then step only within traj_actor_window
             # rounds.
-            groups = [(self.sched_agents, self.sched_buffer, cfg.gamma, 0.0)]
+            groups = [(self.sched_agents, self.sched_buffer, GAMMA, 0.0)]
             if self.traj_agents:
-                groups.append((self.traj_agents, self.traj_buffer, cfg.gamma ** TRAJECTORY_PERIOD,
-                               cfg.traj_critic_weight_decay))
+                groups.append((self.traj_agents, self.traj_buffer, GAMMA ** TRAJECTORY_PERIOD,
+                               TRAJ_CRITIC_WEIGHT_DECAY))
             step_traj = self.traj_actors_stepping()
             for agents, buffer, gamma, wd in groups:
                 if buffer.size < cfg.batch_size:
@@ -893,23 +872,22 @@ class Trainer:
                 next_x = critic_input(batch["next_state"], next_a)
                 for i, ag in enumerate(agents):
                     y = critic_targets(batch, ag.critic_target, gamma, next_x)
-                    update_critic(ag.critic, ag.critic_adam, x, y, cfg.critic_lr, wd)
+                    update_critic(ag.critic, ag.critic_adam, x, y, weight_decay=wd)
                     if sched:
                         update_scorer(i, ag.actor, ag.actor_adam, ag.critic, batch, x, self.rng)
                     elif step_traj:
-                        update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x,
-                                     cfg.actor_lr, cfg.action_reg)
+                        update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x)
             for ag in self.sched_agents + self.traj_agents:
-                nn.soft_update(ag.actor_target, ag.actor, cfg.tau)
-                nn.soft_update(ag.critic_target, ag.critic, cfg.tau)
+                nn.soft_update(ag.actor_target, ag.actor, TAU)
+                nn.soft_update(ag.critic_target, ag.critic, TAU)
         self.update_rounds += 1
 
     def train_episode(self, episode: int) -> tuple[EpisodeResult, float]:
-        """Rollout plus the episode's update rounds (one per slots_per_update
+        """Rollout plus the episode's update rounds (one per SLOTS_PER_UPDATE
         environment slots, gated on total buffered transitions)."""
         result, std = self.rollout(episode)
         if self.cfg.method != "rr" and self._buffer_fill() >= self.cfg.warmup_transitions:
-            for _ in range(self.cfg.slots_per_episode // self.cfg.slots_per_update):
+            for _ in range(self.cfg.slots_per_episode // SLOTS_PER_UPDATE):
                 self.update_round()
         return result, std
 

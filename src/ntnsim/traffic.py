@@ -77,11 +77,6 @@ class PacketQueue:
         return np.where(waiting.any(axis=1), current_slot - oldest, 0)
 
 
-def sample_poisson(rng, lam: float) -> int:
-    """One Poisson draw; `generate_arrivals` draws the same way, n at a time."""
-    return int(rng.poisson(lam))
-
-
 def generate_arrivals(world, lam: float, packet_bits: int):
     """Draw this slot's Poisson arrivals, UE by UE in id order, into a new cohort."""
     world.queue.push(world.slot, world.rng.poisson(lam, world.cfg.n_ues) * packet_bits)

@@ -29,8 +29,7 @@ from ntnsim.madrl import (
     global_state_dim,
     run_episode,
 )
-from ntnsim.scenario import init_world
-from ntnsim.traffic import sample_poisson
+from ntnsim.scenario import ScenarioConfig, init_world
 
 METHODS = ("rr", "maddpg", "tts-maddpg")
 SEEDS = (0, 1, 2)
@@ -93,12 +92,7 @@ def converged_runs():
         if not (root / f"{method}_seed{seed}" / "done").exists()
     ]
     if todo:
-        cores = (
-            len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1
-        )
-        with harness.seed_pool(min(len(todo), cores)) as pool:
+        with harness.seed_pool(len(todo)) as pool:
             for f in [pool.submit(_train, m, s, root) for m, s in todo]:
                 f.result()
     runs = {}
@@ -258,9 +252,12 @@ def test_criterion_05_deadline_property(monkeypatch):
 
 
 def test_criterion_06_poisson_oracle():
-    rng = np.random.default_rng(123)
+    # one slot's counts of a world of n UEs, drawn the way the simulator draws them
     lam, n = 4.0, 1_000_000
-    draws = np.array([sample_poisson(rng, lam) for _ in range(n)])
+    world = init_world(ScenarioConfig(n_ues=n), seed=0)
+    world.rng = np.random.default_rng(123)
+    traffic.generate_arrivals(world, lam, packet_bits=1)
+    draws = world.queue.cells[:, 0]
     mean = float(draws.mean())
     # chi-square GOF against the exact pmf, far tail lumped into one bin
     kmax = 15

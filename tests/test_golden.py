@@ -4,8 +4,11 @@ after one episode, and the exact `ntnsim dump-config` output.
 A refactor that claims unchanged behaviour must leave every value here as it
 is. The CSV hashes cover every training milestone of the two-timescale
 trainer on a tiny config: warmup, drift, velocity-actor unlock, anchor
-episodes, window close and a spent update budget. They hold for float64
-numpy on x86-64; another BLAS or CPU may round the learners differently.
+episodes, window close and a spent update budget. Their cells log delivered
+bits, which are integers, so a change to a learner's rounding can leave every
+CSV byte as it was; the checkpoint digests read the trained nets themselves.
+They hold for numpy on x86-64; another BLAS or CPU may round the learners
+differently.
 """
 
 import hashlib
@@ -57,6 +60,13 @@ GOLDEN_SHA256 = {
     ),
 }
 
+# sha256 over the sorted names and bytes of checkpoints/*.bin after the
+# golden run: the bytes of every net and target copy the run trained.
+GOLDEN_CHECKPOINT_SHA256 = {
+    "maddpg": "07b9425ea47a25808251b5a5aff9c09ed9e16ba176decd073a1b0a7b4b3ebd7c",
+    "tts-maddpg": "5736e13438a65bd148c898db386d96af079b7c1b39e17e367532d4eb2892af7e",
+}
+
 # sha256 of the world RNG's `bit_generator.state` (JSON, sorted keys) after
 # the first 20-slot training rollout of GOLDEN_CONFIG at seed 3. The tts
 # episode moves the nodes; at this size both episodes happen to draw the
@@ -90,11 +100,21 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def checkpoint_sha256(out: Path) -> str:
+    h = hashlib.sha256()
+    for p in sorted((out / "checkpoints").glob("*.bin")):
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("method", sorted(GOLDEN_SHA256))
 def test_golden_csv_hashes(tmp_path, method):
     cfg = parse_config(GOLDEN_CONFIG.format(method=method, out=tmp_path))
     out = run_single(cfg, 3, quiet=True)
     assert (sha256(out / "train.csv"), sha256(out / "eval.csv")) == GOLDEN_SHA256[method]
+    if method in GOLDEN_CHECKPOINT_SHA256:
+        assert checkpoint_sha256(out) == GOLDEN_CHECKPOINT_SHA256[method]
 
 
 @pytest.mark.parametrize("method", sorted(GOLDEN_RNG_STATE_SHA256))

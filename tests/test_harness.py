@@ -2,6 +2,7 @@
 
 import csv
 import os
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -75,17 +76,22 @@ def test_parse_config_errors_name_line_numbers():
         parse_config("lambda = 4\n")
     with pytest.raises(ConfigError, match="expected key = value"):
         parse_config("[traffic]\nlambda 4\n")
+    # learner settings that are module constants are not config keys
+    for key in ("gamma", "tau", "actor_lr", "critic_lr", "hidden_width", "traj_hidden_width",
+                "sched_buffer_capacity", "traj_buffer_capacity", "slots_per_update",
+                "noise_start", "noise_end", "noise_decay_frac", "traj_drift_std",
+                "traj_drift_floor", "action_reg", "traj_critic_weight_decay"):
+        with pytest.raises(ConfigError, match=rf"old\.ini:3: unknown key train\.{key}$"):
+            parse_config(f"[train]\nepisodes = 5\n{key} = 1\n", source="old.ini")
 
 
 def test_parse_config_rejects_invalid_values():
     for text in (
         "[run]\nmethod = dqn\n",
         "[scenario]\nn_ues = 0\n",
-        "[train]\ntau = 1.5\n",
         # each of these would crash a run or silently bias the simulation
         "[train]\neval_every_episodes = 0\n",
-        "[train]\nsched_buffer_capacity = 0\n",
-        "[train]\ntraj_buffer_capacity = 0\n",
+        "[train]\nwarmup_transitions = -5\n",
         "[scenario]\nnode_max_speed_mps = -5\n",
         # a run would die in its first slot (NaN or overflow in the path loss)
         "[scenario]\nnode_carrier_hz = -2.5e9\n",
@@ -93,31 +99,25 @@ def test_parse_config_rejects_invalid_values():
         "[traffic]\ndeadline_slots = 0\n",
         "[channel]\nbackhaul_bandwidth_hz = 0\n",
         "[channel]\nlos_a = -1\n",
-        # no update round per episode: nothing would learn
-        "[train]\nslots_per_episode = 10\nslots_per_update = 11\n",
         # no eval world: every checkpoint would report nan Mbps
         "[train]\neval_episodes = 0\n",
-        "[train]\ngamma = 1.5\n",
-        "[train]\ngamma = -0.1\n",
         # numpy refuses a negative seed only after the run directory exists
         "[run]\nseeds = -2\n",
         "[run]\nseeds = 0, -1\n",
         # two seeds of one run would write the same <method>_seed3 directory
         "[run]\nseeds = 3, 3\n",
-        # the velocity actors would raise on their first noisy step
-        "[train]\nnoise_start = -0.1\n",
-        "[train]\nnoise_end = -0.1\n",
-        "[train]\nactor_lr = 0\n",
-        "[train]\ncritic_lr = -0.001\n",
-        # a ring smaller than one batch: that group would never update
-        "[train]\ntraj_buffer_capacity = 4\nbatch_size = 8\n",
-        "[run]\nmethod = maddpg\n[train]\nsched_buffer_capacity = 4\nbatch_size = 8\n",
-        # a short run fills a ring of 5 x 4 velocity transitions only
+        # a short run fills a ring of 5 x 4 velocity transitions only: smaller
+        # than one batch, that group would never update
         "[train]\nepisodes = 5\nslots_per_episode = 20\nwarmup_transitions = 8\nbatch_size = 32\n",
     ):
         with pytest.raises(ConfigError):
             parse_config(text)
     # the message names the group whose ring is short
+    with pytest.raises(ConfigError, match="traj replay ring holds 4 rows"):
+        parse_config("[train]\nepisodes = 1\nslots_per_episode = 20\nbatch_size = 8\n")
+    with pytest.raises(ConfigError, match="sched replay ring holds 4 rows"):
+        parse_config("[run]\nmethod = maddpg\n[train]\nepisodes = 1\nslots_per_episode = 4\n"
+                     "batch_size = 8\n")
     with pytest.raises(ConfigError, match="traj replay ring holds 20 rows"):
         parse_config("[train]\nepisodes = 5\nslots_per_episode = 20\nbatch_size = 32\n")
     with pytest.raises(ConfigError, match="sched replay ring holds 20 rows"):
@@ -132,21 +132,26 @@ def test_parse_config_rejects_invalid_values():
     with pytest.raises(ConfigError, match="700"):
         parse_config("[traffic]\nlambda = 720\n")
     assert parse_config("[traffic]\nlambda = 700\n").traffic.lambda_pkts == 700.0
+    # no update round per episode: nothing would learn; the message names the cadence
+    with pytest.raises(ConfigError, match="slots_per_episode must be at least 4"):
+        parse_config("[train]\nslots_per_episode = 3\n")
+    assert parse_config("[train]\nslots_per_episode = 4\n").train.slots_per_episode == 4
     # rr runs no update rounds, so its episodes may be shorter than the cadence
     assert parse_config("[run]\nmethod = rr\n[train]\nslots_per_episode = 2\n").method == "rr"
     # a ring is checked against the batch only for a group the method trains
-    assert parse_config("[run]\nmethod = maddpg\n[train]\ntraj_buffer_capacity = 4\n"
-                        "batch_size = 8\n").train.traj_buffer_capacity == 4
-    assert parse_config("[run]\nmethod = rr\n[train]\nsched_buffer_capacity = 4\n"
+    assert parse_config("[run]\nmethod = maddpg\n[train]\nepisodes = 1\nslots_per_episode = 20\n"
+                        "batch_size = 8\n").method == "maddpg"
+    assert parse_config("[run]\nmethod = rr\n[train]\nepisodes = 1\nslots_per_episode = 4\n"
                         "batch_size = 8\n").method == "rr"
-    assert parse_config("[train]\ntraj_buffer_capacity = 8\nbatch_size = 8\n").train.batch_size == 8
+    assert parse_config("[train]\nepisodes = 2\nslots_per_episode = 20\n"
+                        "batch_size = 8\n").train.batch_size == 8
+    assert parse_config("[train]\nwarmup_transitions = 0\n").train.warmup_transitions == 0
     # non-finite floats are refused where the value is read (lambda = nan
     # would otherwise hang the Poisson sampler)
     for text in (
         "[traffic]\nlambda = nan\n",
         "[scenario]\narea_w_m = inf\n",
         "[scenario]\nslot_seconds = nan\n",
-        "[train]\ngamma = nan\n",
         "[channel]\nlos_a = nan\n",
     ):
         with pytest.raises(ConfigError, match=r"bad\.ini:2: .* finite"):
@@ -156,7 +161,7 @@ def test_parse_config_rejects_invalid_values():
 def test_dump_config_roundtrip_exact():
     cfg = parse_config(
         "[run]\nmethod = maddpg\nseeds = 5 6\n[scenario]\nn_ues = 9\n"
-        "[channel]\neta_nlos_db = 7.5\n[train]\nactor_lr = 0.0002\n"
+        "[channel]\neta_nlos_db = 7.5\n[train]\ntraj_anchor_every = 5\n"
     )
     echo = dump_config(cfg)
     cfg2 = parse_config(echo)
@@ -165,7 +170,7 @@ def test_dump_config_roundtrip_exact():
     assert cfg2.seeds == [5, 6]
     assert cfg2.scenario.n_ues == 9
     assert cfg2.channel.eta_nlos_db == 7.5
-    assert cfg2.train.actor_lr == 2e-4
+    assert cfg2.train.traj_anchor_every == 5
 
 
 def test_load_config_missing_file():
@@ -242,6 +247,32 @@ def test_seed_pool_pins_blas_threads_in_workers(monkeypatch):
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert "OMP_NUM_THREADS" not in os.environ
     assert os.environ["MKL_NUM_THREADS"] == "3"
+
+
+def test_run_parallel_caps_the_pool_at_the_usable_cores(tmp_path, monkeypatch):
+    workers = []
+
+    class RecordingPool:  # starts no process and runs nothing
+        def __init__(self, max_workers, mp_context):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(None)
+            return done
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    for n_seeds, expect in ((64, 3), (2, 2)):
+        assert run(small_cfg(out_dir=str(tmp_path), seeds=range(n_seeds)), parallel=True) == 0
+        assert workers.pop() == expect
+    assert not any(tmp_path.iterdir())
 
 
 def write_eval_csv(d: Path, episodes, values):
@@ -346,9 +377,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.ini:2" in err
     for text in ("[traffic]\nlambda = nan\n", "[train]\neval_every_episodes = 0\n",
-                 "[train]\nsched_buffer_capacity = 0\n",
-                 "[train]\nslots_per_episode = 10\nslots_per_update = 11\n",
-                 "[train]\neval_episodes = 0\n", "[train]\ngamma = 5\n",
+                 "[train]\nwarmup_transitions = -5\n", "[train]\nslots_per_episode = 3\n",
+                 "[train]\neval_episodes = 0\n",
                  "[run]\nseeds = -2\n", "[run]\nseeds = 3, 3\n",
                  "[traffic]\npacket_bits = 9223372036854775808\n"):
         bad.write_text(text)

@@ -522,11 +522,11 @@ def _reference_update_round(tr):
 
 def _reference_round_body(tr):
     cfg = tr.cfg
-    groups = [(tr.sched_agents, tr.sched_buffer, cfg.gamma, 0.0, 0.0, True, True)]
+    groups = [(tr.sched_agents, tr.sched_buffer, madrl.GAMMA, 0.0, 0.0, True, True)]
     if tr.traj_agents:
-        groups.append((tr.traj_agents, tr.traj_buffer, cfg.gamma ** madrl.TRAJECTORY_PERIOD,
-                       cfg.action_reg, cfg.traj_critic_weight_decay, tr.traj_actors_stepping(),
-                       False))
+        groups.append((tr.traj_agents, tr.traj_buffer, madrl.GAMMA ** madrl.TRAJECTORY_PERIOD,
+                       madrl.ACTION_REG, madrl.TRAJ_CRITIC_WEIGHT_DECAY,
+                       tr.traj_actors_stepping(), False))
     for agents, buffer, gamma, reg, wd, step_actors, sched in groups:
         if buffer.size < cfg.batch_size:
             continue
@@ -555,7 +555,7 @@ def _reference_round_body(tr):
             if wd > 0.0:
                 for g, w in zip(gw, ag.critic.weights):
                     g += 2.0 * wd * w
-            nn.adam_step(ag.critic, gw, gb, ag.critic_adam, cfg.critic_lr)
+            nn.adam_step(ag.critic, gw, gb, ag.critic_adam, madrl.CRITIC_LR)
 
             start = batch["state"].shape[1] + i * act_dim
             obs_i = batch["obs"][:, i, :]
@@ -582,10 +582,10 @@ def _reference_round_body(tr):
                 da = (_reference_column_grad(ag.critic, xa, slice(start, start + act_dim))
                       + (2.0 * reg / b) * a_i)
                 gw, gb, _ = nn.mlp_backward(ag.actor, obs_i, da)
-                nn.adam_step(ag.actor, gw, gb, ag.actor_adam, cfg.actor_lr)
+                nn.adam_step(ag.actor, gw, gb, ag.actor_adam, madrl.ACTOR_LR)
     for ag in tr.sched_agents + tr.traj_agents:
-        nn.soft_update(ag.actor_target, ag.actor, cfg.tau)
-        nn.soft_update(ag.critic_target, ag.critic, cfg.tau)
+        nn.soft_update(ag.actor_target, ag.actor, madrl.TAU)
+        nn.soft_update(ag.critic_target, ag.critic, madrl.TAU)
 
 
 def _trainer_arrays(tr):
@@ -818,28 +818,38 @@ def test_trainer_update_budget_freezes_everything():
     assert tr2.update_rounds == 10
 
 
+# 40 slots -> 8 macro steps/ep, fill 48/ep, 10 rounds/ep; warmup 480 -> ep 10,
+# delay 3,050 -> unlock ep 315; the 2,400-row velocity ring reaches 300 eps
+# back, so drift starts at ep 15
+LATE_UNLOCK = dict(
+    method="tts-maddpg", episodes=330, slots_per_episode=40, seed=0,
+    warmup_transitions=480, traj_actor_delay=3_050,
+)
+
+
 def test_trainer_drift_schedule():
     env = make_env()
+    full, floor = madrl.TRAJ_DRIFT_STD, madrl.TRAJ_DRIFT_FLOOR
+    assert 0.0 < floor < full
     cfg = TrainConfig(
-        method="tts-maddpg", episodes=101, slots_per_episode=40, seed=0,
-        traj_drift_std=1.0, traj_drift_floor=0.2, traj_actor_delay=50,
+        method="tts-maddpg", episodes=101, slots_per_episode=40, seed=0, traj_actor_delay=50,
     )
     tr = Trainer(env, cfg)
     # held actors: full-scale drift, no decay anchor yet, no anchor episodes
-    assert tr.drift_std(10) == 1.0
+    assert tr.drift_std(10) == full
     assert tr.drift_decay_from is None
     assert not tr.anchor_episode(9)
     tr.update_rounds = 50
     # drift_std only reads: the first rollout after the unlock anchors the
     # decay, and that episode still gets full scale
-    assert tr.drift_std(39) == 1.0
+    assert tr.drift_std(39) == full
     assert tr.drift_decay_from is None
     tr.rollout(40)
     assert tr.drift_decay_from == 40
-    assert tr.drift_std(40) == 1.0
+    assert tr.drift_std(40) == full
     mid = tr.drift_std(70)
-    assert 0.2 < mid < 1.0
-    assert tr.drift_std(100) == pytest.approx(0.2)
+    assert floor < mid < full
+    assert tr.drift_std(100) == pytest.approx(floor)
     # anchor episodes: every traj_anchor_every-th counted from the unlock
     hits = [ep for ep in range(40, 50) if tr.anchor_episode(ep)]
     assert hits == [40, 43, 46, 49]
@@ -853,26 +863,18 @@ def test_trainer_drift_schedule():
     assert tr2.drift_std(5) == 0.0
     assert not tr2.anchor_episode(5)
     # drift older than one ring length at the unlock would be evicted unseen,
-    # so it stays off: 40 slots -> 8 macro steps/ep, fill 48/ep, 10 rounds/ep;
-    # warmup 480 -> ep 10, delay 100 -> unlock ep 20, ring 40 -> 5 eps back
-    tr3 = Trainer(env, TrainConfig(
-        method="tts-maddpg", episodes=30, slots_per_episode=40, seed=0,
-        traj_drift_std=1.0, warmup_transitions=480, traj_actor_delay=100,
-        traj_buffer_capacity=40,
-    ))
+    # so it stays off
+    tr3 = Trainer(env, TrainConfig(**LATE_UNLOCK))
+    assert tr3.traj_buffer.capacity == 2_400
     assert tr3.drift_start_ep == 15
     assert tr3.drift_std(14) == 0.0
-    assert tr3.drift_std(15) == 1.0
+    assert tr3.drift_std(15) == full
 
 
 def test_trainer_pre_unlock_episodes_fly_drift_only():
     env = make_env()
-    # same arithmetic as above: unlock at ep 20, drift starts at ep 15
-    tr = Trainer(env, TrainConfig(
-        method="tts-maddpg", episodes=30, slots_per_episode=40, seed=0,
-        traj_drift_std=0.7, warmup_transitions=480, traj_actor_delay=100,
-        traj_buffer_capacity=40,
-    ))
+    # unlock at ep 315, drift starts at ep 15
+    tr = Trainer(env, TrainConfig(**LATE_UNLOCK))
     tr.rollout(16)
     n = tr.traj_buffer.size
     acts = tr.traj_buffer.actions[:n].copy()
@@ -890,17 +892,16 @@ def test_trainer_pre_unlock_episodes_fly_drift_only():
 
 def test_trainer_group_hidden_widths():
     env = make_env()
-    tr = Trainer(env, TrainConfig(
-        method="tts-maddpg", episodes=1, slots_per_episode=10,
-        hidden_width=8, traj_hidden_width=16,
-    ))
+    tr = Trainer(env, TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10))
+    h, th = madrl.HIDDEN_WIDTH, madrl.TRAJ_HIDDEN_WIDTH
+    assert h != th
     for ag in tr.sched_agents:
         # the per-UE scorer has its own fixed width; the critic takes the group's
         assert ag.actor.layer_sizes == (madrl.SCORER_IN, madrl.SCORER_WIDTH, 1)
-        assert ag.critic.layer_sizes[1:3] == (8, 8)
+        assert ag.critic.layer_sizes[1:3] == (h, h)
     for ag in tr.traj_agents:
-        assert ag.actor.layer_sizes[1:3] == (16, 16)
-        assert ag.critic.layer_sizes[1:3] == (16, 16)
+        assert ag.actor.layer_sizes[1:3] == (th, th)
+        assert ag.critic.layer_sizes[1:3] == (th, th)
 
 
 def test_trainer_rr_has_no_agents():

@@ -64,9 +64,6 @@ def test_poisson_counts_match_scalar_knuth(lam, n, seed, buffered):
     traffic.generate_arrivals(world, lam, packet_bits=1)
     assert world.queue.cells[:, 0].tolist() == want
     assert world.rng.bit_generator.state == scalar.bit_generator.state
-    one_by_one = generator(seed, buffered)
-    assert [traffic.sample_poisson(one_by_one, lam) for _ in range(n)] == want
-    assert one_by_one.bit_generator.state == scalar.bit_generator.state
 
 
 @pytest.mark.parametrize("lam", [10.0, 50.0, 700.0])
@@ -90,20 +87,27 @@ def test_arrivals_fit_poisson_from_lambda_10(lam):
     assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
+def arrival_counts(n, lam, rng):
+    """One slot's arrival counts of a world of n UEs drawing from rng."""
+    world = init_world(ScenarioConfig(n_ues=n), seed=0)
+    world.rng = rng
+    traffic.generate_arrivals(world, lam, packet_bits=1)
+    return world.queue.cells[:, 0]
+
+
 def test_sample_poisson_edge_cases():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    assert traffic.sample_poisson(rng, 0.0) == 0
+    assert arrival_counts(3, 0.0, rng).tolist() == [0, 0, 0]
     assert rng.bit_generator.state == state  # nothing drawn
     for lam in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            traffic.sample_poisson(rng, lam)
+            arrival_counts(3, lam, rng)
     assert rng.bit_generator.state == state
 
 
 def test_sample_poisson_moments():
-    rng = np.random.default_rng(42)
-    draws = np.array([traffic.sample_poisson(rng, 4.0) for _ in range(100_000)])
+    draws = arrival_counts(100_000, 4.0, np.random.default_rng(42))
     assert abs(draws.mean() - 4.0) < 0.03
     assert abs(draws.var() - 4.0) < 0.15
 
