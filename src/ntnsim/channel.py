@@ -43,7 +43,8 @@ class ChannelConfig:
 
 
 class LinkGeometry(NamedTuple):
-    """Transmitter x receiver matrices (row = transmitter, column = receiver)."""
+    """Transmitter x receiver matrices (row = transmitter, column = receiver),
+    behind any leading dimensions of the positions."""
 
     distance_m: np.ndarray  # 3-D, unclamped
     elevation_deg: np.ndarray  # of the transmitter above the receiver's horizon
@@ -59,10 +60,12 @@ def los_probability(elevation_deg, a: float, b: float):
 def link_geometry(
     tx_xyz: np.ndarray, rx_xyz: np.ndarray, carrier_hz: np.ndarray, cfg: ChannelConfig
 ) -> LinkGeometry:
-    """Budget matrices from transmitters at tx_xyz (n_tx, 3), on carriers
-    carrier_hz (n_tx,), to receivers at rx_xyz (n_rx, 3)."""
-    horiz = np.hypot(rx_xyz[:, 0] - tx_xyz[:, 0:1], rx_xyz[:, 1] - tx_xyz[:, 1:2])
-    height = tx_xyz[:, 2:3] - rx_xyz[:, 2]
+    """Budget matrices from transmitters at tx_xyz (..., n_tx, 3), on
+    carriers carrier_hz (n_tx,), to receivers at rx_xyz (..., n_rx, 3); the
+    leading dimensions (lockstep worlds) carry through to every matrix."""
+    rx = rx_xyz[..., None, :, :]
+    horiz = np.hypot(rx[..., 0] - tx_xyz[..., 0:1], rx[..., 1] - tx_xyz[..., 1:2])
+    height = tx_xyz[..., 2:3] - rx[..., 2]
     distance = np.hypot(horiz, height)
     elevation = np.degrees(np.arctan2(height, horiz))
     fspl = 20.0 * np.log10(

@@ -339,11 +339,15 @@ class MethodSummary:
     mean_mbps: float
     std_mbps: float
     n_rows: int
+    note: str = ""  # why the label is the directory name, when its config echo did not parse
 
 
 def summarize_eval(result_dir) -> MethodSummary:
     """Converged throughput of one run: mean +/- std of the evaluation rows
-    from the last 10% of training episodes."""
+    from the last 10% of training episodes. The label is method and seed
+    from the run's config echo, or the directory name, with a note that
+    names the file and its error, when the echo does not parse (a run of an
+    older schema)."""
     d = Path(result_dir)
     eval_csv = d / "eval.csv"
     if not eval_csv.exists():
@@ -356,20 +360,21 @@ def summarize_eval(result_dir) -> MethodSummary:
     mbps = np.array([float(r["overall_mbps"]) for r in rows])
     cutoff = episodes.max() * 0.9
     tail = mbps[episodes > cutoff] if (episodes > cutoff).any() else mbps
-    label = d.name
+    label, note = d.name, ""
     cfg_echo = d / "config.ini"
     if cfg_echo.exists():
         try:
             echo = load_config(cfg_echo)
             label = f"{echo.method} seed {echo.seeds[0]}"
-        except ConfigError:
-            pass
+        except ConfigError as e:
+            note = f"labelled by its directory name: {e}"
     return MethodSummary(
         label=label,
         path=str(d),
         mean_mbps=float(np.mean(tail)),
         std_mbps=float(np.std(tail)),
         n_rows=int(tail.size),
+        note=note,
     )
 
 
@@ -406,4 +411,5 @@ def format_comparison(summaries, gains) -> str:
     lines.append("pairwise gains (row over column):")
     for (a, b), g in gains.items():
         lines.append(f"  {a} over {b}: {g * 100:+.1f}%")
+    lines += [f"note: {s.label} is {s.note}" for s in summaries if s.note]
     return "\n".join(lines)

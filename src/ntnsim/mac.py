@@ -16,39 +16,50 @@ from .traffic import SlotMetrics, TrafficConfig
 
 class Association(NamedTuple):
     """The serving platform row of each UE (`rows`, indexed by UE id) and the
-    slot's link geometry it was decided on (`links`, platform rows x UE ids).
-    The slot's ranking and access SINR read the same geometry."""
+    slot's link geometry it was decided on (`links`, platform rows x UE ids),
+    each with the world's leading axis in lockstep worlds. The slot's
+    ranking and access SINR read the same geometry."""
 
     rows: np.ndarray
     links: channel.LinkGeometry
 
+    def world(self, i: tuple) -> Association:
+        """The association of world i (an index from `WorldState.worlds`)."""
+        links = self.links
+        return Association(self.rows[i], links._make(m[i] for m in links)) if i else self
+
 
 def associate(world: WorldState, chan: ChannelConfig) -> Association:
-    """Map every UE to the platform with the strongest fading-free budget
-    (excess loss averaged over the LoS probability, UE gain 0 dBi).
+    """Map every UE of every world to the platform with the strongest
+    fading-free budget (excess loss averaged over the LoS probability, UE
+    gain 0 dBi), in one pass over the world axis.
 
     Ties break toward the lowest platform row.
     """
-    ue_xyz = np.column_stack((world.ue_positions, np.zeros(len(world.ue_positions))))
+    ue_xyz = np.concatenate((world.ue_positions, np.zeros(world.ue_speeds.shape + (1,))), axis=-1)
     links = channel.link_geometry(world.positions, ue_xyz, world.carrier_hz, chan)
     rsrp = world.eirp_dbm[:, None] - channel.path_loss_db(links.fspl_db, links.p_los, chan)
-    return Association(np.argmax(rsrp, axis=0), links)
+    return Association(np.argmax(rsrp, axis=-2), links)
 
 
 def observed_ues(world: WorldState, association: Association, k: int) -> np.ndarray:
-    """(n_platforms, k) UE ids: row i lists the k nearest UEs of platform i's
-    cell on the unclamped 3-D distance, ties by UE id, padded with -1 past
-    the cell's size. Observations and schedule decoding read these ranks."""
+    """(..., n_platforms, k) UE ids: row i of a world lists the k nearest UEs
+    of platform i's cell on the unclamped 3-D distance, ties by UE id, padded
+    with -1 past the cell's size; one sort ranks every world's cells.
+    Observations and schedule decoding read these ranks."""
     rows = association.rows
-    ue_ids = np.arange(len(rows))
-    order = np.lexsort((ue_ids, association.links.distance_m[rows, ue_ids], rows))
-    sizes = np.bincount(rows, minlength=len(world.cfg.platforms))
+    n_platforms, n_ues = len(world.cfg.platforms), rows.shape[-1]
+    at = np.arange(rows.size)  # world w's UE u is at w * n_ues + u
+    cell = rows.ravel() + at // n_ues * n_platforms  # one id per world and platform row
+    dist = association.links.distance_m.take(cell * n_ues + at % n_ues)
+    order = np.lexsort((dist, cell))  # a stable sort: equal distances keep UE id order
+    sizes = np.bincount(cell, minlength=rows.size // n_ues * n_platforms)
     # the rank of order[j] in its cell: j minus the cell's first position in order
-    rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    rank = at - np.repeat(np.cumsum(sizes) - sizes, sizes)
     kept = rank < k
     cells = np.full((len(sizes), k), -1)
-    cells[rows[order[kept]], rank[kept]] = order[kept]
-    return cells
+    cells[cell[order[kept]], rank[kept]] = order[kept] % n_ues
+    return cells.reshape(rows.shape[:-1] + (n_platforms, k))
 
 
 def decode_schedule(actions: np.ndarray, cells: np.ndarray) -> dict[int, int | None]:
@@ -72,111 +83,109 @@ def rr_schedule(association: Association, slot: int) -> dict[int, int | None]:
     sizes = np.bincount(association.rows, minlength=len(association.links.distance_m))
     by_row = np.argsort(association.rows, kind="stable").tolist()
     starts = (np.cumsum(sizes) - sizes).tolist()
-    return {
-        row: (by_row[start + slot % size] if size else None)
-        for row, (start, size) in enumerate(zip(starts, sizes.tolist()))
-    }
+    return {row: (by_row[start + slot % size] if size else None)
+            for row, (start, size) in enumerate(zip(starts, sizes.tolist()))}
 
 
-def backhaul_rates(world: WorldState, chan: ChannelConfig) -> dict[int, float]:
-    """Donor-to-node backhaul rate in bps per node row on the dedicated
-    carrier.
+def backhaul_rates(world: WorldState, chan: ChannelConfig, i: tuple = ()) -> dict[int, float]:
+    """Donor-to-node backhaul rate in bps per node row of world i (an index
+    from `WorldState.worlds`) on the dedicated carrier.
 
     The backhaul band is split evenly four ways; both endpoints are airborne,
     so the link is always LoS and interference-free.
     """
-    platforms = world.cfg.platforms
-    links = channel.link_geometry(
-        world.positions[:1], world.positions[1:], np.array([chan.backhaul_carrier_hz]), chan,
-    )
+    platforms, positions = world.cfg.platforms, world.positions[i]
+    links = channel.link_geometry(positions[:1], positions[1:],
+                                  np.array([chan.backhaul_carrier_hz]), chan)
     share = chan.backhaul_bandwidth_hz / (len(platforms) - 1)
     rates = {}
     for row, fspl in enumerate(links.fspl_db[0].tolist(), start=1):
-        rx = channel.rx_power_dbm(
-            platforms[0].tx_power_dbm, chan.backhaul_gain_dbi, chan.backhaul_gain_dbi,
-            channel.path_loss_db(fspl, 1.0, chan),
-        )
+        rx = channel.rx_power_dbm(platforms[0].tx_power_dbm, chan.backhaul_gain_dbi,
+                                  chan.backhaul_gain_dbi, channel.path_loss_db(fspl, 1.0, chan))
         noise = channel.noise_mw(share, platforms[row].noise_figure_db, chan.noise_density_dbm_hz)
-        snr = channel.sinr(rx, (), noise)
-        rates[row] = channel.shannon_rate(snr, share)
+        rates[row] = channel.shannon_rate(channel.sinr(rx, (), noise), share)
     return rates
 
 
-def step_slot(
-    world: WorldState,
-    choices: dict[int, int | None],
-    tcfg: TrafficConfig,
-    chan: ChannelConfig,
-    association: Association,
-) -> tuple[WorldState, SlotMetrics]:
+def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConfig,
+              association: Association) -> tuple[WorldState, SlotMetrics | list[SlotMetrics]]:
     """Advance the world by one slot under the given per-row service choices
-    (platform row -> UE id or None), with the slot's association.
+    (platform row -> UE id or None), with the slot's association; lockstep
+    worlds take a list of such choices and return a list of SlotMetrics.
 
     Every choice is checked first: a UE id outside [0, n_ues) or outside the
-    row's cell raises ValueError and leaves the world as it was. Then, in
+    row's cell raises ValueError and leaves every world as it was. Then, in
     order: drop expired cohorts (per UE in `dropped_by_ue`), draw arrivals
-    into a new cohort (one `world.rng.poisson` call), draw one LoS state per
-    access link (one `world.rng.random` call), evaluate access SINR with
-    co-channel active platforms as interferers, cap node service by its
-    backhaul share, drain each chosen UE's queue oldest cohort first, move
-    the UEs (one `world.rng.uniform` call for those that reach their
-    waypoint), advance the slot counter.
+    into a new cohort, draw one LoS state per access link, evaluate access
+    SINR with co-channel active platforms as interferers, cap node service
+    by its backhaul share, drain each chosen UE's queue oldest cohort first,
+    move the UEs, advance the slot counter. Each world makes one
+    `rng.poisson`, one `rng.random` and (for the UEs that reach their
+    waypoint) one `rng.uniform` call on its own generator.
 
-    The access links use the association's geometry. They are listed by
-    active platform in row order: its serving link, then its co-channel
-    interferers in row order. EIRP, bandwidth and co-channel rows are the
-    world's fleet constants from `init_world`. Path loss and received power
-    are array sums; SINR and rate stay scalar. The backhaul rates are kept
-    on the world and recomputed only when the platform positions (bit for
-    bit) or `chan` differ from those they were computed for; the access
-    noise powers, one per platform, only when `chan` differs.
+    Expiry, the cohort push, path loss and the UE moves run once over the
+    world axis; the SINR and rate chain, service and backhaul stay per world
+    and link. The access links use the association's geometry and are
+    listed world by world, by active platform in row order: its serving
+    link, then its co-channel interferers in row order. EIRP, bandwidth and
+    co-channel rows are the fleet constants from `init_world`. A world's
+    backhaul rates are recomputed only when its platform positions (bit for
+    bit) or `chan` change, the access noise powers only when `chan` does.
     """
-    n_ues = len(association.rows)
-    active, tx_rows, rx_ues, n_links = [], [], [], []
-    for row in range(len(world.positions)):
-        ue_id = choices.get(row)
-        if ue_id is None:
-            continue
-        if not 0 <= ue_id < n_ues or association.rows[ue_id] != row:
-            raise ValueError(f"UAV {world.cfg.platforms[row].id} chose UE {ue_id} outside its cell")
-        cochannel = [q for q in world.cochannel[row] if choices.get(q) is not None]
-        active.append(row)
-        tx_rows += [row] + cochannel
-        rx_ues += [ue_id] * (1 + len(cochannel))
-        n_links.append(1 + len(cochannel))
+    lockstep, worlds = isinstance(world.rng, list), world.worlds()
+    n_platforms, n_ues = len(world.cochannel), association.rows.shape[-1]
+    rows = association.rows.reshape(-1, n_ues).tolist()
+    active, tx_rows, flat, n_links, n_drawn = [], [], [], [], []
+    for w, chosen in enumerate(choices if lockstep else [choices]):
+        n_drawn.append(len(flat))
+        for row in range(n_platforms):
+            ue_id = chosen.get(row)
+            if ue_id is None:
+                continue
+            if not 0 <= ue_id < n_ues or rows[w][ue_id] != row:
+                raise ValueError(f"UAV {world.cfg.platforms[row].id} chose UE {ue_id} "
+                                 "outside its cell")
+            tx = [row] + [q for q in world.cochannel[row] if chosen.get(q) is not None]
+            active.append((w, row, ue_id))
+            tx_rows += tx
+            flat += [(w * n_platforms + q) * n_ues + ue_id for q in tx]  # into the link matrices
+            n_links.append(len(tx))
+        n_drawn[w] = len(flat) - n_drawn[w]
 
     links = association.links
     dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = SlotMetrics(world.slot, [0] * len(world.positions), dropped)
+    metrics = [SlotMetrics(world.slot, [0] * n_platforms, dropped[i]) for i, _ in worlds]
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
-    tx_rows, rx_ues = np.array(tx_rows, dtype=np.intp), np.array(rx_ues, dtype=np.intp)
-    los = (world.rng.random(len(tx_rows)) < links.p_los[tx_rows, rx_ues]).astype(float)
-    rx_dbm = (
-        world.eirp_dbm[tx_rows] - channel.path_loss_db(links.fspl_db[tx_rows, rx_ues], los, chan)
-    ).tolist()
+    flat = np.array(flat, dtype=np.intp)
+    draws = np.concatenate([rng.random(n) for (_, rng), n in zip(worlds, n_drawn)])
+    los = (draws < links.p_los.take(flat)).astype(float)
+    loss = channel.path_loss_db(links.fspl_db.take(flat), los, chan)
+    rx_dbm = (world.eirp_dbm[tx_rows] - loss).tolist()
 
-    kept, positions = world.backhaul, world.positions.tobytes()
-    if kept is None or kept[0] != positions or kept[1] != chan:
-        kept = world.backhaul = (positions, replace(chan), backhaul_rates(world, chan))
-    bh_rates = kept[2]
-    noise = world.access_noise
-    if noise is None or noise[0] != chan:
-        noise = world.access_noise = (replace(chan), [
+    cache = world.link_cache
+    if cache is None or cache[0] != chan:
+        cache = world.link_cache = (replace(chan), [
             channel.noise_mw(bandwidth, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
             for bandwidth in world.bandwidth_hz
-        ])
-    noise_mw = noise[1]
+        ], {})
+    noise_mw, bh_rates = cache[1], []
+    for i, _ in worlds:
+        kept, positions = cache[2].get(i), world.positions[i].tobytes()
+        if kept is None or kept[0] != positions:
+            kept = cache[2][i] = (positions, backhaul_rates(world, chan, i))
+        bh_rates.append(kept[1])
 
     slot_s = world.cfg.slot_seconds
     first = 0
-    for row, n in zip(active, n_links):
+    for (w, row, ue_id), n in zip(active, n_links):
         ratio = channel.sinr(rx_dbm[first], rx_dbm[first + 1 : first + n], noise_mw[row])
         first += n
         capacity = int(channel.shannon_rate(ratio, world.bandwidth_hz[row]) * slot_s)
         if row > 0:  # a node, capped by its backhaul share
-            capacity = min(capacity, int(bh_rates[row] * slot_s))
-        metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, choices[row], capacity)
+            capacity = min(capacity, int(bh_rates[w][row] * slot_s))
+        metrics[w].delivered_by_uav[row] = traffic.serve_bits(
+            world.queue, (w, ue_id) if lockstep else ue_id, capacity)
 
     step_ue_mobility(world, slot_s)
     world.slot += 1
-    return world, metrics
+    return world, metrics if lockstep else metrics[0]

@@ -129,29 +129,30 @@ class EnvSpec:
 
 
 def local_observation(world: WorldState, cells: np.ndarray, norm: ObsNorm) -> np.ndarray:
-    """(n_platforms, 2 + 4k) scheduler observations, one row per platform
-    row: its own normalized position, then per observed UE (the rank-ordered
-    ids of its row of `cells`, see mac.observed_ues) the UE's relative
-    position, backlog, and head-of-line age; padded ranks stay zero. Every
-    entry lands in [-1, 1]."""
+    """(..., n_platforms, 2 + 4k) scheduler observations of every world in
+    one pass, one row per platform row: its own normalized position, then
+    per observed UE (the rank-ordered ids of its row of `cells`, see
+    mac.observed_ues) the UE's relative position, backlog, and head-of-line
+    age; padded ranks stay zero. Every entry lands in [-1, 1]."""
     wh = (world.cfg.area_w_m, world.cfg.area_h_m)
-    xy = world.positions[:, :2]
+    xy = world.positions[..., :2]
     observed = cells >= 0
-    ue_ids = cells[observed]
+    at = np.nonzero(observed)  # world (in lockstep worlds), row, rank
+    ue = at[:-2] + (cells[observed],)
     per_ue = np.zeros(cells.shape + (UE_FEATURES,))
-    per_ue[observed, :2] = (world.ue_positions[ue_ids] - xy[np.nonzero(observed)[0]]) / wh
-    per_ue[observed, 2] = np.minimum(world.queue.queued_bits(ue_ids) / norm.backlog_bits, 1.0)
-    per_ue[observed, 3] = np.minimum(world.queue.hol_age(world.slot, ue_ids) / norm.age_slots, 1.0)
-    return np.hstack((xy / wh, per_ue.reshape(len(cells), -1)))
+    per_ue[observed, :2] = (world.ue_positions[ue] - xy[at[:-1]]) / wh
+    per_ue[observed, 2] = np.minimum(world.queue.queued_bits(ue) / norm.backlog_bits, 1.0)
+    per_ue[observed, 3] = np.minimum(world.queue.hol_age(world.slot, ue) / norm.age_slots, 1.0)
+    return np.concatenate((xy / wh, per_ue.reshape(cells.shape[:-1] + (-1,))), axis=-1)
 
 
 def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarray:
-    """(n_nodes, 4 + 4k) trajectory observations: each node's scheduler
-    observation (rows 1-4 of sched_obs) and then the donor's position
-    relative to the node, normalized like the UE offsets."""
-    xy = world.positions[:, :2]
-    donor_offset = (xy[:1] - xy[1:]) / (world.cfg.area_w_m, world.cfg.area_h_m)
-    return np.hstack((sched_obs[1:], donor_offset), dtype=sched_obs.dtype)
+    """(..., n_nodes, 4 + 4k) trajectory observations of every world: each
+    node's scheduler observation (rows 1-4 of sched_obs) and then the
+    donor's position relative to the node, normalized like the UE offsets."""
+    xy = world.positions[..., :2]
+    donor_offset = (xy[..., :1, :] - xy[..., 1:, :]) / (world.cfg.area_w_m, world.cfg.area_h_m)
+    return np.concatenate((sched_obs[..., 1:, :], donor_offset), axis=-1, dtype=sched_obs.dtype)
 
 
 def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
@@ -458,7 +459,7 @@ class EpisodeResult:
         return self.dropped_bits / self.arrived_bits if self.arrived_bits else 0.0
 
 
-def run_episode(
+def run_worlds(
     env: EnvSpec,
     method: str,
     sched_actors: list[MlpParams] | None,
@@ -473,9 +474,20 @@ def run_episode(
     sched_buffer: ReplayBuffer | None = None,
     traj_buffer: ReplayBuffer | None = None,
     record_actions: bool = False,
-) -> EpisodeResult:
-    """One rollout. Scheduling agents act every slot; trajectory agents emit
-    a velocity at slots that are multiples of 5, held until the next command.
+) -> list[EpisodeResult]:
+    """The rollout of one world, or of lockstep worlds when `world_seed` is a
+    list of seeds (see init_world), with one EpisodeResult per world.
+    Scheduling agents act every slot; trajectory agents emit a velocity at
+    slots that are multiples of 5, held until the next command.
+
+    Lockstep worlds share one slot loop. Association, cell ranking,
+    observations and their cast to the actors' dtype, cohort expiry and
+    push, and the UE and node moves run once per slot over the world axis.
+    Each world draws from its own generator in the order of a rollout of
+    that world alone, and keeps its own access links and backhaul cache (see
+    mac.step_slot); every actor forward (select_rank, select_action) runs
+    per world and platform. So each world's result is that of its own
+    rollout, bit for bit.
 
     In train mode, schedulers sample their rank by Gumbel-max and velocity
     actors add Gaussian noise, both drawn from noise_rng, and transitions
@@ -485,16 +497,17 @@ def run_episode(
     step, and the episode's last one is done. A transition's successor is
     the next row of its ring (see ReplayBuffer), so no snapshot is built
     after the final slot: a done row's target never reads its successor.
-    Velocity exploration adds an episode-constant drift vector on top of the
-    per-step Gaussian: white noise at the macro-step scale cancels itself and
-    displaces a node only a few meters per episode, so sustained-movement
-    payoffs would never appear in the replay data. With traj_explore_only the
-    velocity commands are the drift alone (actors ignored for this episode),
-    which keeps near-hover contrast data in the buffer after the policy has
-    committed to a direction. Eval mode stores nothing, and schedulers take
-    their argmax rank. Action selection reads only local observations; the
-    global state is built only for the replay buffers, so only learners'
-    train rollouts build it.
+    Train mode steps one world only, since a ring holds one time-ordered
+    stream. Velocity exploration adds an episode-constant drift vector on
+    top of the per-step Gaussian: white noise at the macro-step scale
+    cancels itself and displaces a node only a few meters per episode, so
+    sustained-movement payoffs would never appear in the replay data. With
+    traj_explore_only the velocity commands are the drift alone (actors
+    ignored for this episode), which keeps near-hover contrast data in the
+    buffer after the policy has committed to a direction. Eval mode stores
+    nothing, and schedulers take their argmax rank. Action selection reads
+    only local observations; the global state is built only for the replay
+    buffers, so only learners' train rollouts build it.
 
     Scheduler i serves fleet row i and, under tts-maddpg, velocity agent i
     moves the node in row i + 1.
@@ -505,15 +518,20 @@ def run_episode(
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
     learn = method != "rr"
+    lockstep = isinstance(world_seed, list)
+    if train and lockstep and len(world_seed) > 1:
+        raise ValueError("train mode steps one world: a replay ring holds one time-ordered stream")
     norm = env.norm()
     world = init_world(env.scenario, world_seed)
+    worlds = world.worlds()
     dt = env.scenario.slot_seconds
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
     node_caps = np.array([[p.max_speed_mps] for p in env.scenario.platforms[1:]])
     obs_dtype = sched_actors[0].dtype if learn else None
 
-    res = EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
+    results = [EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
+               for _ in worlds]
     # One exploration bearing per episode, held for the whole episode so the
     # node's displacement accumulates along it. The episode-level correlation
     # between the bearing and the rewards it earns is the channel the value
@@ -521,7 +539,7 @@ def run_episode(
     traj_drift = np.zeros((n_nodes, 2))
     if train and n_nodes and traj_drift_std > 0.0:
         traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
-    macro_sum = 0.0
+    macro_sums = [0.0] * len(worlds)
 
     for t in range(slots):
         last = t == slots - 1
@@ -530,62 +548,73 @@ def run_episode(
             cells = mac.observed_ues(world, association, env.k_obs)
             state = global_state(world, norm) if train else None
             sched_obs = local_observation(world, cells, norm).astype(obs_dtype, copy=False)
-            sched_n = (cells >= 0).sum(axis=1)
+            sched_n = (cells >= 0).sum(axis=-1)
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
             traj_state, traj_obs = state, trajectory_observation(world, sched_obs)
             if train and traj_explore_only:
                 traj_acts = np.zeros((n_nodes, 2))
             else:
-                traj_acts = np.stack(
-                    [
-                        select_action(traj_actors[i], traj_obs[i], noise_std if train else 0.0, noise_rng)
-                        for i in range(n_nodes)
-                    ]
-                )
+                traj_acts = np.reshape([
+                    [select_action(traj_actors[j], traj_obs[i][j], noise_std if train else 0.0,
+                                   noise_rng) for j in range(n_nodes)]
+                    for i, _ in worlds
+                ], traj_obs.shape[:-1] + (2,))
             if train:
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
             held_velocity = traj_acts * node_caps
             if record_actions:
-                res.traj_action_log.append(traj_acts.copy())
+                for (i, _), res in zip(worlds, results):
+                    res.traj_action_log.append(traj_acts[i].copy())
 
-        if learn:
-            sched_acts = np.stack(
-                [
-                    select_rank(sched_actors[i], sched_obs[i], sched_n[i], noise_rng if train else None)
-                    for i in range(n_platforms)
-                ]
-            )
-            choices = mac.decode_schedule(sched_acts, cells)
-            if record_actions:
-                res.sched_action_log.append(sched_acts.copy())
-        else:
-            choices = mac.rr_schedule(association, t)
+        choices, sched_acts = [], []
+        for (i, _), res in zip(worlds, results):
+            if learn:
+                sched_acts.append(np.stack([
+                    select_rank(sched_actors[p], sched_obs[i][p], sched_n[i][p],
+                                noise_rng if train else None)
+                    for p in range(n_platforms)
+                ]))
+                choices.append(mac.decode_schedule(sched_acts[-1], cells[i]))
+                if record_actions:
+                    res.sched_action_log.append(sched_acts[-1].copy())
+            else:
+                choices.append(mac.rr_schedule(association.world(i), t))
 
-        world, metrics = mac.step_slot(world, choices, env.traffic, env.channel, association)
+        world, metrics = mac.step_slot(world, choices if lockstep else choices[0], env.traffic,
+                                       env.channel, association)
         if method == "tts-maddpg":
             apply_trajectory(world, held_velocity, dt)
 
-        r = team_reward(metrics, dt)
-        macro_sum += r
-        res.slot_rewards.append(r)
-        for row, bits in enumerate(metrics.delivered_by_uav):
-            res.delivered_by_uav[row] += bits
+        for w, (res, m) in enumerate(zip(results, metrics if lockstep else [metrics])):
+            res.slot_rewards.append(team_reward(m, dt))
+            macro_sums[w] += res.slot_rewards[-1]
+            for row, bits in enumerate(m.delivered_by_uav):
+                res.delivered_by_uav[row] += bits
 
         if train and learn:
-            sched_buffer.push(state, sched_obs, sched_acts, r, last, sched_n)
-            res.n_sched_transitions += 1
+            sched_buffer.push(state, sched_obs, sched_acts[0], results[0].slot_rewards[-1], last,
+                              sched_n)
+            results[0].n_sched_transitions += 1
         if method == "tts-maddpg" and (last or (t + 1) % TRAJECTORY_PERIOD == 0):
             if train:
-                traj_buffer.push(traj_state, traj_obs, traj_acts, macro_sum, last)
-                res.n_traj_transitions += 1
-            res.macro_rewards.append(macro_sum)
-            macro_sum = 0.0
+                traj_buffer.push(traj_state, traj_obs, traj_acts, macro_sums[0], last)
+                results[0].n_traj_transitions += 1
+            for res, macro_sum in zip(results, macro_sums):
+                res.macro_rewards.append(macro_sum)
+            macro_sums = [0.0] * len(worlds)
 
-    res.delivered_bits = sum(res.delivered_by_uav)
-    res.arrived_bits = int(world.queue.arrived_bits.sum())
-    res.dropped_bits = int(world.queue.dropped_bits.sum())
-    return res
+    for (i, _), res in zip(worlds, results):
+        res.delivered_bits = sum(res.delivered_by_uav)
+        res.arrived_bits = int(world.queue.arrived_bits[i].sum())
+        res.dropped_bits = int(world.queue.dropped_bits[i].sum())
+    return results
+
+
+def run_episode(*args, **kwargs) -> EpisodeResult:
+    """The rollout of one world: `run_worlds` on a single seed, whose world
+    has no world axis. Train rollouts call this entry point."""
+    return run_worlds(*args, **kwargs)[0]
 
 
 @dataclass
@@ -892,19 +921,17 @@ class Trainer:
         return result, std
 
     def evaluate(self) -> list[EpisodeResult]:
-        """Noise-off rollouts on the fixed evaluation worlds."""
-        return [
-            run_episode(
-                self.env,
-                self.cfg.method,
-                [a.actor for a in self.sched_agents] or None,
-                [a.actor for a in self.traj_agents] or None,
-                self.eval_world_seed(j),
-                self.cfg.slots_per_episode,
-                mode="eval",
-            )
-            for j in range(self.cfg.eval_episodes)
-        ]
+        """Noise-off rollouts on the fixed evaluation worlds, all
+        `eval_episodes` of them stepped in lockstep (see run_worlds)."""
+        return run_worlds(
+            self.env,
+            self.cfg.method,
+            [a.actor for a in self.sched_agents] or None,
+            [a.actor for a in self.traj_agents] or None,
+            [self.eval_world_seed(j) for j in range(self.cfg.eval_episodes)],
+            self.cfg.slots_per_episode,
+            mode="eval",
+        )
 
     CHECKPOINT_NETS = ("actor", "actor_target", "critic", "critic_target")
 

@@ -34,17 +34,10 @@ class PlatformSpec:
 
 
 def default_fleet(
-    donor_altitude_m=200.0,
-    node_altitude_m=100.0,
-    donor_carrier_hz=2.0e9,
-    donor_bandwidth_hz=40e6,
-    node_carrier_hz=2.5e9,
-    node_bandwidth_hz=20e6,
-    donor_tx_power_dbm=-13.0,
-    node_tx_power_dbm=-13.0,
-    antenna_gain_dbi=3.0,
-    noise_figure_db=7.0,
-    node_max_speed_mps=40.0,
+    donor_altitude_m=200.0, node_altitude_m=100.0, donor_carrier_hz=2.0e9,
+    donor_bandwidth_hz=40e6, node_carrier_hz=2.5e9, node_bandwidth_hz=20e6,
+    donor_tx_power_dbm=-13.0, node_tx_power_dbm=-13.0, antenna_gain_dbi=3.0,
+    noise_figure_db=7.0, node_max_speed_mps=40.0,
 ) -> list[PlatformSpec]:
     """One tethered donor (id 0, row 0) plus four untethered nodes (ids and
     rows 1..4), the only layout ScenarioConfig accepts.
@@ -56,30 +49,14 @@ def default_fleet(
     realistic base-station EIRPs makes the system capacity-rich and erases
     most of the gap between scheduling policies.
     """
-    donor = PlatformSpec(
-        id=0,
-        altitude_m=donor_altitude_m,
-        carrier_hz=donor_carrier_hz,
-        bandwidth_hz=donor_bandwidth_hz,
-        tx_power_dbm=donor_tx_power_dbm,
-        antenna_gain_dbi=antenna_gain_dbi,
-        noise_figure_db=noise_figure_db,
-        max_speed_mps=0.0,
-    )
-    nodes = [
-        PlatformSpec(
-            id=i + 1,
-            altitude_m=node_altitude_m,
-            carrier_hz=node_carrier_hz,
-            bandwidth_hz=node_bandwidth_hz,
-            tx_power_dbm=node_tx_power_dbm,
-            antenna_gain_dbi=antenna_gain_dbi,
-            noise_figure_db=noise_figure_db,
-            max_speed_mps=node_max_speed_mps,
-        )
-        for i in range(4)
+    return [
+        PlatformSpec(0, donor_altitude_m, donor_carrier_hz, donor_bandwidth_hz, donor_tx_power_dbm,
+                     antenna_gain_dbi, noise_figure_db, max_speed_mps=0.0)
+    ] + [
+        PlatformSpec(i, node_altitude_m, node_carrier_hz, node_bandwidth_hz, node_tx_power_dbm,
+                     antenna_gain_dbi, noise_figure_db, max_speed_mps=node_max_speed_mps)
+        for i in range(1, 5)
     ]
-    return [donor] + nodes
 
 
 @dataclass
@@ -117,10 +94,17 @@ class ScenarioConfig:
 
 @dataclass
 class WorldState:
-    """Full simulation snapshot; one instance per rollout, never shared.
+    """Full simulation snapshot of one world, or of lockstep worlds that
+    share the slot clock; one instance per rollout, never shared.
 
-    Ground users stand at height 0 and move waypoint-to-waypoint; row i of
-    every UE array, and of the queue's matrix, is UE id i.
+    Lockstep worlds give every world array a leading world axis and hold one
+    generator per world in `rng`; a single world has neither. Geometry,
+    association, ranking, observations, cohort expiry and push, and the UE
+    and node moves run over the world axis; each world's draws (in the order
+    of the world alone), access links, SINR chain and backhaul cache stay
+    per world (`worlds`). Index i of the UE axis of every UE array, and of
+    the queue's matrix, is UE id i. Ground users stand at height 0 and move
+    waypoint-to-waypoint.
 
     The access links' fleet constants (carriers, EIRP, bandwidths,
     co-channel rows) are read from `cfg.platforms` once, at `init_world`; a
@@ -130,26 +114,33 @@ class WorldState:
 
     cfg: ScenarioConfig
     slot: int
-    positions: np.ndarray  # (n_platforms, 3), row order = cfg.platforms order
-    ue_positions: np.ndarray  # (n_ues, 2) meters
-    ue_waypoints: np.ndarray  # (n_ues, 2) meters
-    ue_speeds: np.ndarray  # (n_ues,) m/s toward the waypoint
+    positions: np.ndarray  # (..., n_platforms, 3), row order = cfg.platforms order
+    ue_positions: np.ndarray  # (..., n_ues, 2) meters
+    ue_waypoints: np.ndarray  # (..., n_ues, 2) meters
+    ue_speeds: np.ndarray  # (..., n_ues) m/s toward the waypoint
     queue: PacketQueue
-    rng: np.random.Generator
+    rng: np.random.Generator | list[np.random.Generator]  # a list for lockstep worlds
     carrier_hz: np.ndarray  # (n_platforms,)
     eirp_dbm: np.ndarray  # (n_platforms,) transmit power + antenna gain + the UE's 0 dBi
     bandwidth_hz: list[float]
     cochannel: list[list[int]]  # per row, the other rows on its carrier, in row order
-    # (positions.tobytes(), channel config, node row -> bps) of the last
-    # backhaul computation; mac.step_slot recomputes it when either key differs
-    backhaul: tuple | None = None
-    # (channel config, row -> access noise mW); recomputed when `chan` differs
-    access_noise: tuple | None = None
+    # (channel config, row -> access noise mW, world index -> (positions.tobytes(),
+    # node row -> backhaul bps)) of mac.step_slot: it recomputes everything when
+    # the channel config differs and a world's backhaul when its positions do
+    link_cache: tuple | None = None
+
+    def worlds(self) -> list[tuple[tuple, np.random.Generator]]:
+        """(index, generator) of each world, in order: the index of a single
+        world is (), that of lockstep world w is (w,)."""
+        if isinstance(self.rng, list):
+            return [((w,), rng) for w, rng in enumerate(self.rng)]
+        return [((), self.rng)]
 
 
-def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
+def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     """Build the initial world: donor at the area center, nodes at quadrant
-    centers, ground users placed uniformly at random.
+    centers, ground users placed uniformly at random. A list of seeds builds
+    lockstep worlds, world w from seed[w] alone.
 
     Identical (cfg, seed) pairs produce bit-identical worlds.
     """
@@ -161,17 +152,19 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
     positions = np.array([(x, y, p.altitude_m) for (x, y), p in zip(centers, platforms)])
     carriers = [p.carrier_hz for p in platforms]
 
-    rng = np.random.default_rng(seed)
-    # one row per UE, drawn in id order: position x, y, waypoint x, y, speed
-    ues = rng.uniform(
-        (0.0, 0.0, 0.0, 0.0, cfg.ue_speed_min_mps),
-        (w, h, w, h, cfg.ue_speed_max_mps),
-        size=(cfg.n_ues, 5),
-    )
+    lockstep = isinstance(seed, list)
+    rngs = [np.random.default_rng(s) for s in (seed if lockstep else [seed])]
+    # per world, one row per UE, drawn in id order: position x, y, waypoint x, y, speed
+    ues = np.stack([rng.uniform((0.0, 0.0, 0.0, 0.0, cfg.ue_speed_min_mps),
+                                (w, h, w, h, cfg.ue_speed_max_mps), size=(cfg.n_ues, 5))
+                    for rng in rngs])
+    if not lockstep:
+        ues, rngs = ues[0], rngs[0]
     return WorldState(
-        cfg=cfg, slot=0, positions=positions, ue_positions=ues[:, 0:2].copy(),
-        ue_waypoints=ues[:, 2:4].copy(), ue_speeds=ues[:, 4].copy(),
-        queue=PacketQueue(cfg.n_ues), rng=rng, carrier_hz=np.array(carriers),
+        cfg=cfg, slot=0, positions=np.tile(positions, ues.shape[:-2] + (1, 1)),
+        ue_positions=ues[..., 0:2].copy(), ue_waypoints=ues[..., 2:4].copy(),
+        ue_speeds=ues[..., 4].copy(), queue=PacketQueue(ues.shape[:-1]), rng=rngs,
+        carrier_hz=np.array(carriers),
         eirp_dbm=np.array([p.tx_power_dbm + p.antenna_gain_dbi + 0.0 for p in platforms]),
         bandwidth_hz=[p.bandwidth_hz for p in platforms],
         cochannel=[[q for q, c in enumerate(carriers) if q != row and c == carriers[row]]
@@ -180,53 +173,45 @@ def init_world(cfg: ScenarioConfig, seed: int) -> WorldState:
 
 
 def step_ue_mobility(world: WorldState, dt: float) -> WorldState:
-    """Advance every UE toward its waypoint; the UEs that arrive land on it
-    and redraw waypoint x, y and speed, UE by UE in id order, in one draw."""
+    """Advance every UE of every world toward its waypoint in one pass; the
+    UEs that arrive land on it, and each world redraws their waypoint x, y
+    and speed, UE by UE in id order, in one draw from its own generator."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = world.cfg
     pos, waypoints, speeds = world.ue_positions, world.ue_waypoints, world.ue_speeds
     delta = waypoints - pos
-    dist = np.hypot(delta[:, 0], delta[:, 1])
+    dist = np.hypot(delta[..., 0], delta[..., 1])
     travel = speeds * dt
     arrived = dist <= travel
     # the divisor is dist for every UE that moves and travel > 0 for the rest
-    step = pos + delta * (travel / np.maximum(dist, travel))[:, None]
-    np.clip(np.where(arrived[:, None], waypoints, step), (0.0, 0.0), (cfg.area_w_m, cfg.area_h_m),
-            out=pos)
-    n_arrived = np.count_nonzero(arrived)
-    if n_arrived:
-        redraw = world.rng.uniform(
-            (0.0, 0.0, cfg.ue_speed_min_mps), (cfg.area_w_m, cfg.area_h_m, cfg.ue_speed_max_mps),
-            size=(n_arrived, 3),
-        )
-        waypoints[arrived] = redraw[:, :2]
-        speeds[arrived] = redraw[:, 2]
+    step = pos + delta * (travel / np.maximum(dist, travel))[..., None]
+    np.clip(np.where(arrived[..., None], waypoints, step), (0.0, 0.0),
+            (cfg.area_w_m, cfg.area_h_m), out=pos)
+    for i, rng in world.worlds():
+        hit = arrived[i]
+        n_arrived = np.count_nonzero(hit)
+        if n_arrived:
+            redraw = rng.uniform((0.0, 0.0, cfg.ue_speed_min_mps),
+                                 (cfg.area_w_m, cfg.area_h_m, cfg.ue_speed_max_mps), (n_arrived, 3))
+            waypoints[i][hit] = redraw[:, :2]
+            speeds[i][hit] = redraw[:, 2]
     return world
 
 
 def apply_trajectory(world: WorldState, commands, dt: float) -> WorldState:
-    """Move each untethered node by its commanded velocity for dt seconds;
-    command i moves the node in row i + 1.
-
-    Commands above a node's speed cap are renormalized to the cap; positions
-    are clamped to the service area; altitudes and the donor never change.
-    After one array `hypot`, a walk over Python floats: on four nodes it
-    takes about half the time of the same steps on numpy arrays.
-    """
-    nodes = world.cfg.platforms[1:]
+    """Move each untethered node of every world by its commanded velocity
+    for dt seconds, in one pass; commands (..., 4, 2) hold one row per node,
+    and command i moves the node in row i + 1. Commands above a node's speed
+    cap are renormalized to the cap; positions are clamped to the service
+    area; altitudes and the donor never change."""
+    caps = np.array([p.max_speed_mps for p in world.cfg.platforms[1:]])
     commands = np.asarray(commands, dtype=float)
-    if commands.shape != (len(nodes), 2):
-        raise ValueError(f"expected {len(nodes)} velocity commands, got shape {commands.shape}")
-    w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    speeds = np.hypot(commands[:, 0], commands[:, 1]).tolist()
-    moved = []
-    for p, (x, y), (vx, vy), speed in zip(
-        nodes, world.positions[1:, :2].tolist(), commands.tolist(), speeds
-    ):
-        if speed > p.max_speed_mps and speed > 0:
-            scale = p.max_speed_mps / speed
-            vx, vy = vx * scale, vy * scale
-        moved.append((min(max(x + vx * dt, 0.0), w), min(max(y + vy * dt, 0.0), h)))
-    world.positions[1:, :2] = moved
+    xy = world.positions[..., 1:, :2]
+    if commands.shape != xy.shape:
+        raise ValueError(f"expected velocity commands of shape {xy.shape}, got {commands.shape}")
+    speed = np.hypot(commands[..., 0], commands[..., 1])
+    scale = np.divide(caps, speed, out=np.ones_like(speed), where=speed > caps)
+    np.clip(xy + commands * scale[..., None] * dt, 0.0, (world.cfg.area_w_m, world.cfg.area_h_m),
+            out=xy)
     return world

@@ -10,6 +10,8 @@ The packets that reach one UE in one slot share size and arrival slot, so all
 queues are one int64 matrix of remaining bits, a row per UE and a column per
 arrival slot (a deadline cohort); draining a row oldest column first is FIFO
 service. Integer bits keep arrived = delivered + dropped + queued exact.
+Lockstep worlds share the slot clock, so their cohorts line up in one matrix
+with a leading world axis; each world draws its arrivals from its own generator.
 """
 
 from __future__ import annotations
@@ -40,26 +42,28 @@ class TrafficConfig:
 
 
 class PacketQueue:
-    """The queues of n_ues UEs as cohorts of remaining bits, with per-UE bit
-    counters. Columns [0, n_cohorts) are the live cohorts, oldest first, and
-    every cell past them is 0; the matrix widens when all columns are live."""
+    """The queues of `shape` UEs (n_ues, or (n_worlds, n_ues) for lockstep
+    worlds) as cohorts of remaining bits, with per-UE bit counters. Columns
+    [0, n_cohorts) of the last axis are the live cohorts, oldest first, and
+    every cell past them is 0; the matrix widens when all columns are live.
+    A UE index is a UE id, or a (world, UE id) pair of index arrays."""
 
-    def __init__(self, n_ues: int):
-        self.cells = np.zeros((n_ues, 1), dtype=np.int64)
+    def __init__(self, shape):
+        self.arrived_bits = np.zeros(shape, dtype=np.int64)
+        self.delivered_bits = np.zeros(shape, dtype=np.int64)
+        self.dropped_bits = np.zeros(shape, dtype=np.int64)
+        self.cells = np.zeros(self.arrived_bits.shape + (1,), dtype=np.int64)
         self.arrival_slots = np.zeros(1, dtype=np.int64)
         self.n_cohorts = 0
-        self.arrived_bits = np.zeros(n_ues, dtype=np.int64)
-        self.delivered_bits = np.zeros(n_ues, dtype=np.int64)
-        self.dropped_bits = np.zeros(n_ues, dtype=np.int64)
 
     def push(self, slot: int, bits) -> None:
         """Add a cohort of `bits[i]` arriving at UE i in `slot`; slots of
         successive cohorts must not decrease."""
         n = self.n_cohorts
         if n == len(self.arrival_slots):
-            self.cells = np.hstack((self.cells, np.zeros_like(self.cells)))
+            self.cells = np.concatenate((self.cells, np.zeros_like(self.cells)), axis=-1)
             self.arrival_slots = np.resize(self.arrival_slots, 2 * n)
-        self.cells[:, n] = bits
+        self.cells[..., n] = bits
         self.arrival_slots[n] = slot
         self.n_cohorts = n + 1
         self.arrived_bits += bits
@@ -68,35 +72,38 @@ class PacketQueue:
 
     def queued_bits(self, ue_ids=slice(None)) -> np.ndarray:
         """Bits waiting at every UE in id order, or at the UEs `ue_ids`."""
-        return self.cells[ue_ids].sum(axis=1)
+        return self.cells[ue_ids].sum(axis=-1)
 
     def hol_age(self, current_slot: int, ue_ids=slice(None)) -> np.ndarray:
         """Age in slots of each UE's oldest waiting bit; 0 for an empty queue."""
         waiting = self.cells[ue_ids] > 0
-        oldest = self.arrival_slots[waiting.argmax(axis=1)]
-        return np.where(waiting.any(axis=1), current_slot - oldest, 0)
+        oldest = self.arrival_slots[waiting.argmax(axis=-1)]
+        return np.where(waiting.any(axis=-1), current_slot - oldest, 0)
 
 
 def generate_arrivals(world, lam: float, packet_bits: int):
-    """Draw this slot's Poisson arrivals, UE by UE in id order, into a new cohort."""
-    world.queue.push(world.slot, world.rng.poisson(lam, world.cfg.n_ues) * packet_bits)
+    """Draw this slot's Poisson arrivals, per world from its own generator and
+    UE by UE in id order, into one new cohort of every world."""
+    counts = np.concatenate([rng.poisson(lam, world.cfg.n_ues) for _, rng in world.worlds()])
+    world.queue.push(world.slot, counts.reshape(world.ue_speeds.shape) * packet_bits)
 
 
 def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> np.ndarray:
     """Drop the cohorts that have waited deadline_slots or more; return bits dropped per UE."""
     n = queue.n_cohorts
     k = int(np.searchsorted(queue.arrival_slots[:n], current_slot - deadline_slots, side="right"))
-    dropped = queue.cells[:, :k].sum(axis=1)
-    queue.cells[:, : n - k] = queue.cells[:, k:n]
-    queue.cells[:, n - k : n] = 0
+    dropped = queue.cells[..., :k].sum(axis=-1)
+    queue.cells[..., : n - k] = queue.cells[..., k:n]
+    queue.cells[..., n - k : n] = 0
     queue.arrival_slots[: n - k] = queue.arrival_slots[k:n]
     queue.n_cohorts = n - k
     queue.dropped_bits += dropped
     return dropped
 
 
-def serve_bits(queue: PacketQueue, ue_id: int, capacity_bits: int) -> int:
-    """Drain up to capacity_bits from one UE's queue, oldest cohort first;
+def serve_bits(queue: PacketQueue, ue_id, capacity_bits: int) -> int:
+    """Drain up to capacity_bits from the queue of one UE (a UE id, or a
+    (world, UE id) tuple in lockstep worlds), oldest cohort first;
     a partly served cohort keeps its residual. A Python walk over the row:
     on a deadline's worth of cells it is several times faster than numpy."""
     if capacity_bits < 0:
@@ -115,8 +122,7 @@ def serve_bits(queue: PacketQueue, ue_id: int, capacity_bits: int) -> int:
 
 @dataclass
 class SlotMetrics:
-    """Per-slot accounting of delivered bits (by platform row) and dropped
-    bits (by UE id)."""
+    """Per-slot accounting of delivered bits (by platform row) and dropped bits (by UE id)."""
 
     slot: int
     delivered_by_uav: list[int] = field(default_factory=list)

@@ -5,12 +5,16 @@ the same text is the assertion message on failure). Criteria 1 and 2 train
 every method on three seeds at the reduced budget (300 episodes x 100 slots)
 and share those runs through a session fixture; completed runs are cached
 under the system temp directory keyed by a digest of the package sources, so
-re-running the suite against unchanged code reuses them.
+re-running the suite against unchanged code reuses them. The cache keeps the
+runs of the current digest and of the KEPT_OTHER_DIGESTS most recently
+modified other digests, and deletes the rest.
 """
 
 import csv
 import hashlib
 import os
+import re
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -33,6 +37,9 @@ from ntnsim.scenario import ScenarioConfig, init_world
 
 METHODS = ("rr", "maddpg", "tts-maddpg")
 SEEDS = (0, 1, 2)
+# Other source digests whose runs the cache keeps: a suite of another tree
+# that shares the cache and is running now finds its own runs.
+KEPT_OTHER_DIGESTS = 3
 
 CONFIG_TMPL = """
 [run]
@@ -59,6 +66,20 @@ def _source_digest() -> str:
         h.update(p.name.encode())
         h.update(p.read_bytes())
     return h.hexdigest()[:16]
+
+
+def _prune_cache(cache: Path, current: str, others: int = KEPT_OTHER_DIGESTS) -> list[Path]:
+    """Delete the digest directories under `cache` but `current` and the
+    `others` most recently modified; entries that are not digest
+    directories stay. Returns the deleted directories."""
+    old = sorted(
+        (d for d in cache.iterdir()
+         if d.is_dir() and d.name != current and re.fullmatch(r"[0-9a-f]{16}", d.name)),
+        key=lambda d: d.stat().st_mtime, reverse=True,
+    )[others:]
+    for d in old:
+        shutil.rmtree(d, ignore_errors=True)
+    return old
 
 
 def _train(method: str, seed: int, root: Path) -> None:
@@ -100,7 +121,24 @@ def converged_runs():
         for seed in SEEDS:
             d = root / f"{method}_seed{seed}"
             runs[(method, seed)] = (d, float((d / "done").read_text()))
+    _prune_cache(root.parent, root.name)
     return runs
+
+
+def test_prune_cache_keeps_current_and_newest_others(tmp_path):
+    digests = [f"{n:016x}" for n in range(6)]
+    for age, name in enumerate(digests):
+        (tmp_path / name / "rr_seed0").mkdir(parents=True)
+        os.utime(tmp_path / name, (1e9 - age, 1e9 - age))  # digests[0] is the newest
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "0123456789abcdef.txt").write_text("")
+    current = digests[4]
+    deleted = _prune_cache(tmp_path, current)
+    assert sorted(d.name for d in deleted) == [digests[3], digests[5]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        digests[:3] + [current, "notes", "0123456789abcdef.txt"])
+    assert (tmp_path / current / "rr_seed0").is_dir()
+    assert _prune_cache(tmp_path, current) == []
 
 
 def _checkpoint_means(run_dir: Path) -> tuple[np.ndarray, np.ndarray]:

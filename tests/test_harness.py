@@ -334,6 +334,27 @@ def test_compare_keeps_every_pair_of_runs_that_share_a_label(tmp_path):
     assert f"{dirs[0]} over {dirs[1]}: -20.0%" in text
 
 
+def test_compare_notes_a_config_echo_it_cannot_parse(tmp_path, capsys):
+    old, new = tmp_path / "rr_seed0", tmp_path / "new"
+    write_eval_csv(old, [0, 10], [10.0, 20.0])
+    write_eval_csv(new, [0, 10], [10.0, 30.0])
+    echo = dump_config(ExperimentConfig())
+    (new / "config.ini").write_text(echo)
+    # an echo of an older schema, with a [train] key that no longer exists
+    (old / "config.ini").write_text(echo.replace("[train]\n", "[train]\ngamma = 0.95\n"))
+    summaries, gains = compare([str(old), str(new)])
+    assert [s.label for s in summaries] == ["rr_seed0", "tts-maddpg seed 0"]
+    assert gains[("tts-maddpg seed 0", "rr_seed0")] == pytest.approx(0.5)
+    assert summaries[1].note == ""
+    assert cli.main(["compare", str(old), str(new)]) == 0
+    out = capsys.readouterr().out
+    assert "rr_seed0 over tts-maddpg seed 0" in out
+    note = [line for line in out.splitlines() if line.startswith("note:")]
+    assert len(note) == 1
+    assert note[0].startswith(f"note: rr_seed0 is labelled by its directory name: {old / 'config.ini'}:")
+    assert note[0].endswith("unknown key train.gamma")
+
+
 def test_compare_needs_two_dirs(tmp_path):
     with pytest.raises(ConfigError):
         compare([str(tmp_path)])

@@ -716,6 +716,47 @@ def test_run_episode_deterministic_given_seeds():
     assert once() == once()
 
 
+def episode_fields(res):
+    """Every EpisodeResult field, with the action logs as lists."""
+    out = dict(vars(res))
+    for log in ("sched_action_log", "traj_action_log"):
+        out[log] = [a.tolist() for a in out[log]]
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    method=st.sampled_from(madrl.METHODS),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    n_ues=st.integers(6, 12),
+    slots=st.integers(10, 30),
+)
+def test_lockstep_worlds_equal_separate_runs(method, seeds, n_ues, slots):
+    env = make_env(n_ues=n_ues)
+    sched, traj = make_trained_actors(env) if method != "rr" else (None, None)
+    traj = traj if method == "tts-maddpg" else None
+    worlds = []
+
+    def init_world(*args):
+        worlds.append(real_init_world(*args))
+        return worlds[-1]
+
+    real_init_world = madrl.init_world
+    madrl.init_world = init_world
+    try:
+        lockstep = madrl.run_worlds(env, method, sched, traj, seeds, slots, record_actions=True)
+        alone = [run_episode(env, method, sched, traj, s, slots, record_actions=True)
+                 for s in seeds]
+    finally:
+        madrl.init_world = real_init_world
+    assert [episode_fields(r) for r in lockstep] == [episode_fields(r) for r in alone]
+    assert [rng.bit_generator.state for rng in worlds[0].rng] == [
+        w.rng.bit_generator.state for w in worlds[1:]]
+    with pytest.raises(ValueError, match="one world"):
+        madrl.run_worlds(env, method, sched, traj, [1, 2], slots, mode="train",
+                         noise_rng=np.random.default_rng(0))
+
+
 def test_trainer_warmup_blocks_updates():
     env = make_env()
     cfg = TrainConfig(
