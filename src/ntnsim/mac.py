@@ -45,21 +45,14 @@ def associate(world: WorldState, chan: ChannelConfig) -> Association:
 def observed_ues(world: WorldState, association: Association, k: int) -> np.ndarray:
     """(..., n_platforms, k) UE ids: row i of a world lists the k nearest UEs
     of platform i's cell on the unclamped 3-D distance, ties by UE id, padded
-    with -1 past the cell's size; one sort ranks every world's cells.
-    Observations and schedule decoding read these ranks."""
-    rows = association.rows
-    n_platforms, n_ues = len(world.cfg.platforms), rows.shape[-1]
-    at = np.arange(rows.size)  # world w's UE u is at w * n_ues + u
-    cell = rows.ravel() + at // n_ues * n_platforms  # one id per world and platform row
-    dist = association.links.distance_m.take(cell * n_ues + at % n_ues)
-    order = np.lexsort((dist, cell))  # a stable sort: equal distances keep UE id order
-    sizes = np.bincount(cell, minlength=rows.size // n_ues * n_platforms)
-    # the rank of order[j] in its cell: j minus the cell's first position in order
-    rank = at - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    kept = rank < k
-    cells = np.full((len(sizes), k), -1)
-    cells[cell[order[kept]], rank[kept]] = order[kept] % n_ues
-    return cells.reshape(rows.shape[:-1] + (n_platforms, k))
+    with -1 past the cell's size. One stable sort of every world's platform
+    x UE distances, with the UEs outside a cell at infinity, ranks every
+    cell. Observations and schedule decoding read these ranks."""
+    member = association.rows[..., None, :] == np.arange(len(world.cfg.platforms))[:, None]
+    nearest = np.argsort(np.where(member, association.links.distance_m, np.inf), axis=-1,
+                         kind="stable")
+    ranked = np.arange(k) < member.sum(axis=-1)[..., None]
+    return np.where(ranked, nearest.take(np.arange(k), axis=-1, mode="clip"), -1)
 
 
 def decode_schedule(actions: np.ndarray, cells: np.ndarray) -> dict[int, int | None]:
@@ -134,15 +127,14 @@ def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConf
     """
     lockstep, worlds = isinstance(world.rng, list), world.worlds()
     n_platforms, n_ues = len(world.cochannel), association.rows.shape[-1]
-    rows = association.rows.reshape(-1, n_ues).tolist()
-    active, tx_rows, flat, n_links, n_drawn = [], [], [], [], []
+    rows = association.rows.reshape(-1, n_ues)
+    active, tx_rows, flat, n_links, ends = [], [], [], [], [0]
     for w, chosen in enumerate(choices if lockstep else [choices]):
-        n_drawn.append(len(flat))
         for row in range(n_platforms):
             ue_id = chosen.get(row)
             if ue_id is None:
                 continue
-            if not 0 <= ue_id < n_ues or rows[w][ue_id] != row:
+            if not 0 <= ue_id < n_ues or rows[w, ue_id] != row:
                 raise ValueError(f"UAV {world.cfg.platforms[row].id} chose UE {ue_id} "
                                  "outside its cell")
             tx = [row] + [q for q in world.cochannel[row] if chosen.get(q) is not None]
@@ -150,14 +142,15 @@ def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConf
             tx_rows += tx
             flat += [(w * n_platforms + q) * n_ues + ue_id for q in tx]  # into the link matrices
             n_links.append(len(tx))
-        n_drawn[w] = len(flat) - n_drawn[w]
+        ends.append(len(flat))
 
     links = association.links
     dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
     metrics = [SlotMetrics(world.slot, [0] * n_platforms, dropped[i]) for i, _ in worlds]
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
-    flat = np.array(flat, dtype=np.intp)
-    draws = np.concatenate([rng.random(n) for (_, rng), n in zip(worlds, n_drawn)])
+    flat, draws = np.array(flat, dtype=np.intp), np.empty(len(flat))
+    for (_, rng), start, end in zip(worlds, ends, ends[1:]):
+        rng.random(out=draws[start:end])
     los = (draws < links.p_los.take(flat)).astype(float)
     loss = channel.path_loss_db(links.fspl_db.take(flat), los, chan)
     rx_dbm = (world.eirp_dbm[tx_rows] - loss).tolist()

@@ -176,49 +176,92 @@ def global_state_dim(n_platforms: int, n_ues: int) -> int:
 def select_action(
     actor: MlpParams, obs: np.ndarray, noise_std: float, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """A velocity actor's deterministic output plus clipped Gaussian
-    exploration noise."""
+    """Velocity commands: each actor's deterministic output on its own
+    observation plus Gaussian exploration noise, clipped to [-1, 1].
+
+    `actor` is one net with obs (4 + 4k,), or a group (nn.stack of A actors)
+    with obs (..., A, 4 + 4k), e.g. lockstep worlds x nodes. The noise is one
+    draw of the commands' shape from rng. Every observation is a one-row
+    forward of its own actor, so each command equals that actor's forward
+    alone bit for bit (see nn.stack)."""
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
-    a = nn.mlp_forward(actor, obs)
+    if noise_std > 0.0 and rng is None:
+        raise ValueError("noise_std > 0 draws exploration noise and needs a generator rng")
+    single = actor.weights[0].ndim == 2
+    if single:
+        actor, obs = nn.stack([actor]), np.asarray(obs)[None]
+    a = nn.mlp_forward(actor, obs[..., None, :])[..., 0, :]
     if noise_std > 0.0:
         a = a + rng.normal(0.0, noise_std, size=a.shape)
-    return np.clip(a, -1.0, 1.0)
+    a = np.clip(a, -1.0, 1.0)
+    return a[0] if single else a
+
+
+def scorer_rows(obs: np.ndarray) -> np.ndarray:
+    """(b, k, SCORER_IN) scorer inputs of scheduler observations (b, 2 + 4k):
+    one row per rank, the UE's four features and then the platform's own
+    position."""
+    b, k = obs.shape[0], (obs.shape[1] - 2) // UE_FEATURES
+    rows = np.empty((b, k, SCORER_IN), dtype=obs.dtype)
+    rows[:, :, :UE_FEATURES] = obs[:, 2:].reshape(b, k, UE_FEATURES)
+    rows[:, :, UE_FEATURES:] = obs[:, None, :2]
+    return rows
 
 
 def rank_logits(scorer: MlpParams, obs: np.ndarray, n_obs: np.ndarray):
     """(b, k) logits of a batch of scheduler observations (b, 2 + 4k) with
     n_obs (b,) observed UEs each, -inf at padded ranks, with the scorer's
-    forward cache (one row per rank: the UE's four features, then the
-    platform's own position) and the (b, k) mask of observed ranks. The
-    mask comes from n_obs, not from the (zero) features of padded ranks."""
+    forward cache (on scorer_rows) and the (b, k) mask of observed ranks.
+    The mask comes from n_obs, not from the (zero) features of padded ranks."""
     b, k = obs.shape[0], (obs.shape[1] - 2) // UE_FEATURES
-    rows = np.empty((b, k, SCORER_IN), dtype=obs.dtype)
-    rows[:, :, :UE_FEATURES] = obs[:, 2:].reshape(b, k, UE_FEATURES)
-    rows[:, :, UE_FEATURES:] = obs[:, None, :2]
-    out, cache = nn.forward_pass(scorer, rows.reshape(b * k, SCORER_IN))
+    out, cache = nn.forward_pass(scorer, scorer_rows(obs).reshape(b * k, SCORER_IN))
     valid = np.arange(k) < np.asarray(n_obs)[:, None]
     return np.where(valid, out.reshape(b, k), -np.inf), cache, valid
 
 
 def select_rank(
-    scorer: MlpParams, obs: np.ndarray, n_obs: int, rng: np.random.Generator | None = None
+    scorer: MlpParams, obs: np.ndarray, n_obs, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """A scheduler's one-hot choice over its k observed ranks (all zero for
-    an empty cell). With rng the rank is sampled from the softmax of the
-    logits of its n_obs observed UEs by Gumbel-max; without, it is their
-    argmax."""
-    a = np.zeros((obs.shape[0] - 2) // UE_FEATURES)
-    if n_obs == 0:
-        return a
-    rows = np.empty((n_obs, SCORER_IN), dtype=obs.dtype)
-    rows[:, :UE_FEATURES] = obs[2 : 2 + UE_FEATURES * n_obs].reshape(n_obs, UE_FEATURES)
-    rows[:, UE_FEATURES:] = obs[:2]
-    logits = nn.mlp_forward(scorer, rows)[:, 0]
-    if rng is not None:
-        logits = logits + rng.gumbel(size=n_obs)  # float64: the draw is not rounded
-    a[int(np.argmax(logits))] = 1.0
-    return a
+    """Schedulers' one-hot choices over their k observed ranks (all zero for
+    an empty cell).
+
+    `scorer` is one net with obs (2 + 4k,) and an int n_obs, or a group
+    (nn.stack of P scorers) with obs (..., P, 2 + 4k) and n_obs (..., P),
+    e.g. lockstep worlds x platforms. With rng each rank is sampled from the
+    softmax of the logits of its cell's n_obs observed UEs by Gumbel-max,
+    from one draw of sum(n_obs) variates taken cell by cell in C order;
+    without, it is their argmax.
+
+    Cells run one forward per distinct observed-UE count, on exactly their
+    n_obs rows and with their own scorer's weights. They are never padded
+    to k rows: a stacked product equals each item's own only when all items
+    have the same row count (see nn.stack), so each cell's logits equal its
+    scorer's forward of that cell alone bit for bit."""
+    single = scorer.weights[0].ndim == 2
+    if single:
+        scorer, obs, n_obs = nn.stack([scorer]), np.asarray(obs)[None], [n_obs]
+    n_obs = np.asarray(n_obs)
+    n_agents, k = scorer.weights[0].shape[0], (obs.shape[-1] - 2) // UE_FEATURES
+    counts = n_obs.ravel()
+    ends = np.bincount(counts, minlength=k + 1).cumsum().tolist()  # cells with <= n observed UEs
+    if n_obs.shape != obs.shape[:-1] or n_obs.shape[-1] != n_agents or len(ends) > k + 1:
+        raise ValueError(f"{n_agents} scorers cannot read observations {obs.shape} "
+                         f"with observed-UE counts of shape {n_obs.shape}, at most {k} each")
+    rows = scorer_rows(obs.reshape(-1, obs.shape[-1]))
+    if rng is not None:  # float64: the draw is not rounded
+        gumbel = np.zeros((len(counts), k))
+        gumbel[np.arange(k) < counts[:, None]] = rng.gumbel(size=int(counts.sum()))
+    a = np.zeros(n_obs.shape + (k,))
+    chosen, by_count = a.reshape(-1, k), np.argsort(counts, kind="stable")
+    for n in range(1, k + 1):
+        if ends[n] > ends[n - 1]:
+            cell = by_count[ends[n - 1] : ends[n]]
+            logits = nn.mlp_forward(scorer.take(cell % n_agents), rows[cell, :n])[..., 0]
+            if rng is not None:
+                logits = logits + gumbel[cell, :n]
+            chosen[cell, np.argmax(logits, axis=1)] = 1.0
+    return a[0] if single else a
 
 
 def noise_schedule(
@@ -483,11 +526,13 @@ def run_worlds(
     Lockstep worlds share one slot loop. Association, cell ranking,
     observations and their cast to the actors' dtype, cohort expiry and
     push, and the UE and node moves run once per slot over the world axis.
-    Each world draws from its own generator in the order of a rollout of
-    that world alone, and keeps its own access links and backhaul cache (see
-    mac.step_slot); every actor forward (select_rank, select_action) runs
-    per world and platform. So each world's result is that of its own
-    rollout, bit for bit.
+    Each agent group's actors are stacked once per call (nn.stack), and one
+    select_rank call per slot and one select_action call per macro-step act
+    for every world and platform of the group; their forwards are
+    bit-identical to each actor's forward alone. Each world draws from its
+    own generator in the order of a rollout of that world alone, and keeps
+    its own access links and backhaul cache (see mac.step_slot). So each
+    world's result is that of its own rollout, bit for bit.
 
     In train mode, schedulers sample their rank by Gumbel-max and velocity
     actors add Gaussian noise, both drawn from noise_rng, and transitions
@@ -528,7 +573,8 @@ def run_worlds(
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
     node_caps = np.array([[p.max_speed_mps] for p in env.scenario.platforms[1:]])
-    obs_dtype = sched_actors[0].dtype if learn else None
+    sched_group = nn.stack(sched_actors) if learn else None
+    traj_group = nn.stack(traj_actors) if n_nodes else None
 
     results = [EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
                for _ in worlds]
@@ -547,7 +593,7 @@ def run_worlds(
         if learn:
             cells = mac.observed_ues(world, association, env.k_obs)
             state = global_state(world, norm) if train else None
-            sched_obs = local_observation(world, cells, norm).astype(obs_dtype, copy=False)
+            sched_obs = local_observation(world, cells, norm).astype(sched_group.dtype, copy=False)
             sched_n = (cells >= 0).sum(axis=-1)
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
@@ -555,11 +601,8 @@ def run_worlds(
             if train and traj_explore_only:
                 traj_acts = np.zeros((n_nodes, 2))
             else:
-                traj_acts = np.reshape([
-                    [select_action(traj_actors[j], traj_obs[i][j], noise_std if train else 0.0,
-                                   noise_rng) for j in range(n_nodes)]
-                    for i, _ in worlds
-                ], traj_obs.shape[:-1] + (2,))
+                traj_acts = select_action(traj_group, traj_obs, noise_std if train else 0.0,
+                                          noise_rng)
             if train:
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
             held_velocity = traj_acts * node_caps
@@ -567,19 +610,14 @@ def run_worlds(
                 for (i, _), res in zip(worlds, results):
                     res.traj_action_log.append(traj_acts[i].copy())
 
-        choices, sched_acts = [], []
-        for (i, _), res in zip(worlds, results):
-            if learn:
-                sched_acts.append(np.stack([
-                    select_rank(sched_actors[p], sched_obs[i][p], sched_n[i][p],
-                                noise_rng if train else None)
-                    for p in range(n_platforms)
-                ]))
-                choices.append(mac.decode_schedule(sched_acts[-1], cells[i]))
-                if record_actions:
-                    res.sched_action_log.append(sched_acts[-1].copy())
-            else:
-                choices.append(mac.rr_schedule(association.world(i), t))
+        if learn:
+            sched_acts = select_rank(sched_group, sched_obs, sched_n, noise_rng if train else None)
+            choices = [mac.decode_schedule(sched_acts[i], cells[i]) for i, _ in worlds]
+            if record_actions:
+                for (i, _), res in zip(worlds, results):
+                    res.sched_action_log.append(sched_acts[i].copy())
+        else:
+            choices = [mac.rr_schedule(association.world(i), t) for i, _ in worlds]
 
         world, metrics = mac.step_slot(world, choices if lockstep else choices[0], env.traffic,
                                        env.channel, association)
@@ -593,7 +631,7 @@ def run_worlds(
                 res.delivered_by_uav[row] += bits
 
         if train and learn:
-            sched_buffer.push(state, sched_obs, sched_acts[0], results[0].slot_rewards[-1], last,
+            sched_buffer.push(state, sched_obs, sched_acts, results[0].slot_rewards[-1], last,
                               sched_n)
             results[0].n_sched_transitions += 1
         if method == "tts-maddpg" and (last or (t + 1) % TRAJECTORY_PERIOD == 0):

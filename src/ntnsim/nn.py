@@ -12,7 +12,8 @@ mlp_backward runs all three and returns every gradient.
 
 All functions accept a single sample (d,) or a minibatch (n, d); gradients
 are summed over the batch, so mean-loss callers fold 1/n into the upstream
-gradient themselves.
+gradient themselves. forward_pass also runs a stack of nets (see stack), one
+net per slab of its input; no gradient is formed for a stack.
 
 There is no dtype option: every function computes in the dtype of the
 parameters it is given, and casts its input and upstream gradient to it.
@@ -75,6 +76,36 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return self.astype(self.dtype)
 
+    def take(self, idx) -> "MlpParams":
+        """The stack of the nets idx (indices into a stack's net axis; see
+        stack), in that order."""
+        return MlpParams(
+            layer_sizes=self.layer_sizes,
+            weights=[w.take(idx, axis=0) for w in self.weights],
+            biases=[b.take(idx, axis=0) for b in self.biases],
+            out_act=self.out_act,
+        )
+
+
+def stack(nets: list[MlpParams]) -> MlpParams:
+    """Nets of equal layer sizes and output activation as one stack: each
+    weight matrix gains a leading net axis (nets, fan_in, fan_out), each bias
+    becomes (nets, 1, fan_out). forward_pass runs net i on slab i of an input
+    (..., nets, rows, d), broadcasting the nets over the leading axes.
+
+    A slab's product is the same BLAS call as the net's own on those rows,
+    so each slab's output equals the net's forward of the slab bit for bit
+    as long as every slab has the same number of rows (see tests/test_nn.py)."""
+    first = nets[0]
+    if any(n.layer_sizes != first.layer_sizes or n.out_act != first.out_act for n in nets):
+        raise ValueError("stacked nets must share layer sizes and output activation")
+    return MlpParams(
+        layer_sizes=first.layer_sizes,
+        weights=[np.stack(ws) for ws in zip(*(n.weights for n in nets))],
+        biases=[np.stack(bs)[:, None, :] for bs in zip(*(n.biases for n in nets))],
+        out_act=first.out_act,
+    )
+
 
 def init_mlp(layer_sizes, out_act: str, rng: np.random.Generator) -> MlpParams:
     """Uniform ±1/sqrt(fan_in) init per layer."""
@@ -91,27 +122,31 @@ def init_mlp(layer_sizes, out_act: str, rng: np.random.Generator) -> MlpParams:
     return MlpParams(layer_sizes=sizes, weights=weights, biases=biases, out_act=out_act)
 
 
-def _check_input(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """x as a batch (n, d) for a net, or as slabs (..., nets, rows, d) for a
+    stack, in the parameters' dtype."""
     x = np.asarray(x, dtype=params.dtype)
-    single = x.ndim == 1
-    if single:
+    if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+    stacked = params.weights[0].ndim == 3
+    if (x.ndim < 3 if stacked else x.ndim != 2) or x.shape[-1] != params.layer_sizes[0]:
         raise ValueError(
             f"input shape {x.shape} does not match first layer size {params.layer_sizes[0]}"
+            + (" of a stack, which reads (..., nets, rows, d)" if stacked else "")
         )
-    return x, single
+    return x
 
 
 def forward_pass(params: MlpParams, x):
     """Forward pass that keeps its intermediates: returns (output, cache).
 
-    A single sample is a batch of one, so the output is always (n, d_out).
+    A single sample is a batch of one, so the output of a net is always
+    (n, d_out); that of a stack is (..., nets, rows, d_out).
     The cache holds the pre-activations of every layer and the
     post-activations including the input (by reference, not copied);
     param_grads and input_grad read it instead of running the pass again.
     """
-    x, _ = _check_input(params, x)
+    x = _check_input(params, x)
     acts = [x]
     zs = []
     h = x
@@ -137,6 +172,8 @@ def mlp_forward(params: MlpParams, x) -> np.ndarray:
 
 def _output_grad(params: MlpParams, cache, upstream) -> np.ndarray:
     """The upstream gradient carried back through the output activation."""
+    if params.weights[0].ndim != 2:
+        raise ValueError("gradients are formed for one net, not for a stack")
     y = cache[1][-1]
     g = np.asarray(upstream, dtype=y.dtype)
     if g.shape != y.shape:

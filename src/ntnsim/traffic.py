@@ -84,8 +84,11 @@ class PacketQueue:
 def generate_arrivals(world, lam: float, packet_bits: int):
     """Draw this slot's Poisson arrivals, per world from its own generator and
     UE by UE in id order, into one new cohort of every world."""
-    counts = np.concatenate([rng.poisson(lam, world.cfg.n_ues) for _, rng in world.worlds()])
-    world.queue.push(world.slot, counts.reshape(world.ue_speeds.shape) * packet_bits)
+    bits = np.empty(world.ue_speeds.shape, dtype=np.int64)
+    for i, rng in world.worlds():
+        bits[i] = rng.poisson(lam, world.cfg.n_ues)
+    bits *= packet_bits
+    world.queue.push(world.slot, bits)
 
 
 def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> np.ndarray:

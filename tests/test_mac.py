@@ -153,9 +153,10 @@ def test_association_and_ranking_match_scalar_reference(geometry):
     assoc = mac.associate(world, chan)
     serving_rows = reference_association(world, chan)
     assert assoc.rows.tolist() == serving_rows
-    # k = n_ues: every rank of every cell
-    k = len(ue_xy)
-    assert mac.observed_ues(world, assoc, k).tolist() == reference_ranking(world, serving_rows, k)
+    # k = n_ues: every rank of every cell; k > n_ues: padding past the UEs
+    for k in (len(ue_xy), len(ue_xy) + 3):
+        ranked = mac.observed_ues(world, assoc, k).tolist()
+        assert ranked == reference_ranking(world, serving_rows, k)
 
 
 def test_observed_ues_tie_by_id():

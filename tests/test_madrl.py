@@ -136,6 +136,92 @@ def test_select_action_noise_and_clip():
         select_action(actor, obs, -0.1, rng)
 
 
+def test_select_action_noise_needs_a_generator(monkeypatch):
+    actor = nn.init_mlp((4, 8, 2), "tanh", np.random.default_rng(0))
+    forwards = []
+    monkeypatch.setattr(nn, "mlp_forward", lambda *a: forwards.append(a))
+    for group in (actor, nn.stack([actor, actor])):
+        with pytest.raises(ValueError, match="generator"):
+            select_action(group, np.zeros((2, 4)), 0.1)
+    assert forwards == []
+
+
+def _select_rank_reference(scorer, obs, n_obs, rng=None):
+    """One scheduler's one-hot choice from its own forward over its n_obs
+    observed UEs, as run_worlds chose ranks platform by platform."""
+    a = np.zeros((obs.shape[0] - 2) // madrl.UE_FEATURES)
+    if n_obs == 0:
+        return a
+    rows = np.empty((n_obs, madrl.SCORER_IN), dtype=obs.dtype)
+    rows[:, : madrl.UE_FEATURES] = obs[2 : 2 + madrl.UE_FEATURES * n_obs].reshape(n_obs, -1)
+    rows[:, madrl.UE_FEATURES :] = obs[:2]
+    logits = nn.mlp_forward(scorer, rows)[:, 0]
+    if rng is not None:
+        logits = logits + rng.gumbel(size=n_obs)
+    a[int(np.argmax(logits))] = 1.0
+    return a
+
+
+def _select_action_reference(actor, obs, noise_std, rng=None):
+    """One velocity actor's command from its own single-sample forward."""
+    a = nn.mlp_forward(actor, obs)
+    if noise_std > 0.0:
+        a = a + rng.normal(0.0, noise_std, size=a.shape)
+    return np.clip(a, -1.0, 1.0)
+
+
+@st.composite
+def cell_counts(draw):
+    """(worlds, 5) observed-UE counts in [0, K_OBS]: all equal (all empty
+    among them) or mixed."""
+    shape = (draw(st.integers(1, 4)), 5)
+    if draw(st.booleans()):
+        return np.full(shape, draw(st.integers(0, madrl.K_OBS)))
+    return np.array(draw(st.lists(st.integers(0, madrl.K_OBS), min_size=shape[0] * 5,
+                                  max_size=shape[0] * 5))).reshape(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=cell_counts(), dtype=st.sampled_from([np.float32, np.float64]),
+       with_rng=st.booleans(), tied=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_group_selection_equals_per_agent_loop(counts, dtype, with_rng, tied, seed):
+    rng = np.random.default_rng(seed)
+    k, n_worlds = madrl.K_OBS, len(counts)
+    scorers = [nn.init_mlp((madrl.SCORER_IN, madrl.SCORER_WIDTH, 1), "linear", rng).astype(dtype)
+               for _ in range(5)]
+    actors = [nn.init_mlp((4 + madrl.UE_FEATURES * k, madrl.TRAJ_HIDDEN_WIDTH,
+                           madrl.TRAJ_HIDDEN_WIDTH, 2), "tanh", rng).astype(dtype)
+              for _ in range(4)]
+    # padded ranks hold garbage: nothing may read them
+    sched_obs = rng.uniform(-1, 1, size=(n_worlds, 5, 2 + madrl.UE_FEATURES * k)).astype(dtype)
+    if tied:  # every rank of a cell shows the same UE, so argmax reads the logits' last bits
+        sched_obs[..., 2:] = np.tile(sched_obs[..., 2 : 2 + madrl.UE_FEATURES], k)
+    traj_obs = rng.uniform(-1, 1, size=(n_worlds, 4, 4 + madrl.UE_FEATURES * k)).astype(dtype)
+    noise_std = 0.3 if with_rng else 0.0
+    draws = [np.random.default_rng(seed + 1) if with_rng else None for _ in range(3)]
+
+    vel = select_action(nn.stack(actors), traj_obs, noise_std, draws[0])
+    ranks = select_rank(nn.stack(scorers), sched_obs, counts, draws[0])
+    vel_ref = np.array([[_select_action_reference(a, traj_obs[w, j], noise_std, draws[1])
+                         for j, a in enumerate(actors)] for w in range(n_worlds)])
+    ranks_ref = np.array([[_select_rank_reference(s, sched_obs[w, p], counts[w, p], draws[1])
+                           for p, s in enumerate(scorers)] for w in range(n_worlds)])
+    # one agent is the no-axis case
+    vel_one = np.array([[select_action(a, traj_obs[w, j], noise_std, draws[2])
+                         for j, a in enumerate(actors)] for w in range(n_worlds)])
+    ranks_one = np.array([[select_rank(s, sched_obs[w, p], counts[w, p], draws[2])
+                           for p, s in enumerate(scorers)] for w in range(n_worlds)])
+
+    assert vel.shape == (n_worlds, 4, 2) and ranks.shape == (n_worlds, 5, k)
+    assert vel.dtype == vel_ref.dtype and ranks.dtype == ranks_ref.dtype
+    assert np.array_equal(vel, vel_ref) and np.array_equal(vel_one, vel_ref)
+    assert np.array_equal(ranks, ranks_ref) and np.array_equal(ranks_one, ranks_ref)
+    assert np.array_equal(ranks.sum(axis=-1), counts > 0)
+    if with_rng:
+        assert draws[0].bit_generator.state == draws[1].bit_generator.state
+        assert draws[2].bit_generator.state == draws[1].bit_generator.state
+
+
 def test_noise_schedule_linear_decay():
     total = 300
     assert noise_schedule(0, total) == pytest.approx(0.3)

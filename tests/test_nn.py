@@ -68,6 +68,51 @@ def test_forward_rejects_bad_shape():
         nn.mlp_forward(p, np.zeros(5))
 
 
+@pytest.mark.parametrize("sizes", [(6, 32, 1), (36, 128, 128, 2)])
+def test_stacked_products_equal_each_items_own(sizes):
+    # the rule a group of actors rests on (madrl.select_rank and
+    # select_action, nn.stack): with the scorer and velocity-actor shapes in
+    # float32, a stacked matmul, with one weight matrix per item or one
+    # broadcast over the items, equals each item's 2-D product bit for bit
+    # when every item has the same row count
+    rng = np.random.default_rng(len(sizes))
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        w = rng.uniform(-1, 1, size=(25, fan_in, fan_out)).astype(np.float32)
+        for rows in range(1, 9):
+            x = rng.uniform(-1, 1, size=(25, rows, fan_in)).astype(np.float32)
+            for items in range(1, 26):
+                where = f"layer {fan_in}->{fan_out} of {sizes}, {rows} rows, {items} items"
+                own = [x[i] @ w[i] for i in range(items)]
+                assert np.array_equal(x[:items] @ w[:items], own), where
+                shared = [x[i] @ w[0] for i in range(items)]
+                assert np.array_equal(x[:items] @ w[0], shared), f"{where}, one matrix"
+
+
+def test_stack_forward_runs_each_net_on_its_slab():
+    rng = np.random.default_rng(4)
+    nets = [nn.init_mlp((5, 7, 2), "tanh", rng).astype(np.float32) for _ in range(3)]
+    group = nn.stack(nets)
+    assert [w.shape for w in group.weights] == [(3, 5, 7), (3, 7, 2)]
+    assert [b.shape for b in group.biases] == [(3, 1, 7), (3, 1, 2)]
+    x = rng.normal(size=(4, 3, 6, 5))  # worlds x nets x rows x inputs
+    y = nn.mlp_forward(group, x)
+    assert y.shape == (4, 3, 6, 2) and y.dtype == np.float32
+    for w in range(4):
+        for i, net in enumerate(nets):
+            assert np.array_equal(y[w, i], nn.mlp_forward(net, x[w, i]))
+    picked = group.take(np.array([2, 0, 2]))
+    assert np.array_equal(nn.mlp_forward(picked, x[0])[1], nn.mlp_forward(nets[0], x[0, 1]))
+    with pytest.raises(ValueError):
+        nn.mlp_forward(group, x[0, 0])  # a stack reads (..., nets, rows, d)
+    with pytest.raises(ValueError):
+        nn.mlp_forward(nets[0], x[0])  # a net reads (n, d)
+    with pytest.raises(ValueError):
+        nn.stack([nets[0], nn.init_mlp((5, 7, 2), "linear", rng)])
+    _, cache = nn.forward_pass(group, x)
+    with pytest.raises(ValueError, match="stack"):
+        nn.param_grads(group, cache, np.ones_like(y))
+
+
 def test_tanh_output_bounded():
     rng = np.random.default_rng(3)
     p = nn.init_mlp((4, 32, 2), "tanh", rng)
