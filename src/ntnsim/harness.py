@@ -3,9 +3,9 @@ methods (rr / maddpg / tts-maddpg), CSV metrics, and result comparison.
 
 Config format: `key = value` lines under `[section]` headers, or dotted
 `section.key = value` lines. `#` and `;` start full-line comments. Every key
-has a default; unknown keys are rejected with their line number. The keys are
-the field names of the config dataclasses, found by reflection, except the
-fleet keys of [scenario] and `lambda` in [traffic].
+has a default; unknown keys, and keys set twice, are rejected with their line
+numbers. The keys are the field names of the config dataclasses, found by
+reflection, except the fleet keys of [scenario] and `lambda` in [traffic].
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def _convert(raw: str, typ, where: str):
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
-    section = None
+    section, set_at = None, {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.strip()
         if not line or line.startswith("#") or line.startswith(";"):
@@ -194,6 +194,9 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             sec = section
         if (sec, key) not in _BY_NAME:
             raise ConfigError(f"{where}: unknown key {sec}.{key}")
+        if (sec, key) in set_at:
+            raise ConfigError(f"{where}: {sec}.{key} is already set at {set_at[sec, key]}")
+        set_at[sec, key] = where
         typ, targets, attr = _BY_NAME[(sec, key)]
         value = _convert(raw, typ, f"{where}: {sec}.{key}")
         for obj in targets(cfg):

@@ -15,18 +15,12 @@ from .traffic import SlotMetrics, TrafficConfig
 
 
 class Association(NamedTuple):
-    """The serving platform row of each UE (`rows`, indexed by UE id) and the
-    slot's link geometry it was decided on (`links`, platform rows x UE ids),
-    each with the world's leading axis in lockstep worlds. The slot's
-    ranking and access SINR read the same geometry."""
+    """The serving platform row of each UE (`rows`, worlds x UE ids) and the
+    slot's link geometry it was decided on (`links`, worlds x platform rows x
+    UE ids). The slot's ranking and access SINR read the same geometry."""
 
     rows: np.ndarray
     links: channel.LinkGeometry
-
-    def world(self, i: tuple) -> Association:
-        """The association of world i (an index from `WorldState.worlds`)."""
-        links = self.links
-        return Association(self.rows[i], links._make(m[i] for m in links)) if i else self
 
 
 def associate(world: WorldState, chan: ChannelConfig) -> Association:
@@ -43,11 +37,11 @@ def associate(world: WorldState, chan: ChannelConfig) -> Association:
 
 
 def observed_ues(world: WorldState, association: Association, k: int) -> np.ndarray:
-    """(..., n_platforms, k) UE ids: row i of a world lists the k nearest UEs
-    of platform i's cell on the unclamped 3-D distance, ties by UE id, padded
-    with -1 past the cell's size. One stable sort of every world's platform
-    x UE distances, with the UEs outside a cell at infinity, ranks every
-    cell. Observations and schedule decoding read these ranks."""
+    """(n_worlds, n_platforms, k) UE ids: row i of a world lists the k
+    nearest UEs of platform i's cell on the unclamped 3-D distance, ties by
+    UE id, padded with -1 past the cell's size. One stable sort of every
+    world's platform x UE distances, with the UEs outside a cell at infinity,
+    ranks every cell. Observations and schedule decoding read these ranks."""
     member = association.rows[..., None, :] == np.arange(len(world.cfg.platforms))[:, None]
     nearest = np.argsort(np.where(member, association.links.distance_m, np.inf), axis=-1,
                          kind="stable")
@@ -70,24 +64,25 @@ def decode_schedule(actions: np.ndarray, cells: np.ndarray) -> dict[int, int | N
     return {row: (ue if ue >= 0 else None) for row, ue in enumerate(chosen)}
 
 
-def rr_schedule(association: Association, slot: int) -> dict[int, int | None]:
-    """Round-robin: each platform row cycles through its cell (sorted by UE
-    id) once per slot; an empty cell idles."""
-    sizes = np.bincount(association.rows, minlength=len(association.links.distance_m))
-    by_row = np.argsort(association.rows, kind="stable").tolist()
+def rr_schedule(rows: np.ndarray, slot: int, n_platforms: int) -> dict[int, int | None]:
+    """Round-robin over one world's serving rows (`Association.rows[w]`):
+    each platform row cycles through its cell (sorted by UE id) once per
+    slot; an empty cell idles."""
+    sizes = np.bincount(rows, minlength=n_platforms)
+    by_row = np.argsort(rows, kind="stable").tolist()
     starts = (np.cumsum(sizes) - sizes).tolist()
     return {row: (by_row[start + slot % size] if size else None)
             for row, (start, size) in enumerate(zip(starts, sizes.tolist()))}
 
 
-def backhaul_rates(world: WorldState, chan: ChannelConfig, i: tuple = ()) -> dict[int, float]:
-    """Donor-to-node backhaul rate in bps per node row of world i (an index
-    from `WorldState.worlds`) on the dedicated carrier.
+def backhaul_rates(world: WorldState, chan: ChannelConfig, w: int) -> dict[int, float]:
+    """Donor-to-node backhaul rate in bps per node row of world w on the
+    dedicated carrier.
 
     The backhaul band is split evenly four ways; both endpoints are airborne,
     so the link is always LoS and interference-free.
     """
-    platforms, positions = world.cfg.platforms, world.positions[i]
+    platforms, positions = world.cfg.platforms, world.positions[w]
     links = channel.link_geometry(positions[:1], positions[1:],
                                   np.array([chan.backhaul_carrier_hz]), chan)
     share = chan.backhaul_bandwidth_hz / (len(platforms) - 1)
@@ -100,14 +95,15 @@ def backhaul_rates(world: WorldState, chan: ChannelConfig, i: tuple = ()) -> dic
     return rates
 
 
-def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConfig,
-              association: Association) -> tuple[WorldState, SlotMetrics | list[SlotMetrics]]:
-    """Advance the world by one slot under the given per-row service choices
-    (platform row -> UE id or None), with the slot's association; lockstep
-    worlds take a list of such choices and return a list of SlotMetrics.
+def step_slot(world: WorldState, choices: list[dict], tcfg: TrafficConfig, chan: ChannelConfig,
+              association: Association) -> tuple[WorldState, list[SlotMetrics]]:
+    """Advance every world by one slot under its per-row service choices
+    (choices[w]: platform row -> UE id or None), with the slot's
+    association; returns one SlotMetrics per world.
 
-    Every choice is checked first: a UE id outside [0, n_ues) or outside the
-    row's cell raises ValueError and leaves every world as it was. Then, in
+    Every choice is checked first: a choices list whose length is not the
+    number of worlds, or a UE id outside [0, n_ues) or outside the row's
+    cell, raises ValueError and leaves every world as it was. Then, in
     order: drop expired cohorts (per UE in `dropped_by_ue`), draw arrivals
     into a new cohort, draw one LoS state per access link, evaluate access
     SINR with co-channel active platforms as interferers, cap node service
@@ -125,11 +121,12 @@ def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConf
     backhaul rates are recomputed only when its platform positions (bit for
     bit) or `chan` change, the access noise powers only when `chan` does.
     """
-    lockstep, worlds = isinstance(world.rng, list), world.worlds()
-    n_platforms, n_ues = len(world.cochannel), association.rows.shape[-1]
-    rows = association.rows.reshape(-1, n_ues)
+    rows = association.rows
+    n_platforms, n_ues = len(world.cochannel), rows.shape[-1]
+    if len(choices) != len(world.rng):
+        raise ValueError(f"{len(world.rng)} worlds need one choices dict each, got {len(choices)}")
     active, tx_rows, flat, n_links, ends = [], [], [], [], [0]
-    for w, chosen in enumerate(choices if lockstep else [choices]):
+    for w, chosen in enumerate(choices):
         for row in range(n_platforms):
             ue_id = chosen.get(row)
             if ue_id is None:
@@ -146,10 +143,10 @@ def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConf
 
     links = association.links
     dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = [SlotMetrics(world.slot, [0] * n_platforms, dropped[i]) for i, _ in worlds]
+    metrics = [SlotMetrics(world.slot, [0] * n_platforms, d) for d in dropped]
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
     flat, draws = np.array(flat, dtype=np.intp), np.empty(len(flat))
-    for (_, rng), start, end in zip(worlds, ends, ends[1:]):
+    for rng, start, end in zip(world.rng, ends, ends[1:]):
         rng.random(out=draws[start:end])
     los = (draws < links.p_los.take(flat)).astype(float)
     loss = channel.path_loss_db(links.fspl_db.take(flat), los, chan)
@@ -162,10 +159,10 @@ def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConf
             for bandwidth in world.bandwidth_hz
         ], {})
     noise_mw, bh_rates = cache[1], []
-    for i, _ in worlds:
-        kept, positions = cache[2].get(i), world.positions[i].tobytes()
+    for w in range(len(world.rng)):
+        kept, positions = cache[2].get(w), world.positions[w].tobytes()
         if kept is None or kept[0] != positions:
-            kept = cache[2][i] = (positions, backhaul_rates(world, chan, i))
+            kept = cache[2][w] = (positions, backhaul_rates(world, chan, w))
         bh_rates.append(kept[1])
 
     slot_s = world.cfg.slot_seconds
@@ -176,9 +173,8 @@ def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConf
         capacity = int(channel.shannon_rate(ratio, world.bandwidth_hz[row]) * slot_s)
         if row > 0:  # a node, capped by its backhaul share
             capacity = min(capacity, int(bh_rates[w][row] * slot_s))
-        metrics[w].delivered_by_uav[row] = traffic.serve_bits(
-            world.queue, (w, ue_id) if lockstep else ue_id, capacity)
+        metrics[w].delivered_by_uav[row] = traffic.serve_bits(world.queue, (w, ue_id), capacity)
 
     step_ue_mobility(world, slot_s)
     world.slot += 1
-    return world, metrics if lockstep else metrics[0]
+    return world, metrics

@@ -129,26 +129,26 @@ class EnvSpec:
 
 
 def local_observation(world: WorldState, cells: np.ndarray, norm: ObsNorm) -> np.ndarray:
-    """(..., n_platforms, 2 + 4k) scheduler observations of every world in
-    one pass, one row per platform row: its own normalized position, then
-    per observed UE (the rank-ordered ids of its row of `cells`, see
+    """(n_worlds, n_platforms, 2 + 4k) scheduler observations of every
+    world in one pass, one row per platform row: its own normalized position,
+    then per observed UE (the rank-ordered ids of its row of `cells`, see
     mac.observed_ues) the UE's relative position, backlog, and head-of-line
     age; padded ranks stay zero. Every entry lands in [-1, 1]."""
     wh = (world.cfg.area_w_m, world.cfg.area_h_m)
     xy = world.positions[..., :2]
     observed = cells >= 0
-    at = np.nonzero(observed)  # world (in lockstep worlds), row, rank
-    ue = at[:-2] + (cells[observed],)
+    w, row, _ = np.nonzero(observed)
+    ue = (w, cells[observed])
     per_ue = np.zeros(cells.shape + (UE_FEATURES,))
-    per_ue[observed, :2] = (world.ue_positions[ue] - xy[at[:-1]]) / wh
+    per_ue[observed, :2] = (world.ue_positions[ue] - xy[w, row]) / wh
     per_ue[observed, 2] = np.minimum(world.queue.queued_bits(ue) / norm.backlog_bits, 1.0)
     per_ue[observed, 3] = np.minimum(world.queue.hol_age(world.slot, ue) / norm.age_slots, 1.0)
     return np.concatenate((xy / wh, per_ue.reshape(cells.shape[:-1] + (-1,))), axis=-1)
 
 
 def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarray:
-    """(..., n_nodes, 4 + 4k) trajectory observations of every world: each
-    node's scheduler observation (rows 1-4 of sched_obs) and then the
+    """(n_worlds, n_nodes, 4 + 4k) trajectory observations of every world:
+    each node's scheduler observation (rows 1-4 of sched_obs) and then the
     donor's position relative to the node, normalized like the UE offsets."""
     xy = world.positions[..., :2]
     donor_offset = (xy[..., :1, :] - xy[..., 1:, :]) / (world.cfg.area_w_m, world.cfg.area_h_m)
@@ -156,21 +156,27 @@ def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarr
 
 
 def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
-    """All platform positions, all UE positions (id order), all backlogs and
-    head-of-line ages, each normalized. Used by critics only."""
+    """(n_worlds, state_dim) critic states, one row per world: all platform
+    positions, all UE positions (id order), all backlogs and head-of-line
+    ages, each normalized. Used by critics only."""
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
     return np.concatenate([
-        world.positions[:, 0] / w,
-        world.positions[:, 1] / h,
-        world.ue_positions[:, 0] / w,
-        world.ue_positions[:, 1] / h,
+        world.positions[..., 0] / w,
+        world.positions[..., 1] / h,
+        world.ue_positions[..., 0] / w,
+        world.ue_positions[..., 1] / h,
         np.minimum(world.queue.queued_bits() / norm.backlog_bits, 1.0),
         np.minimum(world.queue.hol_age(world.slot) / norm.age_slots, 1.0),
-    ])
+    ], axis=-1)
 
 
 def global_state_dim(n_platforms: int, n_ues: int) -> int:
     return 2 * n_platforms + 4 * n_ues
+
+
+def _check_stacked(group: MlpParams, caller: str) -> None:
+    if group.weights[0].ndim != 3:
+        raise ValueError(f"{caller} takes a group of nets (nn.stack), got one net")
 
 
 def select_action(
@@ -179,23 +185,20 @@ def select_action(
     """Velocity commands: each actor's deterministic output on its own
     observation plus Gaussian exploration noise, clipped to [-1, 1].
 
-    `actor` is one net with obs (4 + 4k,), or a group (nn.stack of A actors)
-    with obs (..., A, 4 + 4k), e.g. lockstep worlds x nodes. The noise is one
-    draw of the commands' shape from rng. Every observation is a one-row
-    forward of its own actor, so each command equals that actor's forward
-    alone bit for bit (see nn.stack)."""
+    `actor` is a group (nn.stack of A actors) with obs (..., A, 4 + 4k), e.g.
+    lockstep worlds x nodes. The noise is one draw of the commands' shape
+    from rng. Every observation is a one-row forward of its own actor, so
+    each command equals that actor's forward alone bit for bit (see
+    nn.stack)."""
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     if noise_std > 0.0 and rng is None:
         raise ValueError("noise_std > 0 draws exploration noise and needs a generator rng")
-    single = actor.weights[0].ndim == 2
-    if single:
-        actor, obs = nn.stack([actor]), np.asarray(obs)[None]
+    _check_stacked(actor, "select_action")
     a = nn.mlp_forward(actor, obs[..., None, :])[..., 0, :]
     if noise_std > 0.0:
         a = a + rng.normal(0.0, noise_std, size=a.shape)
-    a = np.clip(a, -1.0, 1.0)
-    return a[0] if single else a
+    return np.clip(a, -1.0, 1.0)
 
 
 def scorer_rows(obs: np.ndarray) -> np.ndarray:
@@ -226,21 +229,18 @@ def select_rank(
     """Schedulers' one-hot choices over their k observed ranks (all zero for
     an empty cell).
 
-    `scorer` is one net with obs (2 + 4k,) and an int n_obs, or a group
-    (nn.stack of P scorers) with obs (..., P, 2 + 4k) and n_obs (..., P),
-    e.g. lockstep worlds x platforms. With rng each rank is sampled from the
-    softmax of the logits of its cell's n_obs observed UEs by Gumbel-max,
-    from one draw of sum(n_obs) variates taken cell by cell in C order;
-    without, it is their argmax.
+    `scorer` is a group (nn.stack of P scorers) with obs (..., P, 2 + 4k)
+    and n_obs (..., P), e.g. lockstep worlds x platforms. With rng each rank
+    is sampled from the softmax of the logits of its cell's n_obs observed
+    UEs by Gumbel-max, from one draw of sum(n_obs) variates taken cell by
+    cell in C order; without, it is their argmax.
 
     Cells run one forward per distinct observed-UE count, on exactly their
     n_obs rows and with their own scorer's weights. They are never padded
     to k rows: a stacked product equals each item's own only when all items
     have the same row count (see nn.stack), so each cell's logits equal its
     scorer's forward of that cell alone bit for bit."""
-    single = scorer.weights[0].ndim == 2
-    if single:
-        scorer, obs, n_obs = nn.stack([scorer]), np.asarray(obs)[None], [n_obs]
+    _check_stacked(scorer, "select_rank")
     n_obs = np.asarray(n_obs)
     n_agents, k = scorer.weights[0].shape[0], (obs.shape[-1] - 2) // UE_FEATURES
     counts = n_obs.ravel()
@@ -261,25 +261,20 @@ def select_rank(
             if rng is not None:
                 logits = logits + gumbel[cell, :n]
             chosen[cell, np.argmax(logits, axis=1)] = 1.0
-    return a[0] if single else a
+    return a
 
 
-def noise_schedule(
-    episode: int,
-    total_episodes: int,
-    start: float = NOISE_START,
-    end: float = NOISE_END,
-    decay_frac: float = NOISE_DECAY_FRAC,
-) -> float:
-    """Linear decay from start to end over the first decay_frac of training."""
-    horizon = max(int(total_episodes * decay_frac), 1)
+def noise_schedule(episode: int, total_episodes: int) -> float:
+    """Linear decay from NOISE_START to NOISE_END over the first
+    NOISE_DECAY_FRAC of training."""
+    horizon = max(int(total_episodes * NOISE_DECAY_FRAC), 1)
     if episode >= horizon:
-        return end
-    return start + (end - start) * (episode / horizon)
+        return NOISE_END
+    return NOISE_START + (NOISE_END - NOISE_START) * (episode / horizon)
 
 
-def team_reward(metrics: SlotMetrics, slot_seconds: float, scale: float = REWARD_SCALE) -> float:
-    return metrics.delivered_bits / slot_seconds / scale
+def team_reward(metrics: SlotMetrics, slot_seconds: float) -> float:
+    return metrics.delivered_bits / slot_seconds / REWARD_SCALE
 
 
 class ReplayBuffer:
@@ -507,7 +502,7 @@ def run_worlds(
     method: str,
     sched_actors: list[MlpParams] | None,
     traj_actors: list[MlpParams] | None,
-    world_seed,
+    world_seeds: list,
     slots: int,
     mode: str = "eval",
     noise_std: float = 0.0,
@@ -518,12 +513,12 @@ def run_worlds(
     traj_buffer: ReplayBuffer | None = None,
     record_actions: bool = False,
 ) -> list[EpisodeResult]:
-    """The rollout of one world, or of lockstep worlds when `world_seed` is a
-    list of seeds (see init_world), with one EpisodeResult per world.
-    Scheduling agents act every slot; trajectory agents emit a velocity at
-    slots that are multiples of 5, held until the next command.
+    """The rollout of the lockstep worlds of `world_seeds` (see init_world),
+    with one EpisodeResult per world; a rollout of one world is a lockstep
+    of one. Scheduling agents act every slot; trajectory agents emit a
+    velocity at slots that are multiples of 5, held until the next command.
 
-    Lockstep worlds share one slot loop. Association, cell ranking,
+    The worlds share one slot loop. Association, cell ranking,
     observations and their cast to the actors' dtype, cohort expiry and
     push, and the UE and node moves run once per slot over the world axis.
     Each agent group's actors are stacked once per call (nn.stack), and one
@@ -563,12 +558,11 @@ def run_worlds(
         raise ValueError(f"unknown mode {mode!r}")
     train = mode == "train"
     learn = method != "rr"
-    lockstep = isinstance(world_seed, list)
-    if train and lockstep and len(world_seed) > 1:
+    n_worlds = len(world_seeds)
+    if train and n_worlds > 1:
         raise ValueError("train mode steps one world: a replay ring holds one time-ordered stream")
     norm = env.norm()
-    world = init_world(env.scenario, world_seed)
-    worlds = world.worlds()
+    world = init_world(env.scenario, world_seeds)
     dt = env.scenario.slot_seconds
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
@@ -577,7 +571,7 @@ def run_worlds(
     traj_group = nn.stack(traj_actors) if n_nodes else None
 
     results = [EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
-               for _ in worlds]
+               for _ in range(n_worlds)]
     # One exploration bearing per episode, held for the whole episode so the
     # node's displacement accumulates along it. The episode-level correlation
     # between the bearing and the rewards it earns is the channel the value
@@ -585,7 +579,7 @@ def run_worlds(
     traj_drift = np.zeros((n_nodes, 2))
     if train and n_nodes and traj_drift_std > 0.0:
         traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
-    macro_sums = [0.0] * len(worlds)
+    macro_sums = [0.0] * n_worlds
 
     for t in range(slots):
         last = t == slots - 1
@@ -599,7 +593,7 @@ def run_worlds(
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
             traj_state, traj_obs = state, trajectory_observation(world, sched_obs)
             if train and traj_explore_only:
-                traj_acts = np.zeros((n_nodes, 2))
+                traj_acts = np.zeros((n_worlds, n_nodes, 2))
             else:
                 traj_acts = select_action(traj_group, traj_obs, noise_std if train else 0.0,
                                           noise_rng)
@@ -607,24 +601,23 @@ def run_worlds(
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
             held_velocity = traj_acts * node_caps
             if record_actions:
-                for (i, _), res in zip(worlds, results):
-                    res.traj_action_log.append(traj_acts[i].copy())
+                for acts, res in zip(traj_acts, results):
+                    res.traj_action_log.append(acts.copy())
 
         if learn:
             sched_acts = select_rank(sched_group, sched_obs, sched_n, noise_rng if train else None)
-            choices = [mac.decode_schedule(sched_acts[i], cells[i]) for i, _ in worlds]
+            choices = [mac.decode_schedule(acts, c) for acts, c in zip(sched_acts, cells)]
             if record_actions:
-                for (i, _), res in zip(worlds, results):
-                    res.sched_action_log.append(sched_acts[i].copy())
+                for acts, res in zip(sched_acts, results):
+                    res.sched_action_log.append(acts.copy())
         else:
-            choices = [mac.rr_schedule(association.world(i), t) for i, _ in worlds]
+            choices = [mac.rr_schedule(rows, t, n_platforms) for rows in association.rows]
 
-        world, metrics = mac.step_slot(world, choices if lockstep else choices[0], env.traffic,
-                                       env.channel, association)
+        world, metrics = mac.step_slot(world, choices, env.traffic, env.channel, association)
         if method == "tts-maddpg":
             apply_trajectory(world, held_velocity, dt)
 
-        for w, (res, m) in enumerate(zip(results, metrics if lockstep else [metrics])):
+        for w, (res, m) in enumerate(zip(results, metrics)):
             res.slot_rewards.append(team_reward(m, dt))
             macro_sums[w] += res.slot_rewards[-1]
             for row, bits in enumerate(m.delivered_by_uav):
@@ -640,19 +633,20 @@ def run_worlds(
                 results[0].n_traj_transitions += 1
             for res, macro_sum in zip(results, macro_sums):
                 res.macro_rewards.append(macro_sum)
-            macro_sums = [0.0] * len(worlds)
+            macro_sums = [0.0] * n_worlds
 
-    for (i, _), res in zip(worlds, results):
+    for w, res in enumerate(results):
         res.delivered_bits = sum(res.delivered_by_uav)
-        res.arrived_bits = int(world.queue.arrived_bits[i].sum())
-        res.dropped_bits = int(world.queue.dropped_bits[i].sum())
+        res.arrived_bits = int(world.queue.arrived_bits[w].sum())
+        res.dropped_bits = int(world.queue.dropped_bits[w].sum())
     return results
 
 
-def run_episode(*args, **kwargs) -> EpisodeResult:
-    """The rollout of one world: `run_worlds` on a single seed, whose world
-    has no world axis. Train rollouts call this entry point."""
-    return run_worlds(*args, **kwargs)[0]
+def run_episode(env: EnvSpec, method: str, sched_actors, traj_actors, world_seed, *args,
+                **kwargs) -> EpisodeResult:
+    """The rollout of one world: `run_worlds` on [world_seed]. Train
+    rollouts call this entry point."""
+    return run_worlds(env, method, sched_actors, traj_actors, [world_seed], *args, **kwargs)[0]
 
 
 @dataclass
@@ -981,8 +975,18 @@ class Trainer:
                 nn.save_params(out / f"{ag.name}_{net}.bin", getattr(ag, net))
 
     def load_checkpoints(self, out_dir) -> None:
-        """Read every net back; a float64 (version 1) file is cast to NET_DTYPE."""
-        out = Path(out_dir)
+        """Read every net back; a float64 (version 1) file is cast to NET_DTYPE.
+        A file whose layer sizes or output activation differ from the net it
+        would replace raises ValueError naming it, and no net is replaced."""
+        out, loaded = Path(out_dir), []
         for ag in self.sched_agents + self.traj_agents:
             for net in self.CHECKPOINT_NETS:
-                setattr(ag, net, nn.load_params(out / f"{ag.name}_{net}.bin").astype(NET_DTYPE))
+                path, own = out / f"{ag.name}_{net}.bin", getattr(ag, net)
+                params = nn.load_params(path)
+                if (params.layer_sizes, params.out_act) != (own.layer_sizes, own.out_act):
+                    raise ValueError(f"{path}: a {params.out_act} net of layer sizes "
+                                     f"{params.layer_sizes} does not fit this trainer's "
+                                     f"{own.out_act} net of layer sizes {own.layer_sizes}")
+                loaded.append((ag, net, params.astype(NET_DTYPE)))
+        for ag, net, params in loaded:
+            setattr(ag, net, params)

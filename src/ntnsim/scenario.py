@@ -94,17 +94,17 @@ class ScenarioConfig:
 
 @dataclass
 class WorldState:
-    """Full simulation snapshot of one world, or of lockstep worlds that
-    share the slot clock; one instance per rollout, never shared.
+    """Full simulation snapshot of lockstep worlds that share the slot clock
+    (a single world is a lockstep of one); one instance per rollout, never
+    shared.
 
-    Lockstep worlds give every world array a leading world axis and hold one
-    generator per world in `rng`; a single world has neither. Geometry,
-    association, ranking, observations, cohort expiry and push, and the UE
-    and node moves run over the world axis; each world's draws (in the order
-    of the world alone), access links, SINR chain and backhaul cache stay
-    per world (`worlds`). Index i of the UE axis of every UE array, and of
-    the queue's matrix, is UE id i. Ground users stand at height 0 and move
-    waypoint-to-waypoint.
+    Every world array has a leading world axis, and `rng` holds one generator
+    per world. Geometry, association, ranking, observations, cohort expiry and
+    push, and the UE and node moves run over the world axis; each world's
+    draws (in the order of the world alone), access links, SINR chain and
+    backhaul cache stay per world. Index i of the UE axis of every UE array,
+    and of the queue's matrix, is UE id i. Ground users stand at height 0 and
+    move waypoint-to-waypoint.
 
     The access links' fleet constants (carriers, EIRP, bandwidths,
     co-channel rows) are read from `cfg.platforms` once, at `init_world`; a
@@ -114,35 +114,28 @@ class WorldState:
 
     cfg: ScenarioConfig
     slot: int
-    positions: np.ndarray  # (..., n_platforms, 3), row order = cfg.platforms order
-    ue_positions: np.ndarray  # (..., n_ues, 2) meters
-    ue_waypoints: np.ndarray  # (..., n_ues, 2) meters
-    ue_speeds: np.ndarray  # (..., n_ues) m/s toward the waypoint
+    positions: np.ndarray  # (n_worlds, n_platforms, 3), row order = cfg.platforms order
+    ue_positions: np.ndarray  # (n_worlds, n_ues, 2) meters
+    ue_waypoints: np.ndarray  # (n_worlds, n_ues, 2) meters
+    ue_speeds: np.ndarray  # (n_worlds, n_ues) m/s toward the waypoint
     queue: PacketQueue
-    rng: np.random.Generator | list[np.random.Generator]  # a list for lockstep worlds
+    rng: list[np.random.Generator]  # world w draws from rng[w] alone
     carrier_hz: np.ndarray  # (n_platforms,)
     eirp_dbm: np.ndarray  # (n_platforms,) transmit power + antenna gain + the UE's 0 dBi
     bandwidth_hz: list[float]
     cochannel: list[list[int]]  # per row, the other rows on its carrier, in row order
-    # (channel config, row -> access noise mW, world index -> (positions.tobytes(),
+    # (channel config, row -> access noise mW, world -> (positions.tobytes(),
     # node row -> backhaul bps)) of mac.step_slot: it recomputes everything when
     # the channel config differs and a world's backhaul when its positions do
     link_cache: tuple | None = None
 
-    def worlds(self) -> list[tuple[tuple, np.random.Generator]]:
-        """(index, generator) of each world, in order: the index of a single
-        world is (), that of lockstep world w is (w,)."""
-        if isinstance(self.rng, list):
-            return [((w,), rng) for w, rng in enumerate(self.rng)]
-        return [((), self.rng)]
 
+def init_world(cfg: ScenarioConfig, seeds) -> WorldState:
+    """Build the initial lockstep worlds, world w from seeds[w] alone: donor
+    at the area center, nodes at quadrant centers, ground users placed
+    uniformly at random.
 
-def init_world(cfg: ScenarioConfig, seed) -> WorldState:
-    """Build the initial world: donor at the area center, nodes at quadrant
-    centers, ground users placed uniformly at random. A list of seeds builds
-    lockstep worlds, world w from seed[w] alone.
-
-    Identical (cfg, seed) pairs produce bit-identical worlds.
+    Identical (cfg, seeds) produce bit-identical worlds.
     """
     cfg.validate()
     w, h = cfg.area_w_m, cfg.area_h_m
@@ -152,18 +145,15 @@ def init_world(cfg: ScenarioConfig, seed) -> WorldState:
     positions = np.array([(x, y, p.altitude_m) for (x, y), p in zip(centers, platforms)])
     carriers = [p.carrier_hz for p in platforms]
 
-    lockstep = isinstance(seed, list)
-    rngs = [np.random.default_rng(s) for s in (seed if lockstep else [seed])]
+    rngs = [np.random.default_rng(s) for s in seeds]
     # per world, one row per UE, drawn in id order: position x, y, waypoint x, y, speed
     ues = np.stack([rng.uniform((0.0, 0.0, 0.0, 0.0, cfg.ue_speed_min_mps),
                                 (w, h, w, h, cfg.ue_speed_max_mps), size=(cfg.n_ues, 5))
                     for rng in rngs])
-    if not lockstep:
-        ues, rngs = ues[0], rngs[0]
     return WorldState(
-        cfg=cfg, slot=0, positions=np.tile(positions, ues.shape[:-2] + (1, 1)),
+        cfg=cfg, slot=0, positions=np.tile(positions, (len(rngs), 1, 1)),
         ue_positions=ues[..., 0:2].copy(), ue_waypoints=ues[..., 2:4].copy(),
-        ue_speeds=ues[..., 4].copy(), queue=PacketQueue(ues.shape[:-1]), rng=rngs,
+        ue_speeds=ues[..., 4].copy(), queue=PacketQueue(len(rngs), cfg.n_ues), rng=rngs,
         carrier_hz=np.array(carriers),
         eirp_dbm=np.array([p.tx_power_dbm + p.antenna_gain_dbi + 0.0 for p in platforms]),
         bandwidth_hz=[p.bandwidth_hz for p in platforms],
@@ -188,23 +178,23 @@ def step_ue_mobility(world: WorldState, dt: float) -> WorldState:
     step = pos + delta * (travel / np.maximum(dist, travel))[..., None]
     np.clip(np.where(arrived[..., None], waypoints, step), (0.0, 0.0),
             (cfg.area_w_m, cfg.area_h_m), out=pos)
-    for i, rng in world.worlds():
-        hit = arrived[i]
+    for w, rng in enumerate(world.rng):
+        hit = arrived[w]
         n_arrived = np.count_nonzero(hit)
         if n_arrived:
             redraw = rng.uniform((0.0, 0.0, cfg.ue_speed_min_mps),
                                  (cfg.area_w_m, cfg.area_h_m, cfg.ue_speed_max_mps), (n_arrived, 3))
-            waypoints[i][hit] = redraw[:, :2]
-            speeds[i][hit] = redraw[:, 2]
+            waypoints[w][hit] = redraw[:, :2]
+            speeds[w][hit] = redraw[:, 2]
     return world
 
 
 def apply_trajectory(world: WorldState, commands, dt: float) -> WorldState:
     """Move each untethered node of every world by its commanded velocity
-    for dt seconds, in one pass; commands (..., 4, 2) hold one row per node,
-    and command i moves the node in row i + 1. Commands above a node's speed
-    cap are renormalized to the cap; positions are clamped to the service
-    area; altitudes and the donor never change."""
+    for dt seconds, in one pass; commands (n_worlds, 4, 2) hold one row per
+    node, and command i moves the node in row i + 1. Commands above a node's
+    speed cap are renormalized to the cap; positions are clamped to the
+    service area; altitudes and the donor never change."""
     caps = np.array([p.max_speed_mps for p in world.cfg.platforms[1:]])
     commands = np.asarray(commands, dtype=float)
     xy = world.positions[..., 1:, :2]

@@ -11,7 +11,8 @@ queues are one int64 matrix of remaining bits, a row per UE and a column per
 arrival slot (a deadline cohort); draining a row oldest column first is FIFO
 service. Integer bits keep arrived = delivered + dropped + queued exact.
 Lockstep worlds share the slot clock, so their cohorts line up in one matrix
-with a leading world axis; each world draws its arrivals from its own generator.
+with a leading world axis (one world is a lockstep of one); each world draws
+its arrivals from its own generator.
 """
 
 from __future__ import annotations
@@ -42,23 +43,23 @@ class TrafficConfig:
 
 
 class PacketQueue:
-    """The queues of `shape` UEs (n_ues, or (n_worlds, n_ues) for lockstep
-    worlds) as cohorts of remaining bits, with per-UE bit counters. Columns
-    [0, n_cohorts) of the last axis are the live cohorts, oldest first, and
-    every cell past them is 0; the matrix widens when all columns are live.
-    A UE index is a UE id, or a (world, UE id) pair of index arrays."""
+    """The queues of n_ues UEs in each of n_worlds lockstep worlds as cohorts
+    of remaining bits, with per-UE bit counters, all (n_worlds, n_ues).
+    Columns [0, n_cohorts) of the last axis are the live cohorts, oldest
+    first, and every cell past them is 0; the matrix widens when all columns
+    are live. A UE index is a (world, UE id) pair of ints or index arrays."""
 
-    def __init__(self, shape):
-        self.arrived_bits = np.zeros(shape, dtype=np.int64)
-        self.delivered_bits = np.zeros(shape, dtype=np.int64)
-        self.dropped_bits = np.zeros(shape, dtype=np.int64)
+    def __init__(self, n_worlds: int, n_ues: int):
+        self.arrived_bits = np.zeros((n_worlds, n_ues), dtype=np.int64)
+        self.delivered_bits = np.zeros_like(self.arrived_bits)
+        self.dropped_bits = np.zeros_like(self.arrived_bits)
         self.cells = np.zeros(self.arrived_bits.shape + (1,), dtype=np.int64)
         self.arrival_slots = np.zeros(1, dtype=np.int64)
         self.n_cohorts = 0
 
     def push(self, slot: int, bits) -> None:
-        """Add a cohort of `bits[i]` arriving at UE i in `slot`; slots of
-        successive cohorts must not decrease."""
+        """Add a cohort of `bits[w, i]` arriving at UE i of world w in `slot`;
+        slots of successive cohorts must not decrease."""
         n = self.n_cohorts
         if n == len(self.arrival_slots):
             self.cells = np.concatenate((self.cells, np.zeros_like(self.cells)), axis=-1)
@@ -71,7 +72,7 @@ class PacketQueue:
             raise OverflowError("a UE's arrived bits passed the int64 range")
 
     def queued_bits(self, ue_ids=slice(None)) -> np.ndarray:
-        """Bits waiting at every UE in id order, or at the UEs `ue_ids`."""
+        """(n_worlds, n_ues) bits waiting at every UE, or at the UEs `ue_ids`."""
         return self.cells[ue_ids].sum(axis=-1)
 
     def hol_age(self, current_slot: int, ue_ids=slice(None)) -> np.ndarray:
@@ -85,8 +86,8 @@ def generate_arrivals(world, lam: float, packet_bits: int):
     """Draw this slot's Poisson arrivals, per world from its own generator and
     UE by UE in id order, into one new cohort of every world."""
     bits = np.empty(world.ue_speeds.shape, dtype=np.int64)
-    for i, rng in world.worlds():
-        bits[i] = rng.poisson(lam, world.cfg.n_ues)
+    for w, rng in enumerate(world.rng):
+        bits[w] = rng.poisson(lam, world.cfg.n_ues)
     bits *= packet_bits
     world.queue.push(world.slot, bits)
 
@@ -104,14 +105,14 @@ def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10
     return dropped
 
 
-def serve_bits(queue: PacketQueue, ue_id, capacity_bits: int) -> int:
-    """Drain up to capacity_bits from the queue of one UE (a UE id, or a
-    (world, UE id) tuple in lockstep worlds), oldest cohort first;
-    a partly served cohort keeps its residual. A Python walk over the row:
-    on a deadline's worth of cells it is several times faster than numpy."""
+def serve_bits(queue: PacketQueue, ue: tuple[int, int], capacity_bits: int) -> int:
+    """Drain up to capacity_bits from the queue of one UE, a (world, UE id)
+    pair, oldest cohort first; a partly served cohort keeps its residual. A
+    Python walk over the row: on a deadline's worth of cells it is several
+    times faster than numpy."""
     if capacity_bits < 0:
         raise ValueError("capacity must be nonnegative")
-    row = queue.cells[ue_id]
+    row = queue.cells[ue]
     delivered = 0
     for c, bits in enumerate(row[: queue.n_cohorts].tolist()):
         if delivered == capacity_bits:
@@ -119,7 +120,7 @@ def serve_bits(queue: PacketQueue, ue_id, capacity_bits: int) -> int:
         take = min(bits, capacity_bits - delivered)
         row[c] = bits - take
         delivered += take
-    queue.delivered_bits[ue_id] += delivered
+    queue.delivered_bits[ue] += delivered
     return delivered
 
 

@@ -241,15 +241,15 @@ def test_criterion_03_two_timescale_accounting():
 def test_criterion_04_queue_conservation():
     cfg = ExperimentConfig()
     env = cfg.env_spec()
-    world = init_world(env.scenario, 2024)
+    world = init_world(env.scenario, [2024])
     checks = 0
     for t in range(1000):
         assoc = mac.associate(world, env.channel)
-        choices = mac.rr_schedule(assoc, t)
+        choices = [mac.rr_schedule(assoc.rows[0], t, len(env.scenario.platforms))]
         world, _ = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
         q = world.queue
         assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
-        checks += len(q.arrived_bits)
+        checks += q.arrived_bits.size
     _report(4, True, f"arrived == delivered + dropped + residual on {checks} UE-slot checks")
 
 
@@ -263,7 +263,7 @@ def test_criterion_05_deadline_property(monkeypatch):
     def spy(queue, ue_id, capacity_bits):
         # the served UE's waiting cohorts, oldest first
         n = queue.n_cohorts
-        cohorts = zip(queue.arrival_slots[:n].tolist(), queue.cells[ue_id, :n].tolist())
+        cohorts = zip(queue.arrival_slots[:n].tolist(), queue.cells[ue_id][:n].tolist())
         before = [(arrival, remaining) for arrival, remaining in cohorts if remaining > 0]
         delivered = real_serve(queue, ue_id, capacity_bits)
         drained = delivered
@@ -275,11 +275,11 @@ def test_criterion_05_deadline_property(monkeypatch):
         return delivered
 
     monkeypatch.setattr(traffic, "serve_bits", spy)
-    world = init_world(env.scenario, 7)
+    world = init_world(env.scenario, [7])
     for t in range(1000):
         now["slot"] = world.slot
         assoc = mac.associate(world, env.channel)
-        choices = mac.rr_schedule(assoc, t)
+        choices = [mac.rr_schedule(assoc.rows[0], t, len(env.scenario.platforms))]
         world, _ = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
     deadline = env.traffic.deadline_slots
     _report(
@@ -292,10 +292,10 @@ def test_criterion_05_deadline_property(monkeypatch):
 def test_criterion_06_poisson_oracle():
     # one slot's counts of a world of n UEs, drawn the way the simulator draws them
     lam, n = 4.0, 1_000_000
-    world = init_world(ScenarioConfig(n_ues=n), seed=0)
-    world.rng = np.random.default_rng(123)
+    world = init_world(ScenarioConfig(n_ues=n), [0])
+    world.rng = [np.random.default_rng(123)]
     traffic.generate_arrivals(world, lam, packet_bits=1)
-    draws = world.queue.cells[:, 0]
+    draws = world.queue.cells[0, :, 0]
     mean = float(draws.mean())
     # chi-square GOF against the exact pmf, far tail lumped into one bin
     kmax = 15

@@ -131,7 +131,7 @@ def test_golden_episode_rng_state(tmp_path, monkeypatch, method):
     monkeypatch.setattr(madrl, "init_world", init_world)
     trainer.rollout(0)
     assert len(worlds) == 1 and worlds[0].slot == 20
-    state = json.dumps(worlds[0].rng.bit_generator.state, sort_keys=True)
+    state = json.dumps(worlds[0].rng[0].bit_generator.state, sort_keys=True)
     assert hashlib.sha256(state.encode()).hexdigest() == GOLDEN_RNG_STATE_SHA256[method]
 
 

@@ -85,6 +85,21 @@ def test_parse_config_errors_name_line_numbers():
             parse_config(f"[train]\nepisodes = 5\n{key} = 1\n", source="old.ini")
 
 
+
+def test_parse_config_rejects_a_key_set_twice():
+    # the same key twice in its section, or again as a dotted key, names both lines
+    with pytest.raises(ConfigError, match=r"x\.ini:3: train\.episodes is already set at x\.ini:2"):
+        parse_config("[train]\nepisodes = 5\nepisodes = 6\n", source="x.ini")
+    with pytest.raises(ConfigError, match=r"x\.ini:4: train\.episodes is already set at x\.ini:2"):
+        parse_config("[train]\nepisodes = 5\n[run]\ntrain.episodes = 7\n", source="x.ini")
+    # a fleet key writes several platforms, and is still one key
+    with pytest.raises(ConfigError, match=r"scenario\.node_altitude_m is already set"):
+        parse_config("[scenario]\nnode_altitude_m = 90\nnode_altitude_m = 110\n")
+    # a section may open again
+    cfg = parse_config(
+        "[train]\nepisodes = 5\n[scenario]\nn_ues = 7\n[train]\nbatch_size = 8\n")
+    assert (cfg.train.episodes, cfg.scenario.n_ues, cfg.train.batch_size) == (5, 7, 8)
+
 def test_parse_config_rejects_invalid_values():
     for text in (
         "[run]\nmethod = dqn\n",

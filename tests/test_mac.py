@@ -21,11 +21,11 @@ from ntnsim.traffic import SlotMetrics, TrafficConfig
 
 
 def make_world(seed=0, **cfg_kwargs):
-    return init_world(ScenarioConfig(**cfg_kwargs), seed)
+    return init_world(ScenarioConfig(**cfg_kwargs), [seed])
 
 
 def ue_distance(world, row, ue_id):
-    return math.dist(world.positions[row], (*world.ue_positions[ue_id], 0.0))
+    return math.dist(world.positions[0, row], (*world.ue_positions[0, ue_id], 0.0))
 
 
 def test_association_geometry_rows_platforms_columns_ue_ids():
@@ -33,18 +33,18 @@ def test_association_geometry_rows_platforms_columns_ue_ids():
     assoc = mac.associate(world, ChannelConfig())
     n_p, n_u = len(world.cfg.platforms), world.cfg.n_ues
     for matrix in assoc.links:
-        assert matrix.shape == (n_p, n_u)
+        assert matrix.shape == (1, n_p, n_u)
     for row in range(n_p):
         for ue_id in range(n_u):
             want = ue_distance(world, row, ue_id)
-            assert assoc.links.distance_m[row, ue_id] == pytest.approx(want, rel=1e-14)
+            assert assoc.links.distance_m[0, row, ue_id] == pytest.approx(want, rel=1e-14)
 
 
 def test_associate_covers_every_ue():
     world = make_world(seed=1)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc.rows.shape == (world.cfg.n_ues,)
-    assert set(assoc.rows.tolist()) <= set(range(len(world.cfg.platforms)))
+    assert assoc.rows.shape == (1, world.cfg.n_ues)
+    assert set(assoc.rows[0].tolist()) <= set(range(len(world.cfg.platforms)))
 
 
 def test_associate_prefers_overhead_platform():
@@ -52,21 +52,21 @@ def test_associate_prefers_overhead_platform():
     # and 90 degrees elevation; every alternative is farther and lower
     world = make_world(seed=2)
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    world.ue_positions[0] = (w / 4, h / 4)
+    world.ue_positions[0, 0] = (w / 4, h / 4)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc.rows[0] == 1
-    world.ue_positions[0] = (3 * w / 4, 3 * h / 4)
-    assert mac.associate(world, ChannelConfig()).rows[0] == 4
+    assert assoc.rows[0, 0] == 1
+    world.ue_positions[0, 0] = (3 * w / 4, 3 * h / 4)
+    assert mac.associate(world, ChannelConfig()).rows[0, 0] == 4
 
 
 def test_associate_tie_breaks_low_id():
     # silence the donor so the midpoint between nodes 1 and 2 is an exact tie
     fleet = default_fleet(donor_tx_power_dbm=-80.0)
     cfg = ScenarioConfig(platforms=fleet)
-    world = init_world(cfg, 0)
-    world.ue_positions[0] = (cfg.area_w_m / 2, cfg.area_h_m / 4)
+    world = init_world(cfg, [0])
+    world.ue_positions[0, 0] = (cfg.area_w_m / 2, cfg.area_h_m / 4)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc.rows[0] == 1
+    assert assoc.rows[0, 0] == 1
 
 
 def observed(cells, row):
@@ -78,17 +78,17 @@ def test_observed_ues_nearest_first():
     world = make_world(seed=4)
     assoc = mac.associate(world, ChannelConfig())
     n_p, n_u = len(world.cfg.platforms), world.cfg.n_ues
-    cells = mac.observed_ues(world, assoc, n_u)
+    cells = mac.observed_ues(world, assoc, n_u)[0]
     assert cells.shape == (n_p, n_u)
     for row in range(n_p):
         cell = observed(cells, row)
         assert cells[row].tolist() == cell + [-1] * (n_u - len(cell))
-        assert sorted(cell) == [i for i in range(n_u) if assoc.rows[i] == row]
+        assert sorted(cell) == [i for i in range(n_u) if assoc.rows[0, i] == row]
         dists = [ue_distance(world, row, i) for i in cell]
         assert dists == sorted(dists)
     # a smaller k keeps the first k ranks of every cell
     k = 3
-    assert np.array_equal(mac.observed_ues(world, assoc, k), cells[:, :k])
+    assert np.array_equal(mac.observed_ues(world, assoc, k)[0], cells[:, :k])
 
 
 def reference_association(world, chan):
@@ -96,10 +96,10 @@ def reference_association(world, chan):
     written link by link; a strictly larger budget is needed to displace a
     lower platform row."""
     out = []
-    for ux, uy in world.ue_positions.tolist():
+    for ux, uy in world.ue_positions[0].tolist():
         best = None
         for row, p in enumerate(world.cfg.platforms):
-            px, py, pz = world.positions[row].tolist()
+            px, py, pz = world.positions[0, row].tolist()
             horiz = math.hypot(ux - px, uy - py)
             elev = math.degrees(math.atan2(pz, horiz))
             p_los = 1.0 / (1.0 + chan.los_a * math.exp(-chan.los_b * (elev - chan.los_a)))
@@ -146,26 +146,26 @@ def geometries(draw):
 def test_association_and_ranking_match_scalar_reference(geometry):
     ue_xy, platform_xy, donor_tx_dbm = geometry
     cfg = ScenarioConfig(n_ues=len(ue_xy), platforms=default_fleet(donor_tx_power_dbm=donor_tx_dbm))
-    world = init_world(cfg, 0)
-    world.ue_positions[:] = ue_xy
-    world.positions[:, :2] = platform_xy
+    world = init_world(cfg, [0])
+    world.ue_positions[0] = ue_xy
+    world.positions[0, :, :2] = platform_xy
     chan = ChannelConfig()
     assoc = mac.associate(world, chan)
     serving_rows = reference_association(world, chan)
-    assert assoc.rows.tolist() == serving_rows
+    assert assoc.rows[0].tolist() == serving_rows
     # k = n_ues: every rank of every cell; k > n_ues: padding past the UEs
     for k in (len(ue_xy), len(ue_xy) + 3):
-        ranked = mac.observed_ues(world, assoc, k).tolist()
+        ranked = mac.observed_ues(world, assoc, k)[0].tolist()
         assert ranked == reference_ranking(world, serving_rows, k)
 
 
 def test_observed_ues_tie_by_id():
     world = make_world(seed=5)
     # two UEs of node 1 at identical positions -> lower id listed first
-    world.ue_positions[0] = world.ue_positions[1] = (250.0, 240.0)
+    world.ue_positions[0, 0] = world.ue_positions[0, 1] = (250.0, 240.0)
     assoc = mac.associate(world, ChannelConfig())
-    assert assoc.rows[0] == assoc.rows[1] == 1
-    obs = observed(mac.observed_ues(world, assoc, world.cfg.n_ues), 1)
+    assert assoc.rows[0, 0] == assoc.rows[0, 1] == 1
+    obs = observed(mac.observed_ues(world, assoc, world.cfg.n_ues)[0], 1)
     assert obs.index(0) < obs.index(1)
 
 
@@ -177,7 +177,7 @@ def test_decode_schedule_argmax_over_observed():
     n_p = len(world.cfg.platforms)
     actions = np.zeros((n_p, k))
     actions[:, 1] = 1.0  # second-nearest observed UE everywhere
-    cells = mac.observed_ues(world, assoc, k)
+    cells = mac.observed_ues(world, assoc, k)[0]
     # one UE in row 3's cell and none in row 4's: rank 1 is padding in both
     cells[3, 1:] = -1
     cells[4] = -1
@@ -198,34 +198,28 @@ def test_decode_schedule_argmax_over_observed():
 def test_decode_schedule_tie_lowest_index():
     world = make_world(seed=6)
     assoc = mac.associate(world, ChannelConfig())
-    cells = mac.observed_ues(world, assoc, 8)
+    cells = mac.observed_ues(world, assoc, 8)[0]
     choices = mac.decode_schedule(np.full(cells.shape, 0.25), cells)
     for row in range(len(world.cfg.platforms)):
         obs = observed(cells, row)
         assert choices[row] == (obs[0] if obs else None)
 
 
-def with_rows(rows):
-    """An association of len(rows) UEs whose serving rows are `rows`."""
-    world = make_world(n_ues=len(rows))
-    return mac.associate(world, ChannelConfig())._replace(rows=np.array(rows))
-
-
 def test_rr_schedule_rotation():
     # row 0 serves UEs 0 1 3 4 6 8, row 1 UEs 2 5 9, row 3 UE 7
-    assoc = with_rows([0, 0, 1, 0, 0, 1, 0, 3, 0, 1])
+    rows = np.array([0, 0, 1, 0, 0, 1, 0, 3, 0, 1])
     idle = {2: None, 4: None}
-    assert mac.rr_schedule(assoc, 0) == {0: 0, 1: 2, 3: 7, **idle}
-    assert mac.rr_schedule(assoc, 1) == {0: 1, 1: 5, 3: 7, **idle}
-    assert mac.rr_schedule(assoc, 2) == {0: 3, 1: 9, 3: 7, **idle}
-    assert mac.rr_schedule(assoc, 3) == {0: 4, 1: 2, 3: 7, **idle}
-    assert mac.rr_schedule(assoc, 6) == {0: 0, 1: 2, 3: 7, **idle}
+    assert mac.rr_schedule(rows, 0, 5) == {0: 0, 1: 2, 3: 7, **idle}
+    assert mac.rr_schedule(rows, 1, 5) == {0: 1, 1: 5, 3: 7, **idle}
+    assert mac.rr_schedule(rows, 2, 5) == {0: 3, 1: 9, 3: 7, **idle}
+    assert mac.rr_schedule(rows, 3, 5) == {0: 4, 1: 2, 3: 7, **idle}
+    assert mac.rr_schedule(rows, 6, 5) == {0: 0, 1: 2, 3: 7, **idle}
     # stateless: same slot always yields the same pick
-    assert mac.rr_schedule(assoc, 1) == mac.rr_schedule(assoc, 1)
+    assert mac.rr_schedule(rows, 1, 5) == mac.rr_schedule(rows, 1, 5)
 
 
 def test_rr_schedule_empty_cell_idles():
-    out = mac.rr_schedule(with_rows([2, 2]), 0)
+    out = mac.rr_schedule(np.array([2, 2]), 0, 5)
     assert list(out) == [0, 1, 2, 3, 4]
     assert out[1] is None
     assert out[2] == 0
@@ -234,7 +228,7 @@ def test_rr_schedule_empty_cell_idles():
 def test_backhaul_rates_symmetric_at_start():
     world = make_world(seed=7)
     chan = ChannelConfig()
-    rates = mac.backhaul_rates(world, chan)
+    rates = mac.backhaul_rates(world, chan, 0)
     assert sorted(rates) == [1, 2, 3, 4]
     vals = list(rates.values())
     # quadrant centers are equidistant from the donor
@@ -248,20 +242,20 @@ def test_backhaul_rate_matches_link_budget():
     donor, node = world.cfg.platforms[0], world.cfg.platforms[1]
     share = chan.backhaul_bandwidth_hz / 4
     # always LoS: free-space loss plus the LoS excess
-    dist = math.dist(world.positions[0], world.positions[1])
+    dist = math.dist(world.positions[0, 0], world.positions[0, 1])
     fspl = 20.0 * math.log10(4.0 * math.pi * dist * chan.backhaul_carrier_hz / 299_792_458.0)
     rx = donor.tx_power_dbm + 2 * chan.backhaul_gain_dbi - (fspl + chan.eta_los_db)
     noise = chan.noise_density_dbm_hz + 10.0 * math.log10(share) + node.noise_figure_db
     want = share * math.log2(1.0 + 10 ** ((rx - noise) / 10.0))
-    assert mac.backhaul_rates(world, chan)[1] == pytest.approx(want, rel=1e-12)
+    assert mac.backhaul_rates(world, chan, 0)[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_backhaul_rate_drops_with_distance():
     world = make_world(seed=7)
     chan = ChannelConfig()
-    near = mac.backhaul_rates(world, chan)[1]
-    world.positions[1][:2] = (0.0, 0.0)
-    far = mac.backhaul_rates(world, chan)[1]
+    near = mac.backhaul_rates(world, chan, 0)[1]
+    world.positions[0, 1, :2] = (0.0, 0.0)
+    far = mac.backhaul_rates(world, chan, 0)[1]
     assert far < near
 
 
@@ -269,8 +263,8 @@ def run_slots(world, tcfg, chan, n_slots):
     out = []
     for _ in range(n_slots):
         assoc = mac.associate(world, chan)
-        choices = mac.rr_schedule(assoc, world.slot)
-        world, m = mac.step_slot(world, choices, tcfg, chan, assoc)
+        choices = mac.rr_schedule(assoc.rows[0], world.slot, len(world.cfg.platforms))
+        world, [m] = mac.step_slot(world, [choices], tcfg, chan, assoc)
         out.append(m)
     return world, out
 
@@ -280,7 +274,7 @@ def test_step_slot_advances_clock_and_moves_ues():
     before = world.ue_positions.copy()
     world, _ = run_slots(world, TrafficConfig(), ChannelConfig(), 1)
     assert world.slot == 1
-    moved = np.linalg.norm(world.ue_positions - before, axis=1)
+    moved = np.linalg.norm(world.ue_positions - before, axis=-1)
     assert np.all(moved > 0)
     assert np.all(moved <= world.cfg.ue_speed_max_mps * world.cfg.slot_seconds + 1e-9)
 
@@ -292,7 +286,7 @@ def test_step_slot_queue_conservation():
     assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
     # metric streams agree with the cumulative queue counters
     assert sum(m.delivered_bits for m in metrics) == q.delivered_bits.sum()
-    assert np.array_equal(sum(m.dropped_by_ue for m in metrics), q.dropped_bits)
+    assert np.array_equal(sum(m.dropped_by_ue for m in metrics), q.dropped_bits[0])
 
 
 def test_step_slot_rejects_out_of_cell_choice():
@@ -302,28 +296,34 @@ def test_step_slot_rejects_out_of_cell_choice():
     # a cohort the refused slot would drop at the deadline
     world.queue.push(0, np.arange(world.cfg.n_ues) * 1000)
     world.slot = tcfg.deadline_slots
-    foreign = next(ue_id for ue_id, row in enumerate(assoc.rows.tolist()) if row != 1)
+    foreign = next(ue_id for ue_id, row in enumerate(assoc.rows[0].tolist()) if row != 1)
     last = world.cfg.n_ues - 1  # rows[-1] would name this UE
     before = copy.deepcopy(world)
-    for row, ue_id in ((1, foreign), (int(assoc.rows[last]), -1), (0, world.cfg.n_ues)):
+    for row, ue_id in ((1, foreign), (int(assoc.rows[0, last]), -1), (0, world.cfg.n_ues)):
         choices = {r: None for r in range(len(world.cfg.platforms))}
         choices[row] = ue_id
         with pytest.raises(ValueError):
-            mac.step_slot(world, choices, tcfg, chan, assoc)
+            mac.step_slot(world, [choices], tcfg, chan, assoc)
         # refused before anything moved, dropped or was drawn
         assert world.slot == before.slot
-        assert world.rng.bit_generator.state == before.rng.bit_generator.state
+        assert world.rng[0].bit_generator.state == before.rng[0].bit_generator.state
         assert world.queue.n_cohorts == before.queue.n_cohorts
         for name in ("cells", "arrived_bits", "delivered_bits", "dropped_bits"):
             assert np.array_equal(getattr(world.queue, name), getattr(before.queue, name))
         assert np.array_equal(world.ue_positions, before.ue_positions)
+    # one dict per world: a bare dict, or a list of the wrong length, is refused as well
+    idle = {r: None for r in range(len(world.cfg.platforms))}
+    for choices in (idle, [], [idle, idle]):
+        with pytest.raises(ValueError, match="one choices dict each"):
+            mac.step_slot(world, choices, tcfg, chan, assoc)
+        assert world.slot == before.slot and world.queue.n_cohorts == before.queue.n_cohorts
 
 
 def test_step_slot_idle_uavs_deliver_nothing():
     world = make_world(seed=11)
     chan = ChannelConfig()
     choices = {row: None for row in range(len(world.cfg.platforms))}
-    world, m = mac.step_slot(world, choices, TrafficConfig(), chan, mac.associate(world, chan))
+    world, [m] = mac.step_slot(world, [choices], TrafficConfig(), chan, mac.associate(world, chan))
     assert m.delivered_bits == 0
     assert m.delivered_by_uav == [0] * len(world.cfg.platforms)
 
@@ -337,11 +337,11 @@ def test_step_slot_node_capped_by_backhaul():
     world.queue.push(0, np.full(world.cfg.n_ues, 10**9))
     caps = {
         row: int(r * world.cfg.slot_seconds)
-        for row, r in mac.backhaul_rates(world, chan).items()
+        for row, r in mac.backhaul_rates(world, chan, 0).items()
     }
     assoc = mac.associate(world, chan)
-    choices = mac.rr_schedule(assoc, 0)
-    world, m = mac.step_slot(world, choices, tcfg, chan, assoc)
+    choices = mac.rr_schedule(assoc.rows[0], 0, len(world.cfg.platforms))
+    world, [m] = mac.step_slot(world, [choices], tcfg, chan, assoc)
     served_nodes = 0
     for row in range(1, 5):
         if choices[row] is not None:
@@ -367,13 +367,14 @@ def test_step_slot_deterministic():
 
 
 def reference_step_slot(world, choices, tcfg, chan, association):
-    """The slot pipeline link by link: a scalar Knuth sampler per UE, one
-    `rng.random()` per LoS state (serving link, then co-channel interferers,
-    by platform row) and the backhaul recomputed every slot."""
-    rng = world.rng
+    """The slot pipeline of a one-world lockstep link by link: a scalar Knuth
+    sampler per UE, one `rng.random()` per LoS state (serving link, then
+    co-channel interferers, by platform row) and the backhaul recomputed
+    every slot."""
+    [choices], rng = choices, world.rng[0]
     platforms = world.cfg.platforms
     dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = SlotMetrics(world.slot, [0] * len(platforms), dropped)
+    metrics = SlotMetrics(world.slot, [0] * len(platforms), dropped[0])
     counts = []
     for _ in range(world.cfg.n_ues):
         k, prod = 0, 1.0
@@ -383,16 +384,16 @@ def reference_step_slot(world, choices, tcfg, chan, association):
                 break
             k += 1
         counts.append(k * tcfg.packet_bits)
-    world.queue.push(world.slot, np.array(counts, dtype=np.int64))
+    world.queue.push(world.slot, np.array([counts], dtype=np.int64))
 
     links = association.links
     active = [row for row in range(len(platforms)) if choices[row] is not None]
-    bh_rates = mac.backhaul_rates(world, chan)
+    bh_rates = mac.backhaul_rates(world, chan, 0)
 
     def rx_dbm(row, ue_id):
         p = platforms[row]
-        los = float(rng.random() < links.p_los[row, ue_id])
-        pl = channel.path_loss_db(float(links.fspl_db[row, ue_id]), los, chan)
+        los = float(rng.random() < links.p_los[0, row, ue_id])
+        pl = channel.path_loss_db(float(links.fspl_db[0, row, ue_id]), los, chan)
         return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
 
     for row in active:
@@ -409,10 +410,10 @@ def reference_step_slot(world, choices, tcfg, chan, association):
         capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
         if row > 0:  # a node, capped by its backhaul
             capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
-        metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, ue_id, capacity)
+        metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, (0, ue_id), capacity)
     step_ue_mobility(world, world.cfg.slot_seconds)
     world.slot += 1
-    return world, metrics
+    return world, [metrics]
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,43 +431,43 @@ def test_step_slot_matches_link_by_link_reference(
     cfg = ScenarioConfig(n_ues=n_ues, platforms=default_fleet(node_carrier_hz=node_carrier_hz))
     tcfg = TrafficConfig(lambda_pkts=lam, packet_bits=60_000, deadline_slots=4)
     chan = ChannelConfig(backhaul_bandwidth_hz=backhaul_hz)
-    worlds = init_world(cfg, seed), init_world(cfg, seed)
+    worlds = init_world(cfg, [seed]), init_world(cfg, [seed])
     pick = np.random.default_rng(seed)  # choices and node moves, outside the worlds
     for _ in range(n_slots):
         if pick.random() < 0.3:
             xy = pick.uniform(0.0, 1400.0, (4, 2))
             for world in worlds:
-                world.positions[1:, :2] = xy
+                world.positions[0, 1:, :2] = xy
         assoc = mac.associate(worlds[0], chan)
-        cells = mac.observed_ues(worlds[0], assoc, n_ues)
+        cells = mac.observed_ues(worlds[0], assoc, n_ues)[0]
         choices = {}
         for row in range(len(cfg.platforms)):
             cell = observed(cells, row)
             choices[row] = int(pick.choice(cell)) if cell and pick.random() < 0.8 else None
-        _, got = mac.step_slot(worlds[0], choices, tcfg, chan, assoc)
+        _, [got] = mac.step_slot(worlds[0], [choices], tcfg, chan, assoc)
         ref_assoc = mac.associate(worlds[1], chan)
-        _, want = reference_step_slot(worlds[1], choices, tcfg, chan, ref_assoc)
+        _, [want] = reference_step_slot(worlds[1], [choices], tcfg, chan, ref_assoc)
         assert (got.slot, got.delivered_by_uav) == (want.slot, want.delivered_by_uav)
         assert np.array_equal(got.dropped_by_ue, want.dropped_by_ue)
     a, b = (w.queue for w in worlds)
     assert a.n_cohorts == b.n_cohorts
-    assert np.array_equal(a.cells[:, : a.n_cohorts], b.cells[:, : b.n_cohorts])
+    assert np.array_equal(a.cells[..., : a.n_cohorts], b.cells[..., : b.n_cohorts])
     assert np.array_equal(a.arrival_slots[: a.n_cohorts], b.arrival_slots[: b.n_cohorts])
     for name in ("arrived_bits", "delivered_bits", "dropped_bits"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(worlds[0].ue_positions, worlds[1].ue_positions)
-    assert worlds[0].rng.bit_generator.state == worlds[1].rng.bit_generator.state
+    assert worlds[0].rng[0].bit_generator.state == worlds[1].rng[0].bit_generator.state
 
 
 def capped_slot(world, chan):
     """Step one rr slot on preloaded queues; return the bits each served
     node delivered and the backhaul cap computed afresh for it."""
     world.queue.push(world.slot, np.full(world.cfg.n_ues, 10**9))
-    rates = mac.backhaul_rates(world, chan)
+    rates = mac.backhaul_rates(world, chan, 0)
     caps = {row: int(r * world.cfg.slot_seconds) for row, r in rates.items()}
     assoc = mac.associate(world, chan)
-    choices = mac.rr_schedule(assoc, world.slot)
-    _, m = mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
+    choices = mac.rr_schedule(assoc.rows[0], world.slot, len(world.cfg.platforms))
+    _, [m] = mac.step_slot(world, [choices], TrafficConfig(), chan, assoc)
     served = {row: m.delivered_by_uav[row] for row in range(1, 5) if choices[row] is not None}
     assert served
     return served, {row: caps[row] for row in served}
@@ -486,7 +487,7 @@ def test_backhaul_cap_follows_apply_trajectory():
     served, caps = capped_slot(world, chan)
     assert served == caps
     # node 1 flies 400 m away from the donor, the others hover
-    apply_trajectory(world, [[-40.0, -40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], 10.0)
+    apply_trajectory(world, [[[-40.0, -40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], 10.0)
     moved_served, moved_caps = capped_slot(world, chan)
     assert moved_served == moved_caps
     assert moved_caps[1] < caps[1]
@@ -497,7 +498,7 @@ def test_backhaul_cap_follows_position_write():
     world = make_world(seed=12)
     chan = ChannelConfig(backhaul_bandwidth_hz=2e5)
     _, caps = capped_slot(world, chan)
-    world.positions[1:, :2] = world.positions[0, :2]  # every node under the donor
+    world.positions[0, 1:, :2] = world.positions[0, 0, :2]  # every node under the donor
     served, near_caps = capped_slot(world, chan)
     assert served == near_caps
     assert all(near_caps[n] > caps[n] for n in near_caps if n in caps)
@@ -526,6 +527,7 @@ def test_access_noise_follows_channel_config():
         delivered = []
         for world, step in zip(worlds, (mac.step_slot, reference_step_slot)):
             assoc = mac.associate(world, chan)
-            _, metrics = step(world, mac.rr_schedule(assoc, slot), tcfg, chan, assoc)
+            choices = mac.rr_schedule(assoc.rows[0], slot, len(world.cfg.platforms))
+            _, [metrics] = step(world, [choices], tcfg, chan, assoc)
             delivered.append(metrics.delivered_by_uav)
         assert delivered[0] == delivered[1]

@@ -1,6 +1,7 @@
 """Observations, replay, update mechanics, two-timescale rollouts."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from ntnsim.madrl import (
     update_actor,
     update_critic,
 )
-from ntnsim.scenario import ScenarioConfig, init_world
+from ntnsim.scenario import ScenarioConfig, apply_trajectory, init_world
 from ntnsim.traffic import SlotMetrics, TrafficConfig
 
 
@@ -41,17 +42,17 @@ def make_env(**kwargs):
 
 
 def reference_observation(world, cells, norm, row):
-    """One platform row's scheduler observation, UE by UE."""
+    """One platform row's scheduler observation in world 0, UE by UE."""
     w, h = world.cfg.area_w_m, world.cfg.area_h_m
-    px, py = world.positions[row, :2].tolist()
+    px, py = world.positions[0, row, :2].tolist()
     out = [px / w, py / h]
     for ue_id in cells[row].tolist():
         if ue_id < 0:
             out += [0.0] * 4
             continue
-        ux, uy = world.ue_positions[ue_id].tolist()
-        queued = int(world.queue.cells[ue_id].sum())
-        waiting = np.flatnonzero(world.queue.cells[ue_id] > 0)
+        ux, uy = world.ue_positions[0, ue_id].tolist()
+        queued = int(world.queue.cells[0, ue_id].sum())
+        waiting = np.flatnonzero(world.queue.cells[0, ue_id] > 0)
         age = world.slot - int(world.queue.arrival_slots[waiting[0]]) if len(waiting) else 0
         out += [(ux - px) / w, (uy - py) / h, min(queued / norm.backlog_bits, 1.0),
                 min(age / norm.age_slots, 1.0)]
@@ -63,32 +64,32 @@ def test_local_observation_layout_and_bounds():
     norm = env.norm()
     assert env.k_obs == 8
     for seed in range(20):
-        world = init_world(env.scenario, seed)
+        world = init_world(env.scenario, [seed])
         for _ in range(seed % 4):  # queues with cohorts of several ages
             assoc = mac.associate(world, env.channel)
-            mac.step_slot(world, mac.rr_schedule(assoc, world.slot), env.traffic, env.channel,
-                          assoc)
+            mac.step_slot(world, [mac.rr_schedule(assoc.rows[0], world.slot, 5)], env.traffic,
+                          env.channel, assoc)
         cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
         obs = local_observation(world, cells, norm)
         traj_obs = trajectory_observation(world, obs)
         # five schedulers see 2 + 4 * 8 entries, four velocity agents 4 + 4 * 8
-        assert obs.shape == (5, 34)
-        assert traj_obs.shape == (4, 36)
+        assert obs.shape == (1, 5, 34)
+        assert traj_obs.shape == (1, 4, 36)
         for o in (obs, traj_obs):
             assert np.all(o >= -1.0) and np.all(o <= 1.0)
         for row in range(5):
-            assert obs[row].tolist() == reference_observation(world, cells, norm, row)
+            assert obs[0, row].tolist() == reference_observation(world, cells[0], norm, row)
 
 
 def test_local_observation_padding_empty_cell():
     env = make_env()
     norm = env.norm()
-    world = init_world(env.scenario, 0)
+    world = init_world(env.scenario, [0])
     # cells that give platform row 3 no UEs at all and row 1 only two
-    cells = np.full((len(env.scenario.platforms), env.k_obs), -1)
-    cells[0] = np.arange(env.k_obs)
-    cells[1, :2] = (10, 11)
-    obs = local_observation(world, cells, norm)
+    cells = np.full((1, len(env.scenario.platforms), env.k_obs), -1)
+    cells[0, 0] = np.arange(env.k_obs)
+    cells[0, 1, :2] = (10, 11)
+    obs = local_observation(world, cells, norm)[0]
     assert np.any(obs[3, :2] != 0.0)
     assert np.all(obs[3, 2:] == 0.0)
     assert np.all(obs[1, [2, 3, 6, 7]] != 0.0)  # the two UEs' relative positions
@@ -98,11 +99,11 @@ def test_local_observation_padding_empty_cell():
 def test_local_observation_trajectory_sees_donor():
     env = make_env()
     norm = env.norm()
-    world = init_world(env.scenario, 1)
+    world = init_world(env.scenario, [1])
     cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
     sched_obs = local_observation(world, cells, norm)
-    obs = trajectory_observation(world, sched_obs)[0]  # the node in row 1
-    assert np.array_equal(obs[:-2], sched_obs[1])
+    obs = trajectory_observation(world, sched_obs)[0, 0]  # the node in row 1
+    assert np.array_equal(obs[:-2], sched_obs[0, 1])
     w, h = env.scenario.area_w_m, env.scenario.area_h_m
     # donor sits at (w/2, h/2), node 1 at (w/4, h/4)
     assert obs[-2] == pytest.approx((w / 2 - w / 4) / w)
@@ -112,37 +113,69 @@ def test_local_observation_trajectory_sees_donor():
 def test_global_state_layout():
     env = make_env()
     norm = env.norm()
-    world = init_world(env.scenario, 2)
+    world = init_world(env.scenario, [2])
     vec = global_state(world, norm)
     n_p, n_u = len(env.scenario.platforms), env.scenario.n_ues
-    assert vec.shape == (global_state_dim(n_p, n_u),)
-    assert vec.shape == (2 * n_p + 4 * n_u,)
+    assert vec.shape == (1, global_state_dim(n_p, n_u))
+    assert vec.shape == (1, 2 * n_p + 4 * n_u)
     # UE blocks in id order
     w = env.scenario.area_w_m
-    assert np.array_equal(vec[2 * n_p : 2 * n_p + n_u], world.ue_positions[:, 0] / w)
+    assert np.array_equal(vec[0, 2 * n_p : 2 * n_p + n_u], world.ue_positions[0, :, 0] / w)
     # identical worlds -> identical vectors
-    assert np.array_equal(global_state(init_world(env.scenario, 2), norm), vec)
+    assert np.array_equal(global_state(init_world(env.scenario, [2]), norm), vec)
+
+
+def test_global_state_of_lockstep_worlds_is_each_worlds_own():
+    env = make_env(n_ues=10)
+    norm, seeds = env.norm(), [3, 4, 5]
+    together = init_world(env.scenario, seeds)
+    alone = [init_world(env.scenario, [s]) for s in seeds]
+    moves = np.random.default_rng(0).uniform(-40.0, 40.0, (len(seeds), 4, 2))
+    for t in range(6):  # queues, UEs and nodes that differ world by world
+        for world, cmds in [(together, moves)] + [(w, m[None]) for w, m in zip(alone, moves)]:
+            assoc = mac.associate(world, env.channel)
+            choices = [mac.rr_schedule(rows, t, 5) for rows in assoc.rows]
+            mac.step_slot(world, choices, env.traffic, env.channel, assoc)
+            apply_trajectory(world, cmds, 1.0)
+        states = global_state(together, norm)
+        assert states.shape == (len(seeds), global_state_dim(5, 10))
+        for w, world in enumerate(alone):
+            assert np.array_equal(states[w], global_state(world, norm)[0])
 
 
 def test_select_action_noise_and_clip():
     rng = np.random.default_rng(0)
     actor = nn.init_mlp((4, 8, 2), "tanh", rng)
-    obs = rng.uniform(-1, 1, size=4)
-    a0 = select_action(actor, obs, 0.0)
+    group = nn.stack([actor])
+    obs = rng.uniform(-1, 1, size=(1, 4))
+    a0 = select_action(group, obs, 0.0)
     assert np.array_equal(a0, nn.mlp_forward(actor, obs))
-    a1 = select_action(actor, obs, 5.0, np.random.default_rng(1))
+    a1 = select_action(group, obs, 5.0, np.random.default_rng(1))
     assert np.all(a1 >= -1.0) and np.all(a1 <= 1.0)
     with pytest.raises(ValueError):
-        select_action(actor, obs, -0.1, rng)
+        select_action(group, obs, -0.1, rng)
 
 
 def test_select_action_noise_needs_a_generator(monkeypatch):
     actor = nn.init_mlp((4, 8, 2), "tanh", np.random.default_rng(0))
     forwards = []
     monkeypatch.setattr(nn, "mlp_forward", lambda *a: forwards.append(a))
-    for group in (actor, nn.stack([actor, actor])):
+    for group in (nn.stack([actor]), nn.stack([actor, actor])):
         with pytest.raises(ValueError, match="generator"):
             select_action(group, np.zeros((2, 4)), 0.1)
+    assert forwards == []
+
+
+def test_selection_rejects_an_unstacked_net(monkeypatch):
+    rng = np.random.default_rng(0)
+    actor = nn.init_mlp((4, 8, 2), "tanh", rng)
+    scorer = nn.init_mlp((madrl.SCORER_IN, madrl.SCORER_WIDTH, 1), "linear", rng)
+    forwards = []
+    monkeypatch.setattr(nn, "mlp_forward", lambda *a: forwards.append(a))
+    with pytest.raises(ValueError, match="one net"):
+        select_action(actor, np.zeros((1, 4)), 0.0)
+    with pytest.raises(ValueError, match="one net"):
+        select_rank(scorer, np.zeros((1, 2 + madrl.UE_FEATURES * madrl.K_OBS)), np.array([1]))
     assert forwards == []
 
 
@@ -198,7 +231,7 @@ def test_group_selection_equals_per_agent_loop(counts, dtype, with_rng, tied, se
         sched_obs[..., 2:] = np.tile(sched_obs[..., 2 : 2 + madrl.UE_FEATURES], k)
     traj_obs = rng.uniform(-1, 1, size=(n_worlds, 4, 4 + madrl.UE_FEATURES * k)).astype(dtype)
     noise_std = 0.3 if with_rng else 0.0
-    draws = [np.random.default_rng(seed + 1) if with_rng else None for _ in range(3)]
+    draws = [np.random.default_rng(seed + 1) if with_rng else None for _ in range(2)]
 
     vel = select_action(nn.stack(actors), traj_obs, noise_std, draws[0])
     ranks = select_rank(nn.stack(scorers), sched_obs, counts, draws[0])
@@ -206,20 +239,14 @@ def test_group_selection_equals_per_agent_loop(counts, dtype, with_rng, tied, se
                          for j, a in enumerate(actors)] for w in range(n_worlds)])
     ranks_ref = np.array([[_select_rank_reference(s, sched_obs[w, p], counts[w, p], draws[1])
                            for p, s in enumerate(scorers)] for w in range(n_worlds)])
-    # one agent is the no-axis case
-    vel_one = np.array([[select_action(a, traj_obs[w, j], noise_std, draws[2])
-                         for j, a in enumerate(actors)] for w in range(n_worlds)])
-    ranks_one = np.array([[select_rank(s, sched_obs[w, p], counts[w, p], draws[2])
-                           for p, s in enumerate(scorers)] for w in range(n_worlds)])
 
     assert vel.shape == (n_worlds, 4, 2) and ranks.shape == (n_worlds, 5, k)
     assert vel.dtype == vel_ref.dtype and ranks.dtype == ranks_ref.dtype
-    assert np.array_equal(vel, vel_ref) and np.array_equal(vel_one, vel_ref)
-    assert np.array_equal(ranks, ranks_ref) and np.array_equal(ranks_one, ranks_ref)
+    assert np.array_equal(vel, vel_ref)
+    assert np.array_equal(ranks, ranks_ref)
     assert np.array_equal(ranks.sum(axis=-1), counts > 0)
     if with_rng:
         assert draws[0].bit_generator.state == draws[1].bit_generator.state
-        assert draws[2].bit_generator.state == draws[1].bit_generator.state
 
 
 def test_noise_schedule_linear_decay():
@@ -769,12 +796,12 @@ def test_run_episode_eval_stores_nothing():
 def test_run_episode_rr_matches_manual_trace():
     env = make_env()
     res = run_episode(env, "rr", None, None, 42, slots=30)
-    world = init_world(env.scenario, 42)
+    world = init_world(env.scenario, [42])
     delivered = 0
     for t in range(30):
         assoc = mac.associate(world, env.channel)
-        choices = mac.rr_schedule(assoc, t)
-        world, m = mac.step_slot(world, choices, env.traffic, env.channel, assoc)
+        choices = mac.rr_schedule(assoc.rows[0], t, 5)
+        world, [m] = mac.step_slot(world, [choices], env.traffic, env.channel, assoc)
         delivered += m.delivered_bits
     assert res.delivered_bits == delivered
 
@@ -831,13 +858,13 @@ def test_lockstep_worlds_equal_separate_runs(method, seeds, n_ues, slots):
     madrl.init_world = init_world
     try:
         lockstep = madrl.run_worlds(env, method, sched, traj, seeds, slots, record_actions=True)
-        alone = [run_episode(env, method, sched, traj, s, slots, record_actions=True)
+        alone = [madrl.run_worlds(env, method, sched, traj, [s], slots, record_actions=True)[0]
                  for s in seeds]
     finally:
         madrl.init_world = real_init_world
     assert [episode_fields(r) for r in lockstep] == [episode_fields(r) for r in alone]
     assert [rng.bit_generator.state for rng in worlds[0].rng] == [
-        w.rng.bit_generator.state for w in worlds[1:]]
+        w.rng[0].bit_generator.state for w in worlds[1:]]
     with pytest.raises(ValueError, match="one world"):
         madrl.run_worlds(env, method, sched, traj, [1, 2], slots, mode="train",
                          noise_rng=np.random.default_rng(0))
@@ -1078,6 +1105,31 @@ def test_trainer_checkpoint_roundtrip(tmp_path):
                        for w0, w1 in zip(*arrays))
 
 
+
+def test_trainer_rejects_checkpoints_that_do_not_fit(tmp_path):
+    def trainer(n_ues):
+        cfg = TrainConfig(method="maddpg", episodes=1, slots_per_episode=10)
+        return Trainer(make_env(n_ues=n_ues), cfg)
+
+    def nets(tr):
+        return [getattr(a, net) for a in tr.sched_agents for net in Trainer.CHECKPOINT_NETS]
+
+    trainer(6).save_checkpoints(tmp_path)
+    # the critics read the global state, whose size follows n_ues
+    tr = trainer(8)
+    before = nets(tr)
+    with pytest.raises(ValueError, match=r"sched0_critic\.bin.*layer sizes"):
+        tr.load_checkpoints(tmp_path)
+    assert all(a is b for a, b in zip(nets(tr), before))  # no net was replaced
+    # same layer sizes, another output activation
+    tr = trainer(6)
+    before = nets(tr)
+    actor = tr.sched_agents[2].actor
+    nn.save_params(tmp_path / "sched2_actor.bin", dataclasses.replace(actor, out_act="tanh"))
+    with pytest.raises(ValueError, match=r"sched2_actor\.bin: a tanh net"):
+        tr.load_checkpoints(tmp_path)
+    assert all(a is b for a, b in zip(nets(tr), before))
+
 def _scorer_batch(rng, b=6, k=4, n_agents=2, state_dim=3):
     """A scheduler batch whose cells hold 0..k observed UEs, with nonzero
     features at the padded ranks so that masking by zero rows would show."""
@@ -1144,13 +1196,15 @@ def test_padded_ranks_never_chosen_and_get_zero_probability(monkeypatch):
     obs = np.zeros(2 + 4 * k)
     obs[2::4] = 0.1
     obs[4::4] = [0.2, 0.3, 50.0, 60.0]
+    group = nn.stack([scorer])
     for n in range(k + 1):
-        picks = [select_rank(scorer, obs, n, np.random.default_rng(s)) for s in range(200)]
-        for a in picks + [select_rank(scorer, obs, n)]:
+        picks = [select_rank(group, obs[None], [n], np.random.default_rng(s))[0]
+                 for s in range(200)]
+        for a in picks + [select_rank(group, obs[None], [n])[0]]:
             assert a.sum() == (1.0 if n else 0.0)
             assert not a[n:].any()
         if n:
-            assert select_rank(scorer, obs, n)[n - 1] == 1.0
+            assert select_rank(group, obs[None], [n])[0, n - 1] == 1.0
     # the relaxed sample the critic sees is zero at every padded rank, and
     # the step does not read the padded features
     batch = _scorer_batch(rng, 8, k)

@@ -16,10 +16,10 @@ from ntnsim.traffic import PacketQueue, TrafficConfig
 
 
 def one_ue(*arrivals):
-    """A one-UE queue holding (arrival_slot, bits) cohorts."""
-    q = PacketQueue(1)
+    """A one-UE queue of one world holding (arrival_slot, bits) cohorts."""
+    q = PacketQueue(1, 1)
     for slot, bits in arrivals:
-        q.push(slot, [bits])
+        q.push(slot, [[bits]])
     return q
 
 
@@ -59,11 +59,11 @@ def test_poisson_counts_match_scalar_knuth(lam, n, seed, buffered):
     # method on next_double; a change of numpy's sampler fails here
     scalar = generator(seed, buffered)
     want = [knuth_reference(scalar, lam) for _ in range(n)]
-    world = init_world(ScenarioConfig(n_ues=n), seed=0)
-    world.rng = generator(seed, buffered)
+    world = init_world(ScenarioConfig(n_ues=n), [0])
+    world.rng = [generator(seed, buffered)]
     traffic.generate_arrivals(world, lam, packet_bits=1)
-    assert world.queue.cells[:, 0].tolist() == want
-    assert world.rng.bit_generator.state == scalar.bit_generator.state
+    assert world.queue.cells[0, :, 0].tolist() == want
+    assert world.rng[0].bit_generator.state == scalar.bit_generator.state
 
 
 @pytest.mark.parametrize("lam", [10.0, 50.0, 700.0])
@@ -71,9 +71,9 @@ def test_arrivals_fit_poisson_from_lambda_10(lam):
     # numpy's PTRS rejection sampler; chi-square against the exact pmf on
     # bins of at least 20 expected draws, both tails lumped into end bins
     n = 40_000
-    world = init_world(ScenarioConfig(n_ues=n), seed=int(lam))
+    world = init_world(ScenarioConfig(n_ues=n), [int(lam)])
     traffic.generate_arrivals(world, lam, packet_bits=1)
-    draws = world.queue.cells[:, 0]
+    draws = world.queue.cells[0, :, 0]
     edges, below = [0], 0.0  # bin starts; the pmf mass below the open bin
     for k in range(int(stats.poisson.ppf(1 - 1e-6, lam)) + 1):
         cdf = stats.poisson.cdf(k, lam)
@@ -89,10 +89,10 @@ def test_arrivals_fit_poisson_from_lambda_10(lam):
 
 def arrival_counts(n, lam, rng):
     """One slot's arrival counts of a world of n UEs drawing from rng."""
-    world = init_world(ScenarioConfig(n_ues=n), seed=0)
-    world.rng = rng
+    world = init_world(ScenarioConfig(n_ues=n), [0])
+    world.rng = [rng]
     traffic.generate_arrivals(world, lam, packet_bits=1)
-    return world.queue.cells[:, 0]
+    return world.queue.cells[0, :, 0]
 
 
 def test_sample_poisson_edge_cases():
@@ -114,23 +114,23 @@ def test_sample_poisson_moments():
 
 def test_generate_arrivals_counts_and_determinism():
     cfg = ScenarioConfig(n_ues=20)
-    world = init_world(cfg, seed=1)
+    world = init_world(cfg, [1])
     rng = np.random.default_rng()
-    rng.bit_generator.state = world.rng.bit_generator.state
+    rng.bit_generator.state = world.rng[0].bit_generator.state
     for slot in range(200):
         world.slot = slot
         traffic.generate_arrivals(world, lam=4.0, packet_bits=50_000)
         # one draw per UE, in id order, all into this slot's cohort
         counts = [knuth_reference(rng, 4.0) for _ in range(20)]
         assert world.queue.arrival_slots[slot] == slot
-        assert world.queue.cells[:, slot].tolist() == [50_000 * c for c in counts]
-    assert world.rng.bit_generator.state == rng.bit_generator.state
+        assert world.queue.cells[0, :, slot].tolist() == [50_000 * c for c in counts]
+    assert world.rng[0].bit_generator.state == rng.bit_generator.state
     total_packets = int(world.queue.queued_bits().sum()) // 50_000
     mean, sigma = 20 * 4.0 * 200, (20 * 4.0 * 200) ** 0.5
     assert abs(total_packets - mean) < 3 * sigma
     assert np.array_equal(world.queue.arrived_bits, world.queue.queued_bits())
 
-    again = init_world(cfg, seed=1)
+    again = init_world(cfg, [1])
     for slot in range(200):
         again.slot = slot
         traffic.generate_arrivals(again, lam=4.0, packet_bits=50_000)
@@ -138,74 +138,74 @@ def test_generate_arrivals_counts_and_determinism():
 
 
 def test_generate_arrivals_lambda_zero():
-    world = init_world(ScenarioConfig(n_ues=5), seed=0)
+    world = init_world(ScenarioConfig(n_ues=5), [0])
     traffic.generate_arrivals(world, lam=0.0, packet_bits=50_000)
     assert not world.queue.queued_bits().any()
 
 
 def test_hol_age():
     q = one_ue()
-    assert q.hol_age(12).tolist() == [0]
-    q.push(5, [100_000])
-    assert q.hol_age(12).tolist() == [7]
+    assert q.hol_age(12).tolist() == [[0]]
+    q.push(5, [[100_000]])
+    assert q.hol_age(12).tolist() == [[7]]
 
 
 def test_push_refuses_to_wrap_int64():
     q = one_ue((0, 2**62))
     with pytest.raises(OverflowError):
-        q.push(1, [2**62])
+        q.push(1, [[2**62]])
 
 
 def test_drop_expired_boundary():
     q = one_ue((5, 100_000))
-    assert traffic.drop_expired(q, current_slot=14, deadline_slots=10).tolist() == [0]
+    assert traffic.drop_expired(q, current_slot=14, deadline_slots=10).tolist() == [[0]]
     assert q.n_cohorts == 1
-    assert traffic.drop_expired(q, current_slot=15, deadline_slots=10).tolist() == [100_000]
+    assert traffic.drop_expired(q, current_slot=15, deadline_slots=10).tolist() == [[100_000]]
     assert q.n_cohorts == 0
-    assert q.dropped_bits.tolist() == [100_000]
-    assert traffic.drop_expired(q, current_slot=16).tolist() == [0]
+    assert q.dropped_bits.tolist() == [[100_000]]
+    assert traffic.drop_expired(q, current_slot=16).tolist() == [[0]]
 
 
 def test_drop_expired_partial_residual():
     q = one_ue((0, 100_000))
-    traffic.serve_bits(q, 0, 40_000)
+    traffic.serve_bits(q, (0, 0), 40_000)
     dropped = traffic.drop_expired(q, current_slot=10, deadline_slots=10)
-    assert dropped.tolist() == [60_000]  # only the residual counts as dropped
+    assert dropped.tolist() == [[60_000]]  # only the residual counts as dropped
 
 
 def test_serve_bits_examples():
     q = one_ue((0, 100_000))
-    assert traffic.serve_bits(q, 0, 250_000) == 100_000
-    assert q.queued_bits().tolist() == [0]
+    assert traffic.serve_bits(q, (0, 0), 250_000) == 100_000
+    assert q.queued_bits().tolist() == [[0]]
 
     q = one_ue(*[(0, 100_000)] * 3)
-    assert traffic.serve_bits(q, 0, 250_000) == 250_000
-    assert q.cells[0, : q.n_cohorts].tolist() == [0, 0, 50_000]
+    assert traffic.serve_bits(q, (0, 0), 250_000) == 250_000
+    assert q.cells[0, 0, : q.n_cohorts].tolist() == [0, 0, 50_000]
 
     before = q.queued_bits()
-    assert traffic.serve_bits(q, 0, 0) == 0
+    assert traffic.serve_bits(q, (0, 0), 0) == 0
     assert np.array_equal(q.queued_bits(), before)
     with pytest.raises(ValueError):
-        traffic.serve_bits(q, 0, -1)
+        traffic.serve_bits(q, (0, 0), -1)
 
 
 def test_serve_bits_is_fifo():
     q = one_ue((0, 10_000), (1, 10_000))
-    traffic.serve_bits(q, 0, 15_000)
-    assert q.cells[0, : q.n_cohorts].tolist() == [0, 5_000]
-    assert q.hol_age(3).tolist() == [2]  # the slot-1 cohort is the head now
+    traffic.serve_bits(q, (0, 0), 15_000)
+    assert q.cells[0, 0, : q.n_cohorts].tolist() == [0, 5_000]
+    assert q.hol_age(3).tolist() == [[2]]  # the slot-1 cohort is the head now
 
 
 def test_conservation_under_random_operations():
     rng = np.random.default_rng(9)
-    q = PacketQueue(3)
+    q = PacketQueue(1, 3)
     slot = 0
     for _ in range(5_000):
         op = rng.integers(0, 3)
         if op == 0:
-            q.push(slot, rng.integers(0, 200_000, size=3))
+            q.push(slot, rng.integers(0, 200_000, size=(1, 3)))
         elif op == 1:
-            traffic.serve_bits(q, int(rng.integers(0, 3)), int(rng.integers(0, 300_000)))
+            traffic.serve_bits(q, (0, int(rng.integers(0, 3))), int(rng.integers(0, 300_000)))
         else:
             slot += int(rng.integers(0, 4))
             traffic.drop_expired(q, slot, deadline_slots=10)
@@ -281,7 +281,7 @@ def queue_histories(draw):
 @given(queue_histories())
 def test_cohort_queue_matches_packet_fifo(history):
     n_ues, deadline, ops = history
-    queue = PacketQueue(n_ues)
+    queue = PacketQueue(1, n_ues)
     fifos = [FifoQueue() for _ in range(n_ues)]
     slot = 0
     for op in ops:
@@ -289,22 +289,22 @@ def test_cohort_queue_matches_packet_fifo(history):
             for fifo, (count, size) in zip(fifos, op[1]):
                 for _ in range(count):
                     fifo.push(Packet(size, slot, size))
-            queue.push(slot, [count * size for count, size in op[1]])
+            queue.push(slot, [[count * size for count, size in op[1]]])
         elif op[0] == "serve":
             _, ue, capacity = op
-            assert traffic.serve_bits(queue, ue, capacity) == fifos[ue].serve(capacity)
+            assert traffic.serve_bits(queue, (0, ue), capacity) == fifos[ue].serve(capacity)
         else:
             slot += op[1]
             dropped = traffic.drop_expired(queue, slot, deadline)
-            assert dropped.tolist() == [f.drop_expired(slot, deadline) for f in fifos]
-        assert queue.queued_bits().tolist() == [f.queued_bits() for f in fifos]
-        assert queue.hol_age(slot).tolist() == [f.hol_age(slot) for f in fifos]
+            assert dropped.tolist() == [[f.drop_expired(slot, deadline) for f in fifos]]
+        assert queue.queued_bits().tolist() == [[f.queued_bits() for f in fifos]]
+        assert queue.hol_age(slot).tolist() == [[f.hol_age(slot) for f in fifos]]
         for counter in ("arrived_bits", "delivered_bits", "dropped_bits"):
-            assert getattr(queue, counter).tolist() == [getattr(f, counter) for f in fifos]
+            assert getattr(queue, counter).tolist() == [[getattr(f, counter) for f in fifos]]
     # the UE-subset queries read the same rows
     ids = list(range(n_ues))[::-1]
-    assert queue.queued_bits(ids).tolist() == [fifos[i].queued_bits() for i in ids]
-    assert queue.hol_age(slot, ids).tolist() == [fifos[i].hol_age(slot) for i in ids]
+    assert queue.queued_bits((0, ids)).tolist() == [fifos[i].queued_bits() for i in ids]
+    assert queue.hol_age(slot, (0, ids)).tolist() == [fifos[i].hol_age(slot) for i in ids]
 
 
 def test_slot_metrics_total():
