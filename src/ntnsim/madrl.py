@@ -18,6 +18,7 @@ deterministic tanh policies trained by the DDPG gradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -201,26 +202,38 @@ def select_action(
     return np.clip(a, -1.0, 1.0)
 
 
+@functools.cache
+def _scorer_columns(k: int) -> np.ndarray:
+    """The observation columns of k scorer rows, rank after rank; shared by
+    every caller, so read-only."""
+    cols = np.array([c for j in range(k) for c in
+                     (*range(2 + UE_FEATURES * j, 2 + UE_FEATURES * (j + 1)), 0, 1)])
+    cols.flags.writeable = False
+    return cols
+
+
 def scorer_rows(obs: np.ndarray) -> np.ndarray:
-    """(b, k, SCORER_IN) scorer inputs of scheduler observations (b, 2 + 4k):
-    one row per rank, the UE's four features and then the platform's own
-    position."""
-    b, k = obs.shape[0], (obs.shape[1] - 2) // UE_FEATURES
-    rows = np.empty((b, k, SCORER_IN), dtype=obs.dtype)
-    rows[:, :, :UE_FEATURES] = obs[:, 2:].reshape(b, k, UE_FEATURES)
-    rows[:, :, UE_FEATURES:] = obs[:, None, :2]
-    return rows
+    """(..., k, SCORER_IN) scorer inputs of scheduler observations
+    (..., 2 + 4k), gathered in one take: one row per rank, the UE's four
+    features and then the platform's own position."""
+    k = (obs.shape[-1] - 2) // UE_FEATURES
+    return obs.take(_scorer_columns(k), axis=-1).reshape(obs.shape[:-1] + (k, SCORER_IN))
 
 
-def rank_logits(scorer: MlpParams, obs: np.ndarray, n_obs: np.ndarray):
-    """(b, k) logits of a batch of scheduler observations (b, 2 + 4k) with
-    n_obs (b,) observed UEs each, -inf at padded ranks, with the scorer's
-    forward cache (on scorer_rows) and the (b, k) mask of observed ranks.
-    The mask comes from n_obs, not from the (zero) features of padded ranks."""
-    b, k = obs.shape[0], (obs.shape[1] - 2) // UE_FEATURES
-    out, cache = nn.forward_pass(scorer, scorer_rows(obs).reshape(b * k, SCORER_IN))
-    valid = np.arange(k) < np.asarray(n_obs)[:, None]
-    return np.where(valid, out.reshape(b, k), -np.inf), cache, valid
+def rank_logits(scorers: MlpParams, obs: np.ndarray, n_obs: np.ndarray):
+    """(agents, b, k) logits of a group of scorers (nn.stack) on a batch of
+    scheduler observations (b, agents, 2 + 4k) with n_obs (b, agents)
+    observed UEs each, scorer i on agent i's column, -inf at padded ranks;
+    with the stack's forward cache (on scorer_rows, one slab of b * k rows
+    per agent) and the (agents, b, k) mask of observed ranks. The mask comes
+    from n_obs, not from the (zero) features of padded ranks. Every slab has
+    the same rows, so each agent's logits equal its scorer's forward alone
+    bit for bit (see nn.stack)."""
+    b, n_agents, k = obs.shape[0], obs.shape[1], (obs.shape[2] - 2) // UE_FEATURES
+    rows = scorer_rows(obs.swapaxes(0, 1)).reshape(n_agents, b * k, SCORER_IN)
+    out, cache = nn.forward_pass(scorers, rows)
+    valid = np.arange(k) < n_obs.T[..., None]
+    return np.where(valid, out.reshape(n_agents, b, k), -np.inf), cache, valid
 
 
 def select_rank(
@@ -319,20 +332,24 @@ class ReplayBuffer:
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> dict:
+        """A batch of batch_size uniform rows; each snapshot ring is read
+        with one take of the rows and their successors."""
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch size {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
-        nxt = (idx + 1) % self.capacity
+        rows = np.concatenate((idx, (idx + 1) % self.capacity))
+        state, obs, n_obs = (ring.take(rows, axis=0) for ring in (self.state, self.obs, self.n_obs))
+        b = batch_size
         return {
-            "state": self.state[idx],
-            "obs": self.obs[idx],
-            "actions": self.actions[idx],
-            "reward": self.reward[idx],
-            "next_state": self.state[nxt],
-            "next_obs": self.obs[nxt],
-            "done": self.done[idx],
-            "n_obs": self.n_obs[idx],
-            "next_n_obs": self.n_obs[nxt],
+            "state": state[:b],
+            "obs": obs[:b],
+            "actions": self.actions.take(idx, axis=0),
+            "reward": self.reward.take(idx),
+            "next_state": state[b:],
+            "next_obs": obs[b:],
+            "done": self.done.take(idx),
+            "n_obs": n_obs[:b],
+            "next_n_obs": n_obs[b:],
         }
 
 
@@ -350,13 +367,14 @@ def target_actions(actors: list[MlpParams], next_obs: np.ndarray) -> np.ndarray:
 
 
 def critic_targets(
-    batch: dict, target_critic: MlpParams, gamma: float, next_x: np.ndarray
+    batch: dict, target_critic: MlpParams, discount: np.ndarray, next_x: np.ndarray
 ) -> np.ndarray:
-    """y = r + gamma * (1 - done) * Q_target(next_x), where next_x is the
-    critic input of the next state and the target actors' actions (see
-    target_actions and critic_input)."""
+    """y = r + discount * Q_target(next_x), where discount is the batch's
+    gamma * (1 - done), formed once per batch, and next_x the critic input
+    of the next state and the target actors' actions (see target_actions
+    and critic_input)."""
     q = nn.mlp_forward(target_critic, next_x)[:, 0]
-    return batch["reward"] + gamma * (1.0 - batch["done"]) * q
+    return batch["reward"] + discount * q
 
 
 def update_critic(
@@ -366,9 +384,11 @@ def update_critic(
     targets: np.ndarray,
     lr: float = CRITIC_LR,
     weight_decay: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> float:
     """One Adam step on the mean squared TD error (plus L2 on the weights)
     of the critic on its input rows x (see critic_input); returns the TD loss.
+    The gradient is formed in out (see nn.param_grads).
 
     The decay matters for the high-dimensional critics: with a few thousand
     buffered transitions and a hundred-plus state dims, an unregularized net
@@ -378,11 +398,11 @@ def update_critic(
     q, cache = nn.forward_pass(critic, x)
     err = q[:, 0] - targets
     upstream = (2.0 * err / b)[:, None]
-    gw, gb = nn.param_grads(critic, cache, upstream)
+    grad = nn.param_grads(critic, cache, upstream, out)
     if weight_decay > 0.0:
-        for g, w in zip(gw, critic.weights):
+        for g, w in zip(nn.layer_views(critic.layer_sizes, grad)[0], critic.weights):
             g += 2.0 * weight_decay * w
-    nn.adam_step(critic, gw, gb, adam, lr)
+    nn.adam_step(critic, grad, adam, lr)
     return float(np.mean(err * err))
 
 
@@ -395,10 +415,12 @@ def update_actor(
     x: np.ndarray,
     lr: float = ACTOR_LR,
     action_reg: float = ACTION_REG,
+    out: np.ndarray | None = None,
 ) -> None:
     """One Adam ascent step on mean Q with this agent's action replayed
     through its actor; the gradient reaches the actor via the critic's
-    input gradient on the action columns, formed for those columns only.
+    input gradient on the action columns, formed for those columns only,
+    and the actor's gradient is formed in out (see nn.param_grads).
     x is the critic input of the batch's own actions (see critic_input); it
     is left unchanged.
 
@@ -415,22 +437,38 @@ def update_actor(
     _, critic_cache = nn.forward_pass(critic, x_i)
     upstream = np.full((b, 1), -1.0 / b)  # minimize -mean(Q)
     da_i = nn.input_grad(critic, critic_cache, upstream, cols) + (2.0 * action_reg / b) * a_i
-    gw, gb = nn.param_grads(actor, actor_cache, da_i)
-    nn.adam_step(actor, gw, gb, adam, lr)
+    nn.adam_step(actor, nn.param_grads(actor, actor_cache, da_i, out), adam, lr)
 
 
 def target_ranks(
-    scorers: list[MlpParams], next_obs: np.ndarray, next_n_obs: np.ndarray
+    scorers: MlpParams, next_obs: np.ndarray, next_n_obs: np.ndarray
 ) -> np.ndarray:
-    """(batch, n_agents, k) one-hot argmax ranks of the target scorers on
-    next observations."""
-    b, n_agents, _ = next_obs.shape
-    out = np.zeros((b, n_agents, (next_obs.shape[2] - 2) // UE_FEATURES), dtype=next_obs.dtype)
-    for i, s in enumerate(scorers):
-        logits, _, valid = rank_logits(s, next_obs[:, i, :], next_n_obs[:, i])
-        live = np.flatnonzero(valid[:, 0])  # an empty cell keeps its all-zero action
-        out[live, i, np.argmax(logits[live], axis=1)] = 1.0
+    """(batch, n_agents, k) one-hot argmax ranks of a group of target
+    scorers (nn.stack) on next observations; an empty cell keeps its
+    all-zero action."""
+    logits, _, valid = rank_logits(scorers, next_obs, next_n_obs)
+    agent, row = np.nonzero(valid[..., 0])
+    out = np.zeros(next_obs.shape[:2] + logits.shape[-1:], dtype=next_obs.dtype)
+    out[row, agent, logits.argmax(axis=-1)[agent, row]] = 1.0
     return out
+
+
+def relaxed_ranks(scorers: MlpParams, batch: dict, rng: np.random.Generator):
+    """Gumbel-Softmax samples (temperature 1) of every scheduler's rank on a
+    batch: y = softmax(logits + g), g ~ Gumbel(0, 1), of the group of scorers
+    (nn.stack) on the batch's observations, as (agents, b, k), with the
+    stack's forward cache (see rank_logits). Padded ranks get probability
+    zero, and an empty cell an all-zero row. The forward and the draw run
+    stacked over the agents: one (agents, b, k) draw is the stream of the
+    agents' (b, k) draws in agent order."""
+    b, n_agents, k = batch["actions"].shape
+    logits, cache, valid = rank_logits(scorers, batch["obs"], batch["n_obs"])
+    z = logits + rng.gumbel(size=(n_agents, b, k))
+    live = valid[..., :1]
+    z -= np.where(live, z.max(axis=-1, keepdims=True), 0.0)
+    y = np.exp(z)  # exp(-inf) = 0 at padded ranks and in empty cells
+    y /= np.where(live, y.sum(axis=-1, keepdims=True), 1.0)
+    return y, cache
 
 
 def update_scorer(
@@ -440,27 +478,23 @@ def update_scorer(
     critic: MlpParams,
     batch: dict,
     x: np.ndarray,
-    rng: np.random.Generator,
+    relaxed: np.ndarray,
+    cache,
     lr: float = SCORER_LR,
+    out: np.ndarray | None = None,
 ) -> None:
     """One Adam ascent step on mean Q with this scheduler's rank replaced by
-    a Gumbel-Softmax sample (temperature 1) of its scorer's logits: the
-    relaxed one-hot y = softmax(logits + g), g ~ Gumbel(0, 1), enters the
-    critic on the agent's action columns, and the critic's input gradient
-    flows back through the softmax into the scorer. Padded ranks get
-    probability zero and so no gradient; a batch row of an empty cell
-    contributes nothing.
+    its Gumbel-Softmax sample: relaxed and cache are the group's samples and
+    stacked scorer cache (see relaxed_ranks), of which the step reads the
+    agent's slab. The sample enters the critic on the agent's action
+    columns, and the critic's input gradient flows back through the softmax
+    into the scorer, whose gradient is formed in out (see nn.param_grads).
+    Padded ranks have probability zero and so get no gradient; a batch row
+    of an empty cell contributes nothing.
     x is the critic input of the batch's own actions (see critic_input);
     it is left unchanged."""
     b, _, k = batch["actions"].shape
-    logits, cache, valid = rank_logits(
-        scorer, batch["obs"][:, agent_index, :], batch["n_obs"][:, agent_index]
-    )
-    z = logits + rng.gumbel(size=(b, k))
-    live = valid.any(axis=1)
-    z[live] -= z[live].max(axis=1, keepdims=True)
-    y = np.exp(z)  # exp(-inf) = 0 at padded ranks and in empty cells
-    y[live] /= y[live].sum(axis=1, keepdims=True)
+    y = relaxed[agent_index]
     start = batch["state"].shape[1] + agent_index * k
     cols = slice(start, start + k)
     x_i = x.copy()
@@ -468,8 +502,8 @@ def update_scorer(
     _, critic_cache = nn.forward_pass(critic, x_i)
     gy = nn.input_grad(critic, critic_cache, np.full((b, 1), -1.0 / b), cols)
     dz = y * (gy - (y * gy).sum(axis=1, keepdims=True))
-    gw, gb = nn.param_grads(scorer, cache, dz.reshape(b * k, 1))
-    nn.adam_step(scorer, gw, gb, adam, lr)
+    grad = nn.param_grads(scorer, [a[agent_index] for a in cache], dz.reshape(b * k, 1), out)
+    nn.adam_step(scorer, grad, adam, lr)
 
 
 @dataclass
@@ -566,7 +600,6 @@ def run_worlds(
     dt = env.scenario.slot_seconds
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
-    node_caps = np.array([[p.max_speed_mps] for p in env.scenario.platforms[1:]])
     sched_group = nn.stack(sched_actors) if learn else None
     traj_group = nn.stack(traj_actors) if n_nodes else None
 
@@ -599,7 +632,7 @@ def run_worlds(
                                           noise_rng)
             if train:
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
-            held_velocity = traj_acts * node_caps
+            held_velocity = traj_acts * world.node_max_speed[:, None]
             if record_actions:
                 for acts, res in zip(traj_acts, results):
                     res.traj_action_log.append(acts.copy())
@@ -757,6 +790,7 @@ class Trainer:
         self.sched_buffer = None
         self.traj_buffer = None
         self.update_rounds = 0
+        self.grad = None  # the flat gradient of every step; sized to the largest net
         self.drift_decay_from: int | None = None  # first episode with actors unlocked
         self.drift_start_ep = 0  # first episode whose drift can survive into the unlock ring
 
@@ -778,6 +812,8 @@ class Trainer:
             self.traj_agents.append(
                 self._make_agent(f"traj{p.id}", actor, len(nodes) * 2, h, init_rng))
 
+        nets = [n for ag in self.sched_agents + self.traj_agents for n in (ag.actor, ag.critic)]
+        self.grad = np.empty(max(n.flat.size for n in nets), dtype=NET_DTYPE)
         rows = cfg.ring_rows()
         self.sched_buffer = ReplayBuffer(rows["sched"], self.state_dim, len(platforms),
                                          2 + UE_FEATURES * k, k)
@@ -905,8 +941,10 @@ class Trainer:
     def update_round(self) -> None:
         """One batch per group, then a critic and an actor step for every
         agent against that batch, then soft target updates, all with float32
-        subnormals flushed to zero (nn.flush_subnormals). A no-op once the
-        update budget is spent."""
+        subnormals flushed to zero (nn.flush_subnormals). The schedulers'
+        Gumbel-Softmax samples are drawn for the whole group before its
+        first step (see relaxed_ranks); every gradient is formed in the
+        trainer's one buffer. A no-op once the update budget is spent."""
         cfg = self.cfg
         if 0 < cfg.update_rounds_budget <= self.update_rounds:
             return
@@ -928,16 +966,22 @@ class Trainer:
                 batch = buffer.sample(self.rng, cfg.batch_size)
                 x = critic_input(batch["state"], batch["actions"])
                 targets = [a.actor_target for a in agents]
-                next_a = (target_ranks(targets, batch["next_obs"], batch["next_n_obs"]) if sched
-                          else target_actions(targets, batch["next_obs"]))
+                next_a = (target_ranks(nn.stack(targets), batch["next_obs"], batch["next_n_obs"])
+                          if sched else target_actions(targets, batch["next_obs"]))
                 next_x = critic_input(batch["next_state"], next_a)
+                discount = gamma * (1.0 - batch["done"])
+                if sched:
+                    relaxed, cache = relaxed_ranks(nn.stack([a.actor for a in agents]), batch,
+                                                   self.rng)
                 for i, ag in enumerate(agents):
-                    y = critic_targets(batch, ag.critic_target, gamma, next_x)
-                    update_critic(ag.critic, ag.critic_adam, x, y, weight_decay=wd)
+                    y = critic_targets(batch, ag.critic_target, discount, next_x)
+                    update_critic(ag.critic, ag.critic_adam, x, y, weight_decay=wd, out=self.grad)
                     if sched:
-                        update_scorer(i, ag.actor, ag.actor_adam, ag.critic, batch, x, self.rng)
+                        update_scorer(i, ag.actor, ag.actor_adam, ag.critic, batch, x, relaxed,
+                                      cache, out=self.grad)
                     elif step_traj:
-                        update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x)
+                        update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x,
+                                     out=self.grad)
             for ag in self.sched_agents + self.traj_agents:
                 nn.soft_update(ag.actor_target, ag.actor, TAU)
                 nn.soft_update(ag.critic_target, ag.critic, TAU)

@@ -2,18 +2,25 @@
 reverse-mode gradients, in-place Adam, soft target updates, and a small
 binary checkpoint format.
 
+A net keeps all its parameters in one flat buffer, in checkpoint order (W0,
+b0, W1, b1, ...); its weights and biases are views of that buffer (see
+layer_views). A gradient is a flat array of the same layout, and so are
+Adam's two moments. So adam_step, soft_update, save_params and load_params
+each make one pass over a net, however many layers it has.
+
 forward_pass returns the output together with a cache of the layer
 activations. The two backward passes read that cache instead of running the
 forward pass again, and each forms only one kind of gradient:
-param_grads the weight and bias gradients (a critic's TD step, an actor's
+param_grads the flat parameter gradient (a critic's TD step, an actor's
 step), input_grad the gradient w.r.t. the input (the deterministic policy
 gradient pushes a critic's action gradient into the actor through it).
-mlp_backward runs all three and returns every gradient.
+mlp_backward runs the forward pass and both backward passes.
 
-All functions accept a single sample (d,) or a minibatch (n, d); gradients
-are summed over the batch, so mean-loss callers fold 1/n into the upstream
-gradient themselves. forward_pass also runs a stack of nets (see stack), one
-net per slab of its input; no gradient is formed for a stack.
+A net reads a minibatch (n, d), and there is no single-sample path: one
+sample is passed as x[None]. Gradients are summed over the batch, so
+mean-loss callers fold 1/n into the upstream gradient themselves.
+forward_pass also runs a stack of nets (see stack), one net per slab of its
+input; no gradient is formed for a stack.
 
 There is no dtype option: every function computes in the dtype of the
 parameters it is given, and casts its input and upstream gradient to it.
@@ -47,31 +54,63 @@ _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
+def param_count(layer_sizes) -> int:
+    """Entries of a net's flat buffer: every weight and bias."""
+    sizes = tuple(layer_sizes)
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+
+
+def layer_views(layer_sizes, flat: np.ndarray) -> tuple[list, list]:
+    """(weights, biases) as views of a flat buffer (..., param_count) in
+    checkpoint order. A net's 1-D buffer gives weights (fan_in, fan_out) and
+    biases (fan_out,); a stack's (nets, param_count) buffer gives weights
+    (nets, fan_in, fan_out) and biases (nets, 1, fan_out)."""
+    lead = flat.shape[:-1]
+    bias_shape = lead + (1,) if lead else ()
+    weights, biases, off = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[..., off : off + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
+        off += fan_in * fan_out
+        biases.append(flat[..., off : off + fan_out].reshape(bias_shape + (fan_out,)))
+        off += fan_out
+    return weights, biases
+
+
 @dataclass
 class MlpParams:
     """Fully-connected net: relu hidden layers, linear or tanh output.
 
-    weights[l] has shape (layer_sizes[l], layer_sizes[l+1]); forward is
-    x @ W + b per layer.
+    flat holds every parameter in checkpoint order; weights[l] (shape
+    (layer_sizes[l], layer_sizes[l+1])) and biases[l] are views of it (see
+    layer_views), and forward is x @ W + b per layer. Copies and pickles
+    rebuild the views over the copied buffer.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
     out_act: str = "linear"
+    weights: list = field(init=False, repr=False, compare=False)
+    biases: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.flat.shape[-1:] != (param_count(self.layer_sizes),):
+            raise ValueError(f"a buffer of shape {self.flat.shape} does not hold a net of "
+                             f"layer sizes {self.layer_sizes}")
+        self.weights, self.biases = layer_views(self.layer_sizes, self.flat)
+
+    def __getstate__(self):
+        return {"layer_sizes": self.layer_sizes, "flat": self.flat, "out_act": self.out_act}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.weights[0].dtype
+        return self.flat.dtype
 
     def astype(self, dtype) -> "MlpParams":
-        """A copy with every array in dtype."""
-        return MlpParams(
-            layer_sizes=self.layer_sizes,
-            weights=[w.astype(dtype) for w in self.weights],
-            biases=[b.astype(dtype) for b in self.biases],
-            out_act=self.out_act,
-        )
+        """A copy with its buffer in dtype."""
+        return MlpParams(self.layer_sizes, self.flat.astype(dtype), self.out_act)
 
     def copy(self) -> "MlpParams":
         return self.astype(self.dtype)
@@ -79,19 +118,15 @@ class MlpParams:
     def take(self, idx) -> "MlpParams":
         """The stack of the nets idx (indices into a stack's net axis; see
         stack), in that order."""
-        return MlpParams(
-            layer_sizes=self.layer_sizes,
-            weights=[w.take(idx, axis=0) for w in self.weights],
-            biases=[b.take(idx, axis=0) for b in self.biases],
-            out_act=self.out_act,
-        )
+        return MlpParams(self.layer_sizes, self.flat.take(idx, axis=0), self.out_act)
 
 
 def stack(nets: list[MlpParams]) -> MlpParams:
-    """Nets of equal layer sizes and output activation as one stack: each
-    weight matrix gains a leading net axis (nets, fan_in, fan_out), each bias
-    becomes (nets, 1, fan_out). forward_pass runs net i on slab i of an input
-    (..., nets, rows, d), broadcasting the nets over the leading axes.
+    """Nets of equal layer sizes and output activation as one stack: its
+    buffer holds one net's buffer per row, so each weight matrix gains a
+    leading net axis (nets, fan_in, fan_out) and each bias becomes (nets, 1,
+    fan_out). forward_pass runs net i on slab i of an input (..., nets,
+    rows, d), broadcasting the nets over the leading axes.
 
     A slab's product is the same BLAS call as the net's own on those rows,
     so each slab's output equals the net's forward of the slab bit for bit
@@ -99,40 +134,34 @@ def stack(nets: list[MlpParams]) -> MlpParams:
     first = nets[0]
     if any(n.layer_sizes != first.layer_sizes or n.out_act != first.out_act for n in nets):
         raise ValueError("stacked nets must share layer sizes and output activation")
-    return MlpParams(
-        layer_sizes=first.layer_sizes,
-        weights=[np.stack(ws) for ws in zip(*(n.weights for n in nets))],
-        biases=[np.stack(bs)[:, None, :] for bs in zip(*(n.biases for n in nets))],
-        out_act=first.out_act,
-    )
+    return MlpParams(first.layer_sizes, np.stack([n.flat for n in nets]), first.out_act)
 
 
 def init_mlp(layer_sizes, out_act: str, rng: np.random.Generator) -> MlpParams:
-    """Uniform ±1/sqrt(fan_in) init per layer."""
+    """Uniform ±1/sqrt(fan_in) init per layer, drawn W0, b0, W1, b1, ..."""
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise ValueError(f"bad layer sizes {sizes}")
     if out_act not in _ACT_CODES:
         raise ValueError(f"unknown output activation {out_act!r}")
-    weights, biases = [], []
+    parts = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpParams(layer_sizes=sizes, weights=weights, biases=biases, out_act=out_act)
+        parts.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
+        parts.append(rng.uniform(-bound, bound, size=fan_out))
+    return MlpParams(sizes, np.concatenate(parts), out_act)
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """x as a batch (n, d) for a net, or as slabs (..., nets, rows, d) for a
     stack, in the parameters' dtype."""
     x = np.asarray(x, dtype=params.dtype)
-    if x.ndim == 1:
-        x = x[None, :]
-    stacked = params.weights[0].ndim == 3
+    stacked = params.flat.ndim == 2
     if (x.ndim < 3 if stacked else x.ndim != 2) or x.shape[-1] != params.layer_sizes[0]:
         raise ValueError(
             f"input shape {x.shape} does not match first layer size {params.layer_sizes[0]}"
-            + (" of a stack, which reads (..., nets, rows, d)" if stacked else "")
+            + (" of a stack, which reads (..., nets, rows, d)" if stacked
+               else " of a net, which reads (n, d)")
         )
     return x
 
@@ -140,41 +169,35 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def forward_pass(params: MlpParams, x):
     """Forward pass that keeps its intermediates: returns (output, cache).
 
-    A single sample is a batch of one, so the output of a net is always
-    (n, d_out); that of a stack is (..., nets, rows, d_out).
-    The cache holds the pre-activations of every layer and the
-    post-activations including the input (by reference, not copied);
-    param_grads and input_grad read it instead of running the pass again.
+    The output of a net is (n, d_out); that of a stack is (..., nets, rows,
+    d_out). The cache is the list of post-activations of every layer, the
+    input first (by reference, not copied) and the output last; ReLU is
+    applied in place, and a hidden unit's backward mask reads its
+    post-activation > 0, which is its pre-activation > 0. param_grads and
+    input_grad read the cache instead of running the pass again.
     """
-    x = _check_input(params, x)
-    acts = [x]
-    zs = []
-    h = x
+    acts = [_check_input(params, x)]
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w
-        z += b
-        zs.append(z)
+        h = acts[-1] @ w
+        h += b
         if l < last:
-            h = np.maximum(z, 0.0)
+            np.maximum(h, 0.0, out=h)
         elif params.out_act == "tanh":
-            h = np.tanh(z)
-        else:
-            h = z
+            np.tanh(h, out=h)
         acts.append(h)
-    return h, (zs, acts)
+    return acts[-1], acts
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
-    y, _ = forward_pass(params, x)
-    return y[0] if np.ndim(x) == 1 else y
+    return forward_pass(params, x)[0]
 
 
-def _output_grad(params: MlpParams, cache, upstream) -> np.ndarray:
+def _output_grad(params: MlpParams, acts, upstream) -> np.ndarray:
     """The upstream gradient carried back through the output activation."""
-    if params.weights[0].ndim != 2:
+    if params.flat.ndim != 1:
         raise ValueError("gradients are formed for one net, not for a stack")
-    y = cache[1][-1]
+    y = acts[-1]
     g = np.asarray(upstream, dtype=y.dtype)
     if g.shape != y.shape:
         raise ValueError(f"upstream shape {g.shape} does not match output {y.shape}")
@@ -189,20 +212,22 @@ def _through(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return g * w[:, 0] if w.shape[1] == 1 else g @ w.T
 
 
-def param_grads(params: MlpParams, cache, upstream):
-    """Batch-summed gradients of sum(upstream * output) w.r.t. the weights
-    and biases, from a forward_pass cache: (weight grads, bias grads)."""
-    zs, acts = cache
+def param_grads(params: MlpParams, cache, upstream, out: np.ndarray | None = None) -> np.ndarray:
+    """Batch-summed gradient of sum(upstream * output) w.r.t. the parameters,
+    from a forward_pass cache: a flat array in the layout of params.flat
+    (see layer_views). It is written into the first param_count entries of
+    out, a 1-D buffer of the parameters' dtype, or into a new array."""
     g = _output_grad(params, cache, upstream)
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
-    for l in range(len(params.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ g
-        grads_b[l] = g.sum(axis=0)
+    n = params.flat.size
+    grad = np.empty(n, dtype=params.dtype) if out is None else out[:n]
+    grads_w, grads_b = layer_views(params.layer_sizes, grad)
+    for l in range(len(grads_w) - 1, -1, -1):
+        np.matmul(cache[l].T, g, out=grads_w[l])
+        g.sum(axis=0, out=grads_b[l])
         if l > 0:
             g = _through(g, params.weights[l])
-            g *= zs[l - 1] > 0.0
-    return grads_w, grads_b
+            g *= cache[l] > 0.0
+    return grad
 
 
 def input_grad(params: MlpParams, cache, upstream, cols=slice(None)) -> np.ndarray:
@@ -211,28 +236,19 @@ def input_grad(params: MlpParams, cache, upstream, cols=slice(None)) -> np.ndarr
     gradient is formed. The last product reads only the rows cols of the
     first weight matrix, so a few columns cost a few columns of work; the
     result can differ in the last bit from slicing the full gradient."""
-    zs, _ = cache
     g = _output_grad(params, cache, upstream)
     for l in range(len(params.weights) - 1, 0, -1):
         g = _through(g, params.weights[l])
-        g *= zs[l - 1] > 0.0
+        g *= cache[l] > 0.0
     return _through(g, params.weights[0][cols])
 
 
 def mlp_backward(params: MlpParams, x, upstream):
-    """Exact gradients of sum(upstream * forward(x)) w.r.t. params and input.
-
-    Returns (weight grads, bias grads, input grad); batch inputs yield
-    batch-summed parameter grads and a per-sample input grad.
-    """
-    single = np.ndim(x) == 1
-    g = np.asarray(upstream)
-    if single:
-        g = g[None, :]
+    """Exact gradients of sum(upstream * forward(x)) w.r.t. params and input:
+    (flat parameter gradient summed over the batch, per-sample input
+    gradient)."""
     _, cache = forward_pass(params, x)
-    grads_w, grads_b = param_grads(params, cache, g)
-    gx = input_grad(params, cache, g)
-    return grads_w, grads_b, (gx[0] if single else gx)
+    return param_grads(params, cache, upstream), input_grad(params, cache, upstream)
 
 
 def keep_heap() -> bool:
@@ -306,64 +322,58 @@ def flush_subnormals():
 
 @dataclass
 class AdamState:
-    t: int = 0
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    """Adam's step count and first and second moments, flat in the layout of
+    the net's buffer."""
+
+    t: int
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam(params: MlpParams) -> AdamState:
-    return AdamState(
-        t=0,
-        m_w=[np.zeros_like(w) for w in params.weights],
-        v_w=[np.zeros_like(w) for w in params.weights],
-        m_b=[np.zeros_like(b) for b in params.biases],
-        v_b=[np.zeros_like(b) for b in params.biases],
-    )
+    return AdamState(t=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def adam_step(
     params: MlpParams,
-    grads_w,
-    grads_b,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """Bias-corrected Adam, in place; returns (params, state) for chaining.
+    """Bias-corrected Adam on the flat gradient grad (see param_grads), in
+    place and in one pass over the net's buffer; returns (params, state)
+    for chaining.
 
-    Per parameter array:
+    Per parameter:
         m <- beta1*m + (1-beta1)*g
         v <- beta2*v + ((1-beta2)*g)*g
         p <- p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
     evaluated in exactly this order in two scratch arrays.
     """
+    if grad.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match the net's buffer "
+                         f"{params.flat.shape}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(
-        params.weights + params.biases,
-        list(grads_w) + list(grads_b),
-        state.m_w + state.m_b,
-        state.v_w + state.v_b,
-    ):
-        s = np.multiply(g, 1.0 - beta1)
-        m *= beta1
-        m += s
-        np.multiply(g, 1.0 - beta2, out=s)
-        s *= g
-        v *= beta2
-        v += s
-        np.divide(m, bc1, out=s)
-        s *= lr
-        r = np.divide(v, bc2)
-        np.sqrt(r, out=r)
-        r += eps
-        s /= r
-        p -= s
+    m, v = state.m, state.v
+    s = np.multiply(grad, 1.0 - beta1)
+    m *= beta1
+    m += s
+    np.multiply(grad, 1.0 - beta2, out=s)
+    s *= grad
+    v *= beta2
+    v += s
+    np.divide(m, bc1, out=s)
+    s *= lr
+    r = np.divide(v, bc2)
+    np.sqrt(r, out=r)
+    r += eps
+    s /= r
+    params.flat -= s
     return params, state
 
 
@@ -373,12 +383,8 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
         raise ValueError("target/online layer sizes differ")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau {tau} outside [0, 1]")
-    for tw, ow in zip(target.weights, online.weights):
-        tw *= 1.0 - tau
-        tw += tau * ow
-    for tb, ob in zip(target.biases, online.biases):
-        tb *= 1.0 - tau
-        tb += tau * ob
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
     return target
 
 
@@ -391,8 +397,9 @@ def soft_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
 #   byte  11     reserved, zero
 #   bytes 12..15 uint32 layer count L
 #   next 4*L     uint32 layer sizes
-#   then per layer: weight matrix (fan_in x fan_out, row-major),
-#                   bias vector (fan_out), both in the dtype
+#   then the net's flat buffer: per layer the weight matrix (fan_in x
+#                fan_out, row-major) and the bias vector (fan_out), both in
+#                the dtype
 
 
 def save_params(path, params: MlpParams) -> None:
@@ -402,9 +409,7 @@ def save_params(path, params: MlpParams) -> None:
         f.write(struct.pack("<BBBBI", FORMAT_VERSION, _ACT_CODES[params.out_act],
                             _DTYPE_CODES[params.dtype], 0, len(params.layer_sizes)))
         f.write(struct.pack(f"<{len(params.layer_sizes)}I", *params.layer_sizes))
-        for w, b in zip(params.weights, params.biases):
-            f.write(np.ascontiguousarray(w, dtype=dtype).tobytes())
-            f.write(np.ascontiguousarray(b, dtype=dtype).tobytes())
+        f.write(np.ascontiguousarray(params.flat, dtype=dtype).tobytes())
 
 
 def load_params(path) -> MlpParams:
@@ -428,20 +433,11 @@ def load_params(path) -> MlpParams:
     sizes = struct.unpack(f"<{n_layers}I", raw[16:off])
     if n_layers < 2 or 0 in sizes:
         raise ValueError(f"{path}: bad layer sizes {sizes}")
-    n_floats = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    n_floats = param_count(sizes)
     payload = dtype.itemsize * n_floats
     if len(raw) - off != payload:
         raise ValueError(
             f"{path}: {len(raw) - off} parameter bytes where layer sizes {sizes} need {payload}"
         )
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        n = fan_in * fan_out
-        weights.append(
-            np.frombuffer(raw, dtype=dtype, count=n, offset=off).reshape(fan_in, fan_out).copy()
-        )
-        off += dtype.itemsize * n
-        biases.append(np.frombuffer(raw, dtype=dtype, count=fan_out, offset=off).copy())
-        off += dtype.itemsize * fan_out
-    return MlpParams(layer_sizes=sizes, weights=weights, biases=biases,
-                     out_act=_ACT_NAMES[act_code])
+    flat = np.frombuffer(raw, dtype=dtype, count=n_floats, offset=off).copy()
+    return MlpParams(sizes, flat, _ACT_NAMES[act_code])

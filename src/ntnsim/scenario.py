@@ -106,10 +106,10 @@ class WorldState:
     and of the queue's matrix, is UE id i. Ground users stand at height 0 and
     move waypoint-to-waypoint.
 
-    The access links' fleet constants (carriers, EIRP, bandwidths,
-    co-channel rows) are read from `cfg.platforms` once, at `init_world`; a
-    platform's carrier, power, gain or bandwidth changed later does not
-    reach the access links.
+    The fleet constants (carriers, EIRP, bandwidths, co-channel rows, node
+    speed caps) and the area bound of the node moves are read from `cfg`
+    once, at `init_world`; a value changed there later reaches neither the
+    access links nor the node moves.
     """
 
     cfg: ScenarioConfig
@@ -124,6 +124,8 @@ class WorldState:
     eirp_dbm: np.ndarray  # (n_platforms,) transmit power + antenna gain + the UE's 0 dBi
     bandwidth_hz: list[float]
     cochannel: list[list[int]]  # per row, the other rows on its carrier, in row order
+    node_max_speed: np.ndarray  # (n_platforms - 1,) speed cap m/s of the node in row i + 1
+    area_max: np.ndarray  # (2,) the area's width and height, the upper clamp of a node's x, y
     # (channel config, row -> access noise mW, world -> (positions.tobytes(),
     # node row -> backhaul bps)) of mac.step_slot: it recomputes everything when
     # the channel config differs and a world's backhaul when its positions do
@@ -159,6 +161,8 @@ def init_world(cfg: ScenarioConfig, seeds) -> WorldState:
         bandwidth_hz=[p.bandwidth_hz for p in platforms],
         cochannel=[[q for q, c in enumerate(carriers) if q != row and c == carriers[row]]
                    for row in range(len(platforms))],
+        node_max_speed=np.array([p.max_speed_mps for p in platforms[1:]]),
+        area_max=np.array([w, h]),
     )
 
 
@@ -195,13 +199,12 @@ def apply_trajectory(world: WorldState, commands, dt: float) -> WorldState:
     node, and command i moves the node in row i + 1. Commands above a node's
     speed cap are renormalized to the cap; positions are clamped to the
     service area; altitudes and the donor never change."""
-    caps = np.array([p.max_speed_mps for p in world.cfg.platforms[1:]])
+    caps = world.node_max_speed
     commands = np.asarray(commands, dtype=float)
     xy = world.positions[..., 1:, :2]
     if commands.shape != xy.shape:
         raise ValueError(f"expected velocity commands of shape {xy.shape}, got {commands.shape}")
     speed = np.hypot(commands[..., 0], commands[..., 1])
     scale = np.divide(caps, speed, out=np.ones_like(speed), where=speed > caps)
-    np.clip(xy + commands * scale[..., None] * dt, 0.0, (world.cfg.area_w_m, world.cfg.area_h_m),
-            out=xy)
+    np.clip(xy + commands * scale[..., None] * dt, 0.0, world.area_max, out=xy)
     return world

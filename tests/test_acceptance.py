@@ -356,9 +356,10 @@ def test_criterion_07_gradient_oracle():
         sizes = tuple(int(rng.integers(2, 7)) for _ in range(depth + 2))
         out_act = "tanh" if case % 2 else "linear"
         p = nn.init_mlp(sizes, out_act, rng)
-        x = rng.normal(size=sizes[0])
-        upstream = rng.normal(size=sizes[-1])
-        gw, gb, gx = nn.mlp_backward(p, x, upstream)
+        x = rng.normal(size=sizes[0])[None]  # one sample is a batch of one
+        upstream = rng.normal(size=sizes[-1])[None]
+        grad, gx = nn.mlp_backward(p, x, upstream)
+        gw, gb = nn.layer_views(p.layer_sizes, grad)
         nw, nb, nx = _numeric_grads(p, x, upstream)
         for a, m in zip(gw + gb + [gx], nw + nb + [nx]):
             rel = np.abs(a - m) / np.maximum(np.abs(m), 1e-6)
@@ -376,8 +377,8 @@ def test_criterion_08_actor_sanity_oracle():
         a = nn.mlp_forward(actor, obs)
         # maximize Q = -(a - 0.5)^2  =>  descend dL/da = 2 (a - 0.5)
         upstream = 2.0 * (a - 0.5) / a.shape[0]
-        gw, gb, _ = nn.mlp_backward(actor, obs, upstream)
-        nn.adam_step(actor, gw, gb, adam, 1e-3)
+        grad, _ = nn.mlp_backward(actor, obs, upstream)
+        nn.adam_step(actor, grad, adam, 1e-3)
         if np.all(np.abs(nn.mlp_forward(actor, obs) - 0.5) <= 0.05):
             break
     final = nn.mlp_forward(actor, obs)

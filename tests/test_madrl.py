@@ -196,8 +196,8 @@ def _select_rank_reference(scorer, obs, n_obs, rng=None):
 
 
 def _select_action_reference(actor, obs, noise_std, rng=None):
-    """One velocity actor's command from its own single-sample forward."""
-    a = nn.mlp_forward(actor, obs)
+    """One velocity actor's command from its own one-row forward."""
+    a = nn.mlp_forward(actor, obs[None])[0]
     if noise_std > 0.0:
         a = a + rng.normal(0.0, noise_std, size=a.shape)
     return np.clip(a, -1.0, 1.0)
@@ -425,9 +425,10 @@ def ring_mismatch(ring_cls, group, capacity, lengths, seed):
         return rng.normal(size=state_dim), rng.uniform(-1, 1, (n_agents, obs_dim)), n
 
     def critic_y(batch):
-        next_a = (madrl.target_ranks(targets, batch["next_obs"], batch["next_n_obs"]) if sched
-                  else target_actions(targets, batch["next_obs"]))
-        return critic_targets(batch, critic, 0.9, critic_input(batch["next_state"], next_a))
+        next_a = (madrl.target_ranks(nn.stack(targets), batch["next_obs"], batch["next_n_obs"])
+                  if sched else target_actions(targets, batch["next_obs"]))
+        return critic_targets(batch, critic, 0.9 * (1.0 - batch["done"]),
+                              critic_input(batch["next_state"], next_a))
 
     for episode, length in enumerate(lengths):
         snaps = [snapshot() for _ in range(length + 1)]
@@ -481,10 +482,10 @@ def test_critic_targets_terminal_and_gamma_zero():
         "next_obs": rng.normal(size=(1, 1, 4)),
     }
     next_x = critic_input(batch["next_state"], target_actions([actor], batch["next_obs"]))
-    y = critic_targets(batch, critic, 0.95, next_x)
+    y = critic_targets(batch, critic, 0.95 * (1.0 - batch["done"]), next_x)
     assert y[0] == pytest.approx(1.5)
     batch["done"] = np.array([0.0])
-    y0 = critic_targets(batch, critic, 0.0, next_x)
+    y0 = critic_targets(batch, critic, 0.0 * (1.0 - batch["done"]), next_x)
     assert y0[0] == pytest.approx(1.5)
 
 
@@ -503,7 +504,7 @@ def test_critic_targets_hand_computation():
     a_prime = nn.mlp_forward(actor, next_obs[:, 0, :])
     q = nn.mlp_forward(critic, np.concatenate([next_state, a_prime], axis=1))[0, 0]
     next_x = critic_input(next_state, target_actions([actor], next_obs))
-    y = critic_targets(batch, critic, 0.9, next_x)
+    y = critic_targets(batch, critic, 0.9 * (1.0 - batch["done"]), next_x)
     assert y[0] == pytest.approx(0.7 + 0.9 * q, rel=1e-12)
 
 
@@ -664,11 +665,11 @@ def _reference_round_body(tr):
 
             x = np.concatenate([batch["state"], batch["actions"].reshape(b, -1)], axis=1)
             err = nn.mlp_forward(ag.critic, x)[:, 0] - y
-            gw, gb, _ = nn.mlp_backward(ag.critic, x, (2.0 * err / b)[:, None])
+            grad, _ = nn.mlp_backward(ag.critic, x, (2.0 * err / b)[:, None])
             if wd > 0.0:
-                for g, w in zip(gw, ag.critic.weights):
+                for g, w in zip(nn.layer_views(ag.critic.layer_sizes, grad)[0], ag.critic.weights):
                     g += 2.0 * wd * w
-            nn.adam_step(ag.critic, gw, gb, ag.critic_adam, madrl.CRITIC_LR)
+            nn.adam_step(ag.critic, grad, ag.critic_adam, madrl.CRITIC_LR)
 
             start = batch["state"].shape[1] + i * act_dim
             obs_i = batch["obs"][:, i, :]
@@ -686,16 +687,16 @@ def _reference_round_body(tr):
                 gy = _reference_column_grad(ag.critic, xa, slice(start, start + act_dim))
                 dz = soft * (gy - (soft * gy).sum(axis=1, keepdims=True))
                 rows = _reference_scorer_rows(obs_i)
-                gw, gb, _ = nn.mlp_backward(ag.actor, rows, dz.reshape(-1, 1))
-                nn.adam_step(ag.actor, gw, gb, ag.actor_adam, madrl.SCORER_LR)
+                grad, _ = nn.mlp_backward(ag.actor, rows, dz.reshape(-1, 1))
+                nn.adam_step(ag.actor, grad, ag.actor_adam, madrl.SCORER_LR)
             elif step_actors:
                 a_i = nn.mlp_forward(ag.actor, obs_i)
                 actions[:, i, :] = a_i
                 xa = np.concatenate([batch["state"], actions.reshape(b, -1)], axis=1)
                 da = (_reference_column_grad(ag.critic, xa, slice(start, start + act_dim))
                       + (2.0 * reg / b) * a_i)
-                gw, gb, _ = nn.mlp_backward(ag.actor, obs_i, da)
-                nn.adam_step(ag.actor, gw, gb, ag.actor_adam, madrl.ACTOR_LR)
+                grad, _ = nn.mlp_backward(ag.actor, obs_i, da)
+                nn.adam_step(ag.actor, grad, ag.actor_adam, madrl.ACTOR_LR)
     for ag in tr.sched_agents + tr.traj_agents:
         nn.soft_update(ag.actor_target, ag.actor, madrl.TAU)
         nn.soft_update(ag.critic_target, ag.critic, madrl.TAU)
@@ -707,7 +708,7 @@ def _trainer_arrays(tr):
         for net in (ag.actor, ag.actor_target, ag.critic, ag.critic_target):
             out += net.weights + net.biases
         for adam in (ag.actor_adam, ag.critic_adam):
-            out += adam.m_w + adam.v_w + adam.m_b + adam.v_b
+            out += [adam.m, adam.v]
     return out
 
 
@@ -734,6 +735,36 @@ def test_update_round_equals_reference_round(seed, batch_size):
         assert all(a.dtype == madrl.NET_DTYPE for a in _trainer_arrays(tr))
         assert tr.rng.bit_generator.state == ref.rng.bit_generator.state
     assert stepping == [False, False, True, True, False, False]
+
+
+def test_trainers_do_not_share_scratch():
+    # perfbench's worker builds and drops one trainer before run_single
+    # builds the next, so two trainers can be alive at once: interleaved
+    # rounds of a maddpg trainer (built first, with the smaller nets) and a
+    # tts-maddpg trainer of another seed must each end where it ends alone
+    def filled(method, seed):
+        cfg = TrainConfig(method=method, episodes=3, slots_per_episode=20, seed=seed,
+                          warmup_transitions=8, batch_size=8, traj_actor_delay=1,
+                          traj_actor_window=0)
+        tr = Trainer(make_env(n_ues=6), cfg)
+        for ep in range(3):
+            tr.rollout(ep)
+        return tr
+
+    together = [filled("maddpg", 0), filled("tts-maddpg", 1)]
+    alone = [copy.deepcopy(tr) for tr in together]
+    for _ in range(4):
+        for tr in together:
+            tr.update_round()
+    for tr in alone:
+        for _ in range(4):
+            tr.update_round()
+    for tr, ref in zip(together, alone):
+        assert tr.update_rounds == ref.update_rounds == 4
+        assert [a.critic_adam.t for a in tr.sched_agents + tr.traj_agents] == [4] * (
+            len(tr.sched_agents) + len(tr.traj_agents))
+        assert all(np.array_equal(a, b) for a, b in zip(_trainer_arrays(tr), _trainer_arrays(ref)))
+        assert tr.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 def make_trained_actors(env, seed=0):
@@ -1145,19 +1176,19 @@ def _scorer_batch(rng, b=6, k=4, n_agents=2, state_dim=3):
 
 
 def test_update_scorer_matches_numerical_gradient(monkeypatch):
-    # the step's gradient is that of -mean Q at the Gumbel-Softmax sample,
-    # for the Gumbel draw the step takes from its rng
+    # each agent's step takes the gradient of -mean Q_i at its Gumbel-Softmax
+    # sample, its slab of the one (agents, b, k) draw of relaxed_ranks
     rng = np.random.default_rng(11)
-    k, b = 4, 6
-    batch = _scorer_batch(rng, b, k)
-    scorer = nn.init_mlp((madrl.SCORER_IN, 5, 1), "linear", rng)
-    critic = nn.init_mlp((3 + 2 * k, 7, 7, 1), "linear", rng)
+    k, b, n_agents = 4, 6, 2
+    batch = _scorer_batch(rng, b, k, n_agents)
+    scorers = [nn.init_mlp((madrl.SCORER_IN, 5, 1), "linear", rng) for _ in range(n_agents)]
+    critics = [nn.init_mlp((3 + n_agents * k, 7, 7, 1), "linear", rng) for _ in range(n_agents)]
     x = critic_input(batch["state"], batch["actions"])
-    cols = slice(3, 3 + k)
 
-    def loss():
-        z = madrl.rank_logits(scorer, batch["obs"][:, 0, :], batch["n_obs"][:, 0])[0]
-        z = z + np.random.default_rng(5).gumbel(size=(b, k))
+    def loss(i):
+        cols = slice(3 + i * k, 3 + (i + 1) * k)
+        z = _reference_logits(scorers[i], batch["obs"][:, i, :], batch["n_obs"][:, i])
+        z = z + np.random.default_rng(5).gumbel(size=(n_agents, b, k))[i]
         y = np.zeros((b, k))
         for r in range(b):
             if np.isfinite(z[r]).any():
@@ -1165,22 +1196,24 @@ def test_update_scorer_matches_numerical_gradient(monkeypatch):
                 y[r] = e / e.sum()
         xi = x.copy()
         xi[:, cols] = y
-        return -float(np.mean(nn.mlp_forward(critic, xi)))
+        return -float(np.mean(nn.mlp_forward(critics[i], xi)))
 
-    got = {}
-    monkeypatch.setattr(nn, "adam_step", lambda p, gw, gb, *a, **kw: got.update(gw=gw, gb=gb))
-    madrl.update_scorer(0, scorer, None, critic, batch, x, np.random.default_rng(5))
+    got = []
+    monkeypatch.setattr(nn, "adam_step", lambda p, g, *a, **kw: got.append((p, g.copy())))
+    relaxed, cache = madrl.relaxed_ranks(nn.stack(scorers), batch, np.random.default_rng(5))
+    for i in range(n_agents):
+        madrl.update_scorer(i, scorers[i], None, critics[i], batch, x, relaxed, cache)
+    assert [p for p, _ in got] == scorers
     h = 1e-6
-    for analytic, params in ((got["gw"], scorer.weights), (got["gb"], scorer.biases)):
-        for g, p in zip(analytic, params):
-            for idx in np.ndindex(p.shape):
-                orig = p[idx]
-                p[idx] = orig + h
-                up = loss()
-                p[idx] = orig - h
-                dn = loss()
-                p[idx] = orig
-                assert g[idx] == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-9)
+    for i, (scorer, grad) in enumerate(got):
+        for idx in range(scorer.flat.size):
+            orig = scorer.flat[idx]
+            scorer.flat[idx] = orig + h
+            up = loss(i)
+            scorer.flat[idx] = orig - h
+            dn = loss(i)
+            scorer.flat[idx] = orig
+            assert grad[idx] == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-9)
 
 
 def test_padded_ranks_never_chosen_and_get_zero_probability(monkeypatch):
@@ -1208,23 +1241,32 @@ def test_padded_ranks_never_chosen_and_get_zero_probability(monkeypatch):
     # the relaxed sample the critic sees is zero at every padded rank, and
     # the step does not read the padded features
     batch = _scorer_batch(rng, 8, k)
-    critic = nn.init_mlp((3 + 2 * k, 6, 1), "linear", rng)
+    scorers = [scorer, nn.init_mlp((madrl.SCORER_IN, 5, 1), "linear", rng)]
+    critics = [nn.init_mlp((3 + 2 * k, 6, 1), "linear", rng) for _ in scorers]
     x = critic_input(batch["state"], batch["actions"])
     seen, steps = [], []
     real_forward = nn.forward_pass
 
     def spy(params, xin):
-        if params is critic:
-            seen.append(np.array(xin)[:, 3 : 3 + k])
+        for i, critic in enumerate(critics):
+            if params is critic:
+                seen.append(np.array(xin)[:, 3 + i * k : 3 + (i + 1) * k])
         return real_forward(params, xin)
 
     monkeypatch.setattr(nn, "forward_pass", spy)
-    monkeypatch.setattr(nn, "adam_step", lambda p, gw, gb, *a, **kw: steps.append(gw + gb))
-    madrl.update_scorer(0, scorer, None, critic, batch, x, np.random.default_rng(3))
-    padded = np.arange(k) >= batch["n_obs"][:, 0][:, None]
-    assert np.all(seen[0][padded] == 0.0)
-    assert np.all(seen[0].sum(axis=1)[batch["n_obs"][:, 0] > 0] == pytest.approx(1.0))
-    feats = batch["obs"][:, 0, 2:].reshape(8, k, 4)
-    feats[padded] = 99.0
-    madrl.update_scorer(0, scorer, None, critic, batch, x, np.random.default_rng(3))
-    assert all(np.array_equal(a, b) for a, b in zip(steps[0], steps[1]))
+    monkeypatch.setattr(nn, "adam_step", lambda p, g, *a, **kw: steps.append(g.copy()))
+
+    def step_group():
+        relaxed, cache = madrl.relaxed_ranks(nn.stack(scorers), batch, np.random.default_rng(3))
+        for i in range(2):
+            madrl.update_scorer(i, scorers[i], None, critics[i], batch, x, relaxed, cache)
+
+    step_group()
+    for i in range(2):
+        padded = np.arange(k) >= batch["n_obs"][:, i][:, None]
+        assert np.all(seen[i][padded] == 0.0)
+        assert np.all(seen[i].sum(axis=1)[batch["n_obs"][:, i] > 0] == pytest.approx(1.0))
+        feats = batch["obs"][:, i, 2:].reshape(8, k, 4)
+        feats[padded] = 99.0
+    step_group()
+    assert all(np.array_equal(a, b) for a, b in zip(steps[:2], steps[2:]))

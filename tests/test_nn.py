@@ -1,7 +1,10 @@
 """Dense-net math: forward, exact gradients, Adam, soft updates, checkpoints."""
 
+import copy
+import pickle
 import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -35,9 +38,9 @@ def test_forward_zero_params_and_identity():
     p = nn.init_mlp((3, 3), "linear", np.random.default_rng(0))
     p.weights[0][:] = 0.0
     p.biases[0][:] = 0.0
-    assert np.array_equal(nn.mlp_forward(p, np.ones(3)), np.zeros(3))
-    p.weights[0] = np.eye(3)
-    x = np.array([0.3, -1.2, 4.0])
+    assert np.array_equal(nn.mlp_forward(p, np.ones((1, 3))), np.zeros((1, 3)))
+    p.weights[0][:] = np.eye(3)
+    x = np.array([[0.3, -1.2, 4.0]])
     assert np.allclose(nn.mlp_forward(p, x), x)
 
 
@@ -45,7 +48,7 @@ def test_forward_matches_reference_implementation():
     rng = np.random.default_rng(1)
     p = nn.init_mlp((4, 8, 8, 2), "tanh", rng)
     for _ in range(20):
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         h = x
         for l, (w, b) in enumerate(zip(p.weights, p.biases)):
             z = h @ w + b
@@ -59,13 +62,38 @@ def test_forward_batch_matches_single():
     xs = rng.normal(size=(9, 6))
     batch = nn.mlp_forward(p, xs)
     for i in range(9):
-        assert np.allclose(batch[i], nn.mlp_forward(p, xs[i]), atol=1e-12)
+        assert np.allclose(batch[i], nn.mlp_forward(p, xs[i][None])[0], atol=1e-12)
 
 
 def test_forward_rejects_bad_shape():
     p = nn.init_mlp((4, 2), "linear", np.random.default_rng(0))
     with pytest.raises(ValueError):
-        nn.mlp_forward(p, np.zeros(5))
+        nn.mlp_forward(p, np.zeros((1, 5)))
+    with pytest.raises(ValueError, match="reads"):
+        nn.mlp_forward(p, np.zeros(4))  # one sample is a batch of one: x[None]
+
+
+def test_net_is_one_flat_buffer_in_checkpoint_order():
+    rng = np.random.default_rng(17)
+    p = nn.init_mlp((3, 4, 2), "tanh", rng)
+    assert p.flat.shape == (nn.param_count((3, 4, 2)),) == (3 * 4 + 4 + 4 * 2 + 2,)
+    assert all(np.shares_memory(a, p.flat) for a in p.weights + p.biases)
+    order = np.concatenate([a.ravel() for w, b in zip(p.weights, p.biases) for a in (w, b)])
+    assert np.array_equal(order, p.flat)
+    # the same draws as one uniform call per weight matrix and bias vector
+    rng = np.random.default_rng(17)
+    for w, b, fan_in in zip(p.weights, p.biases, (3, 4)):
+        bound = 1.0 / np.sqrt(fan_in)
+        assert np.array_equal(w, rng.uniform(-bound, bound, size=w.shape))
+        assert np.array_equal(b, rng.uniform(-bound, bound, size=b.shape))
+    # copies, deep copies and pickles keep the views on their own buffer
+    for q in (p.copy(), p.astype(np.float32), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert all(np.shares_memory(a, q.flat) for a in q.weights + q.biases)
+        assert not np.shares_memory(q.flat, p.flat)
+        q.flat[:] = 0.0
+        assert not any(a.any() for a in q.weights + q.biases)
+    with pytest.raises(ValueError, match="layer sizes"):
+        nn.MlpParams((3, 4, 2), np.zeros(5))
 
 
 @pytest.mark.parametrize("sizes", [(6, 32, 1), (36, 128, 128, 2)])
@@ -102,6 +130,7 @@ def test_stack_forward_runs_each_net_on_its_slab():
             assert np.array_equal(y[w, i], nn.mlp_forward(net, x[w, i]))
     picked = group.take(np.array([2, 0, 2]))
     assert np.array_equal(nn.mlp_forward(picked, x[0])[1], nn.mlp_forward(nets[0], x[0, 1]))
+    assert all(np.shares_memory(a, group.flat) for a in group.weights + group.biases)
     with pytest.raises(ValueError):
         nn.mlp_forward(group, x[0, 0])  # a stack reads (..., nets, rows, d)
     with pytest.raises(ValueError):
@@ -168,9 +197,10 @@ def test_backward_matches_finite_differences():
     for out_act in ("linear", "tanh"):
         for _ in range(5):
             p = nn.init_mlp((3, 7, 5, 2), out_act, rng)
-            x = rng.normal(size=3)
-            upstream = rng.normal(size=2)
-            gw, gb, gx = nn.mlp_backward(p, x, upstream)
+            x = rng.normal(size=(1, 3))
+            upstream = rng.normal(size=(1, 2))
+            grad, gx = nn.mlp_backward(p, x, upstream)
+            gw, gb = nn.layer_views(p.layer_sizes, grad)
             nw, nb, nx = _numeric_grads(p, x, upstream)
             for a, n in zip(gw, nw):
                 _assert_close(a, n)
@@ -182,9 +212,8 @@ def test_backward_matches_finite_differences():
 def test_backward_zero_upstream():
     rng = np.random.default_rng(5)
     p = nn.init_mlp((3, 4, 2), "tanh", rng)
-    gw, gb, gx = nn.mlp_backward(p, rng.normal(size=3), np.zeros(2))
-    assert all(np.all(g == 0) for g in gw)
-    assert all(np.all(g == 0) for g in gb)
+    grad, gx = nn.mlp_backward(p, rng.normal(size=(1, 3)), np.zeros((1, 2)))
+    assert grad.shape == p.flat.shape and np.all(grad == 0)
     assert np.all(gx == 0)
 
 
@@ -193,19 +222,13 @@ def test_backward_batch_sums_parameter_grads():
     p = nn.init_mlp((3, 6, 2), "linear", rng)
     xs = rng.normal(size=(4, 3))
     ups = rng.normal(size=(4, 2))
-    gw_batch, gb_batch, gx_batch = nn.mlp_backward(p, xs, ups)
-    gw_sum = [np.zeros_like(w) for w in p.weights]
-    gb_sum = [np.zeros_like(b) for b in p.biases]
+    grad_batch, gx_batch = nn.mlp_backward(p, xs, ups)
+    grad_sum = np.zeros_like(p.flat)
     for i in range(4):
-        gw, gb, gx = nn.mlp_backward(p, xs[i], ups[i])
-        for l in range(len(gw)):
-            gw_sum[l] += gw[l]
-            gb_sum[l] += gb[l]
-        assert np.allclose(gx, gx_batch[i], atol=1e-12)
-    for a, b in zip(gw_batch, gw_sum):
-        assert np.allclose(a, b, atol=1e-10)
-    for a, b in zip(gb_batch, gb_sum):
-        assert np.allclose(a, b, atol=1e-10)
+        grad, gx = nn.mlp_backward(p, xs[i : i + 1], ups[i : i + 1])
+        grad_sum += grad
+        assert np.allclose(gx[0], gx_batch[i], atol=1e-12)
+    assert np.allclose(grad_batch, grad_sum, atol=1e-10)
 
 
 def _one_walk_backward(p, x, upstream):
@@ -250,22 +273,18 @@ def test_split_gradients_equal_one_walk_backward(sizes, batch, out_act, seed, dt
     y_ref, gw_ref, gb_ref, gx_ref = _one_walk_backward(p, x, up)
 
     y, cache = nn.forward_pass(p, x)
-    gw, gb = nn.param_grads(p, cache, up)
+    grad = nn.param_grads(p, cache, up)
+    gw, gb = nn.layer_views(p.layer_sizes, grad)
     gx = nn.input_grad(p, cache, up)
-    assert y.dtype == dtype and all(g.dtype == dtype for g in gw + gb + [gx])
+    assert y.dtype == dtype and grad.dtype == dtype and gx.dtype == dtype
     assert np.array_equal(y, y_ref)
     assert _all_equal(gw, gw_ref) and _all_equal(gb, gb_ref)
     assert np.array_equal(gx, gx_ref)
     assert np.array_equal(up, up_before)  # upstream is read, never written
     assert np.array_equal(nn.mlp_forward(p, x), y_ref)
 
-    gw2, gb2, gx2 = nn.mlp_backward(p, x, up)
-    assert _all_equal(gw2, gw) and _all_equal(gb2, gb) and np.array_equal(gx2, gx)
-    gw1, gb1, gx1 = nn.mlp_backward(p, x[0], up[0])  # a single sample is a batch of one
-    y1, gw1_ref, gb1_ref, gx1_ref = _one_walk_backward(p, x[:1], up[:1])
-    assert np.array_equal(nn.mlp_forward(p, x[0]), y1[0])
-    assert _all_equal(gw1, gw1_ref) and _all_equal(gb1, gb1_ref)
-    assert np.array_equal(gx1, gx1_ref[0])
+    grad2, gx2 = nn.mlp_backward(p, x, up)
+    assert np.array_equal(grad2, grad) and np.array_equal(gx2, gx)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -335,10 +354,10 @@ def test_float32_passes_and_adam_step_track_float64(sizes, out_act):
     y32, c32 = nn.forward_pass(p32, x)
     assert y32.dtype == np.float32
     _close_in_float32(y32, y64)
-    gw64, gb64 = nn.param_grads(p64, c64, up)
-    gw32, gb32 = nn.param_grads(p32, c32, up)
-    assert all(g.dtype == np.float32 for g in gw32 + gb32)
-    for a, b in zip(gw32 + gb32, gw64 + gb64):
+    g64 = nn.param_grads(p64, c64, up)
+    g32 = nn.param_grads(p32, c32, up)
+    assert g32.dtype == np.float32
+    for a, b in zip(*(sum(nn.layer_views(sizes, g), []) for g in (g32, g64))):
         _close_in_float32(a, b)
     _close_in_float32(nn.input_grad(p32, c32, up), nn.input_grad(p64, c64, up))
     cols = slice(sizes[0] - 2, sizes[0])
@@ -347,14 +366,15 @@ def test_float32_passes_and_adam_step_track_float64(sizes, out_act):
     # one Adam step from the same float64 gradients: the step and the moments
     before64, before32 = p64.copy(), p32.copy()
     s64, s32 = nn.init_adam(p64), nn.init_adam(p32)
-    nn.adam_step(p64, gw64, gb64, s64, 1e-3)
-    nn.adam_step(p32, [g.astype(np.float32) for g in gw64],
-                 [g.astype(np.float32) for g in gb64], s32, 1e-3)
+    nn.adam_step(p64, g64, s64, 1e-3)
+    nn.adam_step(p32, g64.astype(np.float32), s32, 1e-3)
     for a1, a0, b1, b0 in zip(p32.weights + p32.biases, before32.weights + before32.biases,
                               p64.weights + p64.biases, before64.weights + before64.biases):
         assert a1.dtype == np.float32
         _close_in_float32(a1.astype(np.float64) - a0, b1 - b0)
-    for a, b in zip(s32.m_w + s32.m_b + s32.v_w + s32.v_b, s64.m_w + s64.m_b + s64.v_w + s64.v_b):
+    for a, b in zip(*(sum(nn.layer_views(sizes, m), []) for m in (s32.m, s64.m))):
+        _close_in_float32(a, b)
+    for a, b in zip(*(sum(nn.layer_views(sizes, v), []) for v in (s32.v, s64.v))):
         _close_in_float32(a, b)
 
 
@@ -372,9 +392,8 @@ def test_adam_first_step_is_signed_lr():
     p = nn.init_mlp((2, 3), "linear", rng)
     before = p.copy()
     state = nn.init_adam(p)
-    gw = [np.full_like(p.weights[0], 0.5)]
-    gb = [np.full_like(p.biases[0], -0.25)]
-    nn.adam_step(p, gw, gb, state, lr=1e-3)
+    grad = np.concatenate([np.full(6, 0.5), np.full(3, -0.25)])
+    nn.adam_step(p, grad, state, lr=1e-3)
     assert state.t == 1
     # bias-corrected first step: delta = -lr * g / (|g| + eps) ~ -lr * sign(g)
     assert np.allclose(p.weights[0] - before.weights[0], -1e-3, rtol=1e-4)
@@ -386,11 +405,13 @@ def test_adam_zero_gradient_and_zero_lr():
     p = nn.init_mlp((2, 3), "linear", rng)
     before = p.copy()
     state = nn.init_adam(p)
-    nn.adam_step(p, [np.zeros((2, 3))], [np.zeros(3)], state, lr=1e-3)
+    nn.adam_step(p, np.zeros(9), state, lr=1e-3)
     assert np.array_equal(p.weights[0], before.weights[0])
     assert state.t == 1
-    nn.adam_step(p, [np.ones((2, 3))], [np.ones(3)], state, lr=0.0)
+    nn.adam_step(p, np.ones(9), state, lr=0.0)
     assert np.array_equal(p.weights[0], before.weights[0])
+    with pytest.raises(ValueError, match="gradient shape"):
+        nn.adam_step(p, np.ones(6), state, lr=1e-3)
 
 
 def test_adam_descends_quadratic():
@@ -400,18 +421,22 @@ def test_adam_descends_quadratic():
     for _ in range(3000):
         w = p.weights[0][0, 0]
         b = p.biases[0][0]
-        nn.adam_step(p, [np.array([[2 * (w - 3.0)]])], [np.array([2 * (b + 1.0)])], state, 1e-2)
+        nn.adam_step(p, np.array([2 * (w - 3.0), 2 * (b + 1.0)]), state, 1e-2)
     assert abs(p.weights[0][0, 0] - 3.0) < 1e-3
     assert abs(p.biases[0][0] + 1.0) < 1e-3
 
 
-def _reference_adam(params, grads_w, grads_b, state, lr, beta1, beta2, eps):
-    """Reference: the Adam step written with one temporary per operation."""
-    state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
-    for p, g, m, v in zip(params.weights + params.biases, grads_w + grads_b,
-                          state.m_w + state.m_b, state.v_w + state.v_b):
+def _flat(grads_w, grads_b):
+    """Per-layer arrays as one flat gradient in checkpoint order."""
+    return np.concatenate([a.ravel() for w, b in zip(grads_w, grads_b) for a in (w, b)])
+
+
+def _reference_adam(arrays, grads, moments, t, lr, beta1, beta2, eps):
+    """Reference: the Adam step written with one temporary per operation,
+    array by array; moments holds one (m, v) pair per array."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, (m, v) in zip(arrays, grads, moments):
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -433,21 +458,105 @@ def _reference_adam(params, grads_w, grads_b, state, lr, beta1, beta2, eps):
 def test_adam_in_place_equals_reference(sizes, out_act, seed, steps, lr, beta1, beta2, eps):
     rng = np.random.default_rng(seed)
     p = nn.init_mlp(sizes, out_act, rng)
-    ref = p.copy()
-    state, ref_state = nn.init_adam(p), nn.init_adam(ref)
-    for _ in range(steps):
+    ref = [a.copy() for a in p.weights + p.biases]
+    ref_moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
+    state = nn.init_adam(p)
+    for t in range(1, steps + 1):
         # some exact zeros, some large values
         gw = [rng.normal(size=w.shape) * rng.choice([0.0, 1.0, 1e3], size=w.shape)
               for w in p.weights]
         gb = [rng.normal(size=b.shape) for b in p.biases]
-        snapshot = [g.copy() for g in gw + gb]
-        nn.adam_step(p, gw, gb, state, lr, beta1, beta2, eps)
-        _reference_adam(ref, gw, gb, ref_state, lr, beta1, beta2, eps)
-        assert _all_equal(gw + gb, snapshot)  # gradients are read, never written
-        assert state.t == ref_state.t
-        assert _all_equal(p.weights + p.biases, ref.weights + ref.biases)
-        assert _all_equal(state.m_w + state.m_b, ref_state.m_w + ref_state.m_b)
-        assert _all_equal(state.v_w + state.v_b, ref_state.v_w + ref_state.v_b)
+        grad = _flat(gw, gb)
+        snapshot = grad.copy()
+        nn.adam_step(p, grad, state, lr, beta1, beta2, eps)
+        _reference_adam(ref, gw + gb, ref_moments, t, lr, beta1, beta2, eps)
+        assert np.array_equal(grad, snapshot)  # the gradient is read, never written
+        assert state.t == t
+        assert _all_equal(p.weights + p.biases, ref)
+        for moment, k in ((state.m, 0), (state.v, 1)):
+            assert _all_equal(sum(nn.layer_views(p.layer_sizes, moment), []),
+                              [pair[k] for pair in ref_moments])
+
+
+def _per_array_adam(arrays, grads, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: the in-place Adam step array by array, each in the order
+    adam_step evaluates it, in two scratch arrays per array."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for p, g, (m, v) in zip(arrays, grads, moments):
+        s = np.multiply(g, 1.0 - beta1)
+        m *= beta1
+        m += s
+        np.multiply(g, 1.0 - beta2, out=s)
+        s *= g
+        v *= beta2
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        r = np.divide(v, bc2)
+        np.sqrt(r, out=r)
+        r += eps
+        s /= r
+        p -= s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=2, max_size=4),  # 1-3 layers
+    dtype=st.sampled_from([np.float64, np.float32]),
+    steps=st.integers(1, 5),
+    weight_decay=st.sampled_from([0.0, 1e-4, 0.1]),
+    batch=st.integers(1, 16),
+    seed=seeds,
+)
+def test_flat_buffer_steps_equal_per_array_steps(sizes, dtype, steps, weight_decay, batch, seed):
+    # a gradient formed in a longer buffer (as the trainer's), weight decay
+    # on the weights only (as update_critic), Adam, a soft target update and
+    # the checkpoint bytes, each against the same step written array by array
+    rng = np.random.default_rng(seed)
+    p = nn.init_mlp(sizes, "tanh", rng).astype(dtype)
+    target = nn.init_mlp(sizes, "tanh", rng).astype(dtype)
+    ref = [a.copy() for a in p.weights + p.biases]
+    ref_target = [a.copy() for a in target.weights + target.biases]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
+    state = nn.init_adam(p)
+    n = nn.param_count(sizes)
+    buf = np.full(n + 7, np.nan, dtype=dtype)
+    layers = len(sizes) - 1
+    for t in range(1, steps + 1):
+        x = rng.normal(size=(batch, sizes[0])).astype(dtype)
+        up = rng.normal(size=(batch, sizes[-1])).astype(dtype)
+        _, cache = nn.forward_pass(p, x)
+        grad = nn.param_grads(p, cache, up, buf)
+        assert grad.shape == (n,) and np.shares_memory(grad, buf) and np.isnan(buf[n:]).all()
+        _, gw_ref, gb_ref, _ = _one_walk_backward(p, x, up)  # p's arrays equal ref here
+        grads_w, grads_b = nn.layer_views(sizes, grad)
+        assert _all_equal(grads_w + grads_b, gw_ref + gb_ref)
+        if weight_decay > 0.0:
+            for g, w in zip(grads_w, p.weights):
+                g += 2.0 * weight_decay * w
+            for g, w in zip(gw_ref, ref[:layers]):
+                g += 2.0 * weight_decay * w
+        nn.adam_step(p, grad, state, 1e-3)
+        _per_array_adam(ref, gw_ref + gb_ref, moments, t, 1e-3)
+        assert _all_equal(p.weights + p.biases, ref)
+        for moment, k in ((state.m, 0), (state.v, 1)):
+            assert _all_equal(sum(nn.layer_views(sizes, moment), []), [m[k] for m in moments])
+        nn.soft_update(target, p, 0.005)
+        for tw, ow in zip(ref_target, ref):
+            tw *= 1.0 - 0.005
+            tw += 0.005 * ow
+        assert _all_equal(target.weights + target.biases, ref_target)
+    per_layer = b"".join(a.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+                         for w, b in zip(ref[:layers], ref[layers:]) for a in (w, b))
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/net.bin"
+        nn.save_params(path, p)
+        raw = open(path, "rb").read()
+        assert len(raw) == 16 + 4 * len(sizes) + len(per_layer)
+        assert raw[-len(per_layer):] == per_layer
+        q = nn.load_params(path)
+        assert np.array_equal(q.flat, p.flat) and _all_equal(q.weights + q.biases, ref)
 
 
 def _is_subnormal(a):
@@ -462,11 +571,11 @@ def _adam_subnormal_steps(steps):
     p = nn.init_mlp((4, 16), "linear", np.random.default_rng(15)).astype(np.float32)
     state = nn.init_adam(p)
     g = np.logspace(-30, 3, 64, dtype=np.float32).reshape(4, 16)
-    nn.adam_step(p, [g], [np.ones(16, np.float32)], state, 1e-3)
+    nn.adam_step(p, np.concatenate([g.ravel(), np.ones(16, np.float32)]), state, 1e-3)
     hits = 0
     for _ in range(steps):
-        nn.adam_step(p, [np.zeros_like(g)], [np.zeros(16, np.float32)], state, 1e-3)
-        hits += bool(_is_subnormal(state.m_w[0]).any() or _is_subnormal(state.m_b[0]).any())
+        nn.adam_step(p, np.zeros(80, np.float32), state, 1e-3)
+        hits += bool(_is_subnormal(state.m).any())
     return hits
 
 

@@ -186,13 +186,19 @@ def test_trajectory_below_speed_cap():
 
 
 def test_trajectory_renormalizes_overspeed():
-    world = init_world(small_cfg(1), [0])
-    for p in world.cfg.platforms[1:]:
+    cfg = small_cfg(1)
+    for p in cfg.platforms[1:]:
         p.max_speed_mps = 10.0
+    world = init_world(cfg, [0])
     start = world.positions[0, 1, :2].copy()
     cmds = np.array([[[30.0, 40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
     apply_trajectory(world, cmds, dt=0.15)
     assert np.allclose(world.positions[0, 1, :2] - start, [0.9, 1.2])
+    # the caps are read once, at init_world, like the other fleet constants
+    for p in cfg.platforms[1:]:
+        p.max_speed_mps = 1.0
+    apply_trajectory(world, cmds, dt=0.15)
+    assert np.allclose(world.positions[0, 1, :2] - start, [1.8, 2.4])
 
 
 def test_trajectory_zero_command_and_invariants():
