@@ -5,7 +5,9 @@ agent that picks a user each slot, and every untethered node additionally
 carries a trajectory agent that emits a velocity held for five slots.
 Critics are trained on the global state plus all same-group actions;
 actors act on local observations only, so execution never needs the
-global state.
+global state. Each group is an AgentGroup: its actors, critics, their
+targets and Adam moments are stacked buffers with one row per agent, and
+the update round steps agent by agent on row views of them.
 
 A scheduling actor is one per-UE scorer shared across its observed UEs
 (permutation-equivariant, as in Deep Sets): it maps each UE's features and
@@ -135,7 +137,7 @@ def local_observation(world: WorldState, cells: np.ndarray, norm: ObsNorm) -> np
     then per observed UE (the rank-ordered ids of its row of `cells`, see
     mac.observed_ues) the UE's relative position, backlog, and head-of-line
     age; padded ranks stay zero. Every entry lands in [-1, 1]."""
-    wh = (world.cfg.area_w_m, world.cfg.area_h_m)
+    wh = world.area_max
     xy = world.positions[..., :2]
     observed = cells >= 0
     w, row, _ = np.nonzero(observed)
@@ -152,7 +154,7 @@ def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarr
     each node's scheduler observation (rows 1-4 of sched_obs) and then the
     donor's position relative to the node, normalized like the UE offsets."""
     xy = world.positions[..., :2]
-    donor_offset = (xy[..., :1, :] - xy[..., 1:, :]) / (world.cfg.area_w_m, world.cfg.area_h_m)
+    donor_offset = (xy[..., :1, :] - xy[..., 1:, :]) / world.area_max
     return np.concatenate((sched_obs[..., 1:, :], donor_offset), axis=-1, dtype=sched_obs.dtype)
 
 
@@ -184,13 +186,11 @@ def select_action(
     actor: MlpParams, obs: np.ndarray, noise_std: float, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Velocity commands: each actor's deterministic output on its own
-    observation plus Gaussian exploration noise, clipped to [-1, 1].
-
-    `actor` is a group (nn.stack of A actors) with obs (..., A, 4 + 4k), e.g.
-    lockstep worlds x nodes. The noise is one draw of the commands' shape
-    from rng. Every observation is a one-row forward of its own actor, so
-    each command equals that actor's forward alone bit for bit (see
-    nn.stack)."""
+    observation plus Gaussian exploration noise (one draw of the commands'
+    shape from rng), clipped to [-1, 1]. `actor` is a group (nn.stack of A
+    actors) with obs (..., A, 4 + 4k), e.g. lockstep worlds x nodes. Every
+    observation is a one-row forward of its own actor, so each command
+    equals that actor's forward alone bit for bit (see nn.stack)."""
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     if noise_std > 0.0 and rng is None:
@@ -359,11 +359,13 @@ def critic_input(state: np.ndarray, actions: np.ndarray) -> np.ndarray:
     return np.concatenate([state, actions.reshape(actions.shape[0], -1)], axis=1)
 
 
-def target_actions(actors: list[MlpParams], next_obs: np.ndarray) -> np.ndarray:
-    """(batch, n_agents, act_dim) actions of the target actors on next observations."""
-    return np.stack(
-        [nn.mlp_forward(a, next_obs[:, i, :]) for i, a in enumerate(actors)], axis=1
-    )
+def target_actions(actors: MlpParams, batch: dict) -> np.ndarray:
+    """(batch, n_agents, act_dim) actions of a group of target actors
+    (nn.stack) on the batch's next observations, in one stacked forward:
+    actor i reads agent i's column. Every slab has the batch's rows, so each
+    agent's actions equal its actor's forward alone bit for bit (see
+    nn.stack)."""
+    return nn.mlp_forward(actors, batch["next_obs"].swapaxes(0, 1)).swapaxes(0, 1)
 
 
 def critic_targets(
@@ -388,12 +390,7 @@ def update_critic(
 ) -> float:
     """One Adam step on the mean squared TD error (plus L2 on the weights)
     of the critic on its input rows x (see critic_input); returns the TD loss.
-    The gradient is formed in out (see nn.param_grads).
-
-    The decay matters for the high-dimensional critics: with a few thousand
-    buffered transitions and a hundred-plus state dims, an unregularized net
-    soaks up chance state-reward correlations, and its action gradient (which
-    steers the actors) inherits them."""
+    The gradient is formed in out (see nn.param_grads)."""
     b = x.shape[0]
     q, cache = nn.forward_pass(critic, x)
     err = q[:, 0] - targets
@@ -406,47 +403,42 @@ def update_critic(
     return float(np.mean(err * err))
 
 
-def update_actor(
-    agent_index: int,
-    actor: MlpParams,
-    adam: nn.AdamState,
-    critic: MlpParams,
-    batch: dict,
-    x: np.ndarray,
-    lr: float = ACTOR_LR,
-    action_reg: float = ACTION_REG,
-    out: np.ndarray | None = None,
-) -> None:
+def action_grad(critic: MlpParams, batch: dict, x: np.ndarray, agent_index: int, a: np.ndarray):
+    """(b, act_dim) gradient of -mean(Q) w.r.t. this agent's action columns
+    of the critic input x (see critic_input), with those columns replaced by
+    a; formed for those columns only, and x is left unchanged."""
+    b, act_dim = a.shape
+    start = batch["state"].shape[1] + agent_index * act_dim
+    cols = slice(start, start + act_dim)
+    x_i = x.copy()
+    x_i[:, cols] = a
+    _, cache = nn.forward_pass(critic, x_i)
+    return nn.input_grad(critic, cache, np.full((b, 1), -1.0 / b), cols)
+
+
+def update_actor(agent_index: int, actor: MlpParams, adam: nn.AdamState, critic: MlpParams,
+                 batch: dict, x: np.ndarray, lr: float = ACTOR_LR, action_reg: float = ACTION_REG,
+                 out: np.ndarray | None = None) -> None:
     """One Adam ascent step on mean Q with this agent's action replayed
     through its actor; the gradient reaches the actor via the critic's
-    input gradient on the action columns, formed for those columns only,
-    and the actor's gradient is formed in out (see nn.param_grads).
-    x is the critic input of the batch's own actions (see critic_input); it
-    is left unchanged.
+    input gradient on the action columns (see action_grad), and the actor's
+    gradient is formed in out (see nn.param_grads).
 
     action_reg penalizes the mean squared action, a pull toward hover. It
     acts on the post-tanh action a, so its gradient 2 * action_reg * a *
     (1 - a^2) vanishes on the rails as well: it cannot pull a saturated
     output back."""
-    b, _, act_dim = batch["actions"].shape
     a_i, actor_cache = nn.forward_pass(actor, batch["obs"][:, agent_index, :])
-    start = batch["state"].shape[1] + agent_index * act_dim
-    cols = slice(start, start + act_dim)
-    x_i = x.copy()
-    x_i[:, cols] = a_i
-    _, critic_cache = nn.forward_pass(critic, x_i)
-    upstream = np.full((b, 1), -1.0 / b)  # minimize -mean(Q)
-    da_i = nn.input_grad(critic, critic_cache, upstream, cols) + (2.0 * action_reg / b) * a_i
+    da_i = action_grad(critic, batch, x, agent_index, a_i) + (2.0 * action_reg / len(a_i)) * a_i
     nn.adam_step(actor, nn.param_grads(actor, actor_cache, da_i, out), adam, lr)
 
 
-def target_ranks(
-    scorers: MlpParams, next_obs: np.ndarray, next_n_obs: np.ndarray
-) -> np.ndarray:
+def target_ranks(scorers: MlpParams, batch: dict) -> np.ndarray:
     """(batch, n_agents, k) one-hot argmax ranks of a group of target
-    scorers (nn.stack) on next observations; an empty cell keeps its
-    all-zero action."""
-    logits, _, valid = rank_logits(scorers, next_obs, next_n_obs)
+    scorers (nn.stack) on the batch's next observations; an empty cell keeps
+    its all-zero action."""
+    next_obs = batch["next_obs"]
+    logits, _, valid = rank_logits(scorers, next_obs, batch["next_n_obs"])
     agent, row = np.nonzero(valid[..., 0])
     out = np.zeros(next_obs.shape[:2] + logits.shape[-1:], dtype=next_obs.dtype)
     out[row, agent, logits.argmax(axis=-1)[agent, row]] = 1.0
@@ -471,39 +463,35 @@ def relaxed_ranks(scorers: MlpParams, batch: dict, rng: np.random.Generator):
     return y, cache
 
 
-def update_scorer(
-    agent_index: int,
-    scorer: MlpParams,
-    adam: nn.AdamState,
-    critic: MlpParams,
-    batch: dict,
-    x: np.ndarray,
-    relaxed: np.ndarray,
-    cache,
-    lr: float = SCORER_LR,
-    out: np.ndarray | None = None,
-) -> None:
+def update_scorer(agent_index: int, scorer: MlpParams, adam: nn.AdamState, critic: MlpParams,
+                  batch: dict, x: np.ndarray, relaxed: np.ndarray, cache, lr: float = SCORER_LR,
+                  out: np.ndarray | None = None) -> None:
     """One Adam ascent step on mean Q with this scheduler's rank replaced by
     its Gumbel-Softmax sample: relaxed and cache are the group's samples and
     stacked scorer cache (see relaxed_ranks), of which the step reads the
     agent's slab. The sample enters the critic on the agent's action
-    columns, and the critic's input gradient flows back through the softmax
-    into the scorer, whose gradient is formed in out (see nn.param_grads).
-    Padded ranks have probability zero and so get no gradient; a batch row
-    of an empty cell contributes nothing.
-    x is the critic input of the batch's own actions (see critic_input);
-    it is left unchanged."""
-    b, _, k = batch["actions"].shape
+    columns, and the critic's input gradient (see action_grad) flows back
+    through the softmax into the scorer, whose gradient is formed in out
+    (see nn.param_grads). Padded ranks have probability zero and so get no
+    gradient; a batch row of an empty cell contributes nothing."""
     y = relaxed[agent_index]
-    start = batch["state"].shape[1] + agent_index * k
-    cols = slice(start, start + k)
-    x_i = x.copy()
-    x_i[:, cols] = y
-    _, critic_cache = nn.forward_pass(critic, x_i)
-    gy = nn.input_grad(critic, critic_cache, np.full((b, 1), -1.0 / b), cols)
+    b, k = y.shape
+    gy = action_grad(critic, batch, x, agent_index, y)
     dz = y * (gy - (y * gy).sum(axis=1, keepdims=True))
     grad = nn.param_grads(scorer, [a[agent_index] for a in cache], dz.reshape(b * k, 1), out)
     nn.adam_step(scorer, grad, adam, lr)
+
+
+def scorer_steps(group: AgentGroup, batch: dict, rng: np.random.Generator):
+    """update_scorer on the group's Gumbel-Softmax samples of a round's
+    batch, drawn once, before the group's first step (see relaxed_ranks)."""
+    relaxed, cache = relaxed_ranks(group.actor, batch, rng)
+    return functools.partial(update_scorer, relaxed=relaxed, cache=cache, lr=group.actor_lr)
+
+
+def velocity_steps(group: AgentGroup, batch: dict, rng: np.random.Generator):
+    """update_actor, the DDPG step, at the group's rate; it draws nothing."""
+    return functools.partial(update_actor, lr=group.actor_lr)
 
 
 @dataclass
@@ -534,8 +522,8 @@ class EpisodeResult:
 def run_worlds(
     env: EnvSpec,
     method: str,
-    sched_actors: list[MlpParams] | None,
-    traj_actors: list[MlpParams] | None,
+    sched_actors: MlpParams | None,
+    traj_actors: MlpParams | None,
     world_seeds: list,
     slots: int,
     mode: str = "eval",
@@ -548,43 +536,37 @@ def run_worlds(
     record_actions: bool = False,
 ) -> list[EpisodeResult]:
     """The rollout of the lockstep worlds of `world_seeds` (see init_world),
-    with one EpisodeResult per world; a rollout of one world is a lockstep
-    of one. Scheduling agents act every slot; trajectory agents emit a
-    velocity at slots that are multiples of 5, held until the next command.
+    one EpisodeResult per world; a rollout of one world is a lockstep of
+    one. sched_actors and traj_actors are the groups' stacked actors (see
+    AgentGroup), None where the method has no such group. Scheduler i serves
+    fleet row i every slot; under tts-maddpg velocity agent i moves the node
+    in row i + 1 by a command at every fifth slot, held until the next.
 
-    The worlds share one slot loop. Association, cell ranking,
-    observations and their cast to the actors' dtype, cohort expiry and
-    push, and the UE and node moves run once per slot over the world axis.
-    Each agent group's actors are stacked once per call (nn.stack), and one
+    The worlds share one slot loop. Association, cell ranking, observations
+    and their cast to the actors' dtype, cohort expiry and push, and the UE
+    and node moves run once per slot over the world axis, and one
     select_rank call per slot and one select_action call per macro-step act
-    for every world and platform of the group; their forwards are
-    bit-identical to each actor's forward alone. Each world draws from its
-    own generator in the order of a rollout of that world alone, and keeps
-    its own access links and backhaul cache (see mac.step_slot). So each
-    world's result is that of its own rollout, bit for bit.
+    for every world and platform of a group, bit-identical to each actor's
+    forward alone. Each world draws from its own generator in the order of
+    its rollout alone, and keeps its own access links and backhaul cache
+    (see mac.step_slot), so each world's result is that of its own rollout,
+    bit for bit.
 
-    In train mode, schedulers sample their rank by Gumbel-max and velocity
-    actors add Gaussian noise, both drawn from noise_rng, and transitions
-    are pushed into the group buffers: one per slot for the scheduler group,
-    one per 5-slot macro-step (with summed reward) for the trajectory group.
-    Each is pushed as soon as it is complete, at the end of its slot or macro
-    step, and the episode's last one is done. A transition's successor is
-    the next row of its ring (see ReplayBuffer), so no snapshot is built
-    after the final slot: a done row's target never reads its successor.
-    Train mode steps one world only, since a ring holds one time-ordered
-    stream. Velocity exploration adds an episode-constant drift vector on
-    top of the per-step Gaussian: white noise at the macro-step scale
-    cancels itself and displaces a node only a few meters per episode, so
-    sustained-movement payoffs would never appear in the replay data. With
-    traj_explore_only the velocity commands are the drift alone (actors
-    ignored for this episode), which keeps near-hover contrast data in the
-    buffer after the policy has committed to a direction. Eval mode stores
-    nothing, and schedulers take their argmax rank. Action selection reads
-    only local observations; the global state is built only for the replay
-    buffers, so only learners' train rollouts build it.
-
-    Scheduler i serves fleet row i and, under tts-maddpg, velocity agent i
-    moves the node in row i + 1.
+    Train mode steps one world, since a replay ring holds one time-ordered
+    stream. Schedulers sample their rank by Gumbel-max and velocity actors
+    add Gaussian noise, both drawn from noise_rng. Each transition is pushed
+    as soon as it is complete: one per slot into sched_buffer, one per
+    macro-step, with its summed reward, into traj_buffer; the episode's last
+    is done. A successor is the next row of its ring (see ReplayBuffer), so
+    no snapshot is built after the final slot. Velocity exploration adds an
+    episode-constant drift, one bearing per node (see TRAJ_DRIFT_STD): white
+    noise at the macro-step scale cancels itself, and a sign-alternating
+    bearing nulls the bearing-reward correlation the value fit reads. With
+    traj_explore_only the commands are the drift alone, which keeps
+    near-hover contrast data in the ring after the policy has committed to a
+    direction. Eval mode stores nothing, and schedulers take their argmax
+    rank. Actions read only local observations; the global state is built
+    only for the rings, in train rollouts of a learner.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -600,15 +582,9 @@ def run_worlds(
     dt = env.scenario.slot_seconds
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
-    sched_group = nn.stack(sched_actors) if learn else None
-    traj_group = nn.stack(traj_actors) if n_nodes else None
 
     results = [EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
                for _ in range(n_worlds)]
-    # One exploration bearing per episode, held for the whole episode so the
-    # node's displacement accumulates along it. The episode-level correlation
-    # between the bearing and the rewards it earns is the channel the value
-    # fit actually reads; a sign-alternating bearing was tried and nulls it.
     traj_drift = np.zeros((n_nodes, 2))
     if train and n_nodes and traj_drift_std > 0.0:
         traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
@@ -620,7 +596,7 @@ def run_worlds(
         if learn:
             cells = mac.observed_ues(world, association, env.k_obs)
             state = global_state(world, norm) if train else None
-            sched_obs = local_observation(world, cells, norm).astype(sched_group.dtype, copy=False)
+            sched_obs = local_observation(world, cells, norm).astype(sched_actors.dtype, copy=False)
             sched_n = (cells >= 0).sum(axis=-1)
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
@@ -628,7 +604,7 @@ def run_worlds(
             if train and traj_explore_only:
                 traj_acts = np.zeros((n_worlds, n_nodes, 2))
             else:
-                traj_acts = select_action(traj_group, traj_obs, noise_std if train else 0.0,
+                traj_acts = select_action(traj_actors, traj_obs, noise_std if train else 0.0,
                                           noise_rng)
             if train:
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
@@ -638,7 +614,7 @@ def run_worlds(
                     res.traj_action_log.append(acts.copy())
 
         if learn:
-            sched_acts = select_rank(sched_group, sched_obs, sched_n, noise_rng if train else None)
+            sched_acts = select_rank(sched_actors, sched_obs, sched_n, noise_rng if train else None)
             choices = [mac.decode_schedule(acts, c) for acts, c in zip(sched_acts, cells)]
             if record_actions:
                 for acts, res in zip(sched_acts, results):
@@ -754,8 +730,14 @@ class TrainConfig:
         }
 
 
+GROUP_NETS = ("actor", "actor_target", "critic", "critic_target")  # one checkpoint file each
+
+
 @dataclass
 class AgentNets:
+    """One agent's view of its group: row i of each of the group's stacked
+    nets and Adam moments. It owns no storage."""
+
     name: str  # checkpoint file prefix: sched{platform id} or traj{platform id}
     actor: MlpParams
     actor_target: MlpParams
@@ -763,6 +745,47 @@ class AgentNets:
     critic_target: MlpParams
     actor_adam: nn.AdamState
     critic_adam: nn.AdamState
+
+
+class AgentGroup:
+    """Agents that share a replay ring, a team reward and an update rule.
+    Each of the GROUP_NETS is a stack (see nn.stack) whose row i is agent
+    i's net, and the actors' and critics' Adam moments are (2, agents,
+    param_count) buffers, m then v. agents[i] views row i of each (see
+    AgentNets): a row of a C-order buffer is contiguous, so a step on it
+    makes the same BLAS calls and bytes as on a net of its own. Copies and
+    pickles rebuild the views over the copied buffers. The group also holds
+    what its update round reads: the ring, the discount of one transition,
+    the critics' weight decay, the actors' rate, the target-action function,
+    the actor-step function (returning a per-agent step with the signature
+    of update_actor), and whether the actors step this round."""
+
+    def __init__(self, names, nets, ring: ReplayBuffer, gamma: float, critic_weight_decay: float,
+                 actor_lr: float, next_actions, actor_steps):
+        actors, critics = zip(*nets)
+        self.actor, self.critic = nn.stack(actors), nn.stack(critics)
+        self.actor_target, self.critic_target = self.actor.copy(), self.critic.copy()
+        self.actor_moments = np.zeros((2,) + self.actor.flat.shape, self.actor.dtype)
+        self.critic_moments = np.zeros((2,) + self.critic.flat.shape, self.critic.dtype)
+        self.ring, self.gamma, self.critic_weight_decay = ring, gamma, critic_weight_decay
+        self.actor_lr, self.next_actions, self.actor_steps = actor_lr, next_actions, actor_steps
+        self.steps_actors = True
+        self.agents = [self._view(i, name) for i, name in enumerate(names)]
+
+    def _view(self, i: int, name: str, actor_t: int = 0, critic_t: int = 0) -> AgentNets:
+        nets = (getattr(self, net) for net in GROUP_NETS)
+        return AgentNets(name, *(MlpParams(n.layer_sizes, n.flat[i], n.out_act) for n in nets),
+                         nn.AdamState(actor_t, *self.actor_moments[:, i]),
+                         nn.AdamState(critic_t, *self.critic_moments[:, i]))
+
+    def __getstate__(self):
+        state = dict(vars(self))
+        state["agents"] = [(a.name, a.actor_adam.t, a.critic_adam.t) for a in self.agents]
+        return state
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.agents = [self._view(i, *agent) for i, agent in enumerate(state["agents"])]
 
 
 class Trainer:
@@ -785,10 +808,8 @@ class Trainer:
         platforms, k = env.scenario.platforms, env.k_obs
         self.state_dim = global_state_dim(len(platforms), env.scenario.n_ues)
         self.rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-        self.sched_agents: list[AgentNets] = []
-        self.traj_agents: list[AgentNets] = []
-        self.sched_buffer = None
-        self.traj_buffer = None
+        self.sched = self.traj = None  # the agent groups (see AgentGroup); None where absent
+        self.sched_buffer = self.traj_buffer = None
         self.update_rounds = 0
         self.grad = None  # the flat gradient of every step; sized to the largest net
         self.drift_decay_from: int | None = None  # first episode with actors unlocked
@@ -799,60 +820,53 @@ class Trainer:
         # Scheduler i serves fleet row i: it observes its own position and k
         # UE rows and acts with a one-hot over the k ranks. Velocity agent i
         # moves the node in row i + 1: it also sees the donor and acts with a
-        # 2-D velocity in [-1, 1]^2. Nets draw from init_rng in that order.
+        # 2-D velocity in [-1, 1]^2. A critic reads the global state and the
+        # actions of every agent in its group. Nets draw from init_rng agent
+        # by agent, actor then critic, in float64, and are cast to NET_DTYPE.
         init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        for p in platforms:
-            scorer = nn.init_mlp((SCORER_IN, SCORER_WIDTH, 1), "linear", init_rng)
-            self.sched_agents.append(self._make_agent(
-                f"sched{p.id}", scorer, len(platforms) * k, HIDDEN_WIDTH, init_rng))
-        nodes = platforms[1:] if cfg.method == "tts-maddpg" else []
-        h = TRAJ_HIDDEN_WIDTH
-        for p in nodes:
-            actor = nn.init_mlp((4 + UE_FEATURES * k, h, h, 2), "tanh", init_rng)
-            self.traj_agents.append(
-                self._make_agent(f"traj{p.id}", actor, len(nodes) * 2, h, init_rng))
 
-        nets = [n for ag in self.sched_agents + self.traj_agents for n in (ag.actor, ag.critic)]
-        self.grad = np.empty(max(n.flat.size for n in nets), dtype=NET_DTYPE)
+        def nets(actor_sizes, out_act: str, group_action_dim: int, h: int):
+            actor = nn.init_mlp(actor_sizes, out_act, init_rng).astype(NET_DTYPE)
+            critic = nn.init_mlp((self.state_dim + group_action_dim, h, h, 1), "linear", init_rng)
+            return actor, critic.astype(NET_DTYPE)
+
         rows = cfg.ring_rows()
         self.sched_buffer = ReplayBuffer(rows["sched"], self.state_dim, len(platforms),
                                          2 + UE_FEATURES * k, k)
+        self.sched = AgentGroup(
+            [f"sched{p.id}" for p in platforms],
+            [nets((SCORER_IN, SCORER_WIDTH, 1), "linear", len(platforms) * k, HIDDEN_WIDTH)
+             for _ in platforms],
+            self.sched_buffer, GAMMA, 0.0, SCORER_LR, target_ranks, scorer_steps)
+        nodes = platforms[1:] if cfg.method == "tts-maddpg" else []
         if nodes:
-            per_ep = cfg.macro_steps()
+            h = TRAJ_HIDDEN_WIDTH
             self.traj_buffer = ReplayBuffer(rows["traj"], self.state_dim, len(nodes),
                                             4 + UE_FEATURES * k, 2)
+            self.traj = AgentGroup(
+                [f"traj{p.id}" for p in nodes],
+                [nets((4 + UE_FEATURES * k, h, h, 2), "tanh", len(nodes) * 2, h) for _ in nodes],
+                self.traj_buffer, GAMMA ** TRAJECTORY_PERIOD, TRAJ_CRITIC_WEIGHT_DECAY, ACTOR_LR,
+                target_actions, velocity_steps)
             # Drift episodes older than one ring length at the unlock are
             # evicted before the velocity actors ever read the critics, so
             # they carry zero exploration value and only perturb the geometry
             # the link schedulers train on. Derived, not configured: warmup
             # and update cadence fix the unlock episode, the ring capacity
             # fixes the lookback.
+            per_ep = cfg.macro_steps()
             fill_per_ep = cfg.slots_per_episode + per_ep
             rounds_per_ep = max(cfg.slots_per_episode // SLOTS_PER_UPDATE, 1)
-            unlock_ep = (
-                cfg.warmup_transitions / fill_per_ep
-                + cfg.traj_actor_delay / rounds_per_ep
-            )
+            unlock_ep = cfg.warmup_transitions / fill_per_ep + cfg.traj_actor_delay / rounds_per_ep
             ring_eps = self.traj_buffer.capacity // per_ep
             self.drift_start_ep = max(0, int(unlock_ep) - ring_eps)
+        self.grad = np.empty(max(n.flat.shape[1] for g in self.groups for n in (g.actor, g.critic)),
+                             dtype=NET_DTYPE)
 
-    def _make_agent(self, name: str, actor: MlpParams, group_action_dim: int, h: int,
-                    rng) -> AgentNets:
-        """The agent around `actor`; its critic reads the global state and the
-        actions of every agent in its group. Both nets are drawn in float64
-        and cast to NET_DTYPE."""
-        actor = actor.astype(NET_DTYPE)
-        critic = nn.init_mlp((self.state_dim + group_action_dim, h, h, 1), "linear", rng)
-        critic = critic.astype(NET_DTYPE)
-        return AgentNets(
-            name=name,
-            actor=actor,
-            actor_target=actor.copy(),
-            critic=critic,
-            critic_target=critic.copy(),
-            actor_adam=nn.init_adam(actor),
-            critic_adam=nn.init_adam(critic),
-        )
+    # the groups the method has, schedulers first, and their per-agent views
+    groups = property(lambda self: [g for g in (self.sched, self.traj) if g])
+    sched_agents = property(lambda self: self.sched.agents if self.sched else [])
+    traj_agents = property(lambda self: self.traj.agents if self.traj else [])
 
     def train_world_seed(self, episode: int) -> np.random.SeedSequence:
         return np.random.SeedSequence([self.cfg.seed, 2, episode])
@@ -860,17 +874,15 @@ class Trainer:
     def eval_world_seed(self, j: int) -> np.random.SeedSequence:
         return np.random.SeedSequence([self.cfg.seed, 3, j])
 
-    def _buffer_fill(self) -> int:
-        n = len(self.sched_buffer) if self.sched_buffer else 0
-        if self.traj_buffer is not None:
-            n += len(self.traj_buffer)
-        return n
+    def _actors(self) -> list[MlpParams | None]:
+        """The groups' stacked actors as run_worlds takes them."""
+        return [g.actor if g else None for g in (self.sched, self.traj)]
 
     def drift_std(self, episode: int) -> float:
         """Zero before the unlock ring's lookback begins, full-scale while the
         velocity actors are held, then linear decay to the floor by the final
         episode, counted from the unlock episode that rollout records."""
-        if not self.traj_agents:
+        if self.traj is None:
             return 0.0
         if self.drift_decay_from is None:
             return TRAJ_DRIFT_STD if episode >= self.drift_start_ep else 0.0
@@ -909,26 +921,24 @@ class Trainer:
     def rollout(self, episode: int) -> tuple[EpisodeResult, float]:
         """One training-mode episode on the per-episode derived world seed."""
         cfg = self.cfg
-        learn = cfg.method != "rr"
-        if (self.traj_agents and self.drift_decay_from is None
+        if (self.traj and self.drift_decay_from is None
                 and self.update_rounds >= cfg.traj_actor_delay):
             self.drift_decay_from = episode
-        std = noise_schedule(episode, cfg.episodes) if self.traj_agents else 0.0
+        std = noise_schedule(episode, cfg.episodes) if self.traj else 0.0
         drift = self.drift_std(episode)
         # Until the velocity actors take their first step they fly pure
         # drift: the replay ring then holds a controlled-displacement design
         # with no mixed-in policy output or action noise, which is the
         # cleanest regression target the critics can get.
-        held = self.drift_decay_from is None and bool(self.traj_agents)
+        held = self.drift_decay_from is None and self.traj is not None
         anchor = held or self.anchor_episode(episode)
         result = run_episode(
             self.env,
             cfg.method,
-            [a.actor for a in self.sched_agents] or None,
-            [a.actor for a in self.traj_agents] or None,
+            *self._actors(),
             self.train_world_seed(episode),
             cfg.slots_per_episode,
-            mode="train" if learn else "eval",
+            mode="train" if self.groups else "eval",
             noise_std=std,
             traj_drift_std=drift,
             traj_explore_only=anchor,
@@ -939,59 +949,43 @@ class Trainer:
         return result, std
 
     def update_round(self) -> None:
-        """One batch per group, then a critic and an actor step for every
-        agent against that batch, then soft target updates, all with float32
-        subnormals flushed to zero (nn.flush_subnormals). The schedulers'
-        Gumbel-Softmax samples are drawn for the whole group before its
-        first step (see relaxed_ranks); every gradient is formed in the
-        trainer's one buffer. A no-op once the update budget is spent."""
+        """One loop over the groups, with subnormals flushed to zero
+        (nn.flush_subnormals): a batch, then a critic step and an actor step
+        agent by agent on the row views, every gradient formed in the
+        trainer's one buffer; a group whose ring holds less than a batch
+        skips this. Then one soft update per group and net role over the
+        stacks. The velocity actors step only while traj_actors_stepping
+        holds. A no-op once the update budget is spent."""
         cfg = self.cfg
         if 0 < cfg.update_rounds_budget <= self.update_rounds:
             return
         with nn.flush_subnormals():
-            # Schedulers: Gumbel-Softmax steps on their scorers, greedy target
-            # ranks. Velocity actors: DDPG steps with an L2 pull toward hover, a
-            # sane prior for a node; they wait out traj_actor_delay rounds while
-            # their critics converge, then step only within traj_actor_window
-            # rounds.
-            groups = [(self.sched_agents, self.sched_buffer, GAMMA, 0.0)]
-            if self.traj_agents:
-                groups.append((self.traj_agents, self.traj_buffer, GAMMA ** TRAJECTORY_PERIOD,
-                               TRAJ_CRITIC_WEIGHT_DECAY))
-            step_traj = self.traj_actors_stepping()
-            for agents, buffer, gamma, wd in groups:
-                if buffer.size < cfg.batch_size:
+            if self.traj:
+                self.traj.steps_actors = self.traj_actors_stepping()
+            for g in self.groups:
+                if g.ring.size < cfg.batch_size:
                     continue
-                sched = agents is self.sched_agents
-                batch = buffer.sample(self.rng, cfg.batch_size)
+                batch = g.ring.sample(self.rng, cfg.batch_size)
                 x = critic_input(batch["state"], batch["actions"])
-                targets = [a.actor_target for a in agents]
-                next_a = (target_ranks(nn.stack(targets), batch["next_obs"], batch["next_n_obs"])
-                          if sched else target_actions(targets, batch["next_obs"]))
-                next_x = critic_input(batch["next_state"], next_a)
-                discount = gamma * (1.0 - batch["done"])
-                if sched:
-                    relaxed, cache = relaxed_ranks(nn.stack([a.actor for a in agents]), batch,
-                                                   self.rng)
-                for i, ag in enumerate(agents):
+                next_x = critic_input(batch["next_state"], g.next_actions(g.actor_target, batch))
+                discount = g.gamma * (1.0 - batch["done"])
+                actor_step = g.actor_steps(g, batch, self.rng) if g.steps_actors else None
+                for i, ag in enumerate(g.agents):
                     y = critic_targets(batch, ag.critic_target, discount, next_x)
-                    update_critic(ag.critic, ag.critic_adam, x, y, weight_decay=wd, out=self.grad)
-                    if sched:
-                        update_scorer(i, ag.actor, ag.actor_adam, ag.critic, batch, x, relaxed,
-                                      cache, out=self.grad)
-                    elif step_traj:
-                        update_actor(i, ag.actor, ag.actor_adam, ag.critic, batch, x,
-                                     out=self.grad)
-            for ag in self.sched_agents + self.traj_agents:
-                nn.soft_update(ag.actor_target, ag.actor, TAU)
-                nn.soft_update(ag.critic_target, ag.critic, TAU)
+                    update_critic(ag.critic, ag.critic_adam, x, y,
+                                  weight_decay=g.critic_weight_decay, out=self.grad)
+                    if actor_step:
+                        actor_step(i, ag.actor, ag.actor_adam, ag.critic, batch, x, out=self.grad)
+            for g in self.groups:
+                nn.soft_update(g.actor_target, g.actor, TAU)
+                nn.soft_update(g.critic_target, g.critic, TAU)
         self.update_rounds += 1
 
     def train_episode(self, episode: int) -> tuple[EpisodeResult, float]:
         """Rollout plus the episode's update rounds (one per SLOTS_PER_UPDATE
         environment slots, gated on total buffered transitions)."""
         result, std = self.rollout(episode)
-        if self.cfg.method != "rr" and self._buffer_fill() >= self.cfg.warmup_transitions:
+        if self.groups and sum(len(g.ring) for g in self.groups) >= self.cfg.warmup_transitions:
             for _ in range(self.cfg.slots_per_episode // SLOTS_PER_UPDATE):
                 self.update_round()
         return result, std
@@ -1002,35 +996,36 @@ class Trainer:
         return run_worlds(
             self.env,
             self.cfg.method,
-            [a.actor for a in self.sched_agents] or None,
-            [a.actor for a in self.traj_agents] or None,
+            *self._actors(),
             [self.eval_world_seed(j) for j in range(self.cfg.eval_episodes)],
             self.cfg.slots_per_episode,
             mode="eval",
         )
 
-    CHECKPOINT_NETS = ("actor", "actor_target", "critic", "critic_target")
+    def _checkpoint_files(self, out_dir) -> list[tuple[Path, MlpParams]]:
+        """(file, net) of every agent and net of GROUP_NETS, the net being
+        the agent's row view."""
+        return [(Path(out_dir) / f"{ag.name}_{net}.bin", getattr(ag, net))
+                for ag in self.sched_agents + self.traj_agents for net in GROUP_NETS]
 
     def save_checkpoints(self, out_dir) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for ag in self.sched_agents + self.traj_agents:
-            for net in self.CHECKPOINT_NETS:
-                nn.save_params(out / f"{ag.name}_{net}.bin", getattr(ag, net))
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for path, net in self._checkpoint_files(out_dir):
+            nn.save_params(path, net)
 
     def load_checkpoints(self, out_dir) -> None:
-        """Read every net back; a float64 (version 1) file is cast to NET_DTYPE.
+        """Read every file first, then write each into its agent's row of
+        the group buffer in place, so every holder of a group's stacks reads
+        the loaded weights; a float64 (version 1) file is cast to NET_DTYPE.
         A file whose layer sizes or output activation differ from the net it
-        would replace raises ValueError naming it, and no net is replaced."""
-        out, loaded = Path(out_dir), []
-        for ag in self.sched_agents + self.traj_agents:
-            for net in self.CHECKPOINT_NETS:
-                path, own = out / f"{ag.name}_{net}.bin", getattr(ag, net)
-                params = nn.load_params(path)
-                if (params.layer_sizes, params.out_act) != (own.layer_sizes, own.out_act):
-                    raise ValueError(f"{path}: a {params.out_act} net of layer sizes "
-                                     f"{params.layer_sizes} does not fit this trainer's "
-                                     f"{own.out_act} net of layer sizes {own.layer_sizes}")
-                loaded.append((ag, net, params.astype(NET_DTYPE)))
-        for ag, net, params in loaded:
-            setattr(ag, net, params)
+        would overwrite raises ValueError naming it, and no row is written."""
+        loaded = []
+        for path, own in self._checkpoint_files(out_dir):
+            params = nn.load_params(path)
+            if (params.layer_sizes, params.out_act) != (own.layer_sizes, own.out_act):
+                raise ValueError(f"{path}: a {params.out_act} net of layer sizes "
+                                 f"{params.layer_sizes} does not fit this trainer's "
+                                 f"{own.out_act} net of layer sizes {own.layer_sizes}")
+            loaded.append((own.flat, params.flat))
+        for row, flat in loaded:
+            row[...] = flat

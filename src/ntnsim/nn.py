@@ -378,13 +378,17 @@ def adam_step(
 
 
 def soft_update(target: MlpParams, online: MlpParams, tau: float) -> MlpParams:
-    """target <- (1-tau)*target + tau*online, elementwise, in place."""
-    if target.layer_sizes != online.layer_sizes:
-        raise ValueError("target/online layer sizes differ")
+    """target <- (1-tau)*target + tau*online, elementwise, in place, for a
+    net or a stack (see stack). A stack is blended one net at a time, so the
+    temporary tau*online is one net's size, as for a net of its own."""
+    if (target.layer_sizes, target.flat.shape) != (online.layer_sizes, online.flat.shape):
+        raise ValueError("target/online layer sizes or net counts differ")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau {tau} outside [0, 1]")
-    target.flat *= 1.0 - tau
-    target.flat += tau * online.flat
+    n = target.flat.shape[-1]
+    for t, o in zip(target.flat.reshape(-1, n), online.flat.reshape(-1, n)):
+        t *= 1.0 - tau
+        t += tau * o
     return target
 
 

@@ -180,8 +180,7 @@ def step_ue_mobility(world: WorldState, dt: float) -> WorldState:
     arrived = dist <= travel
     # the divisor is dist for every UE that moves and travel > 0 for the rest
     step = pos + delta * (travel / np.maximum(dist, travel))[..., None]
-    np.clip(np.where(arrived[..., None], waypoints, step), (0.0, 0.0),
-            (cfg.area_w_m, cfg.area_h_m), out=pos)
+    np.clip(np.where(arrived[..., None], waypoints, step), 0.0, world.area_max, out=pos)
     for w, rng in enumerate(world.rng):
         hit = arrived[w]
         n_arrived = np.count_nonzero(hit)

@@ -212,8 +212,8 @@ def test_criterion_03_two_timescale_accounting():
         res = run_episode(
             env,
             "tts-maddpg",
-            [a.actor for a in tr.sched_agents],
-            [a.actor for a in tr.traj_agents],
+            tr.sched.actor,
+            tr.traj.actor,
             world_seed=slots,
             slots=slots,
             mode="train",
@@ -400,8 +400,7 @@ def test_criterion_09_ctde_separation(monkeypatch):
     tr = Trainer(env, tc)
     for ep in range(tc.episodes):
         tr.train_episode(ep)
-    sched = [a.actor for a in tr.sched_agents]
-    traj = [a.actor for a in tr.traj_agents]
+    sched, traj = tr.sched.actor, tr.traj.actor
     state_dim = global_state_dim(5, env.scenario.n_ues)
 
     def rollout(mode):

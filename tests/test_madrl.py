@@ -264,11 +264,7 @@ def test_noise_schedule_linear_decay():
 def test_traj_drift_constant_within_episode_and_off_in_eval():
     env = make_env()
     sched, traj = make_trained_actors(env)
-    for a in traj:
-        for w in a.weights:
-            w[:] = 0.0
-        for b in a.biases:
-            b[:] = 0.0
+    traj.flat[:] = 0.0
     dim = global_state_dim(5, env.scenario.n_ues)
     res = run_episode(
         env, "tts-maddpg", sched, traj, 11, slots=50, mode="train",
@@ -312,11 +308,7 @@ def test_traj_anchor_episode_ignores_actors():
     # same commands a hovering (all-zero) policy would produce under the same
     # rng stream, so the actor outputs were dropped, not merely damped
     hover = copy.deepcopy(traj)
-    for a in hover:
-        for w in a.weights:
-            w[:] = 0.0
-        for b in a.biases:
-            b[:] = 0.0
+    hover.flat[:] = 0.0
     assert np.array_equal(anchored, roll(hover, False))
     assert not np.array_equal(anchored, roll(traj, False))
     # the flag is a training-data knob only; eval flies the actors as-is
@@ -411,11 +403,11 @@ def ring_mismatch(ring_cls, group, capacity, lengths, seed):
     rng = np.random.default_rng(seed)
     f32 = madrl.NET_DTYPE
     if sched:
-        targets = [nn.init_mlp((madrl.SCORER_IN, 8, 1), "linear", rng).astype(f32)
-                   for _ in range(n_agents)]
+        targets = nn.stack([nn.init_mlp((madrl.SCORER_IN, 8, 1), "linear", rng).astype(f32)
+                            for _ in range(n_agents)])
     else:
-        targets = [nn.init_mlp((obs_dim, 8, act_dim), "tanh", rng).astype(f32)
-                   for _ in range(n_agents)]
+        targets = nn.stack([nn.init_mlp((obs_dim, 8, act_dim), "tanh", rng).astype(f32)
+                            for _ in range(n_agents)])
     critic = nn.init_mlp((state_dim + n_agents * act_dim, 8, 1), "linear", rng).astype(f32)
     ring = ring_cls(capacity, state_dim, n_agents, obs_dim, act_dim)
     ref = ExplicitSuccessorRing(capacity, state_dim, n_agents, obs_dim, act_dim)
@@ -425,8 +417,7 @@ def ring_mismatch(ring_cls, group, capacity, lengths, seed):
         return rng.normal(size=state_dim), rng.uniform(-1, 1, (n_agents, obs_dim)), n
 
     def critic_y(batch):
-        next_a = (madrl.target_ranks(nn.stack(targets), batch["next_obs"], batch["next_n_obs"])
-                  if sched else target_actions(targets, batch["next_obs"]))
+        next_a = (madrl.target_ranks if sched else target_actions)(targets, batch)
         return critic_targets(batch, critic, 0.9 * (1.0 - batch["done"]),
                               critic_input(batch["next_state"], next_a))
 
@@ -481,7 +472,7 @@ def test_critic_targets_terminal_and_gamma_zero():
         "next_state": rng.normal(size=(1, 3)),
         "next_obs": rng.normal(size=(1, 1, 4)),
     }
-    next_x = critic_input(batch["next_state"], target_actions([actor], batch["next_obs"]))
+    next_x = critic_input(batch["next_state"], target_actions(nn.stack([actor]), batch))
     y = critic_targets(batch, critic, 0.95 * (1.0 - batch["done"]), next_x)
     assert y[0] == pytest.approx(1.5)
     batch["done"] = np.array([0.0])
@@ -503,7 +494,7 @@ def test_critic_targets_hand_computation():
     }
     a_prime = nn.mlp_forward(actor, next_obs[:, 0, :])
     q = nn.mlp_forward(critic, np.concatenate([next_state, a_prime], axis=1))[0, 0]
-    next_x = critic_input(next_state, target_actions([actor], next_obs))
+    next_x = critic_input(next_state, target_actions(nn.stack([actor]), batch))
     y = critic_targets(batch, critic, 0.9 * (1.0 - batch["done"]), next_x)
     assert y[0] == pytest.approx(0.7 + 0.9 * q, rel=1e-12)
 
@@ -770,7 +761,7 @@ def test_trainers_do_not_share_scratch():
 def make_trained_actors(env, seed=0):
     cfg = TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=20, seed=seed)
     tr = Trainer(env, cfg)
-    return [a.actor for a in tr.sched_agents], [a.actor for a in tr.traj_agents]
+    return tr.sched.actor, tr.traj.actor
 
 
 def test_run_episode_transition_counts_and_reward_split():
@@ -1137,29 +1128,109 @@ def test_trainer_checkpoint_roundtrip(tmp_path):
 
 
 
+def group_bytes(tr):
+    """The bytes of every buffer of every agent group: its stacked nets and
+    Adam moments."""
+    return [buf.tobytes() for g in tr.groups for buf in (
+        *(getattr(g, net).flat for net in madrl.GROUP_NETS), g.actor_moments, g.critic_moments)]
+
+
 def test_trainer_rejects_checkpoints_that_do_not_fit(tmp_path):
-    def trainer(n_ues):
-        cfg = TrainConfig(method="maddpg", episodes=1, slots_per_episode=10)
+    def trainer(n_ues, seed=0):
+        cfg = TrainConfig(method="maddpg", episodes=1, slots_per_episode=10, seed=seed)
         return Trainer(make_env(n_ues=n_ues), cfg)
 
-    def nets(tr):
-        return [getattr(a, net) for a in tr.sched_agents for net in Trainer.CHECKPOINT_NETS]
-
-    trainer(6).save_checkpoints(tmp_path)
-    # the critics read the global state, whose size follows n_ues
+    # the saver's nets differ from the loaders', so a row written before the
+    # refusal would show in the bytes
+    trainer(6, seed=1).save_checkpoints(tmp_path)
+    # the critics read the global state, whose size follows n_ues; the
+    # scorer files before sched0_critic fit
     tr = trainer(8)
-    before = nets(tr)
+    before = group_bytes(tr)
     with pytest.raises(ValueError, match=r"sched0_critic\.bin.*layer sizes"):
         tr.load_checkpoints(tmp_path)
-    assert all(a is b for a, b in zip(nets(tr), before))  # no net was replaced
+    assert group_bytes(tr) == before  # no row was written
     # same layer sizes, another output activation
     tr = trainer(6)
-    before = nets(tr)
+    before = group_bytes(tr)
     actor = tr.sched_agents[2].actor
     nn.save_params(tmp_path / "sched2_actor.bin", dataclasses.replace(actor, out_act="tanh"))
     with pytest.raises(ValueError, match=r"sched2_actor\.bin: a tanh net"):
         tr.load_checkpoints(tmp_path)
-    assert all(a is b for a, b in zip(nets(tr), before))
+    assert group_bytes(tr) == before
+
+
+def test_loaded_checkpoints_drive_evaluation(tmp_path):
+    # load_checkpoints writes into the group buffers in place, so the
+    # rollouts, which read the groups' stacks, fly the loaded nets
+    env = make_env(n_ues=6)
+    cfg = TrainConfig(method="tts-maddpg", episodes=2, slots_per_episode=20, seed=2,
+                      warmup_transitions=8, batch_size=8, traj_actor_delay=0, eval_episodes=2)
+    saver = Trainer(env, cfg)
+    saver.train_episode(0)
+    saver.save_checkpoints(tmp_path)
+    loader = Trainer(env, cfg)
+    for g in loader.groups:
+        g.actor.flat[:] = 0.0  # nodes hover, and every scheduler serves its rank 0
+    zeroed = [episode_fields(r) for r in loader.evaluate()]
+    loader.load_checkpoints(tmp_path)
+    saved = [episode_fields(r) for r in saver.evaluate()]
+    assert [episode_fields(r) for r in loader.evaluate()] == saved != zeroed
+
+
+def test_group_views_are_rows_of_the_group_buffers():
+    tr = Trainer(make_env(), TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10))
+    assert [len(g.agents) for g in tr.groups] == [5, 4]
+    for g in tr.groups:
+        for i, ag in enumerate(g.agents):
+            rows = [(getattr(ag, net).flat, getattr(g, net).flat[i]) for net in madrl.GROUP_NETS]
+            for adam, moments in ((ag.actor_adam, g.actor_moments),
+                                  (ag.critic_adam, g.critic_moments)):
+                rows += [(adam.m, moments[0, i]), (adam.v, moments[1, i])]
+            for view, row in rows:
+                assert view.flags.c_contiguous and not view.flags.owndata
+                assert view.shape == row.shape and view.ctypes.data == row.ctypes.data
+
+
+def test_adam_step_through_a_view_changes_only_its_row():
+    tr = Trainer(make_env(), TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10))
+    g, i = tr.traj, 2
+    buffers = [*(getattr(g, net).flat for net in madrl.GROUP_NETS), *g.actor_moments,
+               *g.critic_moments]
+    before = [b.copy() for b in buffers]
+    ag = g.agents[i]
+    grad = np.random.default_rng(0).normal(size=ag.actor.flat.size).astype(madrl.NET_DTYPE)
+    nn.adam_step(ag.actor, grad, ag.actor_adam, madrl.ACTOR_LR)
+    changed = [np.any(b != b0, axis=1).tolist() for b, b0 in zip(buffers, before)]
+    row_i = [j == i for j in range(4)]
+    # the actor and its two moments change in row i, nothing else does
+    assert changed == [row_i] + [[False] * 4] * 3 + [row_i] * 2 + [[False] * 4] * 2
+
+
+def test_group_soft_update_equals_per_net_updates():
+    rng = np.random.default_rng(0)
+    sizes = (36, madrl.TRAJ_HIDDEN_WIDTH, madrl.TRAJ_HIDDEN_WIDTH, 2)
+    online, targets = ([nn.init_mlp(sizes, "tanh", rng).astype(madrl.NET_DTYPE) for _ in range(4)]
+                       for _ in range(2))
+    group = nn.stack(targets)
+    nn.soft_update(group, nn.stack(online), madrl.TAU)
+    for t, o in zip(targets, online):
+        nn.soft_update(t, o, madrl.TAU)
+    assert group.flat.tobytes() == nn.stack(targets).flat.tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [128, 8])
+def test_stacked_target_actions_equal_each_actors_forward(batch_size):
+    tr = Trainer(make_env(), TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10))
+    obs_dim = tr.traj.actor.layer_sizes[0]
+    batch = {"next_obs": np.random.default_rng(1).uniform(
+        -1, 1, (batch_size, 4, obs_dim)).astype(madrl.NET_DTYPE)}
+    got = target_actions(tr.traj.actor_target, batch)
+    assert got.shape == (batch_size, 4, 2)
+    for i, ag in enumerate(tr.traj_agents):
+        own = nn.mlp_forward(ag.actor_target.copy(), batch["next_obs"][:, i, :])
+        assert got[:, i].tobytes() == own.tobytes()
+
 
 def _scorer_batch(rng, b=6, k=4, n_agents=2, state_dim=3):
     """A scheduler batch whose cells hold 0..k observed UEs, with nonzero

@@ -67,4 +67,13 @@ def test_traced_run_writes_untraced_bytes(method, tmp_path, perfbench):
         not_restored = tracer.patches.restore()
     assert not_restored == []
     assert traced == untraced
-    layers.analyse(tracer.spans(), tracer.counts, probes)
+    metrics, _ = layers.analyse(tracer.spans(), tracer.counts, probes)
+    # perfbench tells the agent groups apart by the ids of the nets passed to
+    # update_critic and update_actor, which must be the trainer's agent views
+    calls = {name: metrics[f"madrl.{name}.calls"] for name in (
+        "update_critic.sched", "update_critic.traj", "update_actor.traj")}
+    if method == "tts-maddpg":
+        assert min(calls.values()) > 0, calls
+    elif method == "maddpg":
+        assert calls["update_critic.sched"] > 0, calls
+        assert calls["update_critic.traj"] == calls["update_actor.traj"] == 0, calls
