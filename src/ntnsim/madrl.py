@@ -70,22 +70,18 @@ SLOTS_PER_UPDATE = 4  # environment slots per update round
 NOISE_START = 0.3
 NOISE_END = 0.05
 NOISE_DECAY_FRAC = 0.6
-# Episode-constant velocity drift std, held fixed across training (unlike
-# the per-step Gaussian): critics only see position-vs-throughput evidence
-# if exploration displaces nodes across the cell, and a decaying drift
-# would correlate position spread with training epoch, letting the
-# concurrent scheduler improvement masquerade as a movement penalty.
+# Episode-constant velocity drift std, held fixed from the drift's start
+# to the last episode (unlike the per-step Gaussian): critics only see
+# position-vs-throughput evidence if exploration displaces nodes across
+# the cell, and a decaying drift would correlate position spread with
+# training epoch, letting the concurrent scheduler improvement masquerade
+# as a movement penalty.
 TRAJ_DRIFT_STD = 1.0
-# Once the velocity actors are stepping, the drift decays linearly to
-# this floor by the final episode: full-scale drift is only needed while
-# the critics map the position field, and keeping it up afterwards makes
-# the schedulers train on geometry they will never see at eval time.
-TRAJ_DRIFT_FLOOR = 0.25
 # L2 pull toward hover on the velocity actions. The actor rails a
 # dimension when its critic gradient beats 2*reg*|a|, and measured
 # gradients for wrong directions sit at the same scale as weak true
 # ones, so no L2 value can arbitrate direction; that job belongs to the
-# drift anchors. This is kept an order of magnitude below the measured
+# drift. This is kept an order of magnitude below the measured
 # slopes so any direction the critic does hold saturates the command,
 # and it only bounds the command where the critic is flat.
 ACTION_REG = 1e-3
@@ -162,7 +158,7 @@ def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
     """(n_worlds, state_dim) critic states, one row per world: all platform
     positions, all UE positions (id order), all backlogs and head-of-line
     ages, each normalized. Used by critics only."""
-    w, h = world.cfg.area_w_m, world.cfg.area_h_m
+    w, h = world.area_max
     return np.concatenate([
         world.positions[..., 0] / w,
         world.positions[..., 1] / h,
@@ -562,9 +558,9 @@ def run_worlds(
     episode-constant drift, one bearing per node (see TRAJ_DRIFT_STD): white
     noise at the macro-step scale cancels itself, and a sign-alternating
     bearing nulls the bearing-reward correlation the value fit reads. With
-    traj_explore_only the commands are the drift alone, which keeps
-    near-hover contrast data in the ring after the policy has committed to a
-    direction. Eval mode stores nothing, and schedulers take their argmax
+    traj_explore_only the commands are the drift alone; the trainer sets it
+    for the episodes before the velocity actors' first step, whose ring rows
+    then hold drift without actor output or noise. Eval mode stores nothing, and schedulers take their argmax
     rank. Actions read only local observations; the global state is built
     only for the rings, in train rollouts of a learner.
     """
@@ -677,13 +673,6 @@ class TrainConfig:
     # open-ended stepping phase lets the policy slowly rotate off the learned
     # direction. Bounding the phase ends training in the settled geometry.
     traj_actor_window: int = 750
-    # Every n-th training episode after the velocity unlock flies on drift
-    # alone (velocity actors ignored). Once the policy commits to a direction,
-    # on-policy data stops covering the near-hover region; without standing
-    # contrast episodes the critics forget the value slope that justified the
-    # direction and the actors wander off it. Before the unlock every
-    # training episode flies drift alone already, so anchors start there.
-    traj_anchor_every: int = 3
     # Total update rounds for the run (0 = unlimited); rollouts and evals
     # continue after the budget so the logs keep their cadence. Once every
     # agent has converged, further rounds only give the weakest critic's
@@ -708,8 +697,6 @@ class TrainConfig:
             raise ValueError("traj_actor_delay must be non-negative")
         if self.traj_actor_window < 0:
             raise ValueError("traj_actor_window must be non-negative (0 disables)")
-        if self.traj_anchor_every < 0:
-            raise ValueError("traj_anchor_every must be non-negative (0 disables)")
         if self.update_rounds_budget < 0:
             raise ValueError("update_rounds_budget must be non-negative (0 disables)")
         if self.eval_every_episodes < 1:
@@ -812,7 +799,6 @@ class Trainer:
         self.sched_buffer = self.traj_buffer = None
         self.update_rounds = 0
         self.grad = None  # the flat gradient of every step; sized to the largest net
-        self.drift_decay_from: int | None = None  # first episode with actors unlocked
         self.drift_start_ep = 0  # first episode whose drift can survive into the unlock ring
 
         if cfg.method == "rr":
@@ -879,16 +865,9 @@ class Trainer:
         return [g.actor if g else None for g in (self.sched, self.traj)]
 
     def drift_std(self, episode: int) -> float:
-        """Zero before the unlock ring's lookback begins, full-scale while the
-        velocity actors are held, then linear decay to the floor by the final
-        episode, counted from the unlock episode that rollout records."""
-        if self.traj is None:
-            return 0.0
-        if self.drift_decay_from is None:
-            return TRAJ_DRIFT_STD if episode >= self.drift_start_ep else 0.0
-        span = max(self.cfg.episodes - 1 - self.drift_decay_from, 1)
-        frac = min((episode - self.drift_decay_from) / span, 1.0)
-        return TRAJ_DRIFT_STD + (TRAJ_DRIFT_FLOOR - TRAJ_DRIFT_STD) * frac
+        """Zero before the unlock ring's lookback begins, then full-scale to
+        the last episode."""
+        return TRAJ_DRIFT_STD if self.traj and episode >= self.drift_start_ep else 0.0
 
     def traj_actors_stepping(self) -> bool:
         """Velocity actors step only inside [delay, delay + window): held at
@@ -902,36 +881,16 @@ class Trainer:
             return True
         return self.update_rounds < cfg.traj_actor_delay + cfg.traj_actor_window
 
-    def anchor_episode(self, episode: int) -> bool:
-        """Every n-th episode after the velocity unlock flies on drift alone.
-        Anchors only matter while the actors are stepping: before the unlock
-        every episode is near-hover plus drift already (and skipping them
-        keeps the early noise stream, so the scheduler run is unchanged by
-        the trajectory exploration settings); after the window closes the
-        velocity policy is fixed and the schedulers are better served by
-        episodes that fly it."""
-        cfg = self.cfg
-        return (
-            self.drift_decay_from is not None
-            and cfg.traj_anchor_every > 0
-            and self.traj_actors_stepping()
-            and (episode - self.drift_decay_from) % cfg.traj_anchor_every == 0
-        )
-
     def rollout(self, episode: int) -> tuple[EpisodeResult, float]:
         """One training-mode episode on the per-episode derived world seed."""
         cfg = self.cfg
-        if (self.traj and self.drift_decay_from is None
-                and self.update_rounds >= cfg.traj_actor_delay):
-            self.drift_decay_from = episode
         std = noise_schedule(episode, cfg.episodes) if self.traj else 0.0
         drift = self.drift_std(episode)
         # Until the velocity actors take their first step they fly pure
         # drift: the replay ring then holds a controlled-displacement design
         # with no mixed-in policy output or action noise, which is the
         # cleanest regression target the critics can get.
-        held = self.drift_decay_from is None and self.traj is not None
-        anchor = held or self.anchor_episode(episode)
+        held = self.traj is not None and self.update_rounds < cfg.traj_actor_delay
         result = run_episode(
             self.env,
             cfg.method,
@@ -941,7 +900,7 @@ class Trainer:
             mode="train" if self.groups else "eval",
             noise_std=std,
             traj_drift_std=drift,
-            traj_explore_only=anchor,
+            traj_explore_only=held,
             noise_rng=self.rng,
             sched_buffer=self.sched_buffer,
             traj_buffer=self.traj_buffer,

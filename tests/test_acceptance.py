@@ -168,7 +168,9 @@ def test_criterion_01_method_ordering(converged_runs):
         [mbps[("tts-maddpg", s)] / mbps[("maddpg", s)] - 1.0 for s in SEEDS]
     )
     per_seed = "  ".join(
-        f"s{s}: {mbps[('tts-maddpg', s)]:.1f}/{mbps[('maddpg', s)]:.1f}/{mbps[('rr', s)]:.1f}"
+        f"s{s}: {mbps[('tts-maddpg', s)]:.1f}/{mbps[('maddpg', s)]:.1f}/{mbps[('rr', s)]:.1f} "
+        f"(tts {mbps[('tts-maddpg', s)] / mbps[('maddpg', s)] - 1.0:+.1%} over maddpg, "
+        f"{mbps[('tts-maddpg', s)] / mbps[('rr', s)] - 1.0:+.1%} over rr)"
         for s in SEEDS
     )
     _report(

@@ -3,8 +3,8 @@ after one episode, and the exact `ntnsim dump-config` output.
 
 A refactor that claims unchanged behaviour must leave every value here as it
 is. The CSV hashes cover every training milestone of the two-timescale
-trainer on a tiny config: warmup, drift, velocity-actor unlock, anchor
-episodes, window close and a spent update budget. Their cells log delivered
+trainer on a tiny config: warmup, drift-only held episodes, velocity-actor
+unlock, window close and a spent update budget. Their cells log delivered
 bits, which are integers, so a change to a learner's rounding can leave every
 CSV byte as it was; the checkpoint digests read the trained nets themselves.
 They hold for numpy on x86-64; another BLAS or CPU may round the learners
@@ -41,7 +41,6 @@ eval_every_episodes = 2
 eval_episodes = 2
 traj_actor_delay = 5
 traj_actor_window = 10
-traj_anchor_every = 2
 update_rounds_budget = 20
 """
 
@@ -55,8 +54,8 @@ GOLDEN_SHA256 = {
         "8ebe53887b0b6489a4bf334ffd843f38aff6bd15f0458d58d967b541a454abe7",
     ),
     "tts-maddpg": (
-        "13ab7574dfb72e5c6c155c2ed68498175d5482eb29c9bf31439093c08c621f54",
-        "e1a111a995dd1e69f1aabab0793e84740da35c506d38e8e56a9b94f0c3a29b60",
+        "95ddd6941b0101a82fed32e9bc2ad056f4b7e23e78ff135bc5986441e0c1a5a2",
+        "d0cd058ed6d539c87bf2e14428ed6437be01a693ab5ad0e0fc727a403ae6fbee",
     ),
 }
 
@@ -64,7 +63,7 @@ GOLDEN_SHA256 = {
 # golden run: the bytes of every net and target copy the run trained.
 GOLDEN_CHECKPOINT_SHA256 = {
     "maddpg": "07b9425ea47a25808251b5a5aff9c09ed9e16ba176decd073a1b0a7b4b3ebd7c",
-    "tts-maddpg": "5736e13438a65bd148c898db386d96af079b7c1b39e17e367532d4eb2892af7e",
+    "tts-maddpg": "0a164d974031dd46b2abf9ca27a638ed88bc0df48fde396f7cb39077dc69a989",
 }
 
 # sha256 of the world RNG's `bit_generator.state` (JSON, sorted keys) after

@@ -76,14 +76,15 @@ def test_parse_config_errors_name_line_numbers():
         parse_config("lambda = 4\n")
     with pytest.raises(ConfigError, match="expected key = value"):
         parse_config("[traffic]\nlambda 4\n")
-    # learner settings that are module constants are not config keys
+    # learner settings that are module constants, and the deleted anchor
+    # cadence, are not config keys
     for key in ("gamma", "tau", "actor_lr", "critic_lr", "hidden_width", "traj_hidden_width",
                 "sched_buffer_capacity", "traj_buffer_capacity", "slots_per_update",
                 "noise_start", "noise_end", "noise_decay_frac", "traj_drift_std",
-                "traj_drift_floor", "action_reg", "traj_critic_weight_decay"):
+                "traj_drift_floor", "action_reg", "traj_critic_weight_decay",
+                "traj_anchor_every"):
         with pytest.raises(ConfigError, match=rf"old\.ini:3: unknown key train\.{key}$"):
             parse_config(f"[train]\nepisodes = 5\n{key} = 1\n", source="old.ini")
-
 
 
 def test_parse_config_rejects_a_key_set_twice():
@@ -176,7 +177,7 @@ def test_parse_config_rejects_invalid_values():
 def test_dump_config_roundtrip_exact():
     cfg = parse_config(
         "[run]\nmethod = maddpg\nseeds = 5 6\n[scenario]\nn_ues = 9\n"
-        "[channel]\neta_nlos_db = 7.5\n[train]\ntraj_anchor_every = 5\n"
+        "[channel]\neta_nlos_db = 7.5\n[train]\ntraj_actor_window = 500\n"
     )
     echo = dump_config(cfg)
     cfg2 = parse_config(echo)
@@ -185,7 +186,7 @@ def test_dump_config_roundtrip_exact():
     assert cfg2.seeds == [5, 6]
     assert cfg2.scenario.n_ues == 9
     assert cfg2.channel.eta_nlos_db == 7.5
-    assert cfg2.train.traj_anchor_every == 5
+    assert cfg2.train.traj_actor_window == 500
 
 
 def test_load_config_missing_file():

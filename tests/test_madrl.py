@@ -285,7 +285,7 @@ def test_traj_drift_constant_within_episode_and_off_in_eval():
     assert np.all(np.stack(res_eval.traj_action_log) == 0.0)
 
 
-def test_traj_anchor_episode_ignores_actors():
+def test_traj_explore_only_ignores_actors():
     env = make_env()
     sched, traj = make_trained_actors(env)
     dim = global_state_dim(5, env.scenario.n_ues)
@@ -301,16 +301,16 @@ def test_traj_anchor_episode_ignores_actors():
         )
         return np.stack(res.traj_action_log)
 
-    anchored = roll(traj, True)
+    drift_only = roll(traj, True)
     # drift alone: one draw per node held all episode, though the actors vary
-    assert np.all(anchored == anchored[0])
-    assert np.any(anchored[0] != 0.0)
+    assert np.all(drift_only == drift_only[0])
+    assert np.any(drift_only[0] != 0.0)
     # same commands a hovering (all-zero) policy would produce under the same
     # rng stream, so the actor outputs were dropped, not merely damped
     hover = copy.deepcopy(traj)
     hover.flat[:] = 0.0
-    assert np.array_equal(anchored, roll(hover, False))
-    assert not np.array_equal(anchored, roll(traj, False))
+    assert np.array_equal(drift_only, roll(hover, False))
+    assert not np.array_equal(drift_only, roll(traj, False))
     # the flag is a training-data knob only; eval flies the actors as-is
     assert np.array_equal(roll(traj, True, mode="eval"), roll(traj, False, mode="eval"))
 
@@ -1005,39 +1005,33 @@ LATE_UNLOCK = dict(
 
 def test_trainer_drift_schedule():
     env = make_env()
-    full, floor = madrl.TRAJ_DRIFT_STD, madrl.TRAJ_DRIFT_FLOOR
-    assert 0.0 < floor < full
+    full = madrl.TRAJ_DRIFT_STD
+    assert full > 0.0
     cfg = TrainConfig(
         method="tts-maddpg", episodes=101, slots_per_episode=40, seed=0, traj_actor_delay=50,
     )
     tr = Trainer(env, cfg)
-    # held actors: full-scale drift, no decay anchor yet, no anchor episodes
-    assert tr.drift_std(10) == full
-    assert tr.drift_decay_from is None
-    assert not tr.anchor_episode(9)
+    # warmup 5,000 / 48 per ep + delay 50 / 10 per ep -> unlock ep 109; the
+    # 808-row ring (the whole run) reaches 101 eps back, so drift starts at
+    # ep 8, and held actors get it at full scale
+    assert tr.drift_start_ep == 8
+    assert tr.drift_std(7) == 0.0
+    assert tr.drift_std(8) == tr.drift_std(10) == full
+    # at the unlock and inside the stepping window: still full scale, also
+    # once a rollout has flown the unlocked actors
     tr.update_rounds = 50
-    # drift_std only reads: the first rollout after the unlock anchors the
-    # decay, and that episode still gets full scale
-    assert tr.drift_std(39) == full
-    assert tr.drift_decay_from is None
-    tr.rollout(40)
-    assert tr.drift_decay_from == 40
+    assert tr.traj_actors_stepping()
     assert tr.drift_std(40) == full
-    mid = tr.drift_std(70)
-    assert floor < mid < full
-    assert tr.drift_std(100) == pytest.approx(floor)
-    # anchor episodes: every traj_anchor_every-th counted from the unlock
-    hits = [ep for ep in range(40, 50) if tr.anchor_episode(ep)]
-    assert hits == [40, 43, 46, 49]
-    # no anchors once the stepping window has closed
+    tr.rollout(40)
+    assert tr.drift_std(41) == tr.drift_std(70) == full
+    # after the window closes: full scale to the last episode
     tr.update_rounds = 50 + cfg.traj_actor_window
-    assert not tr.anchor_episode(52)
-    tr.update_rounds = 50
-    # scheduling-only method never drifts and never anchors
+    assert not tr.traj_actors_stepping()
+    assert tr.drift_std(52) == tr.drift_std(100) == full
+    # scheduling-only method never drifts
     tr2 = Trainer(env, TrainConfig(method="maddpg", episodes=10, slots_per_episode=40))
     tr2.update_rounds = 10_000
     assert tr2.drift_std(5) == 0.0
-    assert not tr2.anchor_episode(5)
     # drift older than one ring length at the unlock would be evicted unseen,
     # so it stays off
     tr3 = Trainer(env, TrainConfig(**LATE_UNLOCK))
@@ -1064,6 +1058,24 @@ def test_trainer_pre_unlock_episodes_fly_drift_only():
     acts2 = tr.traj_buffer.actions[n:tr.traj_buffer.size]
     assert np.all(acts2 == acts2[0])
     assert np.any(acts2[0] != acts[0])
+
+
+def test_trainer_post_unlock_episodes_fly_actors():
+    env = make_env()
+    cfg = TrainConfig(method="tts-maddpg", episodes=20, slots_per_episode=40, seed=0,
+                      traj_actor_delay=50, traj_actor_window=100)
+    tr = Trainer(env, cfg)
+    assert np.any(tr.traj.actor.flat != 0.0)
+    # every rollout after the unlock, inside the stepping window and after it
+    # closes, flies the actors: no episode logs one held command
+    for rounds, episodes in ((50, range(0, 4)), (150, range(4, 7))):
+        tr.update_rounds = rounds
+        for ep in episodes:
+            start = tr.traj_buffer.size
+            tr.rollout(ep)
+            acts = tr.traj_buffer.actions[start:tr.traj_buffer.size]
+            assert len(acts) == 8
+            assert not np.all(acts == acts[0]), ep
 
 
 def test_trainer_group_hidden_widths():
