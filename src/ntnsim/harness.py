@@ -254,8 +254,11 @@ def run_single(cfg: ExperimentConfig, seed: int, quiet: bool = False) -> Path:
     """Train (or just simulate, for rr) one seed; returns the output directory.
 
     Writes config.ini (the effective-config echo), train.csv, eval.csv, and,
-    for learning methods, final checkpoints. Rows are flushed per episode so
-    an interrupted run leaves a readable prefix.
+    for learning methods, final checkpoints. A checkpoint evaluates every
+    `eval_every_episodes` episodes and after the last episode. Rows are
+    flushed per episode so an interrupted run leaves a readable prefix; rr
+    computes its episodes per block up to the next checkpoint (see
+    Trainer.rollout), so its prefix ends at a block's end.
     """
     out = Path(cfg.out_dir) / f"{cfg.method}_seed{seed}"
     out.mkdir(parents=True, exist_ok=True)
@@ -273,7 +276,7 @@ def run_single(cfg: ExperimentConfig, seed: int, quiet: bool = False) -> Path:
             result, std = trainer.train_episode(ep)
             wtrain.writerow([ep] + _result_cells(cfg, result) + [f"{std:.6f}"])
             ftrain.flush()
-            if (ep + 1) % tc.eval_every_episodes == 0:
+            if (ep + 1) % tc.eval_every_episodes == 0 or ep + 1 == tc.episodes:
                 evals = trainer.evaluate()
                 for j, ev in enumerate(evals):
                     weval.writerow([ep] + [j] + _result_cells(cfg, ev))

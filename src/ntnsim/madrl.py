@@ -96,6 +96,11 @@ TRAJ_CRITIC_WEIGHT_DECAY = 1e-4
 # slot. The simulator stays float64.
 NET_DTYPE = np.float32
 REWARD_SCALE = 1e9  # slot reward = delivered bits per second / this
+# The most rr train episodes one lockstep rollout steps (see Trainer.rollout).
+# On a 2-core x86-64 host the cost per world-slot is flat from about 20 worlds
+# (141/79/71/69/71 us at 1/5/20/64/128 worlds), and each world adds about
+# 42 KB to the peak Python heap.
+RR_BLOCK_WORLDS = 32
 
 
 @dataclass
@@ -560,9 +565,10 @@ def run_worlds(
     bearing nulls the bearing-reward correlation the value fit reads. With
     traj_explore_only the commands are the drift alone; the trainer sets it
     for the episodes before the velocity actors' first step, whose ring rows
-    then hold drift without actor output or noise. Eval mode stores nothing, and schedulers take their argmax
-    rank. Actions read only local observations; the global state is built
-    only for the rings, in train rollouts of a learner.
+    then hold drift without actor output or noise. Eval mode stores nothing,
+    and schedulers take their argmax rank. Actions read only local
+    observations; the global state is built only for the rings, in train
+    rollouts of a learner.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -800,6 +806,8 @@ class Trainer:
         self.update_rounds = 0
         self.grad = None  # the flat gradient of every step; sized to the largest net
         self.drift_start_ep = 0  # first episode whose drift can survive into the unlock ring
+        self.rr_block = (0, [])  # rr: the first episode of the kept block and its results
+        self.rr_evals = None  # rr: the kept evaluation
 
         if cfg.method == "rr":
             return
@@ -882,8 +890,28 @@ class Trainer:
         return self.update_rounds < cfg.traj_actor_delay + cfg.traj_actor_window
 
     def rollout(self, episode: int) -> tuple[EpisodeResult, float]:
-        """One training-mode episode on the per-episode derived world seed."""
+        """One training-mode episode on the per-episode derived world seed,
+        and its exploration noise scale.
+
+        rr learns nothing, so its episodes do not depend on each other. A
+        call outside the kept block rolls out a block of episodes as lockstep
+        worlds in one run_worlds call and keeps it: from `episode` up to the
+        next eval checkpoint (see the harness' run_single), capped at
+        cfg.episodes and at RR_BLOCK_WORLDS worlds; an episode at or past
+        cfg.episodes gets a block of one. A call inside the block returns
+        its kept result. Each world's result is that of its own rollout, and
+        rr draws from no trainer generator."""
         cfg = self.cfg
+        if not self.groups:
+            start, block = self.rr_block
+            if not start <= episode < start + len(block):
+                checkpoint = (episode // cfg.eval_every_episodes + 1) * cfg.eval_every_episodes
+                end = max(min(checkpoint, cfg.episodes, episode + RR_BLOCK_WORLDS), episode + 1)
+                seeds = [self.train_world_seed(ep) for ep in range(episode, end)]
+                start, block = episode, run_worlds(self.env, cfg.method, None, None, seeds,
+                                                   cfg.slots_per_episode)
+                self.rr_block = start, block
+            return block[episode - start], 0.0
         std = noise_schedule(episode, cfg.episodes) if self.traj else 0.0
         drift = self.drift_std(episode)
         # Until the velocity actors take their first step they fly pure
@@ -897,7 +925,7 @@ class Trainer:
             *self._actors(),
             self.train_world_seed(episode),
             cfg.slots_per_episode,
-            mode="train" if self.groups else "eval",
+            mode="train",
             noise_std=std,
             traj_drift_std=drift,
             traj_explore_only=held,
@@ -951,8 +979,12 @@ class Trainer:
 
     def evaluate(self) -> list[EpisodeResult]:
         """Noise-off rollouts on the fixed evaluation worlds, all
-        `eval_episodes` of them stepped in lockstep (see run_worlds)."""
-        return run_worlds(
+        `eval_episodes` of them stepped in lockstep (see run_worlds). rr's
+        fixed rule on the fixed worlds gives the same results at every
+        checkpoint, so rr's are computed once and kept."""
+        if self.rr_evals is not None:
+            return self.rr_evals
+        evals = run_worlds(
             self.env,
             self.cfg.method,
             *self._actors(),
@@ -960,6 +992,9 @@ class Trainer:
             self.cfg.slots_per_episode,
             mode="eval",
         )
+        if not self.groups:
+            self.rr_evals = evals
+        return evals
 
     def _checkpoint_files(self, out_dir) -> list[tuple[Path, MlpParams]]:
         """(file, net) of every agent and net of GROUP_NETS, the net being

@@ -217,6 +217,19 @@ def test_run_single_rr_outputs(tmp_path):
         assert parts == pytest.approx(float(r["overall_mbps"]), abs=1e-6)
 
 
+def test_run_single_evaluates_after_the_last_episode(tmp_path):
+    # 3 episodes at interval 2: checkpoints after episode 1 and the last one
+    cfg = small_cfg(out_dir=str(tmp_path), episodes=3)
+    runs = [run_single(cfg, seed, quiet=True) for seed in (0, 1)]
+    eval_rows = read_csv(runs[0] / "eval.csv")
+    assert [(r["episode"], r["eval_index"]) for r in eval_rows] == [
+        ("1", "0"), ("1", "1"), ("2", "0"), ("2", "1")]
+    # rr evaluates its fixed rule on the fixed worlds: every checkpoint reads the same
+    assert [r["overall_mbps"] for r in eval_rows[:2]] == [r["overall_mbps"] for r in eval_rows[2:]]
+    summaries, _ = compare([str(d) for d in runs])
+    assert [s.n_rows for s in summaries] == [2, 2]
+
+
 def test_run_single_learning_method_writes_checkpoints(tmp_path):
     cfg = small_cfg(method="maddpg", out_dir=str(tmp_path), episodes=2)
     out = run_single(cfg, 1, quiet=True)

@@ -1,5 +1,6 @@
 """Observations, replay, update mechanics, two-timescale rollouts."""
 
+import contextlib
 import copy
 import dataclasses
 import math
@@ -1099,6 +1100,95 @@ def test_trainer_rr_has_no_agents():
     res, std = tr.train_episode(0)
     assert std == 0.0
     assert res.delivered_bits > 0
+
+
+def rr_blocks(calls, episodes, every, cap=madrl.RR_BLOCK_WORLDS):
+    """The world count of each block an rr trainer rolls out for `calls`:
+    a call outside the kept block starts a block that ends with the first
+    checkpoint episode (every `every`-th, and the last) at or after it, or
+    after `cap` worlds; a call at or past `episodes` gets a block of one."""
+    blocks, kept = [], range(0)
+    for ep in calls:
+        if ep not in kept:
+            end = ep
+            while (end + 1) % every and end + 1 < episodes and end + 1 < ep + cap:
+                end += 1
+            kept = range(ep, end + 1)
+            blocks.append(len(kept))
+    return blocks
+
+
+@contextlib.contextmanager
+def run_worlds_spy():
+    """madrl.run_worlds, recording the world count of each call."""
+    real, calls = madrl.run_worlds, []
+
+    def spy(env, method, sched, traj, world_seeds, *args, **kwargs):
+        calls.append(len(world_seeds))
+        return real(env, method, sched, traj, world_seeds, *args, **kwargs)
+
+    madrl.run_worlds = spy
+    try:
+        yield calls
+    finally:
+        madrl.run_worlds = real
+
+
+@settings(max_examples=25, deadline=None)
+@given(episodes=st.integers(1, 9), every=st.integers(1, 4), data=st.data())
+def test_rr_rollout_blocks_equal_episodes_alone(episodes, every, data):
+    # fails for a block that runs past its checkpoint, an off-by-one index
+    # into the block, and a block kept by its start only
+    env = make_env(n_ues=6)
+    cfg = TrainConfig(method="rr", episodes=episodes, slots_per_episode=5, seed=4,
+                      eval_every_episodes=every)
+    tr = Trainer(env, cfg)
+    calls = list(range(episodes))
+    if data.draw(st.booleans(), label="out of order"):
+        calls = data.draw(st.permutations(calls), label="calls")
+    calls.append(data.draw(st.integers(episodes, episodes + 3), label="past the last episode"))
+    alone = {ep: episode_fields(run_episode(env, "rr", None, None, tr.train_world_seed(ep), 5))
+             for ep in calls}
+    rng_state = tr.rng.bit_generator.state
+    with run_worlds_spy() as worlds:
+        for ep in calls:
+            res, std = tr.rollout(ep)
+            assert episode_fields(res) == alone[ep] and std == 0.0
+    assert worlds == rr_blocks(calls, episodes, every)
+    assert tr.rng.bit_generator.state == rng_state
+
+
+def test_rr_rollout_blocks_stop_at_the_world_cap():
+    env = make_env(n_ues=6)
+    cap = madrl.RR_BLOCK_WORLDS
+    tr = Trainer(env, TrainConfig(method="rr", episodes=cap + 8, slots_per_episode=2,
+                                  eval_every_episodes=cap + 8))
+    with run_worlds_spy() as worlds:
+        results = [tr.rollout(ep)[0] for ep in range(cap + 8)]
+    assert worlds == [cap, 8] == rr_blocks(range(cap + 8), cap + 8, cap + 8)
+    assert episode_fields(results[cap]) == episode_fields(
+        run_episode(env, "rr", None, None, tr.train_world_seed(cap), 2))
+
+
+def test_rr_evaluates_once_and_learners_every_time():
+    env = make_env(n_ues=6)
+    rr = Trainer(env, TrainConfig(method="rr", episodes=2, slots_per_episode=10, eval_episodes=3))
+    with run_worlds_spy() as worlds:
+        evals = [[episode_fields(r) for r in rr.evaluate()] for _ in range(3)]
+    assert worlds == [3]
+    assert evals[0] == evals[1] == evals[2]
+    # the memo stays off the learners: a maddpg evaluation reads its nets
+    cfg = TrainConfig(method="maddpg", episodes=3, slots_per_episode=40, seed=0,
+                      warmup_transitions=30, batch_size=16, eval_episodes=3)
+    tr = Trainer(env, cfg)
+    with run_worlds_spy() as worlds:
+        before = [episode_fields(r) for r in tr.evaluate()]
+        tr.train_episode(0)
+        assert tr.update_rounds > 0
+        after = [episode_fields(r) for r in tr.evaluate()]
+        assert [episode_fields(r) for r in tr.evaluate()] == after
+    assert worlds == [3, 1, 3, 3]
+    assert after != before
 
 
 @pytest.mark.parametrize(
