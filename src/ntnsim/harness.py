@@ -5,7 +5,7 @@ Config format: `key = value` lines under `[section]` headers, or dotted
 `section.key = value` lines. `#` and `;` start full-line comments. Every key
 has a default; unknown keys, and keys set twice, are rejected with their line
 numbers. The keys are the field names of the config dataclasses, found by
-reflection, except the fleet keys of [scenario] and `lambda` in [traffic].
+reflection, except `lambda` in [traffic].
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
 from .channel import ChannelConfig
 from .madrl import K_OBS, METHODS, SLOTS_PER_UPDATE, EnvSpec, TrainConfig, Trainer
-from .scenario import PlatformSpec, ScenarioConfig
+from .scenario import ScenarioConfig
 from .traffic import TrafficConfig
 
 
@@ -89,23 +89,6 @@ def _parse_seeds(raw: str) -> list[int]:
     return [int(t) for t in toks]
 
 
-# The fleet's rows: the donor in row 0, the nodes in rows 1-4.
-_DONOR, _NODES, _ALL = slice(0, 1), slice(1, None), slice(None)
-# Scenario keys stored on the fleet: key -> (rows, PlatformSpec attribute).
-# A read returns the first platform of the rows; a write sets them all.
-_FLEET_KEYS = {
-    "donor_altitude_m": (_DONOR, "altitude_m"),
-    "node_altitude_m": (_NODES, "altitude_m"),
-    "donor_carrier_hz": (_DONOR, "carrier_hz"),
-    "donor_bandwidth_hz": (_DONOR, "bandwidth_hz"),
-    "node_carrier_hz": (_NODES, "carrier_hz"),
-    "node_bandwidth_hz": (_NODES, "bandwidth_hz"),
-    "donor_tx_power_dbm": (_DONOR, "tx_power_dbm"),
-    "node_tx_power_dbm": (_NODES, "tx_power_dbm"),
-    "antenna_gain_dbi": (_ALL, "antenna_gain_dbi"),
-    "noise_figure_db": (_ALL, "noise_figure_db"),
-    "node_max_speed_mps": (_NODES, "max_speed_mps"),
-}
 # Fields whose config key differs from the field name.
 _RENAMED = {"lambda_pkts": "lambda"}
 _SEEDS = list[int]
@@ -118,40 +101,28 @@ _CODECS = {
 }
 
 
-def _field_keys(section: str, cls, targets, keep=lambda name: True) -> list[tuple]:
-    """Keys for the value fields of `cls`; fields that hold config objects
-    (sub-configs, the fleet) are not values."""
+def _field_keys(section: str, cls, owner, keep=lambda name: True) -> list[tuple]:
+    """Keys for the value fields of `cls`; fields that hold sub-configs are
+    not values."""
     hints = get_type_hints(cls)
-    nested = {name for name, t in hints.items() if any(map(is_dataclass, (t, *get_args(t))))}
     return [
-        (section, _RENAMED.get(f.name, f.name), hints[f.name], targets, f.name)
+        (section, _RENAMED.get(f.name, f.name), hints[f.name], owner, f.name)
         for f in fields(cls)
-        if keep(f.name) and f.name not in nested
+        if keep(f.name) and not is_dataclass(hints[f.name])
     ]
 
 
-def _fleet(rows: slice):
-    return lambda cfg: cfg.scenario.platforms[rows]
-
-
-_PLATFORM_TYPES = get_type_hints(PlatformSpec)
-
-# Every config key in dump order, as (section, key, field type, targets,
-# field name): the key reads the field of the first object `targets(cfg)`
-# lists and writes it on all of them.
+# Every config key in dump order, as (section, key, field type, owner, field
+# name): the key reads and writes that field of `owner(cfg)`.
 _KEYS = [
-    *_field_keys("run", ExperimentConfig, lambda c: [c], lambda name: name != "k_obs"),
-    *_field_keys("scenario", ScenarioConfig, lambda c: [c.scenario]),
-    *(
-        ("scenario", key, _PLATFORM_TYPES[attr], _fleet(rows), attr)
-        for key, (rows, attr) in _FLEET_KEYS.items()
-    ),
-    *_field_keys("traffic", TrafficConfig, lambda c: [c.traffic]),
-    *_field_keys("channel", ChannelConfig, lambda c: [c.channel]),
+    *_field_keys("run", ExperimentConfig, lambda c: c, lambda name: name != "k_obs"),
+    *_field_keys("scenario", ScenarioConfig, lambda c: c.scenario),
+    *_field_keys("traffic", TrafficConfig, lambda c: c.traffic),
+    *_field_keys("channel", ChannelConfig, lambda c: c.channel),
     # [run] sets the trainer's method and seed (ExperimentConfig.train_config)
-    *_field_keys("train", TrainConfig, lambda c: [c.train],
+    *_field_keys("train", TrainConfig, lambda c: c.train,
                  lambda name: name not in ("method", "seed")),
-    *_field_keys("train", ExperimentConfig, lambda c: [c], lambda name: name == "k_obs"),
+    *_field_keys("train", ExperimentConfig, lambda c: c, lambda name: name == "k_obs"),
 ]
 _BY_NAME = {(sec, key): rest for sec, key, *rest in _KEYS}
 _SECTIONS = {sec for sec, *_ in _KEYS}
@@ -197,10 +168,8 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         if (sec, key) in set_at:
             raise ConfigError(f"{where}: {sec}.{key} is already set at {set_at[sec, key]}")
         set_at[sec, key] = where
-        typ, targets, attr = _BY_NAME[(sec, key)]
-        value = _convert(raw, typ, f"{where}: {sec}.{key}")
-        for obj in targets(cfg):
-            setattr(obj, attr, value)
+        typ, owner, attr = _BY_NAME[(sec, key)]
+        setattr(owner(cfg), attr, _convert(raw, typ, f"{where}: {sec}.{key}"))
     cfg.validate()
     return cfg
 
@@ -219,13 +188,13 @@ def dump_config(cfg: ExperimentConfig) -> str:
     dump reproduces the config exactly."""
     lines = []
     current = None
-    for sec, key, typ, targets, attr in _KEYS:
+    for sec, key, typ, owner, attr in _KEYS:
         if sec != current:
             if current is not None:
                 lines.append("")
             lines.append(f"[{sec}]")
             current = sec
-        lines.append(f"{key} = {_CODECS[typ][1](getattr(targets(cfg)[0], attr))}")
+        lines.append(f"{key} = {_CODECS[typ][1](getattr(owner(cfg), attr))}")
     return "\n".join(lines) + "\n"
 
 

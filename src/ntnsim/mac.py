@@ -42,7 +42,7 @@ def observed_ues(world: WorldState, association: Association, k: int) -> np.ndar
     UE id, padded with -1 past the cell's size. One stable sort of every
     world's platform x UE distances, with the UEs outside a cell at infinity,
     ranks every cell. Observations and schedule decoding read these ranks."""
-    member = association.rows[..., None, :] == np.arange(len(world.cfg.platforms))[:, None]
+    member = association.rows[..., None, :] == np.arange(len(world.cochannel))[:, None]
     nearest = np.argsort(np.where(member, association.links.distance_m, np.inf), axis=-1,
                          kind="stable")
     ranked = np.arange(k) < member.sum(axis=-1)[..., None]
@@ -82,15 +82,15 @@ def backhaul_rates(world: WorldState, chan: ChannelConfig, w: int) -> dict[int, 
     The backhaul band is split evenly four ways; both endpoints are airborne,
     so the link is always LoS and interference-free.
     """
-    platforms, positions = world.cfg.platforms, world.positions[w]
+    cfg, positions = world.cfg, world.positions[w]
     links = channel.link_geometry(positions[:1], positions[1:],
                                   np.array([chan.backhaul_carrier_hz]), chan)
-    share = chan.backhaul_bandwidth_hz / (len(platforms) - 1)
+    share = chan.backhaul_bandwidth_hz / (len(positions) - 1)
+    noise = channel.noise_mw(share, cfg.noise_figure_db, chan.noise_density_dbm_hz)
     rates = {}
     for row, fspl in enumerate(links.fspl_db[0].tolist(), start=1):
-        rx = channel.rx_power_dbm(platforms[0].tx_power_dbm, chan.backhaul_gain_dbi,
+        rx = channel.rx_power_dbm(cfg.donor_tx_power_dbm, chan.backhaul_gain_dbi,
                                   chan.backhaul_gain_dbi, channel.path_loss_db(fspl, 1.0, chan))
-        noise = channel.noise_mw(share, platforms[row].noise_figure_db, chan.noise_density_dbm_hz)
         rates[row] = channel.shannon_rate(channel.sinr(rx, (), noise), share)
     return rates
 
@@ -132,8 +132,7 @@ def step_slot(world: WorldState, choices: list[dict], tcfg: TrafficConfig, chan:
             if ue_id is None:
                 continue
             if not 0 <= ue_id < n_ues or rows[w, ue_id] != row:
-                raise ValueError(f"UAV {world.cfg.platforms[row].id} chose UE {ue_id} "
-                                 "outside its cell")
+                raise ValueError(f"UAV {row} chose UE {ue_id} outside its cell")
             tx = [row] + [q for q in world.cochannel[row] if chosen.get(q) is not None]
             active.append((w, row, ue_id))
             tx_rows += tx

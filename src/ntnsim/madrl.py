@@ -795,6 +795,8 @@ class Trainer:
         cfg.validate()
         for part in (env.scenario, env.traffic, env.channel):
             part.validate()
+        if env.k_obs < 1:
+            raise ValueError(f"k_obs must be positive, got {env.k_obs}")
         nn.keep_heap()
         self.env = env
         self.cfg = cfg

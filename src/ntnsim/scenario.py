@@ -2,45 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .traffic import PacketQueue
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlatformSpec:
-    """Radio and mobility capabilities of one UAV base station."""
+    """Radio and mobility capabilities of one UAV base station; `id` is its
+    row in every platform array."""
 
     id: int
     altitude_m: float
     carrier_hz: float
     bandwidth_hz: float
     tx_power_dbm: float
-    antenna_gain_dbi: float = 3.0
-    noise_figure_db: float = 7.0
-    max_speed_mps: float = 0.0
-
-    def validate(self):
-        if self.altitude_m <= 0:
-            raise ValueError(f"platform {self.id}: altitude must be positive")
-        if self.carrier_hz <= 0:
-            raise ValueError(f"platform {self.id}: carrier must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"platform {self.id}: bandwidth must be positive")
-        if self.max_speed_mps < 0:
-            raise ValueError(f"platform {self.id}: max speed must be non-negative")
+    antenna_gain_dbi: float
+    noise_figure_db: float
+    max_speed_mps: float
 
 
-def default_fleet(
-    donor_altitude_m=200.0, node_altitude_m=100.0, donor_carrier_hz=2.0e9,
-    donor_bandwidth_hz=40e6, node_carrier_hz=2.5e9, node_bandwidth_hz=20e6,
-    donor_tx_power_dbm=-13.0, node_tx_power_dbm=-13.0, antenna_gain_dbi=3.0,
-    noise_figure_db=7.0, node_max_speed_mps=40.0,
-) -> list[PlatformSpec]:
-    """One tethered donor (id 0, row 0) plus four untethered nodes (ids and
-    rows 1..4), the only layout ScenarioConfig accepts.
+@dataclass
+class ScenarioConfig:
+    """The service area, the ground users and the fleet: one tethered donor
+    (row 0) and four identical untethered nodes (rows 1-4). The fleet is
+    the fields from `donor_altitude_m` on; `platforms` derives its rows.
 
     Default transmit powers are deliberately low: they put every access link
     in the noise-limited regime where per-UE rates spread by more than an
@@ -49,18 +37,7 @@ def default_fleet(
     realistic base-station EIRPs makes the system capacity-rich and erases
     most of the gap between scheduling policies.
     """
-    return [
-        PlatformSpec(0, donor_altitude_m, donor_carrier_hz, donor_bandwidth_hz, donor_tx_power_dbm,
-                     antenna_gain_dbi, noise_figure_db, max_speed_mps=0.0)
-    ] + [
-        PlatformSpec(i, node_altitude_m, node_carrier_hz, node_bandwidth_hz, node_tx_power_dbm,
-                     antenna_gain_dbi, noise_figure_db, max_speed_mps=node_max_speed_mps)
-        for i in range(1, 5)
-    ]
 
-
-@dataclass
-class ScenarioConfig:
     area_w_m: float = 1400.0
     area_h_m: float = 1400.0
     # Dense enough that the demand field is smooth across random layouts:
@@ -70,9 +47,29 @@ class ScenarioConfig:
     ue_speed_min_mps: float = 1.0
     ue_speed_max_mps: float = 3.0
     slot_seconds: float = 0.030
-    # Row i of every platform array is platforms[i]: the donor in row 0, the
-    # nodes in rows 1-4. PlatformSpec.id only labels a platform.
-    platforms: list[PlatformSpec] = field(default_factory=default_fleet)
+    donor_altitude_m: float = 200.0
+    node_altitude_m: float = 100.0
+    donor_carrier_hz: float = 2.0e9
+    donor_bandwidth_hz: float = 40e6
+    node_carrier_hz: float = 2.5e9
+    node_bandwidth_hz: float = 20e6
+    donor_tx_power_dbm: float = -13.0
+    node_tx_power_dbm: float = -13.0
+    antenna_gain_dbi: float = 3.0  # every platform's
+    noise_figure_db: float = 7.0  # every platform's
+    node_max_speed_mps: float = 40.0
+
+    @property
+    def platforms(self) -> tuple[PlatformSpec, ...]:
+        """The five fleet rows, built afresh on every read: not for per-slot code."""
+        return (
+            PlatformSpec(0, self.donor_altitude_m, self.donor_carrier_hz, self.donor_bandwidth_hz,
+                         self.donor_tx_power_dbm, self.antenna_gain_dbi, self.noise_figure_db, 0.0),
+            *(PlatformSpec(i, self.node_altitude_m, self.node_carrier_hz, self.node_bandwidth_hz,
+                           self.node_tx_power_dbm, self.antenna_gain_dbi, self.noise_figure_db,
+                           self.node_max_speed_mps)
+              for i in range(1, 5)),
+        )
 
     def validate(self):
         if self.area_w_m <= 0 or self.area_h_m <= 0:
@@ -83,13 +80,12 @@ class ScenarioConfig:
             raise ValueError("ground-user speed range must satisfy 0 < min <= max")
         if self.slot_seconds <= 0:
             raise ValueError("slot duration must be positive")
-        if len(self.platforms) != 5:
-            raise ValueError("fleet must be the donor in row 0 and 4 nodes in rows 1-4, "
-                             f"got {len(self.platforms)} platforms")
-        if self.platforms[0].max_speed_mps != 0:
-            raise ValueError("the platform in row 0 is the tethered donor and cannot move")
-        for p in self.platforms:
-            p.validate()
+        for name in ("donor_altitude_m", "node_altitude_m", "donor_carrier_hz",
+                     "node_carrier_hz", "donor_bandwidth_hz", "node_bandwidth_hz"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.node_max_speed_mps < 0:
+            raise ValueError("node_max_speed_mps must be non-negative")
 
 
 @dataclass
@@ -106,15 +102,18 @@ class WorldState:
     and of the queue's matrix, is UE id i. Ground users stand at height 0 and
     move waypoint-to-waypoint.
 
-    The fleet constants (carriers, EIRP, bandwidths, co-channel rows, node
-    speed caps) and the area bound of the node moves are read from `cfg`
-    once, at `init_world`; a value changed there later reaches neither the
-    access links nor the node moves.
+    Platform row i is fleet row i of `cfg.platforms`: the donor in row 0, the
+    nodes in rows 1-4. The fleet constants (altitudes, carriers, EIRP,
+    bandwidths, co-channel rows, node speed caps) and the area bound of the
+    node moves are read from `cfg` once, at `init_world`; a value changed
+    there later reaches neither the access links nor the node moves. Only
+    the backhaul reads its fleet fields (donor power, noise figure) from
+    `cfg`, when `mac.step_slot` recomputes it.
     """
 
     cfg: ScenarioConfig
     slot: int
-    positions: np.ndarray  # (n_worlds, n_platforms, 3), row order = cfg.platforms order
+    positions: np.ndarray  # (n_worlds, n_platforms, 3) meters
     ue_positions: np.ndarray  # (n_worlds, n_ues, 2) meters
     ue_waypoints: np.ndarray  # (n_worlds, n_ues, 2) meters
     ue_speeds: np.ndarray  # (n_worlds, n_ues) m/s toward the waypoint

@@ -3,10 +3,14 @@
 import csv
 import os
 from concurrent.futures import Future
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ntnsim import cli, harness
 from ntnsim.harness import (
@@ -93,7 +97,7 @@ def test_parse_config_rejects_a_key_set_twice():
         parse_config("[train]\nepisodes = 5\nepisodes = 6\n", source="x.ini")
     with pytest.raises(ConfigError, match=r"x\.ini:4: train\.episodes is already set at x\.ini:2"):
         parse_config("[train]\nepisodes = 5\n[run]\ntrain.episodes = 7\n", source="x.ini")
-    # a fleet key writes several platforms, and is still one key
+    # a fleet key sets the donor, every node or every platform, and is one field
     with pytest.raises(ConfigError, match=r"scenario\.node_altitude_m is already set"):
         parse_config("[scenario]\nnode_altitude_m = 90\nnode_altitude_m = 110\n")
     # a section may open again
@@ -187,6 +191,47 @@ def test_dump_config_roundtrip_exact():
     assert cfg2.scenario.n_ues == 9
     assert cfg2.channel.eta_nlos_db == 7.5
     assert cfg2.train.traj_actor_window == 500
+
+
+# Values of each field type that the config text can carry; `method` must name
+# a method. Floats stay positive, which every fleet field accepts.
+FIELD_VALUES = {
+    int: st.integers(1, 2**31),
+    float: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    str: st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).map(str.strip),
+    list[int]: st.lists(st.integers(0, 2**31), min_size=1, max_size=4, unique=True),
+}
+FLEET_FIELDS = ("donor_altitude_m", "node_altitude_m", "donor_carrier_hz", "donor_bandwidth_hz",
+                "node_carrier_hz", "node_bandwidth_hz", "donor_tx_power_dbm", "node_tx_power_dbm",
+                "antenna_gain_dbi", "noise_figure_db", "node_max_speed_mps")
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_dump_config_roundtrips_any_python_built_config(data):
+    """Every fleet field and up to four other key fields, set in Python to
+    any valid value, survive dump_config -> parse_config exactly."""
+    cfg = ExperimentConfig()
+    # (object, field name) of every config key; [run] sets the trainer's method and seed
+    slots = [(obj, f.name) for obj in (cfg, cfg.scenario, cfg.traffic, cfg.channel, cfg.train)
+             for f in fields(obj)
+             if get_type_hints(type(obj))[f.name] in FIELD_VALUES
+             and (obj is not cfg.train or f.name not in ("method", "seed"))]
+    assert len(slots) == len(dump_config(cfg).splitlines()) - 9  # 5 headers, 4 blank lines
+    fleet = [(cfg.scenario, name) for name in FLEET_FIELDS]
+    others = data.draw(st.lists(st.sampled_from(range(len(slots))), max_size=4, unique=True))
+    for obj, name in fleet + [slots[i] for i in others]:
+        values = FIELD_VALUES[get_type_hints(type(obj))[name]]
+        if obj is cfg and name == "method":
+            values = st.sampled_from(harness.METHODS)
+        setattr(obj, name, data.draw(values, label=name))
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    echo = dump_config(cfg)
+    assert parse_config(echo) == cfg
+    assert dump_config(parse_config(echo)) == echo
 
 
 def test_load_config_missing_file():

@@ -13,7 +13,6 @@ from ntnsim.channel import ChannelConfig
 from ntnsim.scenario import (
     ScenarioConfig,
     apply_trajectory,
-    default_fleet,
     init_world,
     step_ue_mobility,
 )
@@ -61,8 +60,7 @@ def test_associate_prefers_overhead_platform():
 
 def test_associate_tie_breaks_low_id():
     # silence the donor so the midpoint between nodes 1 and 2 is an exact tie
-    fleet = default_fleet(donor_tx_power_dbm=-80.0)
-    cfg = ScenarioConfig(platforms=fleet)
+    cfg = ScenarioConfig(donor_tx_power_dbm=-80.0)
     world = init_world(cfg, [0])
     world.ue_positions[0, 0] = (cfg.area_w_m / 2, cfg.area_h_m / 4)
     assoc = mac.associate(world, ChannelConfig())
@@ -151,7 +149,7 @@ def geometries(draw):
 @example(([(0.0, 541.3515625)], [(0.0, 0.0)] * 4 + [(0.0, 4.2089302314137284e-13)], -80.0))
 def test_association_and_ranking_match_scalar_reference(geometry):
     ue_xy, platform_xy, donor_tx_dbm = geometry
-    cfg = ScenarioConfig(n_ues=len(ue_xy), platforms=default_fleet(donor_tx_power_dbm=donor_tx_dbm))
+    cfg = ScenarioConfig(n_ues=len(ue_xy), donor_tx_power_dbm=donor_tx_dbm)
     world = init_world(cfg, [0])
     world.ue_positions[0] = ue_xy
     world.positions[0, :, :2] = platform_xy
@@ -434,7 +432,7 @@ def reference_step_slot(world, choices, tcfg, chan, association):
 def test_step_slot_matches_link_by_link_reference(
     seed, n_ues, lam, backhaul_hz, node_carrier_hz, n_slots
 ):
-    cfg = ScenarioConfig(n_ues=n_ues, platforms=default_fleet(node_carrier_hz=node_carrier_hz))
+    cfg = ScenarioConfig(n_ues=n_ues, node_carrier_hz=node_carrier_hz)
     tcfg = TrafficConfig(lambda_pkts=lam, packet_bits=60_000, deadline_slots=4)
     chan = ChannelConfig(backhaul_bandwidth_hz=backhaul_hz)
     worlds = init_world(cfg, [seed]), init_world(cfg, [seed])

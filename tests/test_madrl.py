@@ -1209,6 +1209,14 @@ def test_trainer_rejects_invalid_env(part, name, value, message):
         Trainer(env, TrainConfig(method="rr", episodes=1, slots_per_episode=10))
 
 
+@pytest.mark.parametrize("k_obs", [0, -1])
+def test_trainer_rejects_nonpositive_k_obs(k_obs):
+    # without the check the Trainer builds, and its first rollout dies in numpy
+    env = dataclasses.replace(make_env(), k_obs=k_obs)
+    with pytest.raises(ValueError, match="k_obs"):
+        Trainer(env, TrainConfig(method="maddpg", episodes=1, slots_per_episode=10))
+
+
 def test_trainer_checkpoint_roundtrip(tmp_path):
     env = make_env()
     cfg = TrainConfig(method="tts-maddpg", episodes=1, slots_per_episode=10, seed=3)

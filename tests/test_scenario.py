@@ -1,6 +1,7 @@
 """World construction, UE mobility, and trajectory actuation."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from ntnsim.scenario import (
     ScenarioConfig,
     apply_trajectory,
-    default_fleet,
     init_world,
     step_ue_mobility,
 )
@@ -21,16 +21,21 @@ def small_cfg(n_ues=6):
 
 
 def test_default_fleet_composition():
-    fleet = default_fleet()
-    assert len(fleet) == 5
+    fleet = ScenarioConfig().platforms
+    assert [p.id for p in fleet] == [0, 1, 2, 3, 4]
     # row 0 is the tethered donor: it cannot move
-    assert fleet[0].id == 0
     assert fleet[0].altitude_m == 200.0
     assert fleet[0].max_speed_mps == 0.0
-    for i, node in enumerate(fleet[1:], start=1):
-        assert node.id == i
+    for node in fleet[1:]:
         assert node.altitude_m == 100.0
-        assert node.max_speed_mps > 0
+        assert node.max_speed_mps == 40.0
+    # the rows are derived from the config's fields, not stored: none can be set
+    with pytest.raises(TypeError):
+        fleet[1] = fleet[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fleet[1].max_speed_mps = 0.0
+    with pytest.raises(AttributeError):
+        ScenarioConfig().platforms = fleet
 
 
 def test_init_world_placement():
@@ -88,21 +93,16 @@ def test_validate_rejects_bad_configs():
         init_world(ScenarioConfig(n_ues=0), [0])
     with pytest.raises(ValueError):
         init_world(ScenarioConfig(n_ues=4, area_w_m=-1.0), [0])
-    fleet = default_fleet()
-    with pytest.raises(ValueError):
-        init_world(ScenarioConfig(n_ues=4, platforms=fleet[:3]), [0])
-    fleet = default_fleet()
-    fleet[0], fleet[1] = fleet[1], fleet[0]  # the donor belongs in row 0
-    with pytest.raises(ValueError, match="row 0"):
-        init_world(ScenarioConfig(n_ues=4, platforms=fleet), [0])
-    fleet = default_fleet()
-    fleet[0].max_speed_mps = 5.0  # a tethered donor cannot move
-    with pytest.raises(ValueError, match="row 0"):
-        init_world(ScenarioConfig(n_ues=4, platforms=fleet), [0])
-    fleet = default_fleet()
-    fleet[1].max_speed_mps = -5.0  # would flip the sign of the velocity command
-    with pytest.raises(ValueError):
-        init_world(ScenarioConfig(n_ues=4, platforms=fleet), [0])
+    # one case per fleet check; a negative node speed would flip the sign of
+    # the velocity command
+    for name, value in (("donor_altitude_m", 0.0), ("node_altitude_m", -1.0),
+                        ("donor_carrier_hz", 0.0), ("node_carrier_hz", -2.5e9),
+                        ("donor_bandwidth_hz", -1.0), ("node_bandwidth_hz", 0.0),
+                        ("node_max_speed_mps", -5.0)):
+        with pytest.raises(ValueError, match=name):
+            init_world(ScenarioConfig(n_ues=4, **{name: value}), [0])
+    # parked nodes are a valid fleet
+    init_world(ScenarioConfig(n_ues=4, node_max_speed_mps=0.0), [0])
 
 
 def test_ue_advances_toward_waypoint():
@@ -176,27 +176,24 @@ def test_mobility_rejects_nonpositive_dt():
 
 
 def test_trajectory_below_speed_cap():
-    world = init_world(small_cfg(1), [0])
-    for p in world.cfg.platforms[1:]:
-        p.max_speed_mps = 10.0
-    start = world.positions[0, 1, :2].copy()
-    cmds = np.array([[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+    # node 1's 5 m/s command is under the 10 m/s cap and moves it as commanded;
+    # node 2's 20 m/s command shows that the cap in force is the configured one
+    world = init_world(ScenarioConfig(n_ues=1, node_max_speed_mps=10.0), [0])
+    start = world.positions[0, 1:3, :2].copy()
+    cmds = np.array([[[3.0, 4.0], [12.0, 16.0], [0.0, 0.0], [0.0, 0.0]]])
     apply_trajectory(world, cmds, dt=0.15)
-    assert np.allclose(world.positions[0, 1, :2] - start, [0.45, 0.60])
+    assert np.allclose(world.positions[0, 1:3, :2] - start, [[0.45, 0.60], [0.9, 1.2]])
 
 
 def test_trajectory_renormalizes_overspeed():
-    cfg = small_cfg(1)
-    for p in cfg.platforms[1:]:
-        p.max_speed_mps = 10.0
+    cfg = ScenarioConfig(n_ues=1, node_max_speed_mps=10.0)
     world = init_world(cfg, [0])
     start = world.positions[0, 1, :2].copy()
     cmds = np.array([[[30.0, 40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
     apply_trajectory(world, cmds, dt=0.15)
     assert np.allclose(world.positions[0, 1, :2] - start, [0.9, 1.2])
     # the caps are read once, at init_world, like the other fleet constants
-    for p in cfg.platforms[1:]:
-        p.max_speed_mps = 1.0
+    cfg.node_max_speed_mps = 1.0
     apply_trajectory(world, cmds, dt=0.15)
     assert np.allclose(world.positions[0, 1, :2] - start, [1.8, 2.4])
 
@@ -221,12 +218,8 @@ def test_trajectory_rejects_wrong_command_count():
 
 
 def test_trajectory_clamped_to_area():
-    cfg = small_cfg(1)
-    world = init_world(cfg, [0])
-    for p in world.cfg.platforms[1:]:
-        p.max_speed_mps = 10_000.0
+    # each node flies 14,142 m toward the origin corner, far past the area's edge
+    world = init_world(ScenarioConfig(n_ues=1, node_max_speed_mps=10_000.0), [0])
     cmds = np.tile([-10_000.0, -10_000.0], (1, 4, 1))
     apply_trajectory(world, cmds, dt=1.0)
-    for row in range(1, 5):
-        assert 0.0 <= world.positions[0, row, 0] <= cfg.area_w_m
-        assert 0.0 <= world.positions[0, row, 1] <= cfg.area_h_m
+    assert world.positions[0, 1:, :2].tolist() == [[0.0, 0.0]] * 4

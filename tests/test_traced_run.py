@@ -1,9 +1,15 @@
-"""The benchmark's traced run against the package: `perfbench/layers.py`
-wraps attributes of every layer by name, so a rename in the package breaks
-the traced benchmark. On a tiny config per method, installing the layer
-spans must succeed, every wrapped attribute must be restored, the per-layer
-analysis must run, and tracing must not change a CSV byte."""
+"""The benchmark against the package: `perfbench/layers.py` wraps attributes
+of every layer by name, and `perfbench/worker.py` reads the config, the fleet
+rows and the Trainer's phase methods, so a rename in the package breaks the
+benchmark. On a tiny config per method, installing the layer spans must
+succeed, every wrapped attribute must be restored, the per-layer analysis
+must run, and tracing must not change a CSV byte. The untraced worker must
+run every workload without a failed row."""
 
+import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +83,27 @@ def test_traced_run_writes_untraced_bytes(method, tmp_path, perfbench):
     elif method == "maddpg":
         assert calls["update_critic.sched"] > 0, calls
         assert calls["update_critic.traj"] == calls["update_actor.traj"] == 0, calls
+
+
+def _workloads() -> list[str]:
+    # loaded by path at collection, leaving sys.path alone
+    spec = importlib.util.spec_from_file_location("perfbench_metrics", PERFBENCH / "metrics.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sorted(module.WORKLOADS)
+
+
+@pytest.mark.parametrize("workload", _workloads())
+def test_untraced_worker_runs_every_workload(workload, tmp_path):
+    # in a subprocess: importing worker.py sets the BLAS thread variables of
+    # the importing process
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload, "--seed", "0",
+         "--trace", "0", "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["attempted"] > 0
+    assert (result["failed"], result["error"], result["not_restored"]) == (0, None, []), \
+        proc.stderr[-2000:]
