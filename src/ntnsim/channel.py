@@ -79,10 +79,6 @@ def path_loss_db(fspl_db, p_los, cfg: ChannelConfig):
     return fspl_db + p_los * cfg.eta_los_db + (1.0 - p_los) * cfg.eta_nlos_db
 
 
-def rx_power_dbm(tx_power_dbm, tx_gain_dbi, rx_gain_dbi, pl_db):
-    return tx_power_dbm + tx_gain_dbi + rx_gain_dbi - pl_db
-
-
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 

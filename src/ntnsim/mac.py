@@ -11,7 +11,7 @@ import numpy as np
 from . import channel, traffic
 from .channel import ChannelConfig
 from .scenario import WorldState, step_ue_mobility
-from .traffic import SlotMetrics, TrafficConfig
+from .traffic import TrafficConfig
 
 
 class Association(NamedTuple):
@@ -75,51 +75,50 @@ def rr_schedule(rows: np.ndarray, slot: int, n_platforms: int) -> dict[int, int 
             for row, (start, size) in enumerate(zip(starts, sizes.tolist()))}
 
 
-def backhaul_rates(world: WorldState, chan: ChannelConfig, w: int) -> dict[int, float]:
-    """Donor-to-node backhaul rate in bps per node row of world w on the
-    dedicated carrier.
+def backhaul_rates(world: WorldState, chan: ChannelConfig) -> np.ndarray:
+    """Donor-to-node backhaul rates in bps of every world on the dedicated
+    carrier, (n_worlds, n_nodes): column j is the node in row j + 1.
 
     The backhaul band is split evenly four ways; both endpoints are airborne,
     so the link is always LoS and interference-free.
     """
-    cfg, positions = world.cfg, world.positions[w]
-    links = channel.link_geometry(positions[:1], positions[1:],
+    cfg, positions = world.cfg, world.positions
+    links = channel.link_geometry(positions[:, :1], positions[:, 1:],
                                   np.array([chan.backhaul_carrier_hz]), chan)
-    share = chan.backhaul_bandwidth_hz / (len(positions) - 1)
+    share = chan.backhaul_bandwidth_hz / (positions.shape[1] - 1)
     noise = channel.noise_mw(share, cfg.noise_figure_db, chan.noise_density_dbm_hz)
-    rates = {}
-    for row, fspl in enumerate(links.fspl_db[0].tolist(), start=1):
-        rx = channel.rx_power_dbm(cfg.donor_tx_power_dbm, chan.backhaul_gain_dbi,
-                                  chan.backhaul_gain_dbi, channel.path_loss_db(fspl, 1.0, chan))
-        rates[row] = channel.shannon_rate(channel.sinr(rx, (), noise), share)
-    return rates
+    rx = (cfg.donor_tx_power_dbm + chan.backhaul_gain_dbi + chan.backhaul_gain_dbi
+          - channel.path_loss_db(links.fspl_db[:, 0], 1.0, chan))
+    return share * np.log2(1.0 + channel.dbm_to_mw(rx) / noise)
 
 
 def step_slot(world: WorldState, choices: list[dict], tcfg: TrafficConfig, chan: ChannelConfig,
-              association: Association) -> tuple[WorldState, list[SlotMetrics]]:
+              association: Association) -> tuple[WorldState, np.ndarray]:
     """Advance every world by one slot under its per-row service choices
     (choices[w]: platform row -> UE id or None), with the slot's
-    association; returns one SlotMetrics per world.
+    association; returns the bits each world delivered by platform row, an
+    (n_worlds, n_platforms) int64 array.
 
     Every choice is checked first: a choices list whose length is not the
     number of worlds, or a UE id outside [0, n_ues) or outside the row's
     cell, raises ValueError and leaves every world as it was. Then, in
-    order: drop expired cohorts (per UE in `dropped_by_ue`), draw arrivals
-    into a new cohort, draw one LoS state per access link, evaluate access
-    SINR with co-channel active platforms as interferers, cap node service
-    by its backhaul share, drain each chosen UE's queue oldest cohort first,
-    move the UEs, advance the slot counter. Each world makes one
+    order: drop expired cohorts (counted in `queue.dropped_bits`), draw
+    arrivals into a new cohort, draw one LoS state per access link, evaluate
+    access SINR with co-channel active platforms as interferers, cap node
+    service by its backhaul share, drain each chosen UE's queue oldest cohort
+    first, move the UEs, advance the slot counter. Each world makes one
     `rng.poisson`, one `rng.random` and (for the UEs that reach their
     waypoint) one `rng.uniform` call on its own generator.
 
-    Expiry, the cohort push, path loss and the UE moves run once over the
-    world axis; the SINR and rate chain, service and backhaul stay per world
-    and link. The access links use the association's geometry and are
+    Expiry, the cohort push, path loss, the backhaul and the UE moves run
+    once over the world axis; the access SINR and rate chain and service
+    stay per link. The access links use the association's geometry and are
     listed world by world, by active platform in row order: its serving
     link, then its co-channel interferers in row order. EIRP, bandwidth and
-    co-channel rows are the fleet constants from `init_world`. A world's
-    backhaul rates are recomputed only when its platform positions (bit for
-    bit) or `chan` change, the access noise powers only when `chan` does.
+    co-channel rows are the fleet constants from `init_world`. The access
+    noise powers and every world's backhaul rates are recomputed together,
+    only when some world's platform positions (bit for bit), `chan`, or the
+    backhaul's donor power or noise figure in `world.cfg` change.
     """
     rows = association.rows
     n_platforms, n_ues = len(world.cochannel), rows.shape[-1]
@@ -141,8 +140,7 @@ def step_slot(world: WorldState, choices: list[dict], tcfg: TrafficConfig, chan:
         ends.append(len(flat))
 
     links = association.links
-    dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = [SlotMetrics(world.slot, [0] * n_platforms, d) for d in dropped]
+    traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
     flat, draws = np.array(flat, dtype=np.intp), np.empty(len(flat))
     for rng, start, end in zip(world.rng, ends, ends[1:]):
@@ -151,29 +149,27 @@ def step_slot(world: WorldState, choices: list[dict], tcfg: TrafficConfig, chan:
     loss = channel.path_loss_db(links.fspl_db.take(flat), los, chan)
     rx_dbm = (world.eirp_dbm[tx_rows] - loss).tolist()
 
-    cache = world.link_cache
-    if cache is None or cache[0] != chan:
-        cache = world.link_cache = (replace(chan), [
+    cfg = world.cfg
+    key = (chan, world.positions.tobytes(), cfg.donor_tx_power_dbm, cfg.noise_figure_db)
+    if world.link_cache is None or world.link_cache[0] != key:
+        kept = (replace(chan), *key[1:])  # a copy: a chan changed in place must not match
+        world.link_cache = (kept, [
             channel.noise_mw(bandwidth, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
             for bandwidth in world.bandwidth_hz
-        ], {})
-    noise_mw, bh_rates = cache[1], []
-    for w in range(len(world.rng)):
-        kept, positions = cache[2].get(w), world.positions[w].tobytes()
-        if kept is None or kept[0] != positions:
-            kept = cache[2][w] = (positions, backhaul_rates(world, chan, w))
-        bh_rates.append(kept[1])
+        ], backhaul_rates(world, chan).tolist())
+    _, noise_mw, bh_rates = world.link_cache
 
-    slot_s = world.cfg.slot_seconds
+    slot_s = cfg.slot_seconds
+    delivered = np.zeros((len(world.rng), n_platforms), dtype=np.int64)
     first = 0
     for (w, row, ue_id), n in zip(active, n_links):
         ratio = channel.sinr(rx_dbm[first], rx_dbm[first + 1 : first + n], noise_mw[row])
         first += n
         capacity = int(channel.shannon_rate(ratio, world.bandwidth_hz[row]) * slot_s)
         if row > 0:  # a node, capped by its backhaul share
-            capacity = min(capacity, int(bh_rates[w][row] * slot_s))
-        metrics[w].delivered_by_uav[row] = traffic.serve_bits(world.queue, (w, ue_id), capacity)
+            capacity = min(capacity, int(bh_rates[w][row - 1] * slot_s))
+        delivered[w, row] = traffic.serve_bits(world.queue, (w, ue_id), capacity)
 
     step_ue_mobility(world, slot_s)
     world.slot += 1
-    return world, metrics
+    return world, delivered

@@ -30,7 +30,7 @@ from . import mac, nn
 from .channel import ChannelConfig
 from .nn import MlpParams
 from .scenario import ScenarioConfig, WorldState, apply_trajectory, init_world
-from .traffic import SlotMetrics, TrafficConfig
+from .traffic import TrafficConfig
 
 METHODS = ("rr", "maddpg", "tts-maddpg")
 K_OBS = 8  # fixed observation slots per agent; smaller cells are zero-padded
@@ -287,8 +287,9 @@ def noise_schedule(episode: int, total_episodes: int) -> float:
     return NOISE_START + (NOISE_END - NOISE_START) * (episode / horizon)
 
 
-def team_reward(metrics: SlotMetrics, slot_seconds: float) -> float:
-    return metrics.delivered_bits / slot_seconds / REWARD_SCALE
+def team_reward(delivered_bits, slot_seconds: float):
+    """The slot reward of a slot's delivered bits (an int or an array)."""
+    return delivered_bits / slot_seconds / REWARD_SCALE
 
 
 class ReplayBuffer:
@@ -544,14 +545,16 @@ def run_worlds(
     in row i + 1 by a command at every fifth slot, held until the next.
 
     The worlds share one slot loop. Association, cell ranking, observations
-    and their cast to the actors' dtype, cohort expiry and push, and the UE
-    and node moves run once per slot over the world axis, and one
-    select_rank call per slot and one select_action call per macro-step act
-    for every world and platform of a group, bit-identical to each actor's
-    forward alone. Each world draws from its own generator in the order of
-    its rollout alone, and keeps its own access links and backhaul cache
-    (see mac.step_slot), so each world's result is that of its own rollout,
-    bit for bit.
+    and their cast to the actors' dtype, cohort expiry and push, the
+    backhaul, and the UE and node moves run once per slot over the world
+    axis, and one select_rank call per slot and one select_action call per
+    macro-step act for every world and platform of a group, bit-identical to
+    each actor's forward alone. Each world draws from its own generator in
+    the order of its rollout alone and keeps its own access links (see
+    mac.step_slot), so each world's result is that of its own rollout, bit
+    for bit. A slot's delivered bits and rewards are added up on the world
+    axis, macro-step sums slot by slot, and each EpisodeResult's lists are
+    built after the last slot.
 
     Train mode steps one world, since a replay ring holds one time-ordered
     stream. Schedulers sample their rank by Gumbel-max and velocity actors
@@ -585,12 +588,12 @@ def run_worlds(
     n_platforms = len(env.scenario.platforms)
     n_nodes = n_platforms - 1 if method == "tts-maddpg" else 0
 
-    results = [EpisodeResult(slots=slots, slot_seconds=dt, delivered_by_uav=[0] * n_platforms)
-               for _ in range(n_worlds)]
     traj_drift = np.zeros((n_nodes, 2))
     if train and n_nodes and traj_drift_std > 0.0:
         traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
-    macro_sums = [0.0] * n_worlds
+    delivered = np.zeros((n_worlds, n_platforms), dtype=np.int64)
+    rewards = np.empty((slots, n_worlds))
+    macro_sums, macro_rewards, sched_log, traj_log = np.zeros(n_worlds), [], [], []
 
     for t in range(slots):
         last = t == slots - 1
@@ -612,45 +615,41 @@ def run_worlds(
                 traj_acts = np.clip(traj_acts + traj_drift, -1.0, 1.0)
             held_velocity = traj_acts * world.node_max_speed[:, None]
             if record_actions:
-                for acts, res in zip(traj_acts, results):
-                    res.traj_action_log.append(acts.copy())
+                traj_log.append(traj_acts.copy())
 
         if learn:
             sched_acts = select_rank(sched_actors, sched_obs, sched_n, noise_rng if train else None)
             choices = [mac.decode_schedule(acts, c) for acts, c in zip(sched_acts, cells)]
             if record_actions:
-                for acts, res in zip(sched_acts, results):
-                    res.sched_action_log.append(acts.copy())
+                sched_log.append(sched_acts.copy())
         else:
             choices = [mac.rr_schedule(rows, t, n_platforms) for rows in association.rows]
 
-        world, metrics = mac.step_slot(world, choices, env.traffic, env.channel, association)
+        world, slot_bits = mac.step_slot(world, choices, env.traffic, env.channel, association)
         if method == "tts-maddpg":
             apply_trajectory(world, held_velocity, dt)
 
-        for w, (res, m) in enumerate(zip(results, metrics)):
-            res.slot_rewards.append(team_reward(m, dt))
-            macro_sums[w] += res.slot_rewards[-1]
-            for row, bits in enumerate(m.delivered_by_uav):
-                res.delivered_by_uav[row] += bits
-
+        delivered += slot_bits
+        rewards[t] = team_reward(slot_bits.sum(axis=1), dt)
+        macro_sums += rewards[t]
         if train and learn:
-            sched_buffer.push(state, sched_obs, sched_acts, results[0].slot_rewards[-1], last,
-                              sched_n)
-            results[0].n_sched_transitions += 1
+            sched_buffer.push(state, sched_obs, sched_acts, rewards[t, 0], last, sched_n)
         if method == "tts-maddpg" and (last or (t + 1) % TRAJECTORY_PERIOD == 0):
             if train:
                 traj_buffer.push(traj_state, traj_obs, traj_acts, macro_sums[0], last)
-                results[0].n_traj_transitions += 1
-            for res, macro_sum in zip(results, macro_sums):
-                res.macro_rewards.append(macro_sum)
-            macro_sums = [0.0] * n_worlds
+            macro_rewards.append(macro_sums)
+            macro_sums = np.zeros(n_worlds)
 
-    for w, res in enumerate(results):
-        res.delivered_bits = sum(res.delivered_by_uav)
-        res.arrived_bits = int(world.queue.arrived_bits[w].sum())
-        res.dropped_bits = int(world.queue.dropped_bits[w].sum())
-    return results
+    macros, q = np.array(macro_rewards).reshape(-1, n_worlds), world.queue
+    return [EpisodeResult(
+        slots=slots, slot_seconds=dt, delivered_bits=sum(by_uav), delivered_by_uav=by_uav,
+        arrived_bits=int(q.arrived_bits[w].sum()), dropped_bits=int(q.dropped_bits[w].sum()),
+        slot_rewards=rewards[:, w].tolist(), macro_rewards=macros[:, w].tolist(),
+        n_sched_transitions=slots if train and learn else 0,
+        n_traj_transitions=len(macros) if train and n_nodes else 0,
+        sched_action_log=[acts[w] for acts in sched_log],
+        traj_action_log=[acts[w] for acts in traj_log],
+    ) for w, by_uav in enumerate(delivered.tolist())]
 
 
 def run_episode(env: EnvSpec, method: str, sched_actors, traj_actors, world_seed, *args,

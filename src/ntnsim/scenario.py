@@ -96,9 +96,9 @@ class WorldState:
 
     Every world array has a leading world axis, and `rng` holds one generator
     per world. Geometry, association, ranking, observations, cohort expiry and
-    push, and the UE and node moves run over the world axis; each world's
-    draws (in the order of the world alone), access links, SINR chain and
-    backhaul cache stay per world. Index i of the UE axis of every UE array,
+    push, the backhaul, and the UE and node moves run over the world axis;
+    each world's draws (in the order of the world alone), access links and
+    SINR chain stay per world. Index i of the UE axis of every UE array,
     and of the queue's matrix, is UE id i. Ground users stand at height 0 and
     move waypoint-to-waypoint.
 
@@ -108,7 +108,7 @@ class WorldState:
     node moves are read from `cfg` once, at `init_world`; a value changed
     there later reaches neither the access links nor the node moves. Only
     the backhaul reads its fleet fields (donor power, noise figure) from
-    `cfg`, when `mac.step_slot` recomputes it.
+    `cfg`, and `mac.step_slot` recomputes it whenever one of them changes.
     """
 
     cfg: ScenarioConfig
@@ -125,9 +125,9 @@ class WorldState:
     cochannel: list[list[int]]  # per row, the other rows on its carrier, in row order
     node_max_speed: np.ndarray  # (n_platforms - 1,) speed cap m/s of the node in row i + 1
     area_max: np.ndarray  # (2,) the area's width and height, the upper clamp of a node's x, y
-    # (channel config, row -> access noise mW, world -> (positions.tobytes(),
-    # node row -> backhaul bps)) of mac.step_slot: it recomputes everything when
-    # the channel config differs and a world's backhaul when its positions do
+    # mac.step_slot's (key, row -> access noise mW, world -> node column -> backhaul bps)
+    # for all worlds; both are recomputed when the key (a copy of the channel config,
+    # every world's positions.tobytes(), cfg's donor power and noise figure) differs
     link_cache: tuple | None = None
 
 

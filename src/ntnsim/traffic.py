@@ -17,7 +17,7 @@ its arrivals from its own generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,15 +123,3 @@ def serve_bits(queue: PacketQueue, ue: tuple[int, int], capacity_bits: int) -> i
     queue.delivered_bits[ue] += delivered
     return delivered
 
-
-@dataclass
-class SlotMetrics:
-    """Per-slot accounting of delivered bits (by platform row) and dropped bits (by UE id)."""
-
-    slot: int
-    delivered_by_uav: list[int] = field(default_factory=list)
-    dropped_by_ue: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    @property
-    def delivered_bits(self) -> int:
-        return sum(self.delivered_by_uav)

@@ -92,10 +92,6 @@ def test_expected_path_loss_between_extremes():
     assert channel.path_loss_db(fspl, p_high, cfg) == pytest.approx(lo, abs=0.05)
 
 
-def test_rx_power_arithmetic():
-    assert channel.rx_power_dbm(23.0, 3.0, 0.0, 96.0) == -70.0
-
-
 def test_noise_power():
     # -174 + 10*log10(20e6) + 7 = -93.99 dBm
     assert channel.noise_power_dbm(20e6, 7.0) == pytest.approx(-93.99, abs=0.01)

@@ -16,7 +16,7 @@ from ntnsim.scenario import (
     init_world,
     step_ue_mobility,
 )
-from ntnsim.traffic import SlotMetrics, TrafficConfig
+from ntnsim.traffic import TrafficConfig
 
 
 def make_world(seed=0, **cfg_kwargs):
@@ -232,9 +232,9 @@ def test_rr_schedule_empty_cell_idles():
 def test_backhaul_rates_symmetric_at_start():
     world = make_world(seed=7)
     chan = ChannelConfig()
-    rates = mac.backhaul_rates(world, chan, 0)
-    assert sorted(rates) == [1, 2, 3, 4]
-    vals = list(rates.values())
+    rates = mac.backhaul_rates(world, chan)
+    assert rates.shape == (1, 4)
+    vals = rates[0].tolist()
     # quadrant centers are equidistant from the donor
     assert max(vals) == pytest.approx(min(vals), rel=1e-12)
     assert vals[0] > 0
@@ -251,25 +251,28 @@ def test_backhaul_rate_matches_link_budget():
     rx = donor.tx_power_dbm + 2 * chan.backhaul_gain_dbi - (fspl + chan.eta_los_db)
     noise = chan.noise_density_dbm_hz + 10.0 * math.log10(share) + node.noise_figure_db
     want = share * math.log2(1.0 + 10 ** ((rx - noise) / 10.0))
-    assert mac.backhaul_rates(world, chan, 0)[1] == pytest.approx(want, rel=1e-12)
+    assert mac.backhaul_rates(world, chan)[0, 0] == pytest.approx(want, rel=1e-12)
 
 
 def test_backhaul_rate_drops_with_distance():
     world = make_world(seed=7)
     chan = ChannelConfig()
-    near = mac.backhaul_rates(world, chan, 0)[1]
+    near = mac.backhaul_rates(world, chan)[0, 0]
     world.positions[0, 1, :2] = (0.0, 0.0)
-    far = mac.backhaul_rates(world, chan, 0)[1]
+    far = mac.backhaul_rates(world, chan)[0, 0]
     assert far < near
 
 
 def run_slots(world, tcfg, chan, n_slots):
+    """Step n_slots rr slots of every world; returns the world and each
+    slot's delivered bits, (n_worlds, n_platforms)."""
     out = []
     for _ in range(n_slots):
         assoc = mac.associate(world, chan)
-        choices = mac.rr_schedule(assoc.rows[0], world.slot, len(world.cfg.platforms))
-        world, [m] = mac.step_slot(world, [choices], tcfg, chan, assoc)
-        out.append(m)
+        choices = [mac.rr_schedule(rows, world.slot, len(world.cfg.platforms))
+                   for rows in assoc.rows]
+        world, delivered = mac.step_slot(world, choices, tcfg, chan, assoc)
+        out.append(delivered)
     return world, out
 
 
@@ -285,12 +288,11 @@ def test_step_slot_advances_clock_and_moves_ues():
 
 def test_step_slot_queue_conservation():
     world = make_world(seed=9)
-    world, metrics = run_slots(world, TrafficConfig(), ChannelConfig(), 200)
+    world, delivered = run_slots(world, TrafficConfig(), ChannelConfig(), 200)
     q = world.queue
     assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
-    # metric streams agree with the cumulative queue counters
-    assert sum(m.delivered_bits for m in metrics) == q.delivered_bits.sum()
-    assert np.array_equal(sum(m.dropped_by_ue for m in metrics), q.dropped_bits[0])
+    # the per-slot stream agrees with the cumulative queue counter
+    assert sum(d.sum() for d in delivered) == q.delivered_bits.sum()
 
 
 def test_step_slot_rejects_out_of_cell_choice():
@@ -327,9 +329,10 @@ def test_step_slot_idle_uavs_deliver_nothing():
     world = make_world(seed=11)
     chan = ChannelConfig()
     choices = {row: None for row in range(len(world.cfg.platforms))}
-    world, [m] = mac.step_slot(world, [choices], TrafficConfig(), chan, mac.associate(world, chan))
-    assert m.delivered_bits == 0
-    assert m.delivered_by_uav == [0] * len(world.cfg.platforms)
+    world, delivered = mac.step_slot(world, [choices], TrafficConfig(), chan,
+                                     mac.associate(world, chan))
+    assert delivered.dtype == np.int64
+    assert delivered.tolist() == [[0] * len(world.cfg.platforms)]
 
 
 def test_step_slot_node_capped_by_backhaul():
@@ -341,88 +344,88 @@ def test_step_slot_node_capped_by_backhaul():
     world.queue.push(0, np.full(world.cfg.n_ues, 10**9))
     caps = {
         row: int(r * world.cfg.slot_seconds)
-        for row, r in mac.backhaul_rates(world, chan, 0).items()
+        for row, r in enumerate(mac.backhaul_rates(world, chan)[0].tolist(), start=1)
     }
     assoc = mac.associate(world, chan)
     choices = mac.rr_schedule(assoc.rows[0], 0, len(world.cfg.platforms))
-    world, [m] = mac.step_slot(world, [choices], tcfg, chan, assoc)
+    world, [delivered] = mac.step_slot(world, [choices], tcfg, chan, assoc)
     served_nodes = 0
     for row in range(1, 5):
         if choices[row] is not None:
-            assert m.delivered_by_uav[row] <= caps[row]
-            served_nodes += int(m.delivered_by_uav[row] > 0)
+            assert delivered[row] <= caps[row]
+            served_nodes += int(delivered[row] > 0)
     assert served_nodes > 0
     # the donor has no backhaul hop and is allowed to exceed any node cap
     if choices[0] is not None:
-        assert m.delivered_by_uav[0] > max(caps.values())
+        assert delivered[0] > max(caps.values())
 
 
 def test_step_slot_deterministic():
     def signature(seed):
         world = make_world(seed=seed)
-        world, metrics = run_slots(world, TrafficConfig(), ChannelConfig(), 50)
-        return [
-            (m.slot, m.delivered_bits, tuple(m.delivered_by_uav))
-            for m in metrics
-        ]
+        world, delivered = run_slots(world, TrafficConfig(), ChannelConfig(), 50)
+        return [d.tolist() for d in delivered]
 
     assert signature(13) == signature(13)
     assert signature(13) != signature(14)
 
 
 def reference_step_slot(world, choices, tcfg, chan, association):
-    """The slot pipeline of a one-world lockstep link by link: a scalar Knuth
-    sampler per UE, one `rng.random()` per LoS state (serving link, then
-    co-channel interferers, by platform row) and the backhaul recomputed
-    every slot."""
-    [choices], rng = choices, world.rng[0]
+    """The slot pipeline of lockstep worlds world by world and link by link:
+    a scalar Knuth sampler per UE, one `rng.random()` per LoS state (serving
+    link, then co-channel interferers, by platform row) and the backhaul
+    recomputed every slot."""
     platforms = world.cfg.platforms
-    dropped = traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
-    metrics = SlotMetrics(world.slot, [0] * len(platforms), dropped[0])
+    traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
     counts = []
-    for _ in range(world.cfg.n_ues):
-        k, prod = 0, 1.0
-        while tcfg.lambda_pkts > 0:
-            prod *= rng.random()
-            if prod <= math.exp(-tcfg.lambda_pkts):
-                break
-            k += 1
-        counts.append(k * tcfg.packet_bits)
-    world.queue.push(world.slot, np.array([counts], dtype=np.int64))
+    for rng in world.rng:
+        counts.append([])
+        for _ in range(world.cfg.n_ues):
+            k, prod = 0, 1.0
+            while tcfg.lambda_pkts > 0:
+                prod *= rng.random()
+                if prod <= math.exp(-tcfg.lambda_pkts):
+                    break
+                k += 1
+            counts[-1].append(k * tcfg.packet_bits)
+    world.queue.push(world.slot, np.array(counts, dtype=np.int64))
 
     links = association.links
-    active = [row for row in range(len(platforms)) if choices[row] is not None]
-    bh_rates = mac.backhaul_rates(world, chan, 0)
 
-    def rx_dbm(row, ue_id):
+    def rx_dbm(w, row, ue_id):
         p = platforms[row]
-        los = float(rng.random() < links.p_los[0, row, ue_id])
-        pl = channel.path_loss_db(float(links.fspl_db[0, row, ue_id]), los, chan)
-        return channel.rx_power_dbm(p.tx_power_dbm, p.antenna_gain_dbi, 0.0, pl)
+        los = float(world.rng[w].random() < links.p_los[w, row, ue_id])
+        pl = channel.path_loss_db(float(links.fspl_db[w, row, ue_id]), los, chan)
+        return p.tx_power_dbm + p.antenna_gain_dbi + 0.0 - pl  # the UE's 0 dBi
 
-    for row in active:
-        p = platforms[row]
-        ue_id = choices[row]
-        serving = rx_dbm(row, ue_id)
-        interferers = [
-            rx_dbm(q, ue_id)
-            for q in active
-            if q != row and platforms[q].carrier_hz == p.carrier_hz
-        ]
-        noise = channel.noise_mw(p.bandwidth_hz, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
-        ratio = channel.sinr(serving, interferers, noise)
-        capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
-        if row > 0:  # a node, capped by its backhaul
-            capacity = min(capacity, int(bh_rates[row] * world.cfg.slot_seconds))
-        metrics.delivered_by_uav[row] = traffic.serve_bits(world.queue, (0, ue_id), capacity)
+    bh_rates = mac.backhaul_rates(world, chan).tolist()
+    delivered = np.zeros((len(world.rng), len(platforms)), dtype=np.int64)
+    for w, chosen in enumerate(choices):
+        active = [row for row in range(len(platforms)) if chosen[row] is not None]
+        for row in active:
+            p = platforms[row]
+            ue_id = chosen[row]
+            serving = rx_dbm(w, row, ue_id)
+            interferers = [
+                rx_dbm(w, q, ue_id)
+                for q in active
+                if q != row and platforms[q].carrier_hz == p.carrier_hz
+            ]
+            noise = channel.noise_mw(p.bandwidth_hz, chan.ue_noise_figure_db,
+                                     chan.noise_density_dbm_hz)
+            ratio = channel.sinr(serving, interferers, noise)
+            capacity = int(channel.shannon_rate(ratio, p.bandwidth_hz) * world.cfg.slot_seconds)
+            if row > 0:  # a node, capped by its backhaul
+                capacity = min(capacity, int(bh_rates[w][row - 1] * world.cfg.slot_seconds))
+            delivered[w, row] = traffic.serve_bits(world.queue, (w, ue_id), capacity)
     step_ue_mobility(world, world.cfg.slot_seconds)
     world.slot += 1
-    return world, [metrics]
+    return world, delivered
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
     n_ues=st.integers(1, 40),
     lam=st.sampled_from([0.0, 0.3, 2.0, 9.0]),
     backhaul_hz=st.sampled_from([2e5, 5e6, 50e6]),
@@ -430,29 +433,33 @@ def reference_step_slot(world, choices, tcfg, chan, association):
     n_slots=st.integers(1, 12),
 )
 def test_step_slot_matches_link_by_link_reference(
-    seed, n_ues, lam, backhaul_hz, node_carrier_hz, n_slots
+    seeds, n_ues, lam, backhaul_hz, node_carrier_hz, n_slots
 ):
     cfg = ScenarioConfig(n_ues=n_ues, node_carrier_hz=node_carrier_hz)
     tcfg = TrafficConfig(lambda_pkts=lam, packet_bits=60_000, deadline_slots=4)
     chan = ChannelConfig(backhaul_bandwidth_hz=backhaul_hz)
-    worlds = init_world(cfg, [seed]), init_world(cfg, [seed])
-    pick = np.random.default_rng(seed)  # choices and node moves, outside the worlds
+    worlds = init_world(cfg, seeds), init_world(cfg, seeds)
+    pick = np.random.default_rng(seeds)  # choices and node moves, outside the worlds
     for _ in range(n_slots):
-        if pick.random() < 0.3:
-            xy = pick.uniform(0.0, 1400.0, (4, 2))
-            for world in worlds:
-                world.positions[0, 1:, :2] = xy
+        for w in range(len(seeds)):  # node moves in a random subset of the worlds
+            if pick.random() < 0.3:
+                xy = pick.uniform(0.0, 1400.0, (4, 2))
+                for world in worlds:
+                    world.positions[w, 1:, :2] = xy
         assoc = mac.associate(worlds[0], chan)
-        cells = mac.observed_ues(worlds[0], assoc, n_ues)[0]
-        choices = {}
-        for row in range(len(cfg.platforms)):
-            cell = observed(cells, row)
-            choices[row] = int(pick.choice(cell)) if cell and pick.random() < 0.8 else None
-        _, [got] = mac.step_slot(worlds[0], [choices], tcfg, chan, assoc)
+        choices = []
+        for cells in mac.observed_ues(worlds[0], assoc, n_ues):
+            choices.append({})
+            for row in range(len(cfg.platforms)):
+                cell = observed(cells, row)
+                choices[-1][row] = int(pick.choice(cell)) if cell and pick.random() < 0.8 else None
+        slot = worlds[0].slot
+        _, got = mac.step_slot(worlds[0], choices, tcfg, chan, assoc)
         ref_assoc = mac.associate(worlds[1], chan)
-        _, [want] = reference_step_slot(worlds[1], [choices], tcfg, chan, ref_assoc)
-        assert (got.slot, got.delivered_by_uav) == (want.slot, want.delivered_by_uav)
-        assert np.array_equal(got.dropped_by_ue, want.dropped_by_ue)
+        _, want = reference_step_slot(worlds[1], choices, tcfg, chan, ref_assoc)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert worlds[0].slot == worlds[1].slot == slot + 1
+        assert np.array_equal(worlds[0].queue.dropped_bits, worlds[1].queue.dropped_bits)
     a, b = (w.queue for w in worlds)
     assert a.n_cohorts == b.n_cohorts
     assert np.array_equal(a.cells[..., : a.n_cohorts], b.cells[..., : b.n_cohorts])
@@ -460,29 +467,34 @@ def test_step_slot_matches_link_by_link_reference(
     for name in ("arrived_bits", "delivered_bits", "dropped_bits"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(worlds[0].ue_positions, worlds[1].ue_positions)
-    assert worlds[0].rng[0].bit_generator.state == worlds[1].rng[0].bit_generator.state
+    for got_rng, want_rng in zip(worlds[0].rng, worlds[1].rng):
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def capped_slot(world, chan):
-    """Step one rr slot on preloaded queues; return the bits each served
-    node delivered and the backhaul cap computed afresh for it."""
-    world.queue.push(world.slot, np.full(world.cfg.n_ues, 10**9))
-    rates = mac.backhaul_rates(world, chan, 0)
-    caps = {row: int(r * world.cfg.slot_seconds) for row, r in rates.items()}
+    """Step one rr slot of every world on preloaded queues; return the bits
+    each served node delivered and the backhaul cap computed afresh for it,
+    both keyed by (world, node row)."""
+    world.queue.push(world.slot, np.full(world.ue_speeds.shape, 10**9))
+    caps = [[int(r * world.cfg.slot_seconds) for r in rates]
+            for rates in mac.backhaul_rates(world, chan).tolist()]
     assoc = mac.associate(world, chan)
-    choices = mac.rr_schedule(assoc.rows[0], world.slot, len(world.cfg.platforms))
-    _, [m] = mac.step_slot(world, [choices], TrafficConfig(), chan, assoc)
-    served = {row: m.delivered_by_uav[row] for row in range(1, 5) if choices[row] is not None}
+    choices = [mac.rr_schedule(rows, world.slot, len(world.cfg.platforms)) for rows in assoc.rows]
+    _, delivered = mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
+    served = {(w, row): int(delivered[w, row])
+              for w, chosen in enumerate(choices) for row in range(1, 5) if chosen[row] is not None}
     assert served
-    return served, {row: caps[row] for row in served}
+    return served, {(w, row): caps[w][row - 1] for w, row in served}
 
 
 def test_backhaul_computed_once_while_nodes_park(monkeypatch):
-    calls = []
     real = mac.backhaul_rates
-    monkeypatch.setattr(mac, "backhaul_rates", lambda *a: calls.append(1) or real(*a))
-    run_slots(make_world(seed=12), TrafficConfig(), ChannelConfig(), 20)
-    assert len(calls) == 1
+    for n_worlds in (1, 20):  # one pass serves every lockstep world
+        calls = []
+        monkeypatch.setattr(mac, "backhaul_rates", lambda *a: calls.append(1) or real(*a))
+        world = init_world(ScenarioConfig(), range(n_worlds))
+        run_slots(world, TrafficConfig(), ChannelConfig(), 20)
+        assert len(calls) == 1, n_worlds
 
 
 def test_backhaul_cap_follows_apply_trajectory():
@@ -494,8 +506,8 @@ def test_backhaul_cap_follows_apply_trajectory():
     apply_trajectory(world, [[[-40.0, -40.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], 10.0)
     moved_served, moved_caps = capped_slot(world, chan)
     assert moved_served == moved_caps
-    assert moved_caps[1] < caps[1]
-    assert all(moved_caps[n] == caps[n] for n in moved_caps if n in caps and n != 1)
+    assert moved_caps[0, 1] < caps[0, 1]
+    assert all(moved_caps[n] == caps[n] for n in moved_caps if n in caps and n != (0, 1))
 
 
 def test_backhaul_cap_follows_position_write():
@@ -506,6 +518,25 @@ def test_backhaul_cap_follows_position_write():
     served, near_caps = capped_slot(world, chan)
     assert served == near_caps
     assert all(near_caps[n] > caps[n] for n in near_caps if n in caps)
+
+
+def test_backhaul_cap_follows_scenario_config_and_one_worlds_move():
+    # the backhaul reads the donor power and noise figure from world.cfg
+    world = init_world(ScenarioConfig(), [1, 2])
+    chan = ChannelConfig(backhaul_bandwidth_hz=2e5)
+    served, caps = capped_slot(world, chan)
+    assert served == caps
+    world.cfg.donor_tx_power_dbm = 7.0  # nodes parked
+    served, strong_caps = capped_slot(world, chan)
+    assert served == strong_caps
+    assert all(strong_caps[n] > caps[n] for n in strong_caps if n in caps)
+    world.positions[1, 1:, 0] += 0.04  # world 1's nodes move 4 cm
+    served, moved_caps = capped_slot(world, chan)
+    assert served == moved_caps
+    world.cfg.noise_figure_db = 12.0
+    served, noisy_caps = capped_slot(world, chan)
+    assert served == noisy_caps
+    assert all(noisy_caps[n] < moved_caps[n] for n in noisy_caps if n in moved_caps)
 
 
 def test_backhaul_cap_follows_channel_config():
@@ -532,6 +563,5 @@ def test_access_noise_follows_channel_config():
         for world, step in zip(worlds, (mac.step_slot, reference_step_slot)):
             assoc = mac.associate(world, chan)
             choices = mac.rr_schedule(assoc.rows[0], slot, len(world.cfg.platforms))
-            _, [metrics] = step(world, [choices], tcfg, chan, assoc)
-            delivered.append(metrics.delivered_by_uav)
-        assert delivered[0] == delivered[1]
+            delivered.append(step(world, [choices], tcfg, chan, assoc)[1])
+        assert np.array_equal(delivered[0], delivered[1])

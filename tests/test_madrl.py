@@ -33,7 +33,7 @@ from ntnsim.madrl import (
     update_critic,
 )
 from ntnsim.scenario import ScenarioConfig, apply_trajectory, init_world
-from ntnsim.traffic import SlotMetrics, TrafficConfig
+from ntnsim.traffic import TrafficConfig
 
 
 def make_env(**kwargs):
@@ -317,12 +317,15 @@ def test_traj_explore_only_ignores_actors():
 
 
 def test_team_reward_example():
-    m = SlotMetrics(slot=0, delivered_by_uav=[5_250_000, 0, 0, 0, 0])
-    assert team_reward(m, 0.030) == pytest.approx(0.175, rel=1e-12)
-    assert team_reward(SlotMetrics(slot=0), 0.030) == 0.0
-    # invariant to which UAV delivered
-    m2 = SlotMetrics(slot=0, delivered_by_uav=[250_000, 0, 0, 5_000_000, 0])
-    assert team_reward(m2, 0.030) == team_reward(m, 0.030)
+    assert team_reward(5_250_000, 0.030) == pytest.approx(0.175, rel=1e-12)
+    assert team_reward(0, 0.030) == 0.0
+    # over the world axis, each world's reward is that of its Python-int total,
+    # bit for bit, and does not depend on which UAV delivered
+    by_uav = np.array([[5_250_000, 0, 0, 0, 0], [250_000, 0, 0, 5_000_000, 0], [0] * 5,
+                       [2**40, 3, 0, 0, 7]], dtype=np.int64)
+    want = [team_reward(sum(row), 0.030) for row in by_uav.tolist()]
+    assert team_reward(by_uav.sum(axis=1), 0.030).tolist() == want
+    assert want[0] == want[1]
 
 
 def test_replay_buffer_ring_and_sampling():
@@ -824,8 +827,8 @@ def test_run_episode_rr_matches_manual_trace():
     for t in range(30):
         assoc = mac.associate(world, env.channel)
         choices = mac.rr_schedule(assoc.rows[0], t, 5)
-        world, [m] = mac.step_slot(world, [choices], env.traffic, env.channel, assoc)
-        delivered += m.delivered_bits
+        world, [by_uav] = mac.step_slot(world, [choices], env.traffic, env.channel, assoc)
+        delivered += int(by_uav.sum())
     assert res.delivered_bits == delivered
 
 

@@ -307,12 +307,6 @@ def test_cohort_queue_matches_packet_fifo(history):
     assert queue.hol_age(slot, (0, ids)).tolist() == [fifos[i].hol_age(slot) for i in ids]
 
 
-def test_slot_metrics_total():
-    m = traffic.SlotMetrics(slot=3)
-    m.delivered_by_uav = [100, 200, 0]
-    assert m.delivered_bits == 300
-
-
 def test_traffic_config_defaults():
     cfg = TrafficConfig()
     assert cfg.lambda_pkts == 2.0
