@@ -1,10 +1,12 @@
 """Link budgets: geometry, LoS probability, path loss, SINR, Shannon rate.
 
-`link_geometry` is the one budget pass of a slot. Association, access SINR
-and the backhaul all read its matrices through `path_loss_db`, which weights
-the LoS and NLoS excess losses by a LoS probability: the sigmoid value for
-the fading-free budget, a drawn 1/0 state for one slot's link, or 1 for the
-always-LoS air-to-air backhaul.
+`link_geometry` is the one budget pass of a slot's ground links: association
+and the access SINR read its matrices. The air-to-air backhaul needs only a
+distance and its `free_space_loss_db`. Both go through `path_loss_db`, which
+weights the LoS and NLoS excess losses by a LoS probability: the sigmoid
+value for the fading-free budget, a drawn 1/0 state for one slot's link, or
+1 for the always-LoS backhaul. `sinr_mw` and `shannon_rate` take one link or
+arrays of links.
 """
 
 from __future__ import annotations
@@ -61,17 +63,22 @@ def link_geometry(
     tx_xyz: np.ndarray, rx_xyz: np.ndarray, carrier_hz: np.ndarray, cfg: ChannelConfig
 ) -> LinkGeometry:
     """Budget matrices from transmitters at tx_xyz (..., n_tx, 3), on
-    carriers carrier_hz (n_tx,), to receivers at rx_xyz (..., n_rx, 3); the
-    leading dimensions (lockstep worlds) carry through to every matrix."""
+    carriers carrier_hz (n_tx,), to receivers at rx_xyz (..., n_rx, 3), or
+    (..., n_rx, 2) for receivers on the ground; the leading dimensions
+    (lockstep worlds) carry through to every matrix."""
     rx = rx_xyz[..., None, :, :]
     horiz = np.hypot(rx[..., 0] - tx_xyz[..., 0:1], rx[..., 1] - tx_xyz[..., 1:2])
-    height = tx_xyz[..., 2:3] - rx[..., 2]
+    height = tx_xyz[..., 2:3] - rx[..., 2] if rx.shape[-1] > 2 else tx_xyz[..., 2:3]
     distance = np.hypot(horiz, height)
     elevation = np.degrees(np.arctan2(height, horiz))
-    fspl = 20.0 * np.log10(
-        4.0 * math.pi / SPEED_OF_LIGHT * np.maximum(distance, 1.0) * carrier_hz[:, None]
-    )
-    return LinkGeometry(distance, elevation, los_probability(elevation, cfg.los_a, cfg.los_b), fspl)
+    return LinkGeometry(distance, elevation, los_probability(elevation, cfg.los_a, cfg.los_b),
+                        free_space_loss_db(distance, carrier_hz[:, None]))
+
+
+def free_space_loss_db(distance_m, carrier_hz):
+    """Distances under 1 m count as 1 m."""
+    return 20.0 * np.log10(
+        4.0 * math.pi / SPEED_OF_LIGHT * np.maximum(distance_m, 1.0) * carrier_hz)
 
 
 def path_loss_db(fspl_db, p_los, cfg: ChannelConfig):
@@ -96,13 +103,19 @@ def noise_mw(
 
 
 def sinr(serving_rx_dbm: float, interferer_rx_dbm, noise_mw: float) -> float:
-    """Linear SINR; the sum in the denominator is computed in milliwatts."""
-    interference_mw = sum(dbm_to_mw(p) for p in interferer_rx_dbm)
-    return dbm_to_mw(serving_rx_dbm) / (interference_mw + noise_mw)
+    """Linear SINR of received powers in dBm, the interferers summed in
+    milliwatts in the order given."""
+    return sinr_mw(dbm_to_mw(serving_rx_dbm), sum(map(dbm_to_mw, interferer_rx_dbm)), noise_mw)
 
 
-def shannon_rate(sinr_linear: float, bandwidth_hz: float) -> float:
+def sinr_mw(serving_mw, interference_mw, noise_mw):
+    """Linear SINR of a link, or of arrays of links, from the serving power
+    and the summed interference in milliwatts."""
+    return serving_mw / (interference_mw + noise_mw)
+
+
+def shannon_rate(sinr_linear, bandwidth_hz):
     """Bits per second; zero SINR or zero bandwidth yields zero."""
-    if sinr_linear < 0:
+    if np.count_nonzero(np.less(sinr_linear, 0)):
         raise ValueError("SINR must be nonnegative")
-    return bandwidth_hz * math.log2(1.0 + sinr_linear)
+    return bandwidth_hz * np.log2(1.0 + sinr_linear)

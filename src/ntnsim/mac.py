@@ -3,7 +3,9 @@ and the per-slot simulation step tying channel, traffic, and actions together.""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +32,7 @@ def associate(world: WorldState, chan: ChannelConfig) -> Association:
 
     Ties break toward the lowest platform row.
     """
-    ue_xyz = np.concatenate((world.ue_positions, np.zeros(world.ue_speeds.shape + (1,))), axis=-1)
-    links = channel.link_geometry(world.positions, ue_xyz, world.carrier_hz, chan)
+    links = channel.link_geometry(world.positions, world.ue_positions, world.carrier_hz, chan)
     rsrp = world.eirp_dbm[:, None] - channel.path_loss_db(links.fspl_db, links.p_los, chan)
     return Association(np.argmax(rsrp, axis=-2), links)
 
@@ -42,134 +43,154 @@ def observed_ues(world: WorldState, association: Association, k: int) -> np.ndar
     UE id, padded with -1 past the cell's size. One stable sort of every
     world's platform x UE distances, with the UEs outside a cell at infinity,
     ranks every cell. Observations and schedule decoding read these ranks."""
-    member = association.rows[..., None, :] == np.arange(len(world.cochannel))[:, None]
+    member = association.rows[..., None, :] == np.arange(len(world.eirp_dbm))[:, None]
     nearest = np.argsort(np.where(member, association.links.distance_m, np.inf), axis=-1,
                          kind="stable")
     ranked = np.arange(k) < member.sum(axis=-1)[..., None]
     return np.where(ranked, nearest.take(np.arange(k), axis=-1, mode="clip"), -1)
 
 
-def decode_schedule(actions: np.ndarray, cells: np.ndarray) -> dict[int, int | None]:
-    """Turn the (n_platforms, k) rank vectors into one chosen UE per platform
-    row (None = idle).
+class Schedule(Mapping):
+    """One slot's choices: `ue_ids`, the UE id of every platform slot (-1 =
+    idle), (n_worlds, n_platforms) or one world's (n_platforms,). Read as a
+    mapping it is (world, row), or row, -> UE id or None, in C order."""
 
-    Entry i of row r refers to rank i of platform r's observed UEs (see
-    observed_ues), and the platform serves the UE of its largest entry. A
-    learned scheduler's vector is the one-hot of its chosen rank
-    (madrl.select_rank). Entries at padded ranks are ignored, and ties go to
+    def __init__(self, ue_ids: np.ndarray):
+        self.ue_ids = ue_ids
+
+    @cached_property
+    def _dict(self) -> dict:
+        keys = np.ndindex(self.ue_ids.shape) if self.ue_ids.ndim > 1 else range(self.ue_ids.size)
+        return dict(zip(keys, [ue if ue >= 0 else None for ue in self.ue_ids.ravel().tolist()]))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return self.ue_ids.size
+
+
+def decode_schedule(actions: np.ndarray, cells: np.ndarray) -> Schedule:
+    """Turn rank vectors into one chosen UE per platform slot: actions and
+    cells (observed_ues) are (n_worlds, n_platforms, k), or one world's
+    (n_platforms, k).
+
+    Entry i of row r refers to rank i of platform r's observed UEs, and the
+    platform serves the UE of its largest entry (a learned scheduler's
+    one-hot rank, madrl.select_rank). Padded ranks are ignored; ties go to
     the lowest rank.
     """
-    ranks = np.argmax(np.where(cells >= 0, actions, -np.inf), axis=1)
-    chosen = cells[np.arange(len(cells)), ranks].tolist()
-    return {row: (ue if ue >= 0 else None) for row, ue in enumerate(chosen)}
+    ranks = np.argmax(np.where(cells >= 0, actions, -np.inf), axis=-1)
+    return Schedule(cells.reshape(-1, cells.shape[-1])[np.arange(ranks.size), ranks.ravel()]
+                    .reshape(ranks.shape))
 
 
-def rr_schedule(rows: np.ndarray, slot: int, n_platforms: int) -> dict[int, int | None]:
-    """Round-robin over one world's serving rows (`Association.rows[w]`):
-    each platform row cycles through its cell (sorted by UE id) once per
-    slot; an empty cell idles."""
-    sizes = np.bincount(rows, minlength=n_platforms)
-    by_row = np.argsort(rows, kind="stable").tolist()
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    return {row: (by_row[start + slot % size] if size else None)
-            for row, (start, size) in enumerate(zip(starts, sizes.tolist()))}
+def rr_schedule(rows: np.ndarray, slot: int, n_platforms: int) -> Schedule:
+    """Round-robin over the serving rows `Association.rows` of every world
+    (n_worlds, n_ues), or over one world's (n_ues,): each platform row
+    cycles through its cell (sorted by UE id) once per slot; an empty cell
+    idles."""
+    member = rows[..., None, :] == np.arange(n_platforms)[:, None]
+    sizes = member.sum(axis=-1)
+    nth = slot % np.maximum(sizes, 1)  # the member to serve, counted in UE id order
+    ue_ids = np.argmax(member.cumsum(axis=-1) > nth[..., None], axis=-1)
+    return Schedule(np.where(sizes > 0, ue_ids, -1))
 
 
 def backhaul_rates(world: WorldState, chan: ChannelConfig) -> np.ndarray:
     """Donor-to-node backhaul rates in bps of every world on the dedicated
-    carrier, (n_worlds, n_nodes): column j is the node in row j + 1.
-
-    The backhaul band is split evenly four ways; both endpoints are airborne,
-    so the link is always LoS and interference-free.
-    """
+    carrier, (n_worlds, n_nodes): column j is the node in row j + 1. The band
+    is split evenly four ways; the airborne link is always LoS and
+    interference-free, so it needs only a distance and its free-space loss."""
     cfg, positions = world.cfg, world.positions
-    links = channel.link_geometry(positions[:, :1], positions[:, 1:],
-                                  np.array([chan.backhaul_carrier_hz]), chan)
+    gap = positions[:, 1:] - positions[:, :1]
+    distance = np.hypot(np.hypot(gap[..., 0], gap[..., 1]), gap[..., 2])
+    fspl = channel.free_space_loss_db(distance, chan.backhaul_carrier_hz)
     share = chan.backhaul_bandwidth_hz / (positions.shape[1] - 1)
     noise = channel.noise_mw(share, cfg.noise_figure_db, chan.noise_density_dbm_hz)
     rx = (cfg.donor_tx_power_dbm + chan.backhaul_gain_dbi + chan.backhaul_gain_dbi
-          - channel.path_loss_db(links.fspl_db[:, 0], 1.0, chan))
+          - channel.path_loss_db(fspl, 1.0, chan))
     return share * np.log2(1.0 + channel.dbm_to_mw(rx) / noise)
 
 
-def step_slot(world: WorldState, choices: list[dict], tcfg: TrafficConfig, chan: ChannelConfig,
+def chosen_ue_ids(choices, rows: np.ndarray, n_platforms: int) -> np.ndarray:
+    """The (n_worlds, n_platforms) UE ids (-1 = idle) of a Schedule of every
+    world, or of a list of one mapping row -> UE id or None per world (a row
+    left out idles). Any other shape, or a UE id outside its row's cell in
+    the serving rows `rows`, raises ValueError."""
+    (n_worlds, n_ues), picks = rows.shape, None
+    if isinstance(choices, Schedule):
+        ue_ids = picks = choices.ue_ids
+    elif not isinstance(choices, Mapping) and len(choices) == n_worlds:
+        picks = np.array([[chosen.get(row) for row in range(n_platforms)] for chosen in choices],
+                         dtype=float)  # None -> NaN
+        whole = (picks >= 0) & (picks % 1 == 0)
+        ue_ids = np.where(np.isnan(picks), -1, np.where(whole, np.minimum(picks, n_ues), -2))
+    if picks is None or picks.shape != (n_worlds, n_platforms):
+        raise ValueError(f"{n_worlds} worlds need one choices dict each, or one Schedule")
+    ue_ids = ue_ids.astype(np.intp, copy=False)
+    safe = np.minimum(np.maximum(ue_ids, 0), n_ues - 1)
+    cell = rows[np.arange(n_worlds)[:, None], safe]
+    bad = ((safe != ue_ids) | (cell != np.arange(n_platforms))) & (ue_ids != -1)
+    if np.count_nonzero(bad):
+        w, row = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"UAV {row} of world {w} chose UE {picks[w, row]:g} outside its cell")
+    return ue_ids
+
+
+def step_slot(world: WorldState, choices, tcfg: TrafficConfig, chan: ChannelConfig,
               association: Association) -> tuple[WorldState, np.ndarray]:
-    """Advance every world by one slot under its per-row service choices
-    (choices[w]: platform row -> UE id or None), with the slot's
-    association; returns the bits each world delivered by platform row, an
-    (n_worlds, n_platforms) int64 array.
+    """Advance every world one slot under its choices (see chosen_ue_ids) and
+    the slot's association; return each world's delivered bits by platform
+    row, (n_worlds, n_platforms) int64. A bad choice raises ValueError first.
 
-    Every choice is checked first: a choices list whose length is not the
-    number of worlds, or a UE id outside [0, n_ues) or outside the row's
-    cell, raises ValueError and leaves every world as it was. Then, in
-    order: drop expired cohorts (counted in `queue.dropped_bits`), draw
-    arrivals into a new cohort, draw one LoS state per access link, evaluate
-    access SINR with co-channel active platforms as interferers, cap node
-    service by its backhaul share, drain each chosen UE's queue oldest cohort
-    first, move the UEs, advance the slot counter. Each world makes one
-    `rng.poisson`, one `rng.random` and (for the UEs that reach their
-    waypoint) one `rng.uniform` call on its own generator.
-
-    Expiry, the cohort push, path loss, the backhaul and the UE moves run
-    once over the world axis; the access SINR and rate chain and service
-    stay per link. The access links use the association's geometry and are
-    listed world by world, by active platform in row order: its serving
-    link, then its co-channel interferers in row order. EIRP, bandwidth and
-    co-channel rows are the fleet constants from `init_world`. The access
-    noise powers and every world's backhaul rates are recomputed together,
-    only when some world's platform positions (bit for bit), `chan`, or the
-    backhaul's donor power or noise figure in `world.cfg` change.
+    Then: drop expired cohorts (into `queue.dropped_bits`), draw arrivals,
+    draw one LoS state per access link, form the SINR with the active
+    co-channel rows as interferers, cap each node by its backhaul share,
+    drain each chosen UE oldest cohort first, move the UEs. Each world makes
+    one `rng.poisson`, `rng.random` and (UEs at their waypoint) `rng.uniform`
+    call. All else is a fixed number of array passes over all worlds and
+    links; a world's links are, row by row, its active rows' active
+    `link_rows`, in its draw's order. The access noise follows `chan`; the
+    backhaul caps follow `chan`, every world's positions (bit for bit) and
+    the donor power, noise figure and slot length in `world.cfg`.
     """
-    rows = association.rows
-    n_platforms, n_ues = len(world.cochannel), rows.shape[-1]
-    if len(choices) != len(world.rng):
-        raise ValueError(f"{len(world.rng)} worlds need one choices dict each, got {len(choices)}")
-    active, tx_rows, flat, n_links, ends = [], [], [], [], [0]
-    for w, chosen in enumerate(choices):
-        for row in range(n_platforms):
-            ue_id = chosen.get(row)
-            if ue_id is None:
-                continue
-            if not 0 <= ue_id < n_ues or rows[w, ue_id] != row:
-                raise ValueError(f"UAV {row} chose UE {ue_id} outside its cell")
-            tx = [row] + [q for q in world.cochannel[row] if chosen.get(q) is not None]
-            active.append((w, row, ue_id))
-            tx_rows += tx
-            flat += [(w * n_platforms + q) * n_ues + ue_id for q in tx]  # into the link matrices
-            n_links.append(len(tx))
-        ends.append(len(flat))
-
-    links = association.links
+    rows, links, link_rows = association.rows, association.links, world.link_rows
+    ue_ids = chosen_ue_ids(choices, rows, len(link_rows))
     traffic.drop_expired(world.queue, world.slot, tcfg.deadline_slots)
     traffic.generate_arrivals(world, tcfg.lambda_pkts, tcfg.packet_bits)
-    flat, draws = np.array(flat, dtype=np.intp), np.empty(len(flat))
-    for rng, start, end in zip(world.rng, ends, ends[1:]):
-        rng.random(out=draws[start:end])
-    los = (draws < links.p_los.take(flat)).astype(float)
-    loss = channel.path_loss_db(links.fspl_db.take(flat), los, chan)
-    rx_dbm = (world.eirp_dbm[tx_rows] - loss).tolist()
 
-    cfg = world.cfg
-    key = (chan, world.positions.tobytes(), cfg.donor_tx_power_dbm, cfg.noise_figure_db)
-    if world.link_cache is None or world.link_cache[0] != key:
-        kept = (replace(chan), *key[1:])  # a copy: a chan changed in place must not match
-        world.link_cache = (kept, [
-            channel.noise_mw(bandwidth, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
-            for bandwidth in world.bandwidth_hz
-        ], backhaul_rates(world, chan).tolist())
-    _, noise_mw, bh_rates = world.link_cache
+    # (world, row, link): the links of every row in listing order; off links are masked
+    active = ue_ids >= 0
+    on = active[:, link_rows] & (link_rows >= 0) & active[..., None]
+    n_links = on.sum(axis=(1, 2)).tolist()
+    draw = np.zeros(on.shape)
+    draw[on] = np.concatenate([rng.random(n) for rng, n in zip(world.rng, n_links)])
+    link = (np.arange(len(on))[:, None, None], link_rows, ue_ids[..., None])
+    loss = channel.path_loss_db(links.fspl_db[link], (draw < links.p_los[link]).astype(float), chan)
+    rx_mw = channel.dbm_to_mw(np.where(on, world.eirp_dbm[link_rows] - loss, -np.inf))
 
-    slot_s = cfg.slot_seconds
-    delivered = np.zeros((len(world.rng), n_platforms), dtype=np.int64)
-    first = 0
-    for (w, row, ue_id), n in zip(active, n_links):
-        ratio = channel.sinr(rx_dbm[first], rx_dbm[first + 1 : first + n], noise_mw[row])
-        first += n
-        capacity = int(channel.shannon_rate(ratio, world.bandwidth_hz[row]) * slot_s)
-        if row > 0:  # a node, capped by its backhaul share
-            capacity = min(capacity, int(bh_rates[w][row - 1] * slot_s))
-        delivered[w, row] = traffic.serve_bits(world.queue, (w, ue_id), capacity)
+    cfg, cache = world.cfg, world.link_cache
+    if cache is None or cache[0] != chan:  # a copy of chan, which may change in place
+        noise = [channel.noise_mw(bw, chan.ue_noise_figure_db, chan.noise_density_dbm_hz)
+                 for bw in world.bandwidth_hz.tolist()]
+        cache = (replace(chan), np.array(noise), None, None)
+    key = (world.positions.tobytes(), cfg.donor_tx_power_dbm, cfg.noise_figure_db, cfg.slot_seconds)
+    if cache[2] != key:
+        cache = (*cache[:2], key, (backhaul_rates(world, chan) * cfg.slot_seconds).astype(np.int64))
+    world.link_cache = _, noise_mw, _, bh_caps = cache
 
-    step_ue_mobility(world, slot_s)
+    serving, *interferers = rx_mw.transpose(2, 0, 1)
+    ratio = channel.sinr_mw(serving, sum(interferers), noise_mw)  # summed in row order
+    capacity = (channel.shannon_rate(ratio, world.bandwidth_hz) * cfg.slot_seconds).astype(np.int64)
+    np.minimum(capacity[:, 1:], bh_caps, out=capacity[:, 1:])  # nodes: their backhaul share
+    delivered, served = np.zeros(capacity.shape, dtype=np.int64), active.nonzero()
+    delivered[served] = traffic.serve_bits(world.queue, (served[0], ue_ids[served]),
+                                           capacity[served])
+
+    step_ue_mobility(world, cfg.slot_seconds)
     world.slot += 1
     return world, delivered

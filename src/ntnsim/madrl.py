@@ -132,21 +132,29 @@ class EnvSpec:
         return ObsNorm.from_traffic(self.traffic)
 
 
-def local_observation(world: WorldState, cells: np.ndarray, norm: ObsNorm) -> np.ndarray:
+def queue_observation(world: WorldState, norm: ObsNorm) -> np.ndarray:
+    """(n_worlds, n_ues, 2): every UE's backlog and head-of-line age,
+    normalized and capped at 1, from one queued_bits and one hol_age pass;
+    the slot's local observations and critic states read it."""
+    q, obs = world.queue, np.empty(world.ue_speeds.shape + (2,))
+    np.minimum(q.queued_bits() / norm.backlog_bits, 1.0, out=obs[..., 0])
+    np.minimum(q.hol_age(world.slot) / norm.age_slots, 1.0, out=obs[..., 1])
+    return obs
+
+
+def local_observation(world: WorldState, cells: np.ndarray, queue_obs: np.ndarray) -> np.ndarray:
     """(n_worlds, n_platforms, 2 + 4k) scheduler observations of every
     world in one pass, one row per platform row: its own normalized position,
     then per observed UE (the rank-ordered ids of its row of `cells`, see
-    mac.observed_ues) the UE's relative position, backlog, and head-of-line
-    age; padded ranks stay zero. Every entry lands in [-1, 1]."""
+    mac.observed_ues) the UE's relative position and its `queue_obs` row
+    (backlog, head-of-line age); padded ranks stay zero. Every entry lands in
+    [-1, 1]."""
     wh = world.area_max
     xy = world.positions[..., :2]
-    observed = cells >= 0
-    w, row, _ = np.nonzero(observed)
-    ue = (w, cells[observed])
-    per_ue = np.zeros(cells.shape + (UE_FEATURES,))
-    per_ue[observed, :2] = (world.ue_positions[ue] - xy[w, row]) / wh
-    per_ue[observed, 2] = np.minimum(world.queue.queued_bits(ue) / norm.backlog_bits, 1.0)
-    per_ue[observed, 3] = np.minimum(world.queue.hol_age(world.slot, ue) / norm.age_slots, 1.0)
+    ue = (np.arange(len(cells))[:, None, None], cells)  # padded ranks read UE -1, then zeros
+    per_ue = np.concatenate(((world.ue_positions[ue] - xy[..., None, :]) / wh, queue_obs[ue]),
+                            axis=-1)
+    per_ue = np.where(cells[..., None] >= 0, per_ue, 0.0)
     return np.concatenate((xy / wh, per_ue.reshape(cells.shape[:-1] + (-1,))), axis=-1)
 
 
@@ -159,18 +167,19 @@ def trajectory_observation(world: WorldState, sched_obs: np.ndarray) -> np.ndarr
     return np.concatenate((sched_obs[..., 1:, :], donor_offset), axis=-1, dtype=sched_obs.dtype)
 
 
-def global_state(world: WorldState, norm: ObsNorm) -> np.ndarray:
+def global_state(world: WorldState, queue_obs: np.ndarray) -> np.ndarray:
     """(n_worlds, state_dim) critic states, one row per world: all platform
-    positions, all UE positions (id order), all backlogs and head-of-line
-    ages, each normalized. Used by critics only."""
+    positions, all UE positions (id order), each normalized, then all
+    backlogs and all head-of-line ages (`queue_obs`, see queue_observation).
+    Used by critics only."""
     w, h = world.area_max
     return np.concatenate([
         world.positions[..., 0] / w,
         world.positions[..., 1] / h,
         world.ue_positions[..., 0] / w,
         world.ue_positions[..., 1] / h,
-        np.minimum(world.queue.queued_bits() / norm.backlog_bits, 1.0),
-        np.minimum(world.queue.hol_age(world.slot) / norm.age_slots, 1.0),
+        queue_obs[..., 0],
+        queue_obs[..., 1],
     ], axis=-1)
 
 
@@ -271,7 +280,7 @@ def select_rank(
     for n in range(1, k + 1):
         if ends[n] > ends[n - 1]:
             cell = by_count[ends[n - 1] : ends[n]]
-            logits = nn.mlp_forward(scorer.take(cell % n_agents), rows[cell, :n])[..., 0]
+            logits = nn.take_forward(scorer, cell % n_agents, rows[cell, :n])[..., 0]
             if rng is not None:
                 logits = logits + gumbel[cell, :n]
             chosen[cell, np.argmax(logits, axis=1)] = 1.0
@@ -544,17 +553,18 @@ def run_worlds(
     fleet row i every slot; under tts-maddpg velocity agent i moves the node
     in row i + 1 by a command at every fifth slot, held until the next.
 
-    The worlds share one slot loop. Association, cell ranking, observations
-    and their cast to the actors' dtype, cohort expiry and push, the
-    backhaul, and the UE and node moves run once per slot over the world
-    axis, and one select_rank call per slot and one select_action call per
-    macro-step act for every world and platform of a group, bit-identical to
-    each actor's forward alone. Each world draws from its own generator in
-    the order of its rollout alone and keeps its own access links (see
-    mac.step_slot), so each world's result is that of its own rollout, bit
-    for bit. A slot's delivered bits and rewards are added up on the world
-    axis, macro-step sums slot by slot, and each EpisodeResult's lists are
-    built after the last slot.
+    The worlds share one slot loop. Everything but the draws runs once per
+    slot over the world axis: association, cell ranking, one queue
+    reduction (queue_observation) for the observations and the critic
+    state, the observations' cast to the actors' dtype, one schedule of
+    every world (decode_schedule or rr_schedule) and mac.step_slot; one
+    select_rank call per slot and one select_action call per macro-step act
+    for every world and platform of a group, bit-identical to each actor's
+    forward alone. Each world draws from its own generator in the order of
+    its rollout alone, so each world's result is that of its own rollout,
+    bit for bit. A slot adds its delivered bits up on the world axis and keeps
+    each world's total; the rewards (each macro-step's slot rewards added in
+    slot order) and each EpisodeResult's lists are formed from those totals.
 
     Train mode steps one world, since a replay ring holds one time-ordered
     stream. Schedulers sample their rank by Gumbel-max and velocity actors
@@ -592,16 +602,18 @@ def run_worlds(
     if train and n_nodes and traj_drift_std > 0.0:
         traj_drift = noise_rng.normal(0.0, traj_drift_std, (n_nodes, 2))
     delivered = np.zeros((n_worlds, n_platforms), dtype=np.int64)
-    rewards = np.empty((slots, n_worlds))
-    macro_sums, macro_rewards, sched_log, traj_log = np.zeros(n_worlds), [], [], []
+    slot_bits_sum = np.empty((slots, n_worlds), dtype=np.int64)
+    macro_rewards, sched_log, traj_log = [], [], []
 
     for t in range(slots):
         last = t == slots - 1
         association = mac.associate(world, env.channel)
         if learn:
             cells = mac.observed_ues(world, association, env.k_obs)
-            state = global_state(world, norm) if train else None
-            sched_obs = local_observation(world, cells, norm).astype(sched_actors.dtype, copy=False)
+            queue_obs = queue_observation(world, norm)
+            state = global_state(world, queue_obs) if train else None
+            sched_obs = local_observation(world, cells, queue_obs).astype(sched_actors.dtype,
+                                                                          copy=False)
             sched_n = (cells >= 0).sum(axis=-1)
 
         if method == "tts-maddpg" and t % TRAJECTORY_PERIOD == 0:
@@ -619,27 +631,29 @@ def run_worlds(
 
         if learn:
             sched_acts = select_rank(sched_actors, sched_obs, sched_n, noise_rng if train else None)
-            choices = [mac.decode_schedule(acts, c) for acts, c in zip(sched_acts, cells)]
+            choices = mac.decode_schedule(sched_acts, cells)
             if record_actions:
                 sched_log.append(sched_acts.copy())
         else:
-            choices = [mac.rr_schedule(rows, t, n_platforms) for rows in association.rows]
+            choices = mac.rr_schedule(association.rows, t, n_platforms)
 
         world, slot_bits = mac.step_slot(world, choices, env.traffic, env.channel, association)
         if method == "tts-maddpg":
             apply_trajectory(world, held_velocity, dt)
 
         delivered += slot_bits
-        rewards[t] = team_reward(slot_bits.sum(axis=1), dt)
-        macro_sums += rewards[t]
+        slot_bits.sum(axis=1, out=slot_bits_sum[t])
         if train and learn:
-            sched_buffer.push(state, sched_obs, sched_acts, rewards[t, 0], last, sched_n)
+            sched_buffer.push(state, sched_obs, sched_acts, team_reward(slot_bits_sum[t, 0], dt),
+                              last, sched_n)
         if method == "tts-maddpg" and (last or (t + 1) % TRAJECTORY_PERIOD == 0):
+            # the macro-step's slot rewards, added in slot order
+            macro = sum(team_reward(slot_bits_sum[t - t % TRAJECTORY_PERIOD : t + 1], dt))
             if train:
-                traj_buffer.push(traj_state, traj_obs, traj_acts, macro_sums[0], last)
-            macro_rewards.append(macro_sums)
-            macro_sums = np.zeros(n_worlds)
+                traj_buffer.push(traj_state, traj_obs, traj_acts, macro[0], last)
+            macro_rewards.append(macro)
 
+    rewards = team_reward(slot_bits_sum, dt)
     macros, q = np.array(macro_rewards).reshape(-1, n_worlds), world.queue
     return [EpisodeResult(
         slots=slots, slot_seconds=dt, delivered_bits=sum(by_uav), delivered_by_uav=by_uav,

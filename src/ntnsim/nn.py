@@ -177,20 +177,33 @@ def forward_pass(params: MlpParams, x):
     input_grad read the cache instead of running the pass again.
     """
     acts = [_check_input(params, x)]
-    last = len(params.weights) - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    _layers(params.weights, params.biases, params.out_act, acts)
+    return acts[-1], acts
+
+
+def _layers(weights, biases, out_act: str, acts: list) -> None:
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
         h = acts[-1] @ w
         h += b
         if l < last:
             np.maximum(h, 0.0, out=h)
-        elif params.out_act == "tanh":
+        elif out_act == "tanh":
             np.tanh(h, out=h)
         acts.append(h)
-    return acts[-1], acts
 
 
 def mlp_forward(params: MlpParams, x) -> np.ndarray:
     return forward_pass(params, x)[0]
+
+
+def take_forward(params: MlpParams, idx, x) -> np.ndarray:
+    """mlp_forward(params.take(idx), x) without building that stack: each
+    layer's weights and biases of the nets idx are taken as it runs."""
+    acts = [_check_input(params, x)]
+    _layers([w.take(idx, axis=0) for w in params.weights],
+            [b.take(idx, axis=0) for b in params.biases], params.out_act, acts)
+    return acts[-1]
 
 
 def _output_grad(params: MlpParams, acts, upstream) -> np.ndarray:

@@ -94,13 +94,11 @@ class WorldState:
     (a single world is a lockstep of one); one instance per rollout, never
     shared.
 
-    Every world array has a leading world axis, and `rng` holds one generator
-    per world. Geometry, association, ranking, observations, cohort expiry and
-    push, the backhaul, and the UE and node moves run over the world axis;
-    each world's draws (in the order of the world alone), access links and
-    SINR chain stay per world. Index i of the UE axis of every UE array,
-    and of the queue's matrix, is UE id i. Ground users stand at height 0 and
-    move waypoint-to-waypoint.
+    Every world array has a leading world axis, and world w draws from
+    `rng[w]` alone, in the order of the world alone; everything else runs
+    over the world axis. Index i of the UE axis of every UE array, and of
+    the queue's matrix, is UE id i. Ground users stand at height 0 and move
+    waypoint-to-waypoint.
 
     Platform row i is fleet row i of `cfg.platforms`: the donor in row 0, the
     nodes in rows 1-4. The fleet constants (altitudes, carriers, EIRP,
@@ -121,13 +119,12 @@ class WorldState:
     rng: list[np.random.Generator]  # world w draws from rng[w] alone
     carrier_hz: np.ndarray  # (n_platforms,)
     eirp_dbm: np.ndarray  # (n_platforms,) transmit power + antenna gain + the UE's 0 dBi
-    bandwidth_hz: list[float]
-    cochannel: list[list[int]]  # per row, the other rows on its carrier, in row order
+    bandwidth_hz: np.ndarray  # (n_platforms,)
+    link_rows: np.ndarray  # (n_platforms, w): row i, then the others on its carrier; -1 pads
     node_max_speed: np.ndarray  # (n_platforms - 1,) speed cap m/s of the node in row i + 1
     area_max: np.ndarray  # (2,) the area's width and height, the upper clamp of a node's x, y
-    # mac.step_slot's (key, row -> access noise mW, world -> node column -> backhaul bps)
-    # for all worlds; both are recomputed when the key (a copy of the channel config,
-    # every world's positions.tobytes(), cfg's donor power and noise figure) differs
+    # mac.step_slot's (a copy of the channel config, access noise mW per row, backhaul key,
+    # (n_worlds, n_nodes) backhaul caps in bits a slot) for all worlds; see step_slot
     link_cache: tuple | None = None
 
 
@@ -145,6 +142,9 @@ def init_world(cfg: ScenarioConfig, seeds) -> WorldState:
     platforms = cfg.platforms
     positions = np.array([(x, y, p.altitude_m) for (x, y), p in zip(centers, platforms)])
     carriers = [p.carrier_hz for p in platforms]
+    width = max(map(carriers.count, carriers))
+    link_rows = [[row] + [q for q, c in enumerate(carriers) if q != row and c == carrier]
+                 + [-1] * (width - carriers.count(carrier)) for row, carrier in enumerate(carriers)]
 
     rngs = [np.random.default_rng(s) for s in seeds]
     # per world, one row per UE, drawn in id order: position x, y, waypoint x, y, speed
@@ -157,9 +157,7 @@ def init_world(cfg: ScenarioConfig, seeds) -> WorldState:
         ue_speeds=ues[..., 4].copy(), queue=PacketQueue(len(rngs), cfg.n_ues), rng=rngs,
         carrier_hz=np.array(carriers),
         eirp_dbm=np.array([p.tx_power_dbm + p.antenna_gain_dbi + 0.0 for p in platforms]),
-        bandwidth_hz=[p.bandwidth_hz for p in platforms],
-        cochannel=[[q for q, c in enumerate(carriers) if q != row and c == carriers[row]]
-                   for row in range(len(platforms))],
+        bandwidth_hz=np.array([p.bandwidth_hz for p in platforms]), link_rows=np.array(link_rows),
         node_max_speed=np.array([p.max_speed_mps for p in platforms[1:]]),
         area_max=np.array([w, h]),
     )
@@ -179,7 +177,8 @@ def step_ue_mobility(world: WorldState, dt: float) -> WorldState:
     arrived = dist <= travel
     # the divisor is dist for every UE that moves and travel > 0 for the rest
     step = pos + delta * (travel / np.maximum(dist, travel))[..., None]
-    np.clip(np.where(arrived[..., None], waypoints, step), 0.0, world.area_max, out=pos)
+    np.minimum(np.maximum(np.where(arrived[..., None], waypoints, step), 0.0), world.area_max,
+               out=pos)  # a clip; np.clip's Python wrapper costs more than both
     for w, rng in enumerate(world.rng):
         hit = arrived[w]
         n_arrived = np.count_nonzero(hit)
@@ -204,5 +203,5 @@ def apply_trajectory(world: WorldState, commands, dt: float) -> WorldState:
         raise ValueError(f"expected velocity commands of shape {xy.shape}, got {commands.shape}")
     speed = np.hypot(commands[..., 0], commands[..., 1])
     scale = np.divide(caps, speed, out=np.ones_like(speed), where=speed > caps)
-    np.clip(xy + commands * scale[..., None] * dt, 0.0, world.area_max, out=xy)
+    np.minimum(np.maximum(xy + commands * scale[..., None] * dt, 0.0), world.area_max, out=xy)
     return world

@@ -71,13 +71,13 @@ class PacketQueue:
         if self.arrived_bits.min() < 0:  # wrapped; every cell and counter is at most this
             raise OverflowError("a UE's arrived bits passed the int64 range")
 
-    def queued_bits(self, ue_ids=slice(None)) -> np.ndarray:
-        """(n_worlds, n_ues) bits waiting at every UE, or at the UEs `ue_ids`."""
-        return self.cells[ue_ids].sum(axis=-1)
+    def queued_bits(self) -> np.ndarray:
+        """(n_worlds, n_ues) bits waiting at every UE."""
+        return self.cells.sum(axis=-1)
 
-    def hol_age(self, current_slot: int, ue_ids=slice(None)) -> np.ndarray:
+    def hol_age(self, current_slot: int) -> np.ndarray:
         """Age in slots of each UE's oldest waiting bit; 0 for an empty queue."""
-        waiting = self.cells[ue_ids] > 0
+        waiting = self.cells > 0
         oldest = self.arrival_slots[waiting.argmax(axis=-1)]
         return np.where(waiting.any(axis=-1), current_slot - oldest, 0)
 
@@ -85,17 +85,14 @@ class PacketQueue:
 def generate_arrivals(world, lam: float, packet_bits: int):
     """Draw this slot's Poisson arrivals, per world from its own generator and
     UE by UE in id order, into one new cohort of every world."""
-    bits = np.empty(world.ue_speeds.shape, dtype=np.int64)
-    for w, rng in enumerate(world.rng):
-        bits[w] = rng.poisson(lam, world.cfg.n_ues)
-    bits *= packet_bits
+    bits = np.array([rng.poisson(lam, world.cfg.n_ues) for rng in world.rng]) * packet_bits
     world.queue.push(world.slot, bits)
 
 
 def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10) -> np.ndarray:
     """Drop the cohorts that have waited deadline_slots or more; return bits dropped per UE."""
     n = queue.n_cohorts
-    k = int(np.searchsorted(queue.arrival_slots[:n], current_slot - deadline_slots, side="right"))
+    k = int(queue.arrival_slots[:n].searchsorted(current_slot - deadline_slots, side="right"))
     dropped = queue.cells[..., :k].sum(axis=-1)
     queue.cells[..., : n - k] = queue.cells[..., k:n]
     queue.cells[..., n - k : n] = 0
@@ -105,21 +102,19 @@ def drop_expired(queue: PacketQueue, current_slot: int, deadline_slots: int = 10
     return dropped
 
 
-def serve_bits(queue: PacketQueue, ue: tuple[int, int], capacity_bits: int) -> int:
-    """Drain up to capacity_bits from the queue of one UE, a (world, UE id)
-    pair, oldest cohort first; a partly served cohort keeps its residual. A
-    Python walk over the row: on a deadline's worth of cells it is several
-    times faster than numpy."""
-    if capacity_bits < 0:
+def serve_bits(queue: PacketQueue, ue, capacity_bits):
+    """Drain up to capacity_bits from each UE of `ue` (a (world, UE id) pair
+    of ints, or of index arrays naming distinct UEs), oldest cohort first;
+    return the bits each delivered. By one cumulative sum, a cohort keeps
+    what it and the cohorts ahead of it hold beyond the capacity."""
+    capacity = np.asarray(capacity_bits)
+    if np.count_nonzero(capacity < 0):
         raise ValueError("capacity must be nonnegative")
-    row = queue.cells[ue]
-    delivered = 0
-    for c, bits in enumerate(row[: queue.n_cohorts].tolist()):
-        if delivered == capacity_bits:
-            break
-        take = min(bits, capacity_bits - delivered)
-        row[c] = bits - take
-        delivered += take
+    live = (*ue, slice(0, max(queue.n_cohorts, 1)))  # the cells past the live cohorts are 0
+    cells = queue.cells[live]
+    kept = cells.cumsum(axis=-1)
+    delivered = np.minimum(kept[..., -1], capacity)
+    kept -= capacity[..., None]
+    queue.cells[live] = np.minimum(np.maximum(kept, 0, out=kept), cells, out=kept)
     queue.delivered_bits[ue] += delivered
     return delivered
-

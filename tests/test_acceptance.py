@@ -262,18 +262,20 @@ def test_criterion_05_deadline_property(monkeypatch):
     now = {"slot": 0}
     real_serve = traffic.serve_bits
 
-    def spy(queue, ue_id, capacity_bits):
-        # the served UE's waiting cohorts, oldest first
+    def spy(queue, ue, capacity_bits):
+        # every served UE's waiting cohorts, oldest first (ue: index arrays)
         n = queue.n_cohorts
-        cohorts = zip(queue.arrival_slots[:n].tolist(), queue.cells[ue_id][:n].tolist())
-        before = [(arrival, remaining) for arrival, remaining in cohorts if remaining > 0]
-        delivered = real_serve(queue, ue_id, capacity_bits)
-        drained = delivered
-        for arrival, remaining in before:
-            if drained <= 0:
-                break
-            ages.append(now["slot"] - arrival)
-            drained -= min(remaining, drained)
+        served = list(zip(*(np.atleast_1d(i).tolist() for i in ue)))
+        before = [[(arrival, remaining) for arrival, remaining in
+                   zip(queue.arrival_slots[:n].tolist(), queue.cells[w, u, :n].tolist())
+                   if remaining > 0] for w, u in served]
+        delivered = real_serve(queue, ue, capacity_bits)
+        for cohorts, drained in zip(before, np.atleast_1d(delivered).tolist()):
+            for arrival, remaining in cohorts:
+                if drained <= 0:
+                    break
+                ages.append(now["slot"] - arrival)
+                drained -= min(remaining, drained)
         return delivered
 
     monkeypatch.setattr(traffic, "serve_bits", spy)

@@ -296,33 +296,50 @@ def test_step_slot_queue_conservation():
 
 
 def test_step_slot_rejects_out_of_cell_choice():
-    world = make_world(seed=10)
+    world = init_world(ScenarioConfig(), [10, 11, 12])
     chan, tcfg = ChannelConfig(), TrafficConfig()
+    n_ues = world.cfg.n_ues
     assoc = mac.associate(world, chan)
     # a cohort the refused slot would drop at the deadline
-    world.queue.push(0, np.arange(world.cfg.n_ues) * 1000)
+    world.queue.push(0, np.tile(np.arange(n_ues) * 1000, (3, 1)))
     world.slot = tcfg.deadline_slots
-    foreign = next(ue_id for ue_id, row in enumerate(assoc.rows[0].tolist()) if row != 1)
-    last = world.cfg.n_ues - 1  # rows[-1] would name this UE
+    foreign = next(ue_id for ue_id, row in enumerate(assoc.rows[2].tolist()) if row != 1)
+    last = n_ues - 1  # rows[w, -1] would name this UE
+    bad = ((1, foreign), (int(assoc.rows[2, last]), -1), (0, n_ues))
+    valid = mac.rr_schedule(assoc.rows, 0, 5).ue_ids  # worlds 0 and 1 choose well
     before = copy.deepcopy(world)
-    for row, ue_id in ((1, foreign), (int(assoc.rows[0, last]), -1), (0, world.cfg.n_ues)):
-        choices = {r: None for r in range(len(world.cfg.platforms))}
-        choices[row] = ue_id
-        with pytest.raises(ValueError):
-            mac.step_slot(world, [choices], tcfg, chan, assoc)
-        # refused before anything moved, dropped or was drawn
+
+    def untouched():
+        # refused before anything moved, dropped or was drawn, in every world
         assert world.slot == before.slot
-        assert world.rng[0].bit_generator.state == before.rng[0].bit_generator.state
+        for rng, kept in zip(world.rng, before.rng):
+            assert rng.bit_generator.state == kept.bit_generator.state
         assert world.queue.n_cohorts == before.queue.n_cohorts
-        for name in ("cells", "arrived_bits", "delivered_bits", "dropped_bits"):
+        for name in ("cells", "arrived_bits", "delivered_bits", "dropped_bits", "arrival_slots"):
             assert np.array_equal(getattr(world.queue, name), getattr(before.queue, name))
         assert np.array_equal(world.ue_positions, before.ue_positions)
-    # one dict per world: a bare dict, or a list of the wrong length, is refused as well
+
+    for row, ue_id in bad:
+        choices = [dict(mac.Schedule(ids)) for ids in valid[:2]] + [{r: None for r in range(5)}]
+        choices[2][row] = ue_id
+        with pytest.raises(ValueError, match=f"UAV {row} of world 2 chose UE {ue_id} "):
+            mac.step_slot(world, choices, tcfg, chan, assoc)
+        untouched()
+    # the same choices in one Schedule of every world, where -1 idles and -2 is refused
+    for row, ue_id in bad[:1] + ((int(assoc.rows[2, last]), -2),) + bad[2:]:
+        ue_ids = valid.copy()
+        ue_ids[2] = -1
+        ue_ids[2, row] = ue_id
+        with pytest.raises(ValueError, match=f"UAV {row} of world 2 chose UE {ue_id} "):
+            mac.step_slot(world, mac.Schedule(ue_ids), tcfg, chan, assoc)
+        untouched()
+    # one dict per world or one Schedule of all: a bare dict, a list of the wrong
+    # length or a Schedule of the wrong shape is refused as well
     idle = {r: None for r in range(len(world.cfg.platforms))}
-    for choices in (idle, [], [idle, idle]):
+    for choices in (idle, [], [idle, idle], mac.Schedule(np.full((2, 5), -1))):
         with pytest.raises(ValueError, match="one choices dict each"):
             mac.step_slot(world, choices, tcfg, chan, assoc)
-        assert world.slot == before.slot and world.queue.n_cohorts == before.queue.n_cohorts
+        untouched()
 
 
 def test_step_slot_idle_uavs_deliver_nothing():
@@ -469,6 +486,68 @@ def test_step_slot_matches_link_by_link_reference(
     assert np.array_equal(worlds[0].ue_positions, worlds[1].ue_positions)
     for got_rng, want_rng in zip(worlds[0].rng, worlds[1].rng):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    n_ues=st.integers(1, 30),
+    lam=st.sampled_from([0.0, 0.4, 2.0, 9.0]),
+    deadline=st.integers(1, 10),
+    n_slots=st.integers(1, 14),
+    pick_seed=st.integers(0, 2**32 - 1),
+)
+def test_slot_identities_hold_in_lockstep_and_alone(seeds, n_ues, lam, deadline, n_slots,
+                                                    pick_seed):
+    cfg = ScenarioConfig(n_ues=n_ues)
+    tcfg = TrafficConfig(lambda_pkts=lam, packet_bits=60_000, deadline_slots=deadline)
+    chan = ChannelConfig(backhaul_bandwidth_hz=5e6)
+    together, alone = init_world(cfg, seeds), [init_world(cfg, [s]) for s in seeds]
+    pick = np.random.default_rng(pick_seed)  # choices and node moves, outside the worlds
+    for _ in range(n_slots):
+        assoc = mac.associate(together, chan)
+        ue_ids = np.full((len(seeds), 5), -1)  # idle rows and empty cells stay -1
+        for w, rows in enumerate(assoc.rows.tolist()):
+            for row in range(5):
+                cell = [ue_id for ue_id, r in enumerate(rows) if r == row]
+                if cell and pick.random() < 0.8:
+                    ue_ids[w, row] = pick.choice(cell)
+        moves = pick.uniform(-40.0, 40.0, (len(seeds), 4, 2))
+        _, bits = mac.step_slot(together, mac.Schedule(ue_ids), tcfg, chan, assoc)
+        apply_trajectory(together, moves, 1.0)
+
+        q, n = together.queue, together.queue.n_cohorts
+        assert np.array_equal(q.arrived_bits, q.delivered_bits + q.dropped_bits + q.queued_bits())
+        age = together.slot - 1 - q.arrival_slots[:n]  # at the slot just served
+        assert not np.any((q.cells[..., :n] > 0) & (age >= deadline))
+        for w, world in enumerate(alone):
+            solo_assoc = mac.associate(world, chan)
+            _, solo = mac.step_slot(world, [mac.Schedule(ue_ids[w])], tcfg, chan, solo_assoc)
+            apply_trajectory(world, moves[w : w + 1], 1.0)
+            assert np.array_equal(bits[w], solo[0])
+            assert world.queue.n_cohorts == n
+            assert np.array_equal(world.queue.cells[0, :, :n], q.cells[w, :, :n])
+            for name in ("arrived_bits", "delivered_bits", "dropped_bits"):
+                assert np.array_equal(getattr(world.queue, name)[0], getattr(q, name)[w])
+            assert world.rng[0].bit_generator.state == together.rng[w].bit_generator.state
+
+
+def test_access_noise_built_once_per_channel_config(monkeypatch):
+    # nodes that move every slot recompute the backhaul every slot, but the
+    # access noise powers only when the channel config changes
+    noise_calls, backhaul_calls = [], []
+    real_noise, real_backhaul = channel.noise_mw, mac.backhaul_rates
+    monkeypatch.setattr(channel, "noise_mw", lambda *a: noise_calls.append(a) or real_noise(*a))
+    monkeypatch.setattr(mac, "backhaul_rates",
+                        lambda *a: backhaul_calls.append(a) or real_backhaul(*a))
+    world, chan = make_world(seed=16), ChannelConfig()
+    for t in range(20):
+        assoc = mac.associate(world, chan)
+        choices = [mac.rr_schedule(assoc.rows[0], t, len(world.cfg.platforms))]
+        mac.step_slot(world, choices, TrafficConfig(), chan, assoc)
+        apply_trajectory(world, np.full((1, 4, 2), 5.0), 1.0)
+    assert len(backhaul_calls) == 20
+    assert len(noise_calls) == len(world.cfg.platforms) + len(backhaul_calls)
 
 
 def capped_slot(world, chan):

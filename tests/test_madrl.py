@@ -23,6 +23,7 @@ from ntnsim.madrl import (
     global_state_dim,
     local_observation,
     noise_schedule,
+    queue_observation,
     run_episode,
     select_action,
     select_rank,
@@ -71,7 +72,7 @@ def test_local_observation_layout_and_bounds():
             mac.step_slot(world, [mac.rr_schedule(assoc.rows[0], world.slot, 5)], env.traffic,
                           env.channel, assoc)
         cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
-        obs = local_observation(world, cells, norm)
+        obs = local_observation(world, cells, queue_observation(world, norm))
         traj_obs = trajectory_observation(world, obs)
         # five schedulers see 2 + 4 * 8 entries, four velocity agents 4 + 4 * 8
         assert obs.shape == (1, 5, 34)
@@ -90,7 +91,7 @@ def test_local_observation_padding_empty_cell():
     cells = np.full((1, len(env.scenario.platforms), env.k_obs), -1)
     cells[0, 0] = np.arange(env.k_obs)
     cells[0, 1, :2] = (10, 11)
-    obs = local_observation(world, cells, norm)[0]
+    obs = local_observation(world, cells, queue_observation(world, norm))[0]
     assert np.any(obs[3, :2] != 0.0)
     assert np.all(obs[3, 2:] == 0.0)
     assert np.all(obs[1, [2, 3, 6, 7]] != 0.0)  # the two UEs' relative positions
@@ -102,7 +103,7 @@ def test_local_observation_trajectory_sees_donor():
     norm = env.norm()
     world = init_world(env.scenario, [1])
     cells = mac.observed_ues(world, mac.associate(world, env.channel), env.k_obs)
-    sched_obs = local_observation(world, cells, norm)
+    sched_obs = local_observation(world, cells, queue_observation(world, norm))
     obs = trajectory_observation(world, sched_obs)[0, 0]  # the node in row 1
     assert np.array_equal(obs[:-2], sched_obs[0, 1])
     w, h = env.scenario.area_w_m, env.scenario.area_h_m
@@ -115,7 +116,7 @@ def test_global_state_layout():
     env = make_env()
     norm = env.norm()
     world = init_world(env.scenario, [2])
-    vec = global_state(world, norm)
+    vec = global_state(world, queue_observation(world, norm))
     n_p, n_u = len(env.scenario.platforms), env.scenario.n_ues
     assert vec.shape == (1, global_state_dim(n_p, n_u))
     assert vec.shape == (1, 2 * n_p + 4 * n_u)
@@ -123,7 +124,8 @@ def test_global_state_layout():
     w = env.scenario.area_w_m
     assert np.array_equal(vec[0, 2 * n_p : 2 * n_p + n_u], world.ue_positions[0, :, 0] / w)
     # identical worlds -> identical vectors
-    assert np.array_equal(global_state(init_world(env.scenario, [2]), norm), vec)
+    again = init_world(env.scenario, [2])
+    assert np.array_equal(global_state(again, queue_observation(again, norm)), vec)
 
 
 def test_global_state_of_lockstep_worlds_is_each_worlds_own():
@@ -138,10 +140,11 @@ def test_global_state_of_lockstep_worlds_is_each_worlds_own():
             choices = [mac.rr_schedule(rows, t, 5) for rows in assoc.rows]
             mac.step_slot(world, choices, env.traffic, env.channel, assoc)
             apply_trajectory(world, cmds, 1.0)
-        states = global_state(together, norm)
+        states = global_state(together, queue_observation(together, norm))
         assert states.shape == (len(seeds), global_state_dim(5, 10))
         for w, world in enumerate(alone):
-            assert np.array_equal(states[w], global_state(world, norm)[0])
+            alone_state = global_state(world, queue_observation(world, norm))
+            assert np.array_equal(states[w], alone_state[0])
 
 
 def test_select_action_noise_and_clip():
@@ -248,6 +251,33 @@ def test_group_selection_equals_per_agent_loop(counts, dtype, with_rng, tied, se
     assert np.array_equal(ranks.sum(axis=-1), counts > 0)
     if with_rng:
         assert draws[0].bit_generator.state == draws[1].bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_worlds=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_select_rank_matches_per_cell_reference(n_worlds, seed, data):
+    # random observed-UE counts in [0, k], repeats and empty cells included
+    k = madrl.K_OBS
+    counts = np.array(data.draw(st.lists(st.integers(0, k), min_size=5 * n_worlds,
+                                         max_size=5 * n_worlds))).reshape(n_worlds, 5)
+    rng = np.random.default_rng(seed)
+    scorers = [nn.init_mlp((madrl.SCORER_IN, madrl.SCORER_WIDTH, 1), "linear", rng)
+               .astype(np.float32) for _ in range(5)]
+    obs = rng.uniform(-1, 1, size=(n_worlds, 5, 2 + madrl.UE_FEATURES * k)).astype(np.float32)
+    draws = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+
+    ranks = select_rank(nn.stack(scorers), obs, counts, draws[0])
+    # each cell: its own scorer alone on its n rows, plus its slice of one draw
+    gumbel, first = draws[1].gumbel(size=int(counts.sum())), 0
+    for (w, p), n in np.ndenumerate(counts):
+        want = np.zeros(k)
+        if n:
+            rows = madrl.scorer_rows(obs[w, p])[:n]
+            logits = nn.mlp_forward(scorers[p], rows)[:, 0] + gumbel[first : first + n]
+            want[np.argmax(logits)] = 1.0
+        first += n
+        assert np.array_equal(ranks[w, p], want)
+    assert draws[0].bit_generator.state == draws[1].bit_generator.state
 
 
 def test_noise_schedule_linear_decay():
